@@ -107,7 +107,7 @@ def test_service_shard_scaling(benchmark, shards, rng_seed):
 
     def run(executor):
         try:
-            return executor.execute(requests)
+            return executor.execute_many(requests)
         finally:
             executor.close()
 

@@ -101,7 +101,7 @@ def test_shard_pool_cold_vs_restore(benchmark, mode, rng_seed):
         # Pool creation (and hence worker warm-up or restore) happens inside
         # the timed region — that is exactly the cost the snapshot removes.
         try:
-            return executor.execute(requests)
+            return executor.execute_many(requests)
         finally:
             executor.close()
 

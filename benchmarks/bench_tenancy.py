@@ -12,7 +12,7 @@ The workload is :func:`~repro.workloads.random_service.zipf_multitenant_requests
 ``s = 1.0``, served over 2 shards in micro-batch-sized windows (so unit
 dealing, not one giant batch, decides which worker sees a repeat — exactly
 the serving shape).  Both arms run **memory-bounded** workers
-(``worker_cache_size=16`` entries, far below the stream's ~140-key working
+(``result_cache_size=16`` entries, far below the stream's ~140-key working
 set), which is the regime the shared tier exists for:
 
 * **islands** (``shared_cache_size=0``): repeats bounce between workers and
@@ -32,7 +32,7 @@ import pytest
 from repro.service.executor import ShardExecutor
 from repro.service.faults import Fault, FaultPlan
 from repro.service.planner import naive_dispatch
-from repro.service.wire import dump_request_line, dump_result_line
+from repro.service.wire import dump_result_line
 from repro.workloads.random_service import zipf_multitenant_requests
 
 #: The acceptance-shaped stream: ISSUE 9 pins ≥ 50 tenants and skew ≥ 1.0.
@@ -68,40 +68,38 @@ def _expected(requests):
     return [dump_result_line(result) for result in naive_dispatch(requests)]
 
 
-def _serve_windows(executor, lines, requests):
+def _serve_windows(executor, requests):
     """Serve the stream in ``WINDOW``-sized calls, like the micro-batch loop."""
     out = []
-    for start in range(0, len(lines), WINDOW):
-        stop = start + WINDOW
-        out.extend(executor.execute_encoded(lines[start:stop], requests=requests[start:stop]))
+    for start in range(0, len(requests), WINDOW):
+        out.extend(dump_result_line(r) for r in executor.execute_many(requests[start : start + WINDOW]))
     return out
 
 
-def _run_stream(lines, requests, shared_cache_size, fault_plan=None):
+def _run_stream(requests, shared_cache_size, fault_plan=None):
     """One serving pass; returns (encoded answers, aggregate hit rate, stats)."""
     with ShardExecutor(
         shards=2,
         shared_cache_size=shared_cache_size,
-        worker_cache_size=WORKER_CACHE,
+        result_cache_size=WORKER_CACHE,
         fault_plan=fault_plan,
     ) as executor:
-        out = _serve_windows(executor, lines, requests)
+        out = _serve_windows(executor, requests)
         shared = executor.shared_cache_info()
         supervision = executor.supervision_stats()
     hits = shared["hits"] + supervision["worker_cache_hits"]
-    return out, hits / len(lines), {"shared": shared, "supervision": supervision}
+    return out, hits / len(requests), {"shared": shared, "supervision": supervision}
 
 
 @pytest.mark.benchmark(group="EXP-TEN Zipf multi-tenant stream: worker islands vs shared cache")
 @pytest.mark.parametrize("mode", ["islands", "shared"])
 def test_islands_vs_shared_cache(benchmark, mode, rng_seed):
     requests = _stream(rng_seed)
-    lines = [dump_request_line(request) for request in requests]
     expected = _expected(requests)
     size = 4096 if mode == "shared" else 0
 
     def run():
-        return _run_stream(lines, requests, shared_cache_size=size)
+        return _run_stream(requests, shared_cache_size=size)
 
     out, rate, _ = benchmark(run)
     assert out == expected  # caching must never change an answer
@@ -112,13 +110,10 @@ def test_islands_vs_shared_cache(benchmark, mode, rng_seed):
 @pytest.mark.benchmark(group="EXP-TEN shared cache under a transient worker crash")
 def test_shared_cache_with_crash(benchmark, rng_seed):
     requests = _stream(rng_seed)
-    lines = [dump_request_line(request) for request in requests]
     expected = _expected(requests)
 
     def run():
-        return _run_stream(
-            lines, requests, shared_cache_size=4096, fault_plan=CRASH_ONCE.to_json()
-        )
+        return _run_stream(requests, shared_cache_size=4096, fault_plan=CRASH_ONCE.to_json())
 
     out, _, stats = benchmark(run)
     assert out == expected  # recovery + caching still byte-identical
@@ -136,14 +131,13 @@ def measure_tenancy_report(seed: int = 20260617, rounds: int = 3) -> dict:
     way.
     """
     requests = _stream(seed)
-    lines = [dump_request_line(request) for request in requests]
     expected = _expected(requests)
 
     def _time(size, fault_plan=None):
         best, rate, stats = float("inf"), 0.0, {}
         for _ in range(rounds):
             started = time.perf_counter()
-            out, rate, stats = _run_stream(lines, requests, size, fault_plan=fault_plan)
+            out, rate, stats = _run_stream(requests, size, fault_plan=fault_plan)
             best = min(best, time.perf_counter() - started)
             assert out == expected
         return best, rate, stats

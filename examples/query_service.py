@@ -52,7 +52,7 @@ def main() -> None:
 
     print("\n== 4. The same stream across 2 worker processes ==")
     with ShardExecutor(shards=2) as executor:
-        sharded = executor.execute(stream)
+        sharded = executor.execute_many(stream)
     identical = [dump_result_line(a) for a in results] == [dump_result_line(b) for b in sharded]
     print(f"  byte-identical to the in-process run: {identical}")
 

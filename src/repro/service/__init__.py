@@ -64,7 +64,7 @@ from repro.service.api import (
     quotient_request,
 )
 from repro.service.config import OVERLOAD_POLICIES, ServiceConfig
-from repro.service.executor import ShardExecutor, pool_map_encoded
+from repro.service.executor import ShardExecutor
 from repro.service.faults import (
     FAULT_KINDS,
     Fault,
@@ -171,7 +171,6 @@ __all__ = [
     "execute_plan",
     "naive_dispatch",
     "ShardExecutor",
-    "pool_map_encoded",
     "SharedResultCache",
     "ConsistentHashRing",
     "SupervisedPool",

@@ -5,10 +5,10 @@ Two modes share one wire format and one :class:`~repro.service.config.ServiceCon
 * **file mode** (default): ``python -m repro.service [FILE|-]`` answers a
   pre-collected stream from a file or stdin, one wire-encoded
   :class:`~repro.service.wire.QueryRequest` per line, one result line out,
-  in input order.  ``--no-batch`` selects the naive one-at-a-time baseline,
-  ``--shards N`` the multiprocess executor; all dispatch modes produce
-  byte-identical output (``tests/test_service_cli.py`` pins this end-to-end
-  on a 200-request mix).
+  in input order.  The decoded stream goes to one backend's
+  ``execute_many``: the in-process session, or with ``--shards N`` the
+  multiprocess executor; both produce byte-identical output
+  (``tests/test_service_cli.py`` pins this end-to-end on a 200-request mix).
 * **serve mode**: ``python -m repro.service serve`` starts the asyncio
   socket server (:mod:`repro.service.server`) speaking the same JSONL
   protocol continuously, with micro-batch windows (``--max-wait-ms``,
@@ -16,6 +16,8 @@ Two modes share one wire format and one :class:`~repro.service.config.ServiceCon
   ``--overload block|shed``) and graceful drain on SIGINT/SIGTERM.  The
   bound address is announced on stderr (``--port 0`` picks an ephemeral
   port); ``--stats`` prints the latency/window statistics on shutdown.
+
+``--stats`` prints one canonical-JSON line to stderr in either mode.
 
 A malformed line becomes an ``ok=false`` result at its position — the stream
 always gets exactly one answer per request.  Error results echo the
@@ -33,7 +35,7 @@ with and without telemetry (see :mod:`repro.service.telemetry`).
 ``--snapshot-dir DIR`` (either mode) makes the boot *zero-warmup*: when
 ``DIR/session.snapshot.json`` exists the session (or every shard worker) is
 restored from it instead of replaying the Γ closure, and a fresh snapshot is
-saved after the stream (file mode, planner dispatch) or on drain (serve
+saved after the stream (file mode, in-process backend) or on drain (serve
 mode).  A live server can also be snapshotted with the
 ``{"control": "snapshot"}`` line.  See :mod:`repro.service.snapshot`.
 """
@@ -49,17 +51,17 @@ import time
 from collections.abc import Sequence
 from typing import Optional, TextIO
 
-from repro.dependencies.pd import PartitionDependency
 from repro.errors import ServiceError
+from repro.service import telemetry
 from repro.service.config import ServiceConfig, add_config_arguments, config_from_args
-from repro.service.planner import naive_dispatch, plan_summary
+from repro.service.executor import ShardExecutor
+from repro.service.planner import plan_summary
+from repro.service.session import Session
 from repro.service.wire import (
     canonical_dumps,
-    dump_request_line,
     dump_result_line,
     error_result_for_line,
     load_request_line,
-    load_result_line,
 )
 
 
@@ -70,9 +72,6 @@ def _read_numbered_lines(stream: TextIO) -> list[tuple[int, str]]:
 
 def serve_lines(
     lines: Sequence,
-    dependencies: Sequence[PartitionDependency] = (),
-    shards: int = 1,
-    batch: bool = True,
     with_plan: bool = False,
     config: Optional[ServiceConfig] = None,
 ) -> tuple[list[str], dict]:
@@ -82,18 +81,16 @@ def serve_lines(
     ``(file_line_number, text)`` pairs, so error results name the line of the
     *original file* even when blank lines were skipped.  Each line is decoded
     exactly once: undecodable lines become structured error results in place
-    (echoing the request id when one parsed), and the decoded remainder is
-    served by the selected mode.  A :class:`~repro.service.config.ServiceConfig`
-    supersedes the individual keyword arguments.
+    (echoing the request id when one parsed), and the decoded remainder goes
+    to ``config``'s backend (the default config when ``None``).
     """
-    if config is None:
-        config = ServiceConfig(dependencies=tuple(dependencies), shards=shards, batch=batch)
+    config = config or ServiceConfig()
     numbered = [
         (position + 1, line) if isinstance(line, str) else line
         for position, line in enumerate(lines)
     ]
     out: list[Optional[str]] = [None] * len(numbered)
-    decoded: list[tuple[int, str]] = []  # (stream position, original text)
+    positions: list[int] = []
     requests = []
     for position, (line_number, text) in enumerate(numbered):
         try:
@@ -101,70 +98,39 @@ def serve_lines(
         except ServiceError as exc:
             out[position] = dump_result_line(error_result_for_line(text, line_number, exc))
         else:
-            decoded.append((position, text))
+            positions.append(position)
 
-    # Arm the deterministic chaos hooks exactly like the server does: an
-    # explicit --fault-plan wins, else the REPRO_FAULT_PLAN environment hook.
-    from repro.service import faults
-
-    if config.fault_plan is not None:
-        faults.install_fault_plan(config.fault_plan)
-    else:
-        faults.install_from_env()
-
-    from repro.service import telemetry
-
-    telemetry.configure(
-        trace=config.trace,
-        metrics_dir=config.metrics_dir,
-        interval_ms=config.metrics_interval_ms,
-    )
+    config.install_hooks()
     if telemetry.enabled():
         # Stamp a trace id on every decoded request (preserving any the wire
-        # carried).  With telemetry off the original requests and line text
-        # are reused untouched — the traced and untraced paths must not
-        # diverge on anything but the trace ids themselves.
+        # carried).  With telemetry off the original requests are reused
+        # untouched — the traced and untraced paths must not diverge on
+        # anything but the trace ids themselves.
         requests = [telemetry.ensure_trace(request) for request in requests]
 
     admitted_at = time.time()
     started = time.perf_counter()
-    session = None
-    if config.shards > 1:
-        # The sharded path ships encoded lines; re-encode only when tracing
-        # stamped new ids into them (workers must see the same ids).
-        encoded = (
-            [dump_request_line(request) for request in requests]
-            if telemetry.enabled()
-            else [text for _, text in decoded]
-        )
-        with config.make_executor() as executor:
-            answered = executor.execute_encoded(encoded, requests=requests)
-    elif config.batch:
-        # make_session() restores from --snapshot-dir when a snapshot exists,
-        # so a warm previous run makes this one boot without replaying Γ.
-        session = config.make_session()
-        answered = [dump_result_line(r) for r in session.execute_many(requests)]
-    else:
-        answered = [dump_result_line(r) for r in naive_dispatch(requests, config.dependencies)]
+    # make_backend() restores from --snapshot-dir when a snapshot exists, so
+    # a warm previous run makes this one boot without replaying Γ.
+    backend = config.make_backend()
+    try:
+        results = backend.execute_many(requests)
+    finally:
+        if isinstance(backend, ShardExecutor):
+            backend.close()
     elapsed = time.perf_counter() - started
     executed_at = time.time()
 
-    if len(answered) != len(decoded):  # loud, not misaligned
-        raise ServiceError(
-            f"dispatcher answered {len(answered)} of {len(decoded)} decoded requests"
-        )
-    for (position, _), line in zip(decoded, answered):
-        out[position] = line
+    if len(results) != len(requests):  # loud, not misaligned
+        raise ServiceError(f"backend answered {len(results)} of {len(requests)} decoded requests")
+    for position, result in zip(positions, results):
+        out[position] = dump_result_line(result)
     if telemetry.enabled():
         # One retrospective root span (plan/execute/respond children) per
         # decoded request — file mode has no micro-batch ticket to cut the
         # stages from, so the whole-stream dispatch timestamps stand in.
         responded_at = time.time()
-        for request, line in zip(requests, answered):
-            try:
-                result = load_result_line(line)
-            except ServiceError:
-                continue
+        for request, result in zip(requests, results):
             telemetry.record_request_tree(
                 request,
                 result,
@@ -178,20 +144,18 @@ def serve_lines(
             telemetry.flush()
     stats = {
         "requests": len(numbered),
-        "invalid": len(numbered) - len(decoded),
+        "invalid": len(numbered) - len(positions),
         "elapsed_seconds": elapsed,
-        "mode": f"shards={config.shards}"
-        if config.shards > 1
-        else ("planner" if config.batch else "naive"),
+        "mode": config.backend_name,
     }
     # Re-planning the stream just to describe it is not free; only do it
     # when the caller will actually print the stats.
-    if with_plan and requests and config.shards <= 1:
+    if with_plan and requests and config.shards == 1:
         stats["plan"] = plan_summary(requests)
-    if config.snapshot_dir is not None and session is not None:
+    if config.snapshot_dir is not None and isinstance(backend, Session):
         from repro.service.snapshot import save_snapshot
 
-        stats["snapshot"] = str(save_snapshot(session, config.snapshot_dir))
+        stats["snapshot"] = str(save_snapshot(backend, config.snapshot_dir))
     return out, stats
 
 
@@ -242,7 +206,7 @@ def batch_main(argv: Sequence[str]) -> int:
             return 2
 
     if config.stats:
-        print(f"repro.service stats: {stats}", file=sys.stderr)
+        print(f"repro.service stats: {canonical_dumps(stats)}", file=sys.stderr)
     return 0
 
 

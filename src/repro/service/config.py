@@ -1,21 +1,19 @@
 """One configuration surface for every deployment shape of the query service.
 
-Before this module, each entry point threaded its own keyword arguments:
-the CLI passed ``shards``/``batch`` into :func:`~repro.service.cli.serve_lines`,
-the executor took its own constructor keywords, and session tuning (cache
-size, foreign-context limit) was reachable only by instantiating
-:class:`~repro.service.session.Session` by hand.  :class:`ServiceConfig` is
-the single dataclass all of them consume:
+:class:`ServiceConfig` is the single dataclass every entry point consumes:
 
 * the **batch CLI** (``python -m repro.service FILE``) reads ``dependencies``,
-  ``shards`` and ``batch``;
+  ``shards`` and the cache sizes;
 * the **async server** (``python -m repro.service serve``) additionally reads
   the micro-batch window bounds (``max_wait_ms``, ``max_batch``), the
   admission-queue depth (``queue_limit``), the ``overload`` policy and the
   listen address;
-* :meth:`ServiceConfig.make_session` / :meth:`ServiceConfig.make_executor`
-  build the matching pipeline objects, so the three consumers cannot drift
-  apart on defaults.
+* :meth:`ServiceConfig.install_hooks` arms the process-wide fault plan and
+  telemetry, and :meth:`ServiceConfig.make_backend` picks the one stream
+  backend both entry points call ``execute_many`` on — the in-process
+  :class:`~repro.service.session.Session` for ``shards == 1``, else the
+  :class:`~repro.service.executor.ShardExecutor` — so the consumers cannot
+  drift apart on defaults or on dispatch.
 
 :func:`add_config_arguments` / :func:`config_from_args` translate the shared
 dataclass to and from ``argparse`` flags; both CLI modes use them, which is
@@ -54,16 +52,15 @@ def parse_dependency_text(text: Optional[str]) -> tuple[PartitionDependency, ...
 class ServiceConfig:
     """Every tunable of the query service, in one validated place.
 
-    ``shards == 1`` means in-process dispatch; ``batch=False`` selects the
-    naive one-at-a-time baseline (file mode only — the server always
-    batches, that is its point).  ``max_wait_ms``/``max_batch`` bound the
-    micro-batch window in time and size; ``queue_limit`` bounds admission;
-    ``port = 0`` asks the OS for an ephemeral port.
+    ``shards == 1`` means in-process dispatch.  ``result_cache_size`` sizes
+    the session result cache, in process or in every shard worker.
+    ``max_wait_ms``/``max_batch`` bound the micro-batch window in time and
+    size; ``queue_limit`` bounds admission; ``port = 0`` asks the OS for an
+    ephemeral port.
     """
 
     dependencies: tuple[PartitionDependency, ...] = ()
     shards: int = 1
-    batch: bool = True
     result_cache_size: int = 1024
     foreign_context_limit: int = 16
     max_wait_ms: float = 20.0
@@ -87,11 +84,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ServiceError(f"shards must be at least 1, got {self.shards}")
-        if self.shards > 1 and not self.batch:
-            raise ServiceError(
-                "batch=False (the naive baseline) cannot be combined with shards > 1: "
-                "workers always dispatch through the batch planner"
-            )
         if self.result_cache_size < 0:
             raise ServiceError(f"result_cache_size must be >= 0, got {self.result_cache_size}")
         if self.foreign_context_limit < 1:
@@ -181,9 +173,8 @@ class ServiceConfig:
     def make_executor(self):
         """A :class:`~repro.service.executor.ShardExecutor` per this config.
 
-        Only meaningful for ``shards > 1``; callers pick between
-        :meth:`make_session` and this by the shard count.  A boot snapshot,
-        when present, ships to every worker for zero-warmup restore.
+        A boot snapshot, when present, ships to every worker for zero-warmup
+        restore.
         """
         from repro.service.executor import ShardExecutor
 
@@ -194,6 +185,39 @@ class ServiceConfig:
             fault_plan=self.fault_plan,
             unit_timeout_ms=self.unit_timeout_ms,
             shared_cache_size=self.shared_cache_size,
+            result_cache_size=self.result_cache_size,
+        )
+
+    @property
+    def backend_name(self) -> str:
+        """``session`` for in-process dispatch, else ``shards=N``."""
+        return "session" if self.shards == 1 else f"shards={self.shards}"
+
+    def make_backend(self):
+        """The stream backend: :meth:`make_session` or :meth:`make_executor`.
+
+        Both answer ``execute_many(requests) -> list[QueryResult]``; the shard
+        count is the only thing that picks between them.  Call
+        :meth:`install_hooks` first, so workers inherit the telemetry switch.
+        """
+        return self.make_session() if self.shards == 1 else self.make_executor()
+
+    def install_hooks(self) -> None:
+        """Arm this process's fault plan and telemetry per this config.
+
+        An explicit ``fault_plan`` wins, else the ``REPRO_FAULT_PLAN``
+        environment hook applies.
+        """
+        from repro.service import faults, telemetry
+
+        if self.fault_plan is not None:
+            faults.install_fault_plan(self.fault_plan)
+        else:
+            faults.install_from_env()
+        telemetry.configure(
+            trace=self.trace,
+            metrics_dir=self.metrics_dir,
+            interval_ms=self.metrics_interval_ms,
         )
 
 
@@ -216,7 +240,10 @@ def add_config_arguments(parser: argparse.ArgumentParser, serve: bool = False) -
         "--cache-size",
         type=int,
         default=defaults.result_cache_size,
-        help=f"session result-cache entries (0 disables; default {defaults.result_cache_size})",
+        help=(
+            "session result-cache entries, per shard worker when sharded "
+            f"(0 disables; default {defaults.result_cache_size})"
+        ),
     )
     parser.add_argument("--stats", action="store_true", help="print a summary line to stderr")
     parser.add_argument(
@@ -269,11 +296,6 @@ def add_config_arguments(parser: argparse.ArgumentParser, serve: bool = False) -
         ),
     )
     if not serve:
-        parser.add_argument(
-            "--no-batch",
-            action="store_true",
-            help="disable the planner and dispatch one request at a time (baseline mode)",
-        )
         return
     parser.add_argument("--host", default=defaults.host, help=f"listen address (default {defaults.host})")
     parser.add_argument(
@@ -348,7 +370,6 @@ def config_from_args(args: argparse.Namespace) -> ServiceConfig:
     return ServiceConfig(
         dependencies=dependencies,
         shards=args.shards,
-        batch=not getattr(args, "no_batch", False),
         result_cache_size=args.cache_size,
         max_wait_ms=getattr(args, "max_wait_ms", ServiceConfig.max_wait_ms),
         max_batch=getattr(args, "max_batch", ServiceConfig.max_batch),

@@ -2,7 +2,10 @@
 
 Python's decision kernels are CPU-bound and single-threaded, so horizontal
 scale means processes.  :class:`ShardExecutor` partitions a stream across
-``shards`` supervised worker processes:
+``shards`` supervised worker processes behind the in-process
+:class:`~repro.service.session.Session`'s stream contract,
+:meth:`ShardExecutor.execute_many` (decoded requests in, results out in
+input order):
 
 * **Transport is the wire format** — requests cross the process boundary as
   canonical JSONL strings and results come back the same way, so the worker
@@ -39,7 +42,7 @@ The default start method is ``fork`` where available (cheap warm-up —
 children inherit the parent's interned AST; safe since PR 5's
 ``os.register_at_fork`` hooks rebuild the weak intern tables and drop the
 Whitman memo in the child) with ``spawn`` as the portable fallback.  The
-pool is created lazily and kept alive across :meth:`execute` calls so
+pool is created lazily and kept alive across :meth:`execute_many` calls so
 benchmark loops measure steady-state throughput; use the executor as a
 context manager (or call :meth:`close`, which shuts workers down
 *gracefully* — in-flight units finish, terminate is the fallback).
@@ -55,56 +58,15 @@ from repro.dependencies.pd import PartitionDependencyLike, as_partition_dependen
 from repro.errors import ServiceError
 from repro.service.planner import IMPLICATION_CHUNK, plan
 from repro.service.result_cache import ConsistentHashRing, SharedResultCache
-from repro.service.session import Session
 from repro.service.supervisor import SupervisedPool, SupervisorStats, WorkItem, WorkUnit
 from repro.service.wire import (
     QueryRequest,
     QueryResult,
-    dump_result_line,
+    dump_request_line,
     encode_pd,
-    error_result_for_line,
-    load_request_line,
     load_result_line,
     request_cache_key,
 )
-
-# Worker-global session for the plain-Pool baseline below.
-_WORKER_SESSION: Optional[Session] = None
-
-
-def _initialize_worker(
-    encoded_dependencies: list[str], snapshot_text: Optional[str] = None
-) -> None:
-    """Build a pool worker's warm session — from a snapshot when one is shipped.
-
-    This is the initializer of the *unsupervised* ``multiprocessing.Pool``
-    baseline (:func:`pool_map_encoded`), kept as the reference point the
-    EXP-FLT benchmark measures supervision overhead against.
-    """
-    global _WORKER_SESSION
-    if snapshot_text is not None:
-        from repro.service.snapshot import restore_session
-
-        _WORKER_SESSION = restore_session(snapshot_text)
-        return
-    from repro.dependencies.pd import parse_pd_set
-
-    _WORKER_SESSION = Session(parse_pd_set(encoded_dependencies))
-
-
-def _execute_shard(payload: tuple[int, list[tuple[int, str]]]) -> tuple[int, list[tuple[int, str]]]:
-    """Answer one shard of the ``Pool`` baseline: decode, plan, encode."""
-    shard_index, lines = payload
-    session = _WORKER_SESSION
-    if session is None:  # pragma: no cover - initializer always runs first
-        raise ServiceError("shard worker used before initialization")
-    requests = [load_request_line(line) for _, line in lines]
-    results = session.execute_many(requests, batch=True)
-    encoded = [
-        (original_index, dump_result_line(result))
-        for (original_index, _), result in zip(lines, results)
-    ]
-    return shard_index, encoded
 
 
 class ShardExecutor:
@@ -121,7 +83,7 @@ class ShardExecutor:
         deadline_grace_ms: float = 2000.0,
         max_unit_attempts: int = 2,
         shared_cache_size: int = 4096,
-        worker_cache_size: Optional[int] = None,
+        result_cache_size: int = 1024,
     ) -> None:
         if shards < 1:
             raise ServiceError(f"shard count must be positive, got {shards}")
@@ -134,7 +96,7 @@ class ShardExecutor:
         # measures against).
         self._shared_cache = SharedResultCache(shared_cache_size)
         self._ring = ConsistentHashRing(shards) if shared_cache_size > 0 else None
-        self._worker_cache_size = worker_cache_size
+        self._result_cache_size = result_cache_size
         self._dependencies = [as_partition_dependency(pd) for pd in dependencies]
         if snapshot is not None:
             # Validate once in the parent — a corrupt or mismatched snapshot
@@ -177,12 +139,12 @@ class ShardExecutor:
                 fault_plan_json=self._fault_plan,
                 unit_timeout_ms=self._unit_timeout_ms,
                 deadline_grace_ms=self._deadline_grace_ms,
-                worker_cache_size=self._worker_cache_size,
+                result_cache_size=self._result_cache_size,
             )
         return self._pool
 
     def close(self, timeout: float = 5.0) -> None:
-        """Gracefully shut the workers down (a later :meth:`execute` re-creates them).
+        """Gracefully shut the workers down (a later :meth:`execute_many` re-creates them).
 
         Workers finish whatever unit they hold and exit on the shutdown
         sentinel; only a worker that outlives ``timeout`` is terminated.
@@ -247,59 +209,31 @@ class ShardExecutor:
 
     # -- execution -------------------------------------------------------------
 
-    def execute_encoded(
-        self, lines: Sequence[str], requests: Optional[Sequence[QueryRequest]] = None
-    ) -> list[str]:
-        """Answer wire-encoded request lines; returns result lines in input order.
+    def execute_many(self, requests: Sequence[QueryRequest]) -> list[QueryResult]:
+        """Answer a decoded request stream; results come back in input order.
 
-        This is the transport-level entry point the CLI uses — nothing but
-        strings crosses the process boundary in either direction.  A caller
-        that already decoded the stream (the CLI validates every line first)
-        passes ``requests`` so the parent-side planning pass does not re-parse
-        each line; the two sequences must be position-aligned.  When the
-        executor decodes the stream itself, an undecodable line becomes an
-        in-place error result and the rest of the stream still computes.
+        The same stream contract as :meth:`Session.execute_many
+        <repro.service.session.Session.execute_many>`, so callers pick a
+        backend without changing how they call it.  Shared-cache hits are
+        answered parent-side; every miss is encoded once to cross the process
+        boundary, and every worker reply line is decoded once on the way back.
         """
-        if not lines:
-            return []
-        out: list[Optional[str]] = [None] * len(lines)
-        if requests is None:
-            decoded: list[QueryRequest] = []
-            index_map: list[int] = []
-            for position, line in enumerate(lines):
-                try:
-                    decoded.append(load_request_line(line))
-                    index_map.append(position)
-                except Exception as exc:  # isolate the bad line
-                    out[position] = dump_result_line(
-                        error_result_for_line(line, position + 1, exc)
-                    )
-            requests = decoded
-        elif len(requests) != len(lines):
-            raise ServiceError(
-                f"{len(requests)} decoded requests for {len(lines)} encoded lines"
-            )
-        else:
-            index_map = list(range(len(lines)))
+        out: list[Optional[QueryResult]] = [None] * len(requests)
         # Tier-0 probe: answer shared-cache hits parent-side, before any unit
         # is formed — a hit never crosses a process boundary at all.  The
         # canonical keys double as the ring's routing keys for the misses.
         keys: dict[int, str] = {}
-        parent_hits: set[int] = set()
         if self._shared_cache.enabled:
             for i, request in enumerate(requests):
-                key = request_cache_key(request)
-                keys[i] = key
-                hit = self._shared_cache.lookup(key, request.id, request.tenant)
-                if hit is not None:
-                    out[index_map[i]] = dump_result_line(hit)
-                    parent_hits.add(i)
+                keys[i] = request_cache_key(request)
+                out[i] = self._shared_cache.lookup(keys[i], request.id, request.tenant)
+        misses = [i for i, result in enumerate(out) if result is None]
         units = [
             WorkUnit(
                 items=tuple(
                     WorkItem(
-                        index=index_map[i],
-                        line=lines[index_map[i]],
+                        index=i,
+                        line=dump_request_line(requests[i]),
                         request_id=requests[i].id,
                         kind=requests[i].kind,
                         deadline_ms=requests[i].deadline_ms,
@@ -310,15 +244,14 @@ class ShardExecutor:
                 attempts_left=self._max_unit_attempts,
                 preferred=preferred,
             )
-            for unit_indices, preferred in self._routed_units(requests, keys, out, index_map)
+            for unit_indices, preferred in self._routed_units(requests, keys, set(misses))
         ]
         if units:
-            pool = self._ensure_pool()
-            for original_index, line in pool.run_units(units).items():
-                out[original_index] = line
+            for index, line in self._ensure_pool().run_units(units).items():
+                out[index] = load_result_line(line)
         if self._shared_cache.enabled:
-            self._publish(requests, keys, out, index_map, parent_hits)
-        missing = [i for i, line in enumerate(out) if line is None]
+            self._publish(requests, keys, out, misses)
+        missing = [i for i, result in enumerate(out) if result is None]
         if missing:  # pragma: no cover - reassembly invariant
             raise ServiceError(f"shard executor lost results for requests {missing[:5]}")
         return out  # type: ignore[return-value]
@@ -327,12 +260,11 @@ class ShardExecutor:
         self,
         requests: Sequence[QueryRequest],
         keys: dict[int, str],
-        out: list[Optional[str]],
-        index_map: list[int],
+        misses: set[int],
     ) -> list[tuple[list[int], Optional[int]]]:
         """Work units annotated with their consistent-hash shard affinity.
 
-        With the shared cache off this is the legacy deal (no affinity).
+        With the shared cache off this is the plain deal (no affinity).
         With it on, indices already answered from the cache drop out, and
         each surviving unit is partitioned along the ring so every miss
         lands on the shard that owns its cache key — the worker whose
@@ -345,12 +277,10 @@ class ShardExecutor:
             return [(unit, None) for unit in units]
         routed: list[tuple[list[int], Optional[int]]] = []
         for unit in units:
-            pending = [i for i in unit if out[index_map[i]] is None]
-            if not pending:
-                continue
             by_shard: dict[int, list[int]] = {}
-            for i in pending:
-                by_shard.setdefault(self._ring.shard_for(keys[i]), []).append(i)
+            for i in unit:
+                if i in misses:
+                    by_shard.setdefault(self._ring.shard_for(keys[i]), []).append(i)
             routed.extend((by_shard[shard], shard) for shard in sorted(by_shard))
         return routed
 
@@ -358,9 +288,8 @@ class ShardExecutor:
         self,
         requests: Sequence[QueryRequest],
         keys: dict[int, str],
-        out: list[Optional[str]],
-        index_map: list[int],
-        parent_hits: set[int],
+        out: list[Optional[QueryResult]],
+        misses: list[int],
     ) -> None:
         """Publish computed miss results into the shared tier on reassembly.
 
@@ -369,78 +298,11 @@ class ShardExecutor:
         coherent cache.  Error results (timeouts, quarantines, kernel
         failures) are never published, matching the session-cache contract.
         """
-        for i, request in enumerate(requests):
-            if i in parent_hits:
-                continue
-            line = out[index_map[i]]
-            if line is None:
-                continue
-            try:
-                result = load_result_line(line)
-            except Exception:  # pragma: no cover - supervisor already validated
-                continue
-            if not result.ok:
-                continue
+        for i in misses:
+            request = requests[i]
             self._shared_cache.store(
                 keys[i],
-                result,
+                out[i],
                 tenant=request.tenant,
                 uses_tenant_gamma=request.dependencies is None and request.kind != "fd_implies",
             )
-
-    def execute(self, requests: Sequence[QueryRequest]) -> list[QueryResult]:
-        """Answer decoded requests; convenience wrapper over :meth:`execute_encoded`."""
-        from repro.service.wire import dump_request_line
-
-        lines = [dump_request_line(request) for request in requests]
-        return [load_result_line(line) for line in self.execute_encoded(lines, requests=requests)]
-
-
-def pool_map_encoded(
-    lines: Sequence[str],
-    shards: int = 2,
-    dependencies: Iterable[PartitionDependencyLike] = (),
-    start_method: Optional[str] = None,
-    snapshot: Optional[str] = None,
-) -> list[str]:
-    """The PR 7 ``multiprocessing.Pool`` execution path, kept as a baseline.
-
-    No supervision, no deadlines, no fault isolation: one static greedy deal,
-    one ``pool.map``.  The EXP-FLT benchmark runs this against the supervised
-    executor to assert the supervision overhead stays under its budget.
-    """
-    if not lines:
-        return []
-    pds = [as_partition_dependency(pd) for pd in dependencies]
-    requests = [load_request_line(line) for line in lines]
-    helper = ShardExecutor(shards=shards, dependencies=pds)
-    units = helper._work_units(requests)
-    buckets: list[list[int]] = [[] for _ in range(shards)]
-    loads = [0] * shards
-    for unit in sorted(units, key=len, reverse=True):  # stable: ties keep plan order
-        shard = loads.index(min(loads))
-        buckets[shard].extend(unit)
-        loads[shard] += len(unit)
-    for bucket in buckets:
-        bucket.sort()
-    if start_method is None:
-        available = multiprocessing.get_all_start_methods()
-        start_method = "fork" if "fork" in available else "spawn"
-    context = multiprocessing.get_context(start_method)
-    encoded = [encode_pd(pd) for pd in pds]
-    payloads = [
-        (shard_index, [(index, lines[index]) for index in bucket])
-        for shard_index, bucket in enumerate(buckets)
-        if bucket
-    ]
-    out: list[Optional[str]] = [None] * len(lines)
-    with context.Pool(
-        processes=shards, initializer=_initialize_worker, initargs=(encoded, snapshot)
-    ) as pool:
-        for _, chunk in pool.map(_execute_shard, payloads):
-            for original_index, line in chunk:
-                out[original_index] = line
-    missing = [i for i, line in enumerate(out) if line is None]
-    if missing:  # pragma: no cover - reassembly invariant
-        raise ServiceError(f"pool baseline lost results for requests {missing[:5]}")
-    return out  # type: ignore[return-value]

@@ -223,8 +223,8 @@ class MicroBatchStats:
 class MicroBatcher:
     """Accumulate continuous requests into bounded windows for the batch pipeline.
 
-    ``execute_window`` is the whole-window pipeline — typically
-    ``session.execute_many`` or ``ShardExecutor.execute`` — called on the
+    ``execute_window`` is the whole-window pipeline — a backend's
+    ``execute_many`` (``Session`` or ``ShardExecutor``) — called on the
     worker thread with the window's requests, returning one result per
     request in order.  Use as an async context manager (or call
     :meth:`start` / :meth:`drain` explicitly).

@@ -50,11 +50,12 @@ Shape of the thing:
   request ``id`` whenever the line parsed far enough to carry one
   (:func:`~repro.service.wire.error_result_for_line`).
 
-The compute backend follows :class:`~repro.service.config.ServiceConfig`:
-one in-process :class:`~repro.service.session.Session` by default, the
-multiprocess :class:`~repro.service.executor.ShardExecutor` for
-``shards > 1`` (its worker pool is created eagerly at :meth:`start`, before
-any serving thread exists).
+The compute backend is :meth:`ServiceConfig.make_backend
+<repro.service.config.ServiceConfig.make_backend>`'s choice, and every window
+goes to its ``execute_many``: one in-process
+:class:`~repro.service.session.Session` by default, the multiprocess
+:class:`~repro.service.executor.ShardExecutor` for ``shards > 1`` (its worker
+pool is created eagerly at :meth:`start`, before any serving thread exists).
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from typing import Optional
 from repro.errors import ServiceError
 from repro.service import telemetry
 from repro.service.config import ServiceConfig
+from repro.service.executor import ShardExecutor
 from repro.service.microbatch import MicroBatcher, Ticket
 from repro.service.session import Session
 from repro.service.wire import (
@@ -105,29 +107,22 @@ class QueryServer:
         if self._server is not None:
             raise ServiceError("server is already started")
         config = self.config
-        from repro.service import faults
-
-        if config.fault_plan is not None:
-            faults.install_fault_plan(config.fault_plan)
+        # Arm the hooks before the executor exists so forked/spawned workers
+        # inherit the telemetry enablement and ship their spans back in replies.
+        config.install_hooks()
+        if self._session is not None and config.shards == 1:
+            backend = self._session
         else:
-            faults.install_from_env()
-        # Configure telemetry before the executor exists so forked/spawned
-        # workers inherit the enablement and ship their spans back in replies.
-        telemetry.configure(
-            trace=config.trace,
-            metrics_dir=config.metrics_dir,
-            interval_ms=config.metrics_interval_ms,
-        )
-        if config.shards > 1:
-            self._executor = config.make_executor()
+            backend = config.make_backend()
+        if isinstance(backend, ShardExecutor):
+            self._executor = backend
             # Create the worker pool now, in the main thread, so fork happens
             # before the window worker thread exists.
-            self._executor.__enter__()
+            backend.__enter__()
             execute = self._execute_sharded
         else:
-            if self._session is None:
-                self._session = config.make_session()
-            execute = self._session.execute_many
+            self._session = backend
+            execute = backend.execute_many
         self._batcher = MicroBatcher(
             execute,
             max_wait_ms=config.max_wait_ms,
@@ -212,7 +207,7 @@ class QueryServer:
         executor = self._executor
         if executor is None:  # breaker already tripped
             return self._fallback_session().execute_many(requests)
-        results = executor.execute(requests)
+        results = executor.execute_many(requests)
         threshold = self.config.breaker_threshold
         if threshold > 0 and executor.supervision_stats()["crashes"] >= threshold:
             self._trip_breaker()
@@ -235,9 +230,7 @@ class QueryServer:
     # -- diagnostics -----------------------------------------------------------
 
     def _backend_name(self) -> str:
-        if self.config.shards > 1 and not self._breaker_tripped:
-            return f"shards={self.config.shards}"
-        return "session"
+        return "session" if self._breaker_tripped else self.config.backend_name
 
     def _supervision_snapshot(self) -> Optional[dict]:
         if self._executor is not None:

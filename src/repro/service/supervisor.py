@@ -7,7 +7,7 @@ replaces it with an explicit supervision loop:
 
 * each worker is a plain :class:`multiprocessing.Process` holding one warm
   :class:`~repro.service.session.Session`, spoken to over a duplex pipe
-  with wire-format strings (the same transport discipline as the old pool);
+  with wire-format strings (the executor's transport discipline);
 * the parent multiplexes worker pipes *and* process sentinels through
   :func:`multiprocessing.connection.wait`, so a reply, a crash and a blown
   wall clock are all just events on one loop;
@@ -153,7 +153,7 @@ def _worker_main(
     encoded_dependencies: list[str],
     snapshot_text: Optional[str],
     fault_plan_json: Optional[str],
-    worker_cache_size: Optional[int] = None,
+    result_cache_size: int,
     telemetry_enabled: bool = False,
 ) -> None:
     """One supervised worker: warm a session, then serve units until the sentinel.
@@ -173,17 +173,14 @@ def _worker_main(
         faults.install_fault_plan(fault_plan_json)
     else:
         faults.install_from_env()
-    # Per-worker result-cache capacity: the memory-bounded tier-2 islands
-    # EXP-TEN sizes explicitly (None keeps the Session default).
-    cache_kwargs = {} if worker_cache_size is None else {"result_cache_size": worker_cache_size}
     if snapshot_text is not None:
         from repro.service.snapshot import restore_session
 
-        session = restore_session(snapshot_text, **cache_kwargs)
+        session = restore_session(snapshot_text, result_cache_size=result_cache_size)
     else:
         from repro.dependencies.pd import parse_pd_set
 
-        session = Session(parse_pd_set(encoded_dependencies), **cache_kwargs)
+        session = Session(parse_pd_set(encoded_dependencies), result_cache_size=result_cache_size)
     while True:
         try:
             message = conn.recv()
@@ -268,7 +265,7 @@ class SupervisedPool:
         fault_plan_json: Optional[str] = None,
         unit_timeout_ms: Optional[float] = None,
         deadline_grace_ms: float = 2000.0,
-        worker_cache_size: Optional[int] = None,
+        result_cache_size: int = 1024,
     ) -> None:
         if workers < 1:
             raise ServiceError(f"worker count must be positive, got {workers}")
@@ -276,7 +273,7 @@ class SupervisedPool:
         self._encoded_dependencies = list(encoded_dependencies)
         self._snapshot = snapshot
         self._fault_plan_json = fault_plan_json
-        self._worker_cache_size = worker_cache_size
+        self._result_cache_size = result_cache_size
         self._unit_timeout_ms = unit_timeout_ms
         self._deadline_grace_ms = deadline_grace_ms
         self.stats = SupervisorStats()
@@ -295,7 +292,7 @@ class SupervisedPool:
                 self._encoded_dependencies,
                 self._snapshot,
                 self._fault_plan_json,
-                self._worker_cache_size,
+                self._result_cache_size,
                 telemetry.enabled(),
             ),
             daemon=True,

@@ -2,21 +2,24 @@
 
 The PR's acceptance bar: the CLI must answer a mixed 200-request JSONL
 stream (implication, equivalence, weak-instance consistency, counterexample)
-with results **byte-identical** to direct in-process API calls — and every
-dispatch mode (planner, naive one-at-a-time, multiprocess shards) must
-produce the same bytes.  The subprocess runs with a minimal environment so
+with results **byte-identical** to direct in-process API calls — and both
+backends (in-process planner, multiprocess shards) must produce the same
+bytes as the naive one-at-a-time reference.  The subprocess runs with a minimal environment so
 the test exercises exactly what a deployment would run.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.service.planner import execute_plan
+from repro.service.cli import serve_lines
+from repro.service.config import ServiceConfig
+from repro.service.planner import execute_plan, naive_dispatch
 from repro.service.session import Session
-from repro.service.wire import dump_result_line, load_result_line, requests_to_jsonl
+from repro.service.wire import canonical_dumps, dump_result_line, load_result_line, requests_to_jsonl
 from repro.workloads.random_service import random_service_requests
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -68,7 +71,12 @@ class TestEndToEnd:
         produced = output_file.read_text(encoding="utf-8").strip().split("\n")
         assert len(produced) == 200
         assert produced == expected_lines
-        assert "repro.service stats" in proc.stderr
+        prefix = "repro.service stats: "
+        stats_line = next(line for line in proc.stderr.splitlines() if line.startswith(prefix))
+        stats = json.loads(stats_line[len(prefix) :])
+        assert stats_line[len(prefix) :] == canonical_dumps(stats)
+        assert stats["mode"] == "session"
+        assert stats["requests"] == 200 and stats["invalid"] == 0
 
     def test_all_dispatch_modes_agree(self, tmp_path, acceptance_stream, expected_lines):
         request_file = tmp_path / "requests.jsonl"
@@ -77,12 +85,11 @@ class TestEndToEnd:
         request_file.write_text(requests_to_jsonl(prefix), encoding="utf-8")
 
         planner = _run_cli([str(request_file)])
-        naive = _run_cli([str(request_file), "--no-batch"])
-        sharded = _run_cli([str(request_file), "--shards", "2"])
-        assert planner.returncode == naive.returncode == sharded.returncode == 0, (
-            planner.stderr + naive.stderr + sharded.stderr
-        )
-        assert planner.stdout == naive.stdout == sharded.stdout
+        sharded = _run_cli([str(request_file), "--shards", "2", "--stats"])
+        assert planner.returncode == sharded.returncode == 0, planner.stderr + sharded.stderr
+        assert '"mode":"shards=2"' in sharded.stderr
+        naive = "".join(dump_result_line(r) + "\n" for r in naive_dispatch(prefix))
+        assert planner.stdout == naive == sharded.stdout
         assert planner.stdout.strip().split("\n") == expected_lines[:80]
 
     def test_every_result_decodes_and_echoes_its_request_id(self, acceptance_stream, expected_lines):
@@ -90,6 +97,42 @@ class TestEndToEnd:
             result = load_result_line(line)
             assert result.id == request.id
             assert result.kind == request.kind
+
+
+class TestServeLines:
+    """``serve_lines`` in process: one decode, then one backend's ``execute_many``."""
+
+    def test_default_config_answers_through_the_session(self, acceptance_stream, expected_lines):
+        lines = requests_to_jsonl(acceptance_stream).strip().split("\n")
+        out, stats = serve_lines(lines)
+        assert out == expected_lines
+        assert stats["mode"] == "session"
+        assert (stats["requests"], stats["invalid"]) == (200, 0)
+
+    def test_sharded_config_answers_byte_identically(self, acceptance_stream, expected_lines):
+        lines = requests_to_jsonl(acceptance_stream[:40]).strip().split("\n")
+        out, stats = serve_lines(lines, config=ServiceConfig(shards=2))
+        assert out == expected_lines[:40]
+        assert stats["mode"] == "shards=2"
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_undecodable_lines_are_answered_before_dispatch(
+        self, shards, acceptance_stream, expected_lines
+    ):
+        lines = requests_to_jsonl(acceptance_stream[:12]).strip().split("\n")
+        lines.insert(3, '{"v": 1, "kind": "implies"')  # torn mid-object
+        out, stats = serve_lines(lines, config=ServiceConfig(shards=shards))
+        bad = load_result_line(out[3])
+        assert not bad.ok and bad.id == "line4"  # positional fallback id
+        assert out[:3] + out[4:] == expected_lines[:12]
+        assert (stats["requests"], stats["invalid"]) == (13, 1)
+
+    def test_plan_summary_describes_the_in_process_backend_only(self, acceptance_stream):
+        lines = requests_to_jsonl(acceptance_stream[:20]).strip().split("\n")
+        _, in_process = serve_lines(lines, with_plan=True)
+        assert in_process["plan"]
+        _, sharded = serve_lines(lines, with_plan=True, config=ServiceConfig(shards=2))
+        assert "plan" not in sharded
 
 
 class TestCliSurface:
@@ -180,11 +223,6 @@ class TestCliSurface:
     def test_bad_shard_count_fails_cleanly(self):
         proc = _run_cli(["--shards", "0", "-"], stdin_text="")
         assert proc.returncode == 2
-
-    def test_shards_with_no_batch_is_rejected(self):
-        proc = _run_cli(["--shards", "2", "--no-batch", "-"], stdin_text="")
-        assert proc.returncode == 2
-        assert "cannot be combined" in proc.stderr
 
     def test_empty_stream_is_fine(self):
         proc = _run_cli(["-"], stdin_text="")

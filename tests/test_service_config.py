@@ -11,6 +11,7 @@ import argparse
 import pytest
 
 from repro.errors import ServiceError
+from repro.service import faults, telemetry
 from repro.service.config import (
     OVERLOAD_POLICIES,
     ServiceConfig,
@@ -20,13 +21,13 @@ from repro.service.config import (
 )
 from repro.service.executor import ShardExecutor
 from repro.service.session import Session
+from repro.workloads.random_service import random_service_requests
 
 
 class TestValidation:
     def test_defaults_are_valid(self):
         config = ServiceConfig()
         assert config.shards == 1
-        assert config.batch
         assert config.overload in OVERLOAD_POLICIES
         assert config.port == 0
 
@@ -34,7 +35,6 @@ class TestValidation:
         "kwargs,needle",
         [
             ({"shards": 0}, "shards"),
-            ({"shards": 2, "batch": False}, "cannot be combined"),
             ({"result_cache_size": -1}, "result_cache_size"),
             ({"foreign_context_limit": 0}, "foreign_context_limit"),
             ({"max_wait_ms": -0.5}, "max_wait_ms"),
@@ -79,14 +79,9 @@ class TestArgparseRoundTrip:
         assert config.shards == 3
         assert config.result_cache_size == 64
         assert config.stats
-        assert config.batch  # --no-batch not given
         # Serve-only knobs keep their defaults in file mode.
         assert config.max_wait_ms == ServiceConfig.max_wait_ms
         assert config.overload == ServiceConfig.overload
-
-    def test_file_mode_no_batch(self):
-        config = self._parse(["--no-batch"], serve=False)
-        assert not config.batch
 
     def test_serve_mode_flags(self):
         config = self._parse(
@@ -105,13 +100,6 @@ class TestArgparseRoundTrip:
         assert config.max_batch == 16
         assert config.queue_limit == 9
         assert config.overload == "shed"
-        assert config.batch  # the server always batches
-
-    def test_serve_mode_has_no_no_batch_flag(self):
-        parser = argparse.ArgumentParser()
-        add_config_arguments(parser, serve=True)
-        with pytest.raises(SystemExit):
-            parser.parse_args(["--no-batch"])
 
     def test_bad_dependency_flag_names_the_flag(self):
         parser = argparse.ArgumentParser()
@@ -138,3 +126,74 @@ class TestFactories:
         executor = config.make_executor()
         assert isinstance(executor, ShardExecutor)
         assert executor.shards == 2
+
+    def test_make_backend_picks_by_shard_count(self):
+        in_process = ServiceConfig()
+        assert isinstance(in_process.make_backend(), Session)
+        assert in_process.backend_name == "session"
+        sharded = ServiceConfig(shards=3)
+        assert isinstance(sharded.make_backend(), ShardExecutor)
+        assert sharded.backend_name == "shards=3"
+
+    def test_sharded_workers_honour_the_result_cache_size(self):
+        stream = random_service_requests(
+            40,
+            seed=3,
+            attribute_count=4,
+            theory_count=1,
+            pds_per_theory=2,
+            max_complexity=2,
+            kind_weights={"implies": 1},
+        )
+        config = ServiceConfig(shards=2, result_cache_size=0, shared_cache_size=0)
+        with config.make_executor() as executor:
+            first = executor.execute_many(stream)
+            assert executor.execute_many(stream) == first
+            assert executor.supervision_stats()["worker_cache_hits"] == 0
+
+
+class TestInstallHooks:
+    """``install_hooks`` is the one copy of the process-wide hook arming."""
+
+    @pytest.fixture(autouse=True)
+    def _pristine_hooks(self, monkeypatch):
+        monkeypatch.delenv(faults.ENV_VAR, raising=False)
+        faults.clear_fault_plan()
+        telemetry.reset()
+        yield
+        faults.clear_fault_plan()
+        telemetry.reset()
+
+    def test_an_explicit_fault_plan_is_armed(self):
+        plan = faults.FaultPlan(seed=4, faults=(faults.Fault(kind="crash_request", request_id="q1"),))
+        ServiceConfig(fault_plan=plan.to_json()).install_hooks()
+        assert faults.installed_plan() == plan
+
+    def test_the_environment_plan_applies_without_an_explicit_one(self, monkeypatch):
+        plan = faults.FaultPlan(seed=6, faults=(faults.Fault(kind="crash_request", request_id="q2"),))
+        monkeypatch.setenv(faults.ENV_VAR, plan.to_json())
+        ServiceConfig().install_hooks()
+        assert faults.installed_plan() == plan
+
+    def test_an_explicit_fault_plan_wins_over_the_environment(self, monkeypatch):
+        explicit = faults.FaultPlan(seed=1, faults=(faults.Fault(kind="crash_request", request_id="a"),))
+        ambient = faults.FaultPlan(seed=2, faults=(faults.Fault(kind="crash_request", request_id="b"),))
+        monkeypatch.setenv(faults.ENV_VAR, ambient.to_json())
+        ServiceConfig(fault_plan=explicit.to_json()).install_hooks()
+        assert faults.installed_plan() == explicit
+
+    def test_no_plan_anywhere_leaves_injection_off(self):
+        ServiceConfig().install_hooks()
+        assert faults.installed_plan() is None
+
+    def test_telemetry_follows_the_trace_flag(self):
+        ServiceConfig(trace=True, metrics_interval_ms=250.0).install_hooks()
+        assert telemetry.enabled()
+        assert telemetry.interval_ms() == 250.0
+        ServiceConfig().install_hooks()
+        assert not telemetry.enabled()
+
+    def test_a_metrics_dir_turns_telemetry_on(self, tmp_path):
+        ServiceConfig(metrics_dir=str(tmp_path)).install_hooks()
+        assert telemetry.enabled()
+        assert telemetry.metrics_dir() == tmp_path

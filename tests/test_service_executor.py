@@ -1,5 +1,6 @@
 """Shard executor: deterministic ordering, byte-identical fan-out, both start methods."""
 
+import dataclasses
 import multiprocessing
 
 import pytest
@@ -9,7 +10,7 @@ from repro.errors import ServiceError
 from repro.service.executor import ShardExecutor
 from repro.service.planner import execute_plan
 from repro.service.session import Session
-from repro.service.wire import QueryRequest, dump_request_line, dump_result_line
+from repro.service.wire import QueryRequest, dump_result_line
 from repro.workloads.random_service import random_service_requests
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -36,36 +37,60 @@ def reference(stream):
 class TestShardedExecution:
     def test_two_shards_byte_identical_to_in_process(self, stream, reference):
         with ShardExecutor(shards=2) as executor:
-            assert _encoded(executor.execute(stream)) == reference
+            assert _encoded(executor.execute_many(stream)) == reference
 
     def test_three_shards_byte_identical_and_ordered(self, stream, reference):
         with ShardExecutor(shards=3) as executor:
-            results = executor.execute(stream)
+            results = executor.execute_many(stream)
         assert _encoded(results) == reference
         assert [r.id for r in results] == [r.id for r in stream]
 
-    def test_wire_level_entry_point(self, stream, reference):
-        lines = [dump_request_line(r) for r in stream]
-        with ShardExecutor(shards=2) as executor:
-            assert executor.execute_encoded(lines) == reference
+    def test_each_miss_is_encoded_once_and_each_reply_decoded_once(
+        self, stream, reference, monkeypatch
+    ):
+        import repro.service.executor as executor_module
 
-    def test_wire_level_entry_point_with_predecoded_requests(self, stream, reference):
-        lines = [dump_request_line(r) for r in stream]
+        calls = {"encode": 0, "decode": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            executor_module, "dump_request_line", counted("encode", executor_module.dump_request_line)
+        )
+        monkeypatch.setattr(
+            executor_module, "load_result_line", counted("decode", executor_module.load_result_line)
+        )
         with ShardExecutor(shards=2) as executor:
-            assert executor.execute_encoded(lines, requests=stream) == reference
-        with pytest.raises(ServiceError):
-            ShardExecutor(shards=2).execute_encoded(lines, requests=stream[:-1])
+            assert _encoded(executor.execute_many(stream)) == reference
+            assert calls == {"encode": len(stream), "decode": len(stream)}
+            # The repeat is answered from the shared tier: nothing crosses
+            # the process boundary, so nothing is encoded or decoded.
+            assert _encoded(executor.execute_many(stream)) == reference
+            assert calls == {"encode": len(stream), "decode": len(stream)}
+
+    def test_shared_cache_hits_carry_the_callers_ids(self, stream, reference):
+        renamed = [dataclasses.replace(r, id=f"again-{r.id}") for r in stream]
+        with ShardExecutor(shards=2) as executor:
+            executor.execute_many(stream)
+            results = executor.execute_many(renamed)
+            assert executor.shared_cache_info()["hits"] == len(stream)
+        assert [r.id for r in results] == [r.id for r in renamed]
+        assert _encoded(results) == _encoded(execute_plan(Session(), renamed))
 
     def test_more_shards_than_requests(self):
         requests = random_service_requests(3, seed=2)
         expected = _encoded(execute_plan(Session(), requests))
         with ShardExecutor(shards=8) as executor:
-            assert _encoded(executor.execute(requests)) == expected
+            assert _encoded(executor.execute_many(requests)) == expected
 
     def test_empty_stream(self):
         with ShardExecutor(shards=2) as executor:
-            assert executor.execute([]) == []
-            assert executor.execute_encoded([]) == []
+            assert executor.execute_many([]) == []
 
     def test_session_dependencies_reach_workers(self):
         requests = [
@@ -73,14 +98,14 @@ class TestShardedExecution:
             QueryRequest(kind="implies", id="q1", query=_pd("C = C*A")),
         ]
         with ShardExecutor(shards=2, dependencies=["A = A*B", "B = B*C"]) as executor:
-            results = executor.execute(requests)
+            results = executor.execute_many(requests)
         assert results[0].value == {"implied": True}
         assert results[1].value == {"implied": False}
 
     def test_pool_survives_multiple_execute_calls(self, stream, reference):
         with ShardExecutor(shards=2) as executor:
-            first = _encoded(executor.execute(stream[:10]))
-            second = _encoded(executor.execute(stream[:10]))
+            first = _encoded(executor.execute_many(stream[:10]))
+            second = _encoded(executor.execute_many(stream[:10]))
         assert first == second == reference[:10]
 
 
@@ -90,14 +115,14 @@ class TestStartMethods:
         requests = random_service_requests(12, seed=8)
         expected = _encoded(execute_plan(Session(), requests))
         with ShardExecutor(shards=2, start_method="fork") as executor:
-            assert _encoded(executor.execute(requests)) == expected
+            assert _encoded(executor.execute_many(requests)) == expected
 
     def test_spawn_workers(self):
         # Spawn re-imports everything per worker; keep the stream tiny.
         requests = random_service_requests(6, seed=8)
         expected = _encoded(execute_plan(Session(), requests))
         with ShardExecutor(shards=2, start_method="spawn") as executor:
-            assert _encoded(executor.execute(requests)) == expected
+            assert _encoded(executor.execute_many(requests)) == expected
 
 
 class TestValidation:
@@ -107,9 +132,9 @@ class TestValidation:
 
     def test_close_is_idempotent(self):
         executor = ShardExecutor(shards=1)
-        executor.execute(random_service_requests(2, seed=1))
+        executor.execute_many(random_service_requests(2, seed=1))
         executor.close()
         executor.close()
         # A closed executor transparently re-creates its pool.
-        assert executor.execute(random_service_requests(2, seed=1))
+        assert executor.execute_many(random_service_requests(2, seed=1))
         executor.close()

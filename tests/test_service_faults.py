@@ -18,7 +18,7 @@ from repro.dependencies.pd import PartitionDependency
 from repro.errors import ServiceError
 from repro.service import serve_stream
 from repro.service.config import ServiceConfig
-from repro.service.executor import ShardExecutor, pool_map_encoded
+from repro.service.executor import ShardExecutor
 from repro.service.faults import (
     ENV_VAR,
     Fault,
@@ -158,9 +158,7 @@ class TestSupervisedExecution:
         with ShardExecutor(
             shards=2, dependencies=DEPENDENCIES, fault_plan=plan.to_json()
         ) as executor:
-            lines = executor.execute_encoded(
-                [dump_request_line(r) for r in requests], requests=requests
-            )
+            lines = [dump_result_line(r) for r in executor.execute_many(requests)]
             stats = executor.supervision_stats()
         assert lines == _reference(requests)
         assert stats["crashes"] == 1
@@ -176,9 +174,7 @@ class TestSupervisedExecution:
         with ShardExecutor(
             shards=2, dependencies=DEPENDENCIES, fault_plan=plan.to_json()
         ) as executor:
-            lines = executor.execute_encoded(
-                [dump_request_line(r) for r in requests], requests=requests
-            )
+            lines = [dump_result_line(r) for r in executor.execute_many(requests)]
             stats = executor.supervision_stats()
         reference = _reference(requests)
         for i, request in enumerate(requests):
@@ -200,9 +196,7 @@ class TestSupervisedExecution:
         with ShardExecutor(
             shards=2, dependencies=DEPENDENCIES, fault_plan=plan.to_json()
         ) as executor:
-            lines = executor.execute_encoded(
-                [dump_request_line(r) for r in requests], requests=requests
-            )
+            lines = [dump_result_line(r) for r in executor.execute_many(requests)]
             stats = executor.supervision_stats()
         reference = _reference(requests)
         for i, request in enumerate(requests):
@@ -227,9 +221,7 @@ class TestSupervisedExecution:
             fault_plan=plan.to_json(),
             deadline_grace_ms=400.0,
         ) as executor:
-            lines = executor.execute_encoded(
-                [dump_request_line(r) for r in requests], requests=requests
-            )
+            lines = [dump_result_line(r) for r in executor.execute_many(requests)]
             stats = executor.supervision_stats()
         reference = _reference(requests)
         for i, request in enumerate(requests):
@@ -252,9 +244,7 @@ class TestSupervisedExecution:
         with ShardExecutor(
             shards=2, dependencies=DEPENDENCIES, fault_plan=plan.to_json()
         ) as executor:
-            lines = executor.execute_encoded(
-                [dump_request_line(r) for r in requests], requests=requests
-            )
+            lines = [dump_result_line(r) for r in executor.execute_many(requests)]
             stats = executor.supervision_stats()
         assert lines == _reference(requests)
         assert stats["corrupted"] >= 1
@@ -264,7 +254,7 @@ class TestSupervisedExecution:
         """Workers see the shutdown sentinel and exit cleanly, not by SIGTERM."""
         requests = _stream()
         executor = ShardExecutor(shards=2, dependencies=DEPENDENCIES)
-        executor.execute(requests)
+        executor.execute_many(requests)
         processes = [worker.process for worker in executor._pool._workers]
         executor.close()
         assert [process.exitcode for process in processes] == [0, 0]
@@ -295,20 +285,6 @@ class TestSupervisedExecution:
         assert not bad.ok
         assert load_result_line(out[1]).ok
         assert pool.stats.crashes == 0
-
-    def test_parent_side_decode_isolation(self):
-        """execute_encoded without pre-decoded requests isolates bad lines."""
-        requests = _stream()
-        lines = [dump_request_line(r) for r in requests]
-        lines.insert(2, '{"v": 1, "kind": "implies"')  # torn mid-object
-        with ShardExecutor(shards=2, dependencies=DEPENDENCIES) as executor:
-            out = executor.execute_encoded(lines)
-        reference = _reference(requests)
-        bad = load_result_line(out[2])
-        assert not bad.ok
-        assert bad.id == "line3"  # unparseable line: positional fallback id
-        assert out[:2] == reference[:2]
-        assert out[3:] == reference[2:]
 
 
 def _req_line(i, kind, query, **extra):
@@ -448,9 +424,7 @@ class TestAcceptanceStream:
         stream, crash_victim, slow_victim, plan = modified_stream
         reference = [dump_result_line(r) for r in execute_plan(Session(), stream)]
         with ShardExecutor(shards=2, fault_plan=plan.to_json()) as executor:
-            lines = executor.execute_encoded(
-                [dump_request_line(r) for r in stream], requests=stream
-            )
+            lines = [dump_result_line(r) for r in executor.execute_many(stream)]
             stats = executor.supervision_stats()
         assert len(lines) == 200
         differing = [i for i in range(200) if lines[i] != reference[i]]
@@ -461,11 +435,3 @@ class TestAcceptanceStream:
         assert by_id[slow_victim].error["type"] == "Timeout"
         assert stats["quarantined"] == 1
         assert stats["crashes"] >= 2
-
-    def test_fault_free_supervised_run_matches_pool_baseline(self, modified_stream):
-        stream, _, _, _ = modified_stream
-        lines = [dump_request_line(r) for r in stream]
-        baseline = pool_map_encoded(lines, shards=2)
-        with ShardExecutor(shards=2) as executor:
-            supervised = executor.execute_encoded(lines, requests=stream)
-        assert supervised == baseline

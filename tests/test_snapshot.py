@@ -265,7 +265,7 @@ class TestShardedRestore:
     def test_two_shard_executor_restores_byte_identically(self, acceptance_stream, expected_lines):
         snapshot = dump_snapshot(Session())
         with ShardExecutor(shards=2, snapshot=snapshot) as executor:
-            lines = [dump_result_line(r) for r in executor.execute(acceptance_stream)]
+            lines = [dump_result_line(r) for r in executor.execute_many(acceptance_stream)]
         assert lines == expected_lines
 
     def test_executor_refuses_a_mismatched_snapshot(self):

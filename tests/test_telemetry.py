@@ -42,7 +42,6 @@ from repro.service.wire import (
     QueryRequest,
     canonical_dumps,
     decode_request,
-    dump_request_line,
     dump_result_line,
     encode_request,
     load_request_line,
@@ -447,9 +446,7 @@ class TestEscalationSpans:
         with ShardExecutor(
             shards=2, dependencies=self.DEPENDENCIES, fault_plan=plan.to_json(), **kwargs
         ) as executor:
-            lines = executor.execute_encoded(
-                [dump_request_line(r) for r in requests], requests=requests
-            )
+            lines = [dump_result_line(r) for r in executor.execute_many(requests)]
         return lines, telemetry.tracer().drain()
 
     def test_poison_request_leaves_one_span_per_escalation_rung(self):
@@ -592,9 +589,7 @@ class TestServerTelemetry:
         with ShardExecutor(
             shards=2, dependencies=("A = A*B",), fault_plan=plan.to_json()
         ) as executor:
-            executor.execute_encoded(
-                [dump_request_line(r) for r in requests], requests=requests
-            )
+            executor.execute_many(requests)
             supervision = executor.supervision_stats()
         # this is the document {"control": "health"} serves under "supervision"
         assert supervision["restarts"] >= 1

@@ -34,6 +34,7 @@ from repro.service.wire import (
     QueryResult,
     decode_request,
     dump_request_line,
+    dump_result_line,
     encode_request,
     load_request_line,
     request_cache_key,
@@ -281,21 +282,21 @@ class TestConsistentHashRing:
             ConsistentHashRing(shards=0)
 
 
+def _answer_lines(executor, requests):
+    return [dump_result_line(r) for r in executor.execute_many(requests)]
+
+
 class TestExecutorSharedCache:
     @pytest.fixture(scope="class")
     def stream(self):
-        requests = [
-            _implies("A = A*C", tenant=f"t{i % 5}", id=f"q{i}") for i in range(20)
-        ]
-        return requests, [dump_request_line(r) for r in requests]
+        return [_implies("A = A*C", tenant=f"t{i % 5}", id=f"q{i}") for i in range(20)]
 
     def test_repeats_are_answered_parent_side_byte_identically(self, stream):
-        requests, lines = stream
         with ShardExecutor(shards=2, shared_cache_size=0) as executor:
-            expected = executor.execute_encoded(lines, requests=requests)
+            expected = _answer_lines(executor, stream)
         with ShardExecutor(shards=2, shared_cache_size=64) as executor:
-            first = executor.execute_encoded(lines, requests=requests)
-            again = executor.execute_encoded(lines, requests=requests)
+            first = _answer_lines(executor, stream)
+            again = _answer_lines(executor, stream)
             info = executor.shared_cache_info()
         assert first == expected
         assert again == expected
@@ -303,39 +304,36 @@ class TestExecutorSharedCache:
         # Pass 1 probes all miss (the probe runs before any compute), every
         # reassembled line is published; pass 2 is answered entirely tier-0.
         assert info["size"] == 5  # 5 distinct (tenant, question) slots
-        assert info["misses"] == len(requests)
-        assert info["hits"] == len(requests)
+        assert info["misses"] == len(stream)
+        assert info["hits"] == len(stream)
         assert set(info["per_tenant"]) == {f"t{i}" for i in range(5)}
 
     def test_islands_mode_has_no_ring_and_no_tier0(self, stream):
-        requests, lines = stream
         # One shard so the second pass deterministically reaches the worker
         # session that answered the first (intra-batch duplicates are
         # amortized by the batch closure, not counted as cache hits).
         with ShardExecutor(shards=1, shared_cache_size=0) as executor:
-            executor.execute_encoded(lines, requests=requests)
-            executor.execute_encoded(lines, requests=requests)
+            executor.execute_many(stream)
+            executor.execute_many(stream)
             info = executor.shared_cache_info()
             supervision = executor.supervision_stats()
         assert info["ring_shards"] == 0
         assert info["hits"] == 0 and info["misses"] == 0
         # Repeats still hit somewhere: the per-worker tier-2 sessions.
-        assert supervision["worker_cache_hits"] == len(requests)
+        assert supervision["worker_cache_hits"] == len(stream)
 
     def test_invalidate_tenant_reaches_the_shared_tier(self, stream):
-        requests, lines = stream
         with ShardExecutor(shards=2, shared_cache_size=64) as executor:
-            first = executor.execute_encoded(lines, requests=requests)
+            first = _answer_lines(executor, stream)
             assert executor.invalidate_tenant("t0") == 1
             # The dropped tenant recomputes; answers are still byte-identical.
-            assert executor.execute_encoded(lines, requests=requests) == first
+            assert _answer_lines(executor, stream) == first
             assert executor.shared_cache_info()["size"] == 5  # t0 re-published
 
-    def test_worker_cache_size_bounds_the_tier2_islands(self, stream):
-        requests, lines = stream
-        with ShardExecutor(shards=2, shared_cache_size=0, worker_cache_size=1) as executor:
-            expected = executor.execute_encoded(lines, requests=requests)
-            assert executor.execute_encoded(lines, requests=requests) == expected
+    def test_result_cache_size_bounds_the_tier2_islands(self, stream):
+        with ShardExecutor(shards=2, shared_cache_size=0, result_cache_size=1) as executor:
+            expected = _answer_lines(executor, stream)
+            assert _answer_lines(executor, stream) == expected
 
 
 class TestServerTenancyStats:
