@@ -1,4 +1,4 @@
-"""An incremental, congruence-collapsing ALG closure (the implication hot path).
+"""An incremental ALG closure over big-int rows (the implication hot path).
 
 :func:`repro.implication.alg.alg_closure` recomputes the whole digraph ``Γ``
 from scratch for a fixed vertex set.  Every realistic caller, however, issues
@@ -8,30 +8,38 @@ of expressions, batched FD implication translates many targets — and each new
 query drags a handful of new subexpressions into ``V``.  Recomputing Γ per
 query throws away almost all of the work.
 
-:class:`ImplicationIndex` keeps the ALG worklist state alive between calls:
+:class:`ImplicationIndex` keeps the closed relation alive between calls:
 
+* **Rows** — vertex ``v`` owns two Python ints: bit ``j`` of ``up[v]`` means
+  ``v ≤_E j`` and bit ``j`` of ``down[v]`` means ``j ≤_E v``.  The two are
+  mirrors of one arc set, so ``leq`` is a single bit test and every ALG rule
+  is a row OR or AND.
+* **Delta rows** — bits newly set in a row are queued per vertex and
+  propagated once.  A vertex that gains targets ``Δ`` ORs in ``up[t]`` for
+  each ``t ∈ Δ`` (rule 7), feeds ``Δ`` to its product composites (rule 3) and
+  ``Δ & up[q]`` to its sum composites with other operand ``q`` (rule 2).  A
+  vertex that gains origins ``Δ'`` ORs in ``down[o]`` for each ``o ∈ Δ'``
+  (rule 7), feeds ``Δ'`` to its sum composites (rule 5) and ``Δ' & down[q]``
+  to its product composites (rule 4).
 * **Incremental vertices** — :meth:`add_expressions` registers only the
-  missing subexpressions and *resumes* rule propagation from the existing
-  relation: a new composite catches up on the arcs its operands already have
-  (rules 2–5 restricted to the new vertex) and the worklist derives the rest.
-  :meth:`add_dependencies` likewise extends ``E`` by seeding the two new
-  equation arcs and propagating only their consequences.
+  missing subexpressions; a new composite catches up with one OR and one AND
+  of its operands' rows (rules 2–5 restricted to the new vertex), the rules
+  keyed on the far end of each catch-up arc fire at once, and the queued
+  deltas derive the rest.  :meth:`add_dependencies` likewise extends ``E`` by
+  adding the two equation arcs and propagating their consequences.
 * **Congruence classes** — vertices provably Γ-equivalent (arcs both ways,
-  i.e. ``p ≤_E q`` and ``q ≤_E p``) are collapsed into one class via
-  union-find with deterministic representative election (smallest vertex id
-  wins, mirroring the chase engine's representative election).  Arcs are kept
-  between class representatives only, so successor/predecessor sets — and
-  hence transitivity propagation — stay small when ``E`` forces many
-  equalities (FD-style chains collapse whole towers of expressions).
+  i.e. ``p ≤_E q`` and ``q ≤_E p``) form one class, and ``up[v] & down[v]``
+  is exactly ``v``'s class.  Its lowest set bit — the smallest member id,
+  mirroring the chase engine's representative election — is the class id.
+  Nothing is merged or re-keyed: classes are read off the rows.
 
-Soundness of the collapse: Γ is transitively closed, so two-way arcs make the
-members' successor and predecessor sets agree; the class representative
-carries them once.  On a merge the absorbed class's arcs are re-enqueued so
-rules that key on composite structure (a sum/product having an operand in the
-class) observe the enlarged class — this is what keeps the fixpoint identical
-to the from-scratch closure, which ``tests/test_implication_index.py``
-verifies against both :func:`~repro.implication.alg.alg_closure` and
+The fixpoint is the one the from-scratch closure computes, which
+``tests/test_implication_index.py`` verifies against both
+:func:`~repro.implication.alg.alg_closure` and
 :func:`~repro.implication.alg.alg_closure_naive` on randomized interleavings.
+Propagation polls :func:`~repro.deadline.check_deadline` once per vertex
+created and once per delta-row pop; a budget that expires mid-propagation
+leaves the remaining deltas queued, and the next call resumes from them.
 
 The index never forgets: dependencies and vertices can only be added, which
 is exactly the monotone shape of ALG (rules only ever insert arcs).
@@ -39,9 +47,9 @@ is exactly the monotone shape of ALG (rules only ever insert arcs).
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable
 
+from repro.deadline import active_deadlines, check_deadline
 from repro.dependencies.pd import (
     PartitionDependency,
     PartitionDependencyLike,
@@ -54,6 +62,28 @@ from repro.expressions.ast import (
     Product,
     as_expression,
 )
+
+
+def _bits(row: int) -> list[int]:
+    """The set bit positions of ``row``, ascending.
+
+    A sparse row is walked by its lowest set bit; scanning the binary string
+    is faster once a row has more than a few bits set.
+    """
+    if row.bit_count() < 8:
+        out = []
+        while row:
+            low = row & -row
+            out.append(low.bit_length() - 1)
+            row ^= low
+        return out
+    digits = bin(row)[:1:-1]
+    out = []
+    position = digits.find("1")
+    while position >= 0:
+        out.append(position)
+        position = digits.find("1", position + 1)
+    return out
 
 
 class ImplicationIndex:
@@ -70,24 +100,23 @@ class ImplicationIndex:
         dependencies: Iterable[PartitionDependencyLike] = (),
         expressions: Iterable[ExpressionLike] = (),
     ) -> None:
-        self._dependencies: list[PartitionDependency] = []
-        self._vertex: dict[PartitionExpression, int] = {}
-        self._exprs: list[PartitionExpression] = []
-        self._parent: list[int] = []
-        self._members: dict[int, list[int]] = {}
-        # Arcs between class representatives (including explicit self-arcs).
-        self._succ: dict[int, set[int]] = {}
-        self._pred: dict[int, set[int]] = {}
-        # Composite structure: vertex id -> operand vertex ids, and the
-        # reverse maps keyed by the operands' *current* class representative.
-        self._products: dict[int, tuple[int, int]] = {}
-        self._sums: dict[int, tuple[int, int]] = {}
-        self._product_by_operand: dict[int, list[int]] = {}
-        self._sum_by_operand: dict[int, list[int]] = {}
-        self._worklist: deque[tuple[int, int]] = deque()
-        self._pending_merges: deque[tuple[int, int]] = deque()
+        self._init_empty([])
         self.add_dependencies(dependencies)
         self.add_expressions(expressions)
+
+    def _init_empty(self, dependencies: list[PartitionDependency]) -> None:
+        self._dependencies = dependencies
+        self._vertex: dict[PartitionExpression, int] = {}
+        self._exprs: list[PartitionExpression] = []
+        self._up: list[int] = []
+        self._down: list[int] = []
+        # Operand vertex id -> (composite id, the composite's other operand id).
+        self._products_of: dict[int, list[tuple[int, int]]] = {}
+        self._sums_of: dict[int, list[tuple[int, int]]] = {}
+        self._operands = 0  # bit v set iff v is an operand of some composite
+        # Vertex id -> row bits set but not yet propagated.
+        self._new_up: dict[int, int] = {}
+        self._new_down: dict[int, int] = {}
 
     # -- public surface ---------------------------------------------------------
 
@@ -104,21 +133,26 @@ class ImplicationIndex:
     @property
     def class_count(self) -> int:
         """Number of congruence classes (collapsed vertices)."""
-        return len(self._members)
+        self._drain()
+        return len(self._roots())
 
     def arc_count(self) -> int:
         """Number of arcs between class representatives (not expanded)."""
-        return sum(len(targets) for targets in self._succ.values())
+        self._drain()
+        roots = self._roots()
+        mask = sum(1 << root for root in roots)
+        return sum((self._up[root] & mask).bit_count() for root in roots)
 
     def add_dependencies(self, dependencies: Iterable[PartitionDependencyLike]) -> None:
         """Extend ``E`` and resume propagation from the new equation arcs."""
-        for raw in dependencies:
-            pd = as_partition_dependency(raw)
-            self._dependencies.append(pd)
-            left = self._register(pd.left)
-            right = self._register(pd.right)
-            self._insert(left, right)
-            self._insert(right, left)
+        pds = [as_partition_dependency(raw) for raw in dependencies]
+        # Register every side before committing any PD, so a deadline that
+        # stops registration leaves ``E`` and the rows unchanged.
+        sides = [(self._register(pd.left), self._register(pd.right)) for pd in pds]
+        self._dependencies.extend(pds)
+        for left, right in sides:
+            self._add_up(left, 1 << right)
+            self._add_up(right, 1 << left)
         self._drain()
 
     def add_expressions(self, expressions: Iterable[ExpressionLike]) -> None:
@@ -136,23 +170,24 @@ class ImplicationIndex:
         p = self._register(as_expression(left))
         q = self._register(as_expression(right))
         self._drain()
-        return self._find(q) in self._succ[self._find(p)]
+        return bool(self._up[p] >> q & 1)
 
     def has_arc(self, left: ExpressionLike, right: ExpressionLike) -> bool:
-        """``left ≤_E right`` for already-registered expressions (read-only).
+        """``left ≤_E right`` for already-registered expressions (no new vertices).
 
         Raises :class:`KeyError` when either expression was never registered.
         """
         p = self._vertex[as_expression(left)]
         q = self._vertex[as_expression(right)]
-        return self._find(q) in self._succ[self._find(p)]
+        self._drain()
+        return bool(self._up[p] >> q & 1)
 
     def equivalent(self, left: ExpressionLike, right: ExpressionLike) -> bool:
         """``left =_E right``: the two expressions are in the same congruence class."""
         p = self._register(as_expression(left))
         q = self._register(as_expression(right))
         self._drain()
-        return self._find(p) == self._find(q)
+        return bool(self._up[p] >> q & self._down[p] >> q & 1)
 
     def congruence_classes(self) -> list[list[PartitionExpression]]:
         """The current classes of Γ-equivalent vertices, in vertex order."""
@@ -171,29 +206,28 @@ class ImplicationIndex:
         """
         vid = self._register(as_expression(expression))
         self._drain()
-        return self._find(vid)
+        return self._root(vid)
 
     def classes(self) -> dict[int, list[PartitionExpression]]:
         """The current classes keyed by class id (member expressions in vertex order)."""
-        return {
-            root: [self._exprs[vid] for vid in sorted(member_ids)]
-            for root, member_ids in sorted(self._members.items())
-        }
+        self._drain()
+        groups: dict[int, list[PartitionExpression]] = {}
+        for vid, expression in enumerate(self._exprs):
+            groups.setdefault(self._root(vid), []).append(expression)
+        return groups  # a root is its class's first member, so keys ascend
 
     def class_leq(self, left_class: int, right_class: int) -> bool:
         """``≤_E`` between two congruence classes by *current* class id (read-only).
 
-        One integer set-membership test — the quotient order computation runs
-        k² of these.  Both arguments must be class ids from the current
-        snapshot (as returned by :meth:`class_id` / :meth:`classes`).
+        One bit test — the quotient order computation runs k² of these.
+        Both arguments must be class ids from the current snapshot (as
+        returned by :meth:`class_id` / :meth:`classes`).
         """
-        return right_class in self._succ[left_class]
+        return bool(self._up[left_class] >> right_class & 1)
 
     def representative(self, expression: ExpressionLike) -> PartitionExpression:
         """The elected representative of the expression's congruence class."""
-        vid = self._register(as_expression(expression))
-        self._drain()
-        return self._exprs[min(self._members[self._find(vid)])]
+        return self._exprs[self.class_id(expression)]
 
     def vertices(self) -> list[PartitionExpression]:
         """All registered subexpressions, in registration order."""
@@ -205,34 +239,35 @@ class ImplicationIndex:
         Matches :meth:`repro.implication.alg._ArcRelation.as_expression_pairs`
         exactly (the cross-check oracles rely on this).
         """
-        pairs: set[tuple[PartitionExpression, PartitionExpression]] = set()
-        for source_root, targets in self._succ.items():
-            source_members = self._members[source_root]
-            for target_root in targets:
-                for i in source_members:
-                    for j in self._members[target_root]:
-                        pairs.add((self._exprs[i], self._exprs[j]))
-        return pairs
+        self._drain()
+        exprs = self._exprs
+        return {
+            (source, exprs[target])
+            for source, row in zip(exprs, self._up)
+            for target in _bits(row)
+        }
 
     # -- snapshot support -------------------------------------------------------
 
     def export_state(self) -> dict:
         """The closed arc relation as plain, restore-ready Python structures.
 
-        Everything derived (members, predecessor sets, operand indexes, the
-        empty worklist) is omitted — :meth:`from_state` rebuilds it — so the
-        state is minimal and canonical: expressions in vertex-id order, the
-        union-find flattened to per-vertex roots, and arcs as sorted target
-        lists per class representative.  Exporting twice (or exporting a
-        restored index) yields equal structures, which is what gives the
-        service's snapshot codec its encode→decode→encode byte-identity.
+        Everything derived (the rows of non-root vertices, the operand
+        indexes, the empty delta queues) is omitted — :meth:`from_state`
+        rebuilds it — so the state is minimal and canonical: expressions in
+        vertex-id order, each vertex's class root, and arcs as sorted target
+        roots per class root.  Exporting twice (or exporting a restored
+        index) yields equal structures, which is what gives the service's
+        snapshot codec its encode→decode→encode byte-identity.
         """
         self._drain()  # exported state must be a fixpoint, never mid-propagation
+        roots = self._roots()
+        mask = sum(1 << root for root in roots)
         return {
             "expressions": list(self._exprs),
             "dependencies": list(self._dependencies),
-            "parent": [self._find(vid) for vid in range(len(self._parent))],
-            "arcs": {root: sorted(targets) for root, targets in self._succ.items()},
+            "parent": [self._root(vid) for vid in range(len(self._exprs))],
+            "arcs": {root: _bits(self._up[root] & mask) for root in roots},
         }
 
     @classmethod
@@ -247,25 +282,15 @@ class ImplicationIndex:
 
         The stored relation is already the ALG fixpoint, so no rules fire:
         the vertices are re-registered in their original order (re-interning
-        each expression), the union-find and arc sets are installed directly,
-        and the derived tables (members, predecessors, operand indexes) are
-        reconstructed.  Malformed state raises :class:`ValueError` — the
-        service codec wraps that into its own error type.
+        each expression), the class-level arcs are expanded into member rows,
+        and the operand indexes are reconstructed.  Malformed state raises
+        :class:`ValueError` — the service codec wraps that into its own error
+        type.  That includes arcs that contradict ``parent``: a class root
+        without its self-arc, or two roots with arcs both ways (their classes
+        would have been one).
         """
         index = cls.__new__(cls)
-        index._dependencies = [as_partition_dependency(pd) for pd in dependencies]
-        index._vertex = {}
-        index._exprs = []
-        index._parent = []
-        index._members = {}
-        index._succ = {}
-        index._pred = {}
-        index._products = {}
-        index._sums = {}
-        index._product_by_operand = {}
-        index._sum_by_operand = {}
-        index._worklist = deque()
-        index._pending_merges = deque()
+        index._init_empty([as_partition_dependency(pd) for pd in dependencies])
 
         for vid, node in enumerate(expressions):
             if node in index._vertex:
@@ -277,10 +302,7 @@ class ImplicationIndex:
                     raise ValueError(
                         f"vertex {vid} appears before its operands (state is not children-first)"
                     )
-                if isinstance(node, Product):
-                    index._products[vid] = (left, right)
-                else:
-                    index._sums[vid] = (left, right)
+                index._index_operands(vid, node, left, right)
             index._vertex[node] = vid
             index._exprs.append(node)
 
@@ -291,33 +313,27 @@ class ImplicationIndex:
         for vid, root in enumerate(roots):
             if not isinstance(root, int) or not 0 <= root <= vid or roots[root] != root:
                 raise ValueError(f"vertex {vid} has invalid class root {root!r}")
-        index._parent = roots
+        members: dict[int, int] = {}
         for vid, root in enumerate(roots):
-            index._members.setdefault(root, []).append(vid)
+            members[root] = members.get(root, 0) | 1 << vid
 
-        for root in index._members:
-            index._succ[root] = set()
-            index._pred[root] = set()
+        up = dict.fromkeys(members, 0)
+        down = dict.fromkeys(members, 0)
         for source, targets in arcs.items():
-            if source not in index._members:
+            if source not in members:
                 raise ValueError(f"arc source {source!r} is not a class representative")
             for target in targets:
-                if target not in index._members:
+                if target not in members:
                     raise ValueError(f"arc target {target!r} is not a class representative")
-                index._succ[source].add(target)
-                index._pred[target].add(source)
-
-        for table, composites in (
-            (index._product_by_operand, index._products),
-            (index._sum_by_operand, index._sums),
-        ):
-            for vid in sorted(composites):
-                left, right = composites[vid]
-                left_root = roots[left]
-                right_root = roots[right]
-                table.setdefault(left_root, []).append(vid)
-                if right_root != left_root:
-                    table.setdefault(right_root, []).append(vid)
+                up[source] |= members[target]
+                down[target] |= members[source]
+        for root, member_mask in members.items():
+            if not up[root] >> root & 1:
+                raise ValueError(f"class root {root} has no self-arc")
+            if up[root] & down[root] != member_mask:
+                raise ValueError(f"class root {root} has arcs both ways with another class root")
+        index._up = [up[root] for root in roots]
+        index._down = [down[root] for root in roots]
         return index
 
     # -- vertex registration ----------------------------------------------------
@@ -333,6 +349,7 @@ class ImplicationIndex:
             if node in self._vertex:
                 continue
             if expanded:
+                check_deadline()  # one budget check per vertex created
                 self._create_vertex(node)
             else:
                 stack.append((node, True))
@@ -341,174 +358,161 @@ class ImplicationIndex:
                     stack.append((node.right, False))  # type: ignore[attr-defined]
         return self._vertex[expression]
 
+    def _index_operands(self, vid: int, node: PartitionExpression, left: int, right: int) -> None:
+        """Record composite ``vid`` under each of its operands, with the other operand."""
+        self._operands |= 1 << left | 1 << right
+        table = self._products_of if isinstance(node, Product) else self._sums_of
+        table.setdefault(left, []).append((vid, right))
+        if right != left:
+            table.setdefault(right, []).append((vid, left))
+
     def _create_vertex(self, node: PartitionExpression) -> None:
-        """Add one vertex whose operands are already registered, with rule catch-up."""
+        """Add one vertex whose operands are already registered, with rule catch-up.
+
+        A composite's rows are one OR and one AND of its operands' rows.
+        These catch-up arcs are not queued as deltas: transitivity through
+        them already follows from the operands' own arcs (and from the
+        operands' future deltas, which rules 2–5 forward here), and no
+        composite has the new vertex as an operand yet.  Only the rules keyed
+        on the *other* end of each new arc remain, and they fire right here.
+        """
         vid = len(self._exprs)
         self._vertex[node] = vid
         self._exprs.append(node)
-        self._parent.append(vid)
-        self._members[vid] = [vid]
-        self._succ[vid] = set()
-        self._pred[vid] = set()
+        self._up.append(0)
+        self._down.append(0)
 
         if isinstance(node, Attr):
-            # Rule 1: reflexivity of attributes.
-            self._insert(vid, vid)
+            self._add_up(vid, 1 << vid)  # Rule 1: reflexivity of attributes.
             return
 
         left = self._vertex[node.left]  # type: ignore[attr-defined]
         right = self._vertex[node.right]  # type: ignore[attr-defined]
-        left_root = self._find(left)
-        right_root = self._find(right)
-        if isinstance(node, Product):
-            self._products[vid] = (left, right)
-            self._product_by_operand.setdefault(left_root, []).append(vid)
-            if right_root != left_root:
-                self._product_by_operand.setdefault(right_root, []).append(vid)
-            # Catch-up rule 3: p*q ≤ s for every s one of its operands is ≤.
-            for target in list(self._succ[left_root]):
-                self._insert(vid, target)
-            for target in list(self._succ[right_root]):
-                self._insert(vid, target)
-            # Catch-up rule 4: o ≤ p*q for every o below both operands.
-            for origin in list(self._pred[left_root]):
-                if right_root == left_root or right_root in self._succ[origin]:
-                    self._insert(origin, vid)
-        else:
-            self._sums[vid] = (left, right)
-            self._sum_by_operand.setdefault(left_root, []).append(vid)
-            if right_root != left_root:
-                self._sum_by_operand.setdefault(right_root, []).append(vid)
-            # Catch-up rule 5: o ≤ p+q for every o below an operand.
-            for origin in list(self._pred[left_root]):
-                self._insert(origin, vid)
-            for origin in list(self._pred[right_root]):
-                self._insert(origin, vid)
-            # Catch-up rule 2: p+q ≤ s for every s above both operands.
-            for target in list(self._succ[left_root]):
-                if right_root == left_root or target in self._succ[right_root]:
-                    self._insert(vid, target)
+        self._index_operands(vid, node, left, right)
+        up, down = self._up, self._down
+        bit = 1 << vid
+        product = isinstance(node, Product)
+        # Rules 3 and 2: p*q ≤ s when p ≤ s or q ≤ s; p+q ≤ s when both are.
+        targets = up[left] | up[right] if product else up[left] & up[right]
+        up[vid] = targets
+        for target in _bits(targets):
+            down[target] |= bit
+        # Rules 4 and 5: o ≤ p*q when o ≤ p and o ≤ q; o ≤ p+q when either is.
+        # Read after the mirror above, so a product finds its own self-arc.
+        origins = down[left] & down[right] if product else down[left] | down[right]
+        down[vid] = origins
+        for origin in _bits(origins):
+            up[origin] |= bit
+        # The rules keyed on the other end of each new arc (only operands of
+        # some composite have any).
+        for origin in _bits(origins & self._operands):
+            self._targets_gained(origin, bit)
+        for target in _bits(targets & self._operands):
+            self._origins_gained(target, bit)
 
-    # -- union-find -------------------------------------------------------------
+    # -- rows and delta propagation ---------------------------------------------
 
-    def _find(self, vid: int) -> int:
-        parent = self._parent
-        root = vid
-        while parent[root] != root:
-            root = parent[root]
-        while parent[vid] != root:
-            parent[vid], vid = root, parent[vid]
-        return root
+    def _root(self, vid: int) -> int:
+        """The class id of ``vid``: the lowest set bit of ``up[vid] & down[vid]``."""
+        both = self._up[vid] & self._down[vid]
+        return (both & -both).bit_length() - 1
 
-    # -- worklist core ----------------------------------------------------------
+    def _roots(self) -> list[int]:
+        """Every class id, ascending (a vertex is a root iff no smaller member exists)."""
+        return [
+            vid
+            for vid, (up, down) in enumerate(zip(self._up, self._down))
+            if not up & down & ((1 << vid) - 1)
+        ]
 
-    def _insert(self, source: int, target: int) -> None:
-        """Record the arc ``source ≤ target`` (by any member id) if new."""
-        source_root = self._find(source)
-        target_root = self._find(target)
-        if target_root in self._succ[source_root]:
+    def _add_up(self, vid: int, targets: int) -> None:
+        """Record ``vid ≤ t`` for every bit ``t`` of ``targets`` and queue what is new."""
+        fresh = targets & ~self._up[vid]
+        if not fresh:
             return
-        self._succ[source_root].add(target_root)
-        self._pred[target_root].add(source_root)
-        self._worklist.append((source_root, target_root))
-        if source_root != target_root and source_root in self._succ[target_root]:
-            self._pending_merges.append((source_root, target_root))
+        self._up[vid] |= fresh
+        self._new_up[vid] = self._new_up.get(vid, 0) | fresh
+        bit = 1 << vid
+        down, new_down = self._down, self._new_down
+        while fresh:
+            low = fresh & -fresh
+            target = low.bit_length() - 1
+            down[target] |= bit
+            new_down[target] = new_down.get(target, 0) | bit
+            fresh ^= low
+
+    def _add_down(self, vid: int, origins: int) -> None:
+        """Record ``o ≤ vid`` for every bit ``o`` of ``origins`` and queue what is new."""
+        fresh = origins & ~self._down[vid]
+        if not fresh:
+            return
+        self._down[vid] |= fresh
+        self._new_down[vid] = self._new_down.get(vid, 0) | fresh
+        bit = 1 << vid
+        up, new_up = self._up, self._new_up
+        while fresh:
+            low = fresh & -fresh
+            origin = low.bit_length() - 1
+            up[origin] |= bit
+            new_up[origin] = new_up.get(origin, 0) | bit
+            fresh ^= low
+
+    def _targets_gained(self, vid: int, delta: int) -> None:
+        """Rules 3 and 2 for ``vid`` gaining the targets ``delta``: its composites follow."""
+        up = self._up
+        # Rule 3: p*q ≤ s for each new s ≥ p.
+        for composite, _ in self._products_of.get(vid, ()):
+            if delta & ~up[composite]:
+                self._add_up(composite, delta)
+        # Rule 2: p+q ≤ s for each new s ≥ p that is also ≥ q.
+        for composite, other in self._sums_of.get(vid, ()):
+            gained = delta & up[other]
+            if gained & ~up[composite]:
+                self._add_up(composite, gained)
+
+    def _origins_gained(self, vid: int, delta: int) -> None:
+        """Rules 5 and 4 for ``vid`` gaining the origins ``delta``: its composites follow."""
+        down = self._down
+        # Rule 5: o ≤ p+q for each new o ≤ p.
+        for composite, _ in self._sums_of.get(vid, ()):
+            if delta & ~down[composite]:
+                self._add_down(composite, delta)
+        # Rule 4: o ≤ p*q for each new o ≤ p that is also ≤ q.
+        for composite, other in self._products_of.get(vid, ()):
+            gained = delta & down[other]
+            if gained & ~down[composite]:
+                self._add_down(composite, gained)
 
     def _drain(self) -> None:
-        """Run merges and rule propagation to fixpoint."""
-        while self._pending_merges or self._worklist:
-            while self._pending_merges:
-                a, b = self._pending_merges.popleft()
-                self._merge(a, b)
-            if not self._worklist:
-                break
-            p, s = self._worklist.popleft()
-            self._process_arc(self._find(p), self._find(s))
-
-    def _merge(self, a: int, b: int) -> None:
-        """Collapse two mutually-reachable classes; smallest member id wins."""
-        root_a, root_b = self._find(a), self._find(b)
-        if root_a == root_b:
-            return
-        winner, loser = (root_a, root_b) if root_a < root_b else (root_b, root_a)
-        self._parent[loser] = winner
-        self._members[winner].extend(self._members.pop(loser))
-
-        loser_succ = self._succ.pop(loser)
-        loser_pred = self._pred.pop(loser)
-        merged_succ = {winner if t == loser else t for t in self._succ[winner] | loser_succ}
-        merged_pred = {winner if o == loser else o for o in self._pred[winner] | loser_pred}
-        self._succ[winner] = merged_succ
-        self._pred[winner] = merged_pred
-        for target in merged_succ:
-            neighbors = self._pred[target]
-            neighbors.discard(loser)
-            neighbors.add(winner)
-        for origin in merged_pred:
-            neighbors = self._succ[origin]
-            neighbors.discard(loser)
-            neighbors.add(winner)
-
-        # Renaming loser → winner can itself complete a mutual pair (an old
-        # arc into the loser plus an old arc out of the winner, say) without
-        # ever passing through _insert's mutual-arc detection; a merge only
-        # rewrites arcs incident to the merged class, so the winner is the
-        # only vertex a new mutual pair can involve.
-        for neighbor in merged_succ & merged_pred:
-            if neighbor != winner:
-                self._pending_merges.append((winner, neighbor))
-
-        for table in (self._product_by_operand, self._sum_by_operand):
-            absorbed = table.pop(loser, None)
-            if absorbed:
-                existing = table.get(winner)
-                if existing:
-                    table[winner] = list(dict.fromkeys(existing + absorbed))
-                else:
-                    table[winner] = absorbed
-
-        # Re-enqueue every arc incident to the merged class: composites that
-        # key an operand through it must observe the enlarged class, and arcs
-        # absorbed from the loser must fire rules under the winner's indexes.
-        for target in merged_succ:
-            self._worklist.append((winner, target))
-        for origin in merged_pred:
-            self._worklist.append((origin, winner))
-
-    def _process_arc(self, p: int, s: int) -> None:
-        """Fire every ALG rule that has the arc ``(p, s)`` as a premise."""
-        succ = self._succ
-        pred = self._pred
-        # Rule 7 (transitivity): compose with arcs out of s and into p.
-        for target in list(succ[s]):
-            self._insert(p, target)
-        for origin in list(pred[p]):
-            self._insert(origin, s)
-
-        # Rule 2: (p, s) and (q, s) with p + q in V  ⇒  (p + q, s).
-        for composite in self._sum_by_operand.get(p, ()):
-            left, right = self._sums[composite]
-            left_root = self._find(left)
-            other = self._find(right) if left_root == p else left_root
-            if other == p or s in succ[other]:
-                self._insert(composite, s)
-
-        # Rule 3: (p, s) with p * q (or q * p) in V  ⇒  (p * q, s).
-        for composite in self._product_by_operand.get(p, ()):
-            self._insert(composite, s)
-
-        # Rule 4: (p, s') and (p, s'') with s' * s'' in V  ⇒  (p, s' * s'').
-        # Our arc is (p, s) with s an operand of the composite.
-        for composite in self._product_by_operand.get(s, ()):
-            left, right = self._products[composite]
-            left_root = self._find(left)
-            other = self._find(right) if left_root == s else left_root
-            if other == s or other in succ[p]:
-                self._insert(p, composite)
-
-        # Rule 5: (p, s) with s + q (or q + s) in V  ⇒  (p, s + q).
-        for composite in self._sum_by_operand.get(s, ()):
-            self._insert(p, composite)
+        """Propagate queued delta rows until the relation is closed."""
+        new_up, new_down = self._new_up, self._new_down
+        if not (new_up or new_down):
+            return  # the common case: queries between growth steps
+        up, down = self._up, self._down
+        # Nothing in this loop can open a deadline scope, so when none is
+        # active on entry the per-pop poll is skipped outright.
+        budgeted = bool(active_deadlines())
+        while new_up or new_down:
+            if budgeted:
+                check_deadline()  # one budget check per delta-row pop
+            if new_up:
+                vid, delta = new_up.popitem()
+                self._targets_gained(vid, delta)
+                # Rule 7: vid ≤ t ≤ u for each new target t.
+                reach = 0
+                for target in _bits(delta):
+                    reach |= up[target]
+                if reach & ~up[vid]:
+                    self._add_up(vid, reach)
+            else:
+                vid, delta = new_down.popitem()
+                self._origins_gained(vid, delta)
+                # Rule 7: o ≤ p ≤ vid for each new origin p.
+                reach = 0
+                for origin in _bits(delta):
+                    reach |= down[origin]
+                if reach & ~down[vid]:
+                    self._add_down(vid, reach)
 
 
 def implication_index(

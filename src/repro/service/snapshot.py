@@ -2,7 +2,7 @@
 
 Everything a warm :class:`~repro.service.session.Session` has learned about
 its base Γ — the :class:`~repro.implication.index.ImplicationIndex` arc
-relation and union-find congruence classes, the interned expression table
+relation and congruence classes, the interned expression table
 slice backing them, the Theorem 12 normalization output (and hence the
 chase-engine preprocessing), and the LRU result cache — dies with the
 process.  This module serializes those artifacts into one declarative,

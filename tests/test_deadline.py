@@ -7,12 +7,17 @@ import pytest
 from repro.consistency.cad import cad_consistency
 from repro.deadline import DeadlineScope, active_deadlines, check_deadline, deadline_scope
 from repro.errors import DeadlineExceeded, ReproError
+from repro.implication import index as index_module
+from repro.implication.alg import alg_closure
+from repro.implication.index import ImplicationIndex
 from repro.lattice.quotient import finite_counterexample
 from repro.relational.chase_engine import chase_database_indexed
 from repro.relational.database import Database
 from repro.relational.functional_dependencies import parse_fd_set
 from repro.relational.relations import Relation
 from repro.sat.nae3sat import nae_backtracking
+from repro.service.api import counterexample_request
+from repro.service.session import Session
 from repro.workloads.random_formulas import random_3cnf
 
 
@@ -107,6 +112,63 @@ class TestKernelHooks:
         with deadline_scope(0.0):
             with pytest.raises(DeadlineExceeded):
                 chase_database_indexed(database, parse_fd_set(["A -> B", "B -> C"]))
+
+    def test_implication_index_honors_deadline(self):
+        with deadline_scope(0.0):
+            with pytest.raises(DeadlineExceeded):
+                ImplicationIndex(["A = A*(B+C)"])
+
+    def test_interrupted_index_resumes_to_the_same_closure(self, monkeypatch):
+        # A budget that expires mid-propagation leaves the queued deltas in
+        # place; the next call finishes them and the closure is exact.  The
+        # poll is replaced by one that fails after ``allowed`` calls, so the
+        # interruption lands at every poll: each vertex creation and each pop.
+        theory = ["A = A*(B+C)", "D = D*(A+E)"]
+        queries = ["A*B", "A*(B+C)", "(A+D)*(B+E)"]
+        oracle = alg_closure(theory, queries).as_expression_pairs()
+
+        def grow(allowed):
+            index = ImplicationIndex(theory)
+            polls = []
+
+            def poll():
+                polls.append(None)
+                if allowed is not None and len(polls) > allowed:
+                    raise DeadlineExceeded(None, "test budget")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(index_module, "check_deadline", poll)
+                try:
+                    with deadline_scope(60_000.0):
+                        index.add_expressions(queries)
+                except DeadlineExceeded:
+                    pass
+            return index, len(polls)
+
+        _, total = grow(None)
+        assert total > 5
+        for allowed in range(total):
+            index, polled = grow(allowed)
+            assert polled == allowed + 1  # the last poll raised
+            index.add_expressions(queries)
+            assert index.leq("A*B", "A*(B+C)")
+            assert index.as_expression_pairs() == oracle, allowed
+
+    def test_counterexample_request_times_out_inside_the_index(self):
+        # The Theorem 8 pool here has 1055 expressions; collapsing it runs
+        # entirely inside the ALG index, which must poll the request budget.
+        session = Session(result_cache_size=0)
+        request = counterexample_request(
+            "A*B = A*(B+C)",
+            dependencies=["A = A*(B+C)", "D = D*(A+E)"],
+            max_pool=4000,
+            deadline_ms=20,
+        )
+        started = time.monotonic()
+        [result] = session.execute_many([request])
+        elapsed_ms = (time.monotonic() - started) * 1000.0
+        assert not result.ok and result.error["type"] == "Timeout"
+        assert elapsed_ms < 250, elapsed_ms
 
     def test_kernels_run_normally_under_generous_budget(self):
         with deadline_scope(60_000.0):

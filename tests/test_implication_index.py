@@ -138,14 +138,36 @@ class TestCongruenceClasses:
         assert index.class_count == 1
 
     def test_merge_rename_completing_mutual_pair_still_collapses(self):
-        # Regression: merging L and W renames the pre-existing arcs A -> L and
-        # W -> A into a mutual A <-> {L,W} pair without any _insert call; the
-        # merge itself must detect it and collapse A into the class.
+        # A becomes mutual with the class {L, W} only once L = W joins the
+        # pre-existing arcs A -> L and W -> A; A must land in that class.
         index = ImplicationIndex(["A = A*L", "W = W*A", "L = W"])
         assert index.leq("A", "L") and index.leq("L", "A")
         assert index.equivalent("A", "L")
         assert index.equivalent("A", "W")
         _assert_classes_maximal(index)
+
+    def test_class_id_is_the_smallest_mutually_reachable_vertex(self):
+        rng = random.Random(707)
+        for trial in range(20):
+            pds, extra = _random_case(rng)
+            index = ImplicationIndex()
+            for pd in pds:
+                index.add_dependencies([pd])
+            index.add_expressions(extra)
+            pairs = alg_closure(pds, extra).as_expression_pairs()
+            vertices = index.vertices()
+            for expression in vertices:
+                mutual = [
+                    j for j, other in enumerate(vertices)
+                    if (expression, other) in pairs and (other, expression) in pairs
+                ]
+                assert index.class_id(expression) == min(mutual), (trial, str(expression))
+            state = index.export_state()
+            restored = ImplicationIndex.from_state(
+                state["dependencies"], state["expressions"], state["parent"], state["arcs"]
+            )
+            assert restored.export_state() == state
+            assert restored.as_expression_pairs() == pairs
 
     def test_derived_equivalence_is_collapsed(self):
         # A*B =_E B*A is forced by commutativity inside ALG's rules once both

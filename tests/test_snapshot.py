@@ -172,7 +172,7 @@ class TestCodecRejections:
             decode_snapshot("[1, 2, 3]")
 
     def test_structurally_damaged_index_is_refused(self):
-        # Honest digest, dishonest union-find: a root pointing forward.
+        # Honest digest, dishonest class roots: a root pointing forward.
         text = dump_snapshot(_warm_session(6))
 
         def corrupt(payload):
@@ -181,6 +181,31 @@ class TestCodecRejections:
                 parent[0] = len(parent) - 1
 
         with pytest.raises(ServiceError, match="implication index"):
+            restore_session(_resealed(text, corrupt))
+
+    def test_root_without_its_self_arc_is_refused(self):
+        # Restoring it would answer leq(e, e) = False for the root's members.
+        text = dump_snapshot(_warm_session(6))
+
+        def corrupt(payload):
+            root, targets = payload["index"]["arcs"][0]
+            targets.remove(root)
+
+        with pytest.raises(ServiceError, match="no self-arc"):
+            restore_session(_resealed(text, corrupt))
+
+    def test_roots_with_arcs_both_ways_are_refused(self):
+        # Two roots that reach each other are one class; parent says two,
+        # so equivalent would be False while leq held both ways.
+        text = dump_snapshot(_warm_session(6))
+
+        def corrupt(payload):
+            arcs = payload["index"]["arcs"]
+            (first, first_targets), (second, second_targets) = arcs[0], arcs[1]
+            first_targets.append(second)
+            second_targets.append(first)
+
+        with pytest.raises(ServiceError, match="arcs both ways"):
             restore_session(_resealed(text, corrupt))
 
 
