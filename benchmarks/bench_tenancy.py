@@ -1,8 +1,8 @@
-"""EXP-TEN: multi-tenant serving — shared consistently-hashed cache vs worker islands.
+"""EXP-TEN: multi-tenant serving — the shared result tier vs worker islands.
 
 The tenancy claim: on a Zipf-skewed multi-tenant stream, the parent-side
-shared result cache (tier 0, misses routed along the consistent-hash ring)
-achieves **≥ 2× the aggregate cache hit rate** of the per-worker-island
+shared result tier (the executor's
+:class:`~repro.service.result_cache.ResultCache`) achieves **≥ 2× the aggregate cache hit rate** of the per-worker-island
 baseline, and a measured end-to-end speedup — while every served answer
 stays byte-identical to naive single-shard no-cache dispatch, including
 under a seeded transient worker crash.
@@ -18,11 +18,11 @@ set), which is the regime the shared tier exists for:
 * **islands** (``shared_cache_size=0``): repeats bounce between workers and
   the cold tail churns each island's LRU, so even the hot head keeps
   recomputing — tier-2 hits only.
-* **shared** (4096-entry tier 0): the ring gives every key a home shard, the
-  parent answers repeats without shipping them to workers at all, and the
-  aggregate rate is compulsory-miss-bound.
+* **shared** (4096-entry shared tier): the parent answers repeats without
+  shipping them to workers at all, whichever worker computed them first,
+  and the aggregate rate is compulsory-miss-bound.
 
-Aggregate hit rate = (parent tier-0 hits + worker session hits) / requests.
+Aggregate hit rate = (parent shared-tier hits + worker session hits) / requests.
 """
 
 import time

@@ -141,7 +141,7 @@ class _UnionFind:
             return False
         if root_b.election_key() < root_a.election_key():
             root_a, root_b = root_b, root_a
-        # root_a is preferred (constant if any); point root_b at it.
+        # root_a wins the election (constant if any); point root_b at it.
         self._parent[root_b] = root_a
         for listener in self._listeners:
             listener(root_a, root_b)

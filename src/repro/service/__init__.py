@@ -11,7 +11,7 @@ request surface:
   partitions/universes, relations/databases/schemas, requests, results);
 * :mod:`repro.service.session` — :class:`Session`, the uniform
   ``QueryRequest → QueryResult`` surface owning one shared implication
-  index, the Theorem 12 normalization cache, and an LRU result cache
+  index, the Theorem 12 normalization cache, and a result cache
   invalidated precisely when Γ grows;
 * :mod:`repro.service.planner` — the batch planner that regroups a mixed
   stream by kind and dependency set and routes each group into the amortized
@@ -19,10 +19,9 @@ request surface:
 * :mod:`repro.service.executor` — :class:`ShardExecutor`, the multiprocess
   fan-out with per-worker session warm-up, wire-codec transport and
   deterministic result ordering;
-* :mod:`repro.service.result_cache` — :class:`SharedResultCache`, the
-  parent-side tier-0 result cache shared by every shard, and
-  :class:`ConsistentHashRing`, the shard-affinity router that turns the
-  per-worker caches into a coherent second tier;
+* :mod:`repro.service.result_cache` — :class:`ResultCache`, the one LRU
+  result cache behind every tier: each session's, each shard worker's,
+  and the executor's parent-side shared tier;
 * :mod:`repro.service.supervisor` — :class:`SupervisedPool`, the fault-
   tolerant worker pool under the executor: liveness monitoring, warm
   restarts, retry/split/quarantine escalation and hard deadline kills;
@@ -76,7 +75,7 @@ from repro.service.faults import (
 )
 from repro.service.microbatch import MicroBatcher, MicroBatchStats, Ticket
 from repro.service.planner import Batch, execute_plan, naive_dispatch, plan, plan_summary
-from repro.service.result_cache import ConsistentHashRing, SharedResultCache
+from repro.service.result_cache import ResultCache
 from repro.service.server import QueryServer, serve_stream
 from repro.service.session import DependencyContext, Session
 from repro.service.supervisor import SupervisedPool, SupervisorStats, WorkItem, WorkUnit
@@ -171,8 +170,7 @@ __all__ = [
     "execute_plan",
     "naive_dispatch",
     "ShardExecutor",
-    "SharedResultCache",
-    "ConsistentHashRing",
+    "ResultCache",
     "SupervisedPool",
     "SupervisorStats",
     "WorkItem",

@@ -24,7 +24,7 @@ validated identically in file mode and serve mode.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.dependencies.pd import PartitionDependency, parse_pd_set
@@ -70,7 +70,6 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 0
     stats: bool = False
-    stats_window: int = field(default=4096, repr=False)
     snapshot_dir: Optional[str] = None
     window_budget_ms: Optional[float] = None
     unit_timeout_ms: Optional[float] = None
@@ -102,8 +101,6 @@ class ServiceConfig:
             )
         if not (0 <= self.port <= 65535):
             raise ServiceError(f"port must be in [0, 65535], got {self.port}")
-        if self.stats_window < 1:
-            raise ServiceError(f"stats_window must be >= 1, got {self.stats_window}")
         if self.window_budget_ms is not None and self.window_budget_ms <= 0:
             raise ServiceError(
                 f"window_budget_ms must be positive, got {self.window_budget_ms}"
@@ -261,7 +258,7 @@ def add_config_arguments(parser: argparse.ArgumentParser, serve: bool = False) -
         default=defaults.shared_cache_size,
         help=(
             "parent-side shared result-cache entries for sharded dispatch "
-            f"(0 disables the shared tier and ring routing; default {defaults.shared_cache_size})"
+            f"(0 disables the shared tier; default {defaults.shared_cache_size})"
         ),
     )
     parser.add_argument(

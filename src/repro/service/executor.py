@@ -17,15 +17,20 @@ input order):
   restores the configured snapshot), then answers its units through the
   batch planner.  Workers therefore amortize exactly like the in-process
   service; the executor adds parallelism on top.
-* **Plan-aware sharding** — the parent plans the stream first
-  (:func:`repro.service.planner.plan`) and deals *batch-aligned work units*
-  instead of raw requests round-robin.  Amortization lives in the batches
-  (one Γ closure per implication chunk, one normalization per consistency
-  group); a round-robin deal would scatter every batch over every worker
-  and re-pay each group's setup ``shards`` times — measured, it made 4
-  shards *slower* than one process.  Units are the planner's own
-  amortization quanta and are dealt dynamically, largest first, to whichever
-  worker is idle.
+* **A shared result tier** — the parent holds one
+  :class:`~repro.service.result_cache.ResultCache` (the class every session
+  uses too).  It answers repeats before any unit is formed, and every
+  worker's computed results are published back into it, so any shard's
+  work warms the cache for every later caller.
+* **Plan-aware units** — the parent plans the stream first
+  (:func:`repro.service.planner.plan`) and deals the shared tier's misses
+  as *batch-aligned work units* instead of raw requests round-robin.
+  Amortization lives in the batches (one Γ closure per implication chunk,
+  one normalization per consistency group); a round-robin deal would
+  scatter every batch over every worker and re-pay each group's setup
+  ``shards`` times — measured, it made 4 shards *slower* than one process.
+  Units are dealt from one queue, largest first, to whichever worker is
+  idle.
 * **Supervision, not hope** — the unit loop lives in
   :class:`~repro.service.supervisor.SupervisedPool`: a crashed worker is
   restarted (warm, when a snapshot is configured), its unit retried, split
@@ -57,7 +62,7 @@ from typing import Optional
 from repro.dependencies.pd import PartitionDependencyLike, as_partition_dependency
 from repro.errors import ServiceError
 from repro.service.planner import IMPLICATION_CHUNK, plan
-from repro.service.result_cache import ConsistentHashRing, SharedResultCache
+from repro.service.result_cache import ResultCache, gamma_dependent
 from repro.service.supervisor import SupervisedPool, SupervisorStats, WorkItem, WorkUnit
 from repro.service.wire import (
     QueryRequest,
@@ -90,12 +95,10 @@ class ShardExecutor:
         if max_unit_attempts < 1:
             raise ServiceError(f"max_unit_attempts must be positive, got {max_unit_attempts}")
         self.shards = shards
-        # The shared tier-0 result cache and its routing ring.  With
-        # shared_cache_size=0 both are off and dispatch is exactly the
-        # pre-tenancy behaviour (the per-worker-island baseline EXP-TEN
+        # The shared result tier.  With shared_cache_size=0 it is off and
+        # only the workers' own session caches remain (the baseline EXP-TEN
         # measures against).
-        self._shared_cache = SharedResultCache(shared_cache_size)
-        self._ring = ConsistentHashRing(shards) if shared_cache_size > 0 else None
+        self._shared_cache = ResultCache(shared_cache_size)
         self._result_cache_size = result_cache_size
         self._dependencies = [as_partition_dependency(pd) for pd in dependencies]
         if snapshot is not None:
@@ -170,10 +173,8 @@ class ShardExecutor:
         return SupervisorStats().as_dict()
 
     def shared_cache_info(self) -> dict:
-        """The tier-0 shared cache's counters plus the routing-ring shape."""
-        info = self._shared_cache.info()
-        info["ring_shards"] = self._ring.shards if self._ring is not None else 0
-        return info
+        """The shared result tier's counters."""
+        return self._shared_cache.info()
 
     def invalidate_tenant(self, tenant: Optional[str] = None) -> int:
         """Drop a tenant's base-Γ entries from the shared tier (Γ-growth hook)."""
@@ -181,9 +182,10 @@ class ShardExecutor:
 
     # -- sharding --------------------------------------------------------------
 
-    def _work_units(self, requests: Sequence[QueryRequest]) -> list[list[int]]:
-        """Batch-aligned work units: the planner's amortization quanta.
+    def _work_units(self, requests: Sequence[QueryRequest], misses: set[int]) -> list[list[int]]:
+        """Batch-aligned work units over the shared tier's misses.
 
+        The whole stream is planned, then each batch keeps only its misses.
         Implication/equivalence batches split at the planner's own chunk
         size (each chunk shares one engine wherever it lands); consistency
         and FD-implication groups split into at most ``shards`` slices (one
@@ -194,7 +196,7 @@ class ShardExecutor:
         """
         units: list[list[int]] = []
         for batch in plan(requests):
-            indices = list(batch.indices)
+            indices = [i for i in batch.indices if i in misses]
             if batch.deadline:
                 step = 1
             elif batch.kind in ("implies", "equivalent"):
@@ -219,9 +221,8 @@ class ShardExecutor:
         boundary, and every worker reply line is decoded once on the way back.
         """
         out: list[Optional[QueryResult]] = [None] * len(requests)
-        # Tier-0 probe: answer shared-cache hits parent-side, before any unit
-        # is formed — a hit never crosses a process boundary at all.  The
-        # canonical keys double as the ring's routing keys for the misses.
+        # Shared-tier probe: answer hits parent-side, before any unit is
+        # formed — a hit never crosses a process boundary at all.
         keys: dict[int, str] = {}
         if self._shared_cache.enabled:
             for i, request in enumerate(requests):
@@ -242,9 +243,8 @@ class ShardExecutor:
                     for i in unit_indices
                 ),
                 attempts_left=self._max_unit_attempts,
-                preferred=preferred,
             )
-            for unit_indices, preferred in self._routed_units(requests, keys, set(misses))
+            for unit_indices in self._work_units(requests, set(misses))
         ]
         if units:
             for index, line in self._ensure_pool().run_units(units).items():
@@ -256,34 +256,6 @@ class ShardExecutor:
             raise ServiceError(f"shard executor lost results for requests {missing[:5]}")
         return out  # type: ignore[return-value]
 
-    def _routed_units(
-        self,
-        requests: Sequence[QueryRequest],
-        keys: dict[int, str],
-        misses: set[int],
-    ) -> list[tuple[list[int], Optional[int]]]:
-        """Work units annotated with their consistent-hash shard affinity.
-
-        With the shared cache off this is the plain deal (no affinity).
-        With it on, indices already answered from the cache drop out, and
-        each surviving unit is partitioned along the ring so every miss
-        lands on the shard that owns its cache key — the worker whose
-        session cache the key will warm (and hit, next time the bin-packer
-        deals it anywhere).  Partitions inherit the unit's amortization
-        (same planner group, same Γ), just sliced by key ownership.
-        """
-        units = self._work_units(requests)
-        if self._ring is None:
-            return [(unit, None) for unit in units]
-        routed: list[tuple[list[int], Optional[int]]] = []
-        for unit in units:
-            by_shard: dict[int, list[int]] = {}
-            for i in unit:
-                if i in misses:
-                    by_shard.setdefault(self._ring.shard_for(keys[i]), []).append(i)
-            routed.extend((by_shard[shard], shard) for shard in sorted(by_shard))
-        return routed
-
     def _publish(
         self,
         requests: Sequence[QueryRequest],
@@ -293,16 +265,10 @@ class ShardExecutor:
     ) -> None:
         """Publish computed miss results into the shared tier on reassembly.
 
-        Any shard's computation warms the cache for every future caller —
-        this is the step that turns per-worker islands into tier 1 of one
-        coherent cache.  Error results (timeouts, quarantines, kernel
-        failures) are never published, matching the session-cache contract.
+        Any shard's computation warms the cache for every future caller.
+        Error results (timeouts, quarantines, kernel failures) are never
+        published.
         """
         for i in misses:
             request = requests[i]
-            self._shared_cache.store(
-                keys[i],
-                out[i],
-                tenant=request.tenant,
-                uses_tenant_gamma=request.dependencies is None and request.kind != "fd_implies",
-            )
+            self._shared_cache.store(keys[i], out[i], request.tenant, gamma_dependent(request))

@@ -45,6 +45,7 @@ from typing import Any, Callable, Optional
 
 from repro.deadline import deadline_scope
 from repro.errors import DeadlineExceeded, ServiceError
+from repro.service.result_cache import tenant_label
 from repro.service.wire import QueryRequest, QueryResult
 
 #: Queue sentinel that tells the collector loop to finish (FIFO order makes
@@ -58,6 +59,9 @@ PERCENTILE_POINTS = (50, 95, 99)
 #: tenants beyond the cap aggregates into one ``"~other"`` bucket so a
 #: million-tenant stream cannot balloon the stats surface.
 TENANT_STATS_LIMIT = 64
+
+#: Most recent requests kept in each latency reservoir.
+STATS_WINDOW = 4096
 
 
 def percentile(samples: Sequence[float], point: float) -> Optional[float]:
@@ -135,12 +139,12 @@ class Ticket:
 class MicroBatchStats:
     """Counters and bounded latency reservoirs for one batcher.
 
-    Latency samples are kept in bounded deques (``stats_window`` most recent
-    requests), so a long-lived server reports *recent* percentiles instead of
-    averaging over its whole life.
+    Latency samples are kept in bounded deques (the :data:`STATS_WINDOW`
+    most recent requests), so a long-lived server reports *recent*
+    percentiles instead of averaging over its whole life.
     """
 
-    def __init__(self, max_batch: int, stats_window: int = 4096) -> None:
+    def __init__(self, max_batch: int) -> None:
         self._max_batch = max_batch
         self.submitted = 0
         self.answered = 0
@@ -153,15 +157,13 @@ class MicroBatchStats:
         self.budget_retried = 0
         self.budget_timeouts = 0
         self.per_tenant: dict[str, dict[str, int]] = {}
-        self._total: deque[float] = deque(maxlen=stats_window)
-        self._queue_wait: deque[float] = deque(maxlen=stats_window)
-        self._execute: deque[float] = deque(maxlen=stats_window)
-        self._respond: deque[float] = deque(maxlen=stats_window)
+        self._total: deque[float] = deque(maxlen=STATS_WINDOW)
+        self._queue_wait: deque[float] = deque(maxlen=STATS_WINDOW)
+        self._execute: deque[float] = deque(maxlen=STATS_WINDOW)
+        self._respond: deque[float] = deque(maxlen=STATS_WINDOW)
 
     def record_tenant(self, tenant: Optional[str], field: str) -> None:
         """Bump one tenant's ``submitted``/``answered`` counter (capped keyspace)."""
-        from repro.service.session import tenant_label
-
         label = tenant_label(tenant)
         bucket = self.per_tenant.get(label)
         if bucket is None:
@@ -237,7 +239,6 @@ class MicroBatcher:
         max_batch: int = 32,
         queue_limit: int = 256,
         overload: str = "block",
-        stats_window: int = 4096,
         window_budget_ms: Optional[float] = None,
     ) -> None:
         if max_batch < 1:
@@ -256,7 +257,7 @@ class MicroBatcher:
         self._max_batch = max_batch
         self._queue_limit = queue_limit
         self._overload = overload
-        self.stats = MicroBatchStats(max_batch, stats_window=stats_window)
+        self.stats = MicroBatchStats(max_batch)
         self._queue: "asyncio.Queue[Any]" = asyncio.Queue(maxsize=queue_limit)
         self._worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-window")
         self._collector: Optional[asyncio.Task] = None

@@ -1,65 +1,78 @@
-"""The shared result-cache tier and its consistent-hash shard ring.
+"""The result cache: one LRU class behind every cache tier of the service.
 
-Before this module the executor's repeat-query story was **per-worker LRU
-islands**: each worker process owns a warm :class:`~repro.service.session.Session`
-cache, so a repeat query only hits if the bin-packer happens to deal it to
-the shard that answered it first.  Under multi-tenant Zipf-skewed traffic
-that is the common case *not* happening — hot tenants' repeats spray across
-shards and re-pay the kernel cost.
+Answers to the paper's decision problems are pure functions of the canonical
+request bytes (:func:`repro.service.wire.request_cache_key`, tenant embedded,
+id/deadline excluded) and of the Γ they were answered against, so every tier
+caches them the same way through :class:`ResultCache`:
 
-Two pieces fix it:
-
-* :class:`SharedResultCache` — one parent-side LRU over
-  :func:`repro.service.wire.request_cache_key` canonical bytes (tenant
-  embedded, id/deadline excluded).  The parent consults it at plan time and
-  answers hits without shipping the request to a worker at all; completed
-  results are published back on reassembly, so *any* shard's computation
-  warms the cache for *every* future shard.  Per-tenant hit/miss counters
-  feed the server's stats surface, and :meth:`invalidate_tenant` mirrors the
-  session's tenant-scoped Γ-growth eviction.  All operations take a lock —
-  the micro-batcher's worker thread and control lines may race.
-* :class:`ConsistentHashRing` — classic sha256 ring with virtual nodes.
-  Cache-key misses are routed so the *same key always lands on the same
-  shard*: a tenant's repeats develop shard affinity and the per-worker
-  caches become a coherent second tier instead of independent islands.
-  Virtual nodes keep the deal balanced (within a few percent for ≥64
-  vnodes per shard) and adding/removing a shard only remaps the keys that
-  must move.
+* each :class:`~repro.service.session.Session` holds one — the in-process
+  tier, and the per-worker tier inside every shard worker;
+* the :class:`~repro.service.executor.ShardExecutor` holds one in the parent
+  — the shared tier, consulted before any request is dealt to a worker and
+  fed back from every worker's reply, so any shard's computation warms the
+  cache for every later caller.
 
 Results are stored with ``id=None`` (the caller's id is re-stamped on hit)
-and error results are never cached — exactly the session-cache contract, so
-a shared-cache hit is byte-identical to recomputing.
+and error results are never cached, so a hit is byte-identical to
+recomputing.  Entries answered against a tenant's base Γ are marked, and
+:meth:`ResultCache.invalidate_tenant` drops exactly those when that tenant's
+Γ grows.  Per-tenant hit/miss counters feed the stats surface.  Every
+operation takes a lock: the shared tier is reached from the micro-batcher's
+worker thread and from control lines alike.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
-from bisect import bisect_right
 from collections import OrderedDict
+from collections.abc import Iterable
 from dataclasses import replace
 from typing import Optional
 
-from repro.errors import ServiceError
-from repro.service.wire import QueryResult
+from repro.service.wire import QueryRequest, QueryResult
 
-__all__ = ["SharedResultCache", "ConsistentHashRing"]
+__all__ = ["ResultCache", "gamma_dependent", "tenant_label"]
+
+# key -> (uses_tenant_gamma, tenant, result-without-caller-id)
+Entry = tuple[bool, Optional[str], QueryResult]
 
 
-class SharedResultCache:
-    """A lock-protected LRU of wire results keyed on canonical request bytes."""
+def tenant_label(tenant: Optional[str]) -> str:
+    """The display name of a tenant key (``None`` is the default tenant)."""
+    return "default" if tenant is None else tenant
 
-    def __init__(self, maxsize: int = 4096) -> None:
+
+def gamma_dependent(request: QueryRequest) -> bool:
+    """Whether a request's answer depends on its tenant's base Γ.
+
+    Requests carrying their own dependency set do not, and neither does
+    ``fd_implies``, which reasons over its own Σ — their entries survive
+    :meth:`ResultCache.invalidate_tenant`.
+    """
+    return request.dependencies is None and request.kind != "fd_implies"
+
+
+class ResultCache:
+    """A lock-protected LRU of wire results keyed on canonical request bytes.
+
+    ``entries`` seeds the cache (the snapshot restore path); beyond
+    ``maxsize`` the least recent ones are dropped.
+    """
+
+    def __init__(self, maxsize: int = 4096, entries: Iterable[tuple[str, Entry]] = ()) -> None:
         self._maxsize = max(0, maxsize)
         self._lock = threading.Lock()
-        # key -> (uses_tenant_gamma, tenant, result-without-caller-id)
-        self._entries: "OrderedDict[str, tuple[bool, Optional[str], QueryResult]]" = OrderedDict()
+        kept = list(entries)
+        self._entries: "OrderedDict[str, Entry]" = OrderedDict(
+            kept[max(0, len(kept) - self._maxsize) :]
+        )
         self._hits = 0
         self._misses = 0
         self._stores = 0
         self._evictions = 0
-        self._tenant_hits: dict[Optional[str], int] = {}
-        self._tenant_misses: dict[Optional[str], int] = {}
+        # Keyed by display label, so None and a tenant named "default" add up.
+        self._tenant_hits: dict[str, int] = {}
+        self._tenant_misses: dict[str, int] = {}
 
     @property
     def enabled(self) -> bool:
@@ -71,15 +84,16 @@ class SharedResultCache:
         """The cached result re-stamped with the caller's id, or ``None``."""
         if not self._maxsize:
             return None
+        label = tenant_label(tenant)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
                 self._hits += 1
-                self._tenant_hits[tenant] = self._tenant_hits.get(tenant, 0) + 1
+                self._tenant_hits[label] = self._tenant_hits.get(label, 0) + 1
                 return replace(entry[2], id=request_id, cached=True)
             self._misses += 1
-            self._tenant_misses[tenant] = self._tenant_misses.get(tenant, 0) + 1
+            self._tenant_misses[label] = self._tenant_misses.get(label, 0) + 1
             return None
 
     def store(
@@ -89,7 +103,7 @@ class SharedResultCache:
         tenant: Optional[str] = None,
         uses_tenant_gamma: bool = False,
     ) -> None:
-        """Publish a computed result (error results are never cached)."""
+        """Insert a computed result (error results are never cached)."""
         if not self._maxsize or not result.ok:
             return
         with self._lock:
@@ -111,25 +125,19 @@ class SharedResultCache:
             self._entries = keep
             return dropped
 
-    def clear(self) -> None:
+    def entries(self) -> list[tuple[str, Entry]]:
+        """Every entry, least recent first (what a snapshot captures)."""
         with self._lock:
-            self._entries.clear()
+            return list(self._entries.items())
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
     def info(self) -> dict:
-        """Counters and per-tenant traffic, shaped for the stats surface."""
-        from repro.service.session import tenant_label
-
+        """Counters and per-tenant traffic (sorted by label), shaped for the stats surface."""
         with self._lock:
-            per_tenant = {}
-            for tenant in set(self._tenant_hits) | set(self._tenant_misses):
-                per_tenant[tenant_label(tenant)] = {
-                    "hits": self._tenant_hits.get(tenant, 0),
-                    "misses": self._tenant_misses.get(tenant, 0),
-                }
+            labels = sorted(set(self._tenant_hits) | set(self._tenant_misses))
             return {
                 "hits": self._hits,
                 "misses": self._misses,
@@ -137,37 +145,11 @@ class SharedResultCache:
                 "evictions": self._evictions,
                 "size": len(self._entries),
                 "maxsize": self._maxsize,
-                "per_tenant": per_tenant,
+                "per_tenant": {
+                    label: {
+                        "hits": self._tenant_hits.get(label, 0),
+                        "misses": self._tenant_misses.get(label, 0),
+                    }
+                    for label in labels
+                },
             }
-
-
-class ConsistentHashRing:
-    """A sha256 consistent-hash ring over integer shard ids with virtual nodes."""
-
-    def __init__(self, shards: int, vnodes: int = 64) -> None:
-        if shards < 1:
-            raise ServiceError(f"a hash ring needs at least one shard, got {shards}")
-        self._shards = shards
-        self._vnodes = max(1, vnodes)
-        points: list[tuple[int, int]] = []
-        for shard in range(shards):
-            for replica in range(self._vnodes):
-                points.append((self._hash(f"shard:{shard}:vnode:{replica}"), shard))
-        points.sort()
-        self._points = [p for p, _ in points]
-        self._owners = [s for _, s in points]
-
-    @staticmethod
-    def _hash(value: str) -> int:
-        return int.from_bytes(hashlib.sha256(value.encode("utf-8")).digest()[:8], "big")
-
-    @property
-    def shards(self) -> int:
-        return self._shards
-
-    def shard_for(self, key: str) -> int:
-        """The shard owning a cache key: first vnode clockwise from its hash."""
-        position = bisect_right(self._points, self._hash(key))
-        if position == len(self._points):
-            position = 0
-        return self._owners[position]

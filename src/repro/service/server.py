@@ -129,7 +129,6 @@ class QueryServer:
             max_batch=config.max_batch,
             queue_limit=config.queue_limit,
             overload=config.overload,
-            stats_window=config.stats_window,
             window_budget_ms=config.window_budget_ms,
         )
         await self._batcher.start()

@@ -17,14 +17,15 @@ session owns:
   and the preprocessed :class:`~repro.relational.chase_engine.ChaseEngine`
   are built once per Γ generation and reused by every weak-instance
   consistency query;
-* a slice of the session-wide **LRU result cache** keyed on the canonical
-  wire bytes of each request (:func:`repro.service.wire.request_cache_key`,
-  which embeds the tenant — tenants can never share or poison each other's
-  slots).  Invalidation is *scoped to the growing tenant*:
-  :meth:`add_dependencies` bumps that tenant's generation and evicts exactly
-  the entries that were answered against that tenant's Γ — every other
-  tenant's entries, and results for requests that carried their *own*
-  dependency set, are unaffected.
+* a slice of the session's result cache, one
+  :class:`~repro.service.result_cache.ResultCache` (the class every cache
+  tier uses) keyed on the canonical wire bytes of each request
+  (:func:`repro.service.wire.request_cache_key`, which embeds the tenant —
+  tenants can never share or poison each other's slots).  Invalidation is
+  *scoped to the growing tenant*: :meth:`add_dependencies` bumps that
+  tenant's generation and evicts exactly the entries that were answered
+  against that tenant's Γ — every other tenant's entries, and results for
+  requests that carried their *own* dependency set, are unaffected.
 
 Hash-consed expression ASTs remain **shared globally across tenants** (the
 intern table is process-wide), so a million tenants asking about the same
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Iterable, Sequence
-from dataclasses import replace
 from typing import Optional
 
 from repro import profiling
@@ -57,6 +57,7 @@ from repro.implication.alg import ImplicationEngine
 from repro.implication.fd_implication import fd_implies_via_pds
 from repro.lattice.quotient import finite_counterexample, quotient_fragment
 from repro.relational.chase_engine import ChaseEngine
+from repro.service.result_cache import Entry, ResultCache, gamma_dependent
 from repro.service.wire import (
     QueryRequest,
     QueryResult,
@@ -193,11 +194,6 @@ class TenantState:
         self.generation = generation
 
 
-def tenant_label(tenant: Optional[str]) -> str:
-    """The display name of a tenant key (``None`` is the default tenant)."""
-    return "default" if tenant is None else tenant
-
-
 class Session:
     """The stateful ``QueryRequest → QueryResult`` surface over a tenant keyspace."""
 
@@ -214,13 +210,7 @@ class Session:
         # always exists, others are created on first use.
         self._tenants: "OrderedDict[Optional[str], TenantState]" = OrderedDict()
         self._tenants[None] = TenantState(context)
-        self._result_cache_size = max(0, result_cache_size)
-        # key -> (uses_tenant_gamma, tenant, result-without-caller-id)
-        self._results: "OrderedDict[str, tuple[bool, Optional[str], QueryResult]]" = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._tenant_hits: dict[Optional[str], int] = {}
-        self._tenant_misses: dict[Optional[str], int] = {}
+        self._results = ResultCache(result_cache_size)
         self._foreign_context_limit = max(1, foreign_context_limit)
         self._foreign: "OrderedDict[tuple[str, ...], DependencyContext]" = OrderedDict()
         self._context_hits = 0
@@ -286,7 +276,7 @@ class Session:
                 for name, state in self._tenants.items()
                 if name is not None
             ],
-            "results": list(self._results.items()),
+            "results": self._results.entries(),
         }
 
     @classmethod
@@ -294,7 +284,7 @@ class Session:
         cls,
         base: DependencyContext,
         generation: int,
-        results: Sequence[tuple[str, tuple[bool, Optional[str], QueryResult]]],
+        results: Sequence[tuple[str, Entry]],
         result_cache_size: int,
         foreign_context_limit: int,
         tenants: Sequence[tuple[str, DependencyContext, int]] = (),
@@ -310,15 +300,7 @@ class Session:
         session._tenants[None] = TenantState(base, generation)
         for name, context, tenant_generation in tenants:
             session._tenants[name] = TenantState(context, tenant_generation)
-        session._result_cache_size = max(0, result_cache_size)
-        entries = list(results)
-        if len(entries) > session._result_cache_size:
-            entries = entries[len(entries) - session._result_cache_size :]
-        session._results = OrderedDict(entries)
-        session._hits = 0
-        session._misses = 0
-        session._tenant_hits = {}
-        session._tenant_misses = {}
+        session._results = ResultCache(result_cache_size, results)
         session._foreign_context_limit = max(1, foreign_context_limit)
         session._foreign = OrderedDict()
         session._context_hits = 0
@@ -377,11 +359,7 @@ class Session:
         state = self._tenant_state(tenant)
         state.context.extend(added)
         state.generation += 1
-        self._results = OrderedDict(
-            (key, entry)
-            for key, entry in self._results.items()
-            if not (entry[0] and entry[1] == tenant)
-        )
+        self._results.invalidate_tenant(tenant)
 
     def context_for(self, request: QueryRequest, create: bool = True) -> Optional[DependencyContext]:
         """The dependency context a request runs against (tenant Γ or its own).
@@ -429,7 +407,7 @@ class Session:
         """
         validate_request(request)
         key = None
-        if use_cache and self._result_cache_size:
+        if use_cache and self._results.enabled:
             key = cache_key if cache_key is not None else request_cache_key(request)
             cached = self.cache_lookup(request, key=key)
             if cached is not None:
@@ -448,34 +426,21 @@ class Session:
         :meth:`execute` itself) pass it to skip re-encoding the request —
         the encode is the expensive part for database-carrying requests.
         """
-        if not self._result_cache_size:
+        if not self._results.enabled:
             return None
         if key is None:
             key = request_cache_key(request)
-        entry = self._results.get(key)
-        if entry is not None:
-            self._results.move_to_end(key)
-            self._hits += 1
-            self._tenant_hits[request.tenant] = self._tenant_hits.get(request.tenant, 0) + 1
-            return replace(entry[2], id=request.id, cached=True)
-        self._misses += 1
-        self._tenant_misses[request.tenant] = self._tenant_misses.get(request.tenant, 0) + 1
-        return None
+        return self._results.lookup(key, request.id, request.tenant)
 
     def cache_store(
         self, request: QueryRequest, result: QueryResult, key: Optional[str] = None
     ) -> None:
         """Insert a computed result (error results are never cached)."""
-        if not self._result_cache_size or not result.ok:
+        if not self._results.enabled or not result.ok:
             return
         if key is None:
             key = request_cache_key(request)
-        # fd_implies reasons over its own Σ, never a tenant's Γ, so its
-        # entries survive add_dependencies like explicit-Γ requests do.
-        uses_gamma = request.dependencies is None and request.kind != "fd_implies"
-        self._results[key] = (uses_gamma, request.tenant, replace(result, id=None))
-        while len(self._results) > self._result_cache_size:
-            self._results.popitem(last=False)
+        self._results.store(key, result, request.tenant, gamma_dependent(request))
 
     def execute_many(self, requests: Sequence[QueryRequest], batch: bool = True) -> list[QueryResult]:
         """Answer a request stream; with ``batch=True`` the planner groups it first."""
@@ -560,35 +525,23 @@ class Session:
     @property
     def cache_enabled(self) -> bool:
         """Whether this session keeps a result cache at all."""
-        return self._result_cache_size > 0
+        return self._results.enabled
 
     def cache_info(self) -> dict:
         """Result-cache, tenant, and context diagnostics.
 
-        The flat ``hits``/``misses``/``size``/``maxsize``/``generation``/
-        ``foreign_contexts`` keys keep their pre-tenancy meaning (generation
-        is the default tenant's); ``tenants`` counts keyspace entries,
-        ``per_tenant`` breaks result-cache traffic down by tenant, and
-        ``contexts`` reports the foreign-context LRU's hit/miss/eviction
-        counters.
+        The result cache's :meth:`~repro.service.result_cache.ResultCache.info`
+        (``hits``/``misses``/``stores``/``evictions``/``size``/``maxsize`` and
+        ``per_tenant`` traffic sorted by tenant label) plus ``generation``
+        (the default tenant's), ``foreign_contexts``, ``tenants`` (keyspace
+        entries) and ``contexts``, the foreign-context LRU's
+        hit/miss/eviction counters.
         """
-        per_tenant: dict[str, dict[str, int]] = {}
-        # Sorted by label so the dict itself (not just its canonical-JSON
-        # rendering) is deterministic — stats consumers can pin it.
-        for tenant in sorted(set(self._tenant_hits) | set(self._tenant_misses), key=tenant_label):
-            per_tenant[tenant_label(tenant)] = {
-                "hits": self._tenant_hits.get(tenant, 0),
-                "misses": self._tenant_misses.get(tenant, 0),
-            }
         return {
-            "hits": self._hits,
-            "misses": self._misses,
-            "size": len(self._results),
-            "maxsize": self._result_cache_size,
+            **self._results.info(),
             "generation": self._tenants[None].generation,
             "foreign_contexts": len(self._foreign),
             "tenants": len(self._tenants),
-            "per_tenant": per_tenant,
             "contexts": {
                 "hits": self._context_hits,
                 "misses": self._context_misses,

@@ -11,8 +11,8 @@ replaces it with an explicit supervision loop:
 * the parent multiplexes worker pipes *and* process sentinels through
   :func:`multiprocessing.connection.wait`, so a reply, a crash and a blown
   wall clock are all just events on one loop;
-* work is dealt dynamically — largest unit first to whichever worker is
-  idle — and every reply is validated (sequence number, index set, each
+* work is dealt dynamically from one queue — largest unit first to
+  whichever worker is idle — and every reply is validated (sequence number, index set, each
   line parses as a result object) before it is trusted;
 * failures follow a bounded escalation ladder per :class:`WorkUnit`:
   **retry** the unit (a fresh worker may simply succeed), then **split** a
@@ -79,16 +79,12 @@ class WorkItem:
 class WorkUnit:
     """A batch-aligned dispatch quantum with its remaining delivery attempts.
 
-    ``preferred`` is the consistent-hash shard the executor routed this unit
-    to (``None`` = no affinity).  It is a *hint*: the scheduler keeps a
-    pinned queue per worker so repeats land on the worker whose session
-    cache is warm for them, but an idle worker steals from the longest
-    pinned backlog rather than wait — affinity never costs wall clock.
+    Any idle worker may take any unit: :meth:`SupervisedPool.run_units`
+    deals from one queue.
     """
 
     items: tuple[WorkItem, ...]
     attempts_left: int = 2
-    preferred: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.items)
@@ -365,49 +361,22 @@ class SupervisedPool:
     def run_units(self, units: list[WorkUnit]) -> dict[int, str]:
         """Execute units to completion; returns stream index → result line.
 
-        Units with a ``preferred`` shard queue on that worker (largest first)
-        so consistently-hashed repeats land where the session cache is warm;
-        unpinned units share one queue.  An idle worker drains its own pinned
-        queue, then the shared queue, then steals from the longest pinned
-        backlog — affinity is a hint, never a stall.  Failures re-enter the
-        *shared* queue via the retry → split → quarantine ladder (the culprit
-        already cost its preferred worker an incarnation), so the returned
-        mapping always covers every item of every unit.
+        Deals from one queue, largest unit first, to whichever worker is
+        idle, then waits on pipes, sentinels and the nearest wall-clock
+        expiry; failures re-enter the front of the queue via the retry →
+        split → quarantine ladder, so the returned mapping always covers
+        every item of every unit.
         """
         if not self._workers:
             raise ServiceError("the supervised pool is closed")
         results: dict[int, str] = {}
-        queue: deque[WorkUnit] = deque()  # the shared (unpinned + retry) queue
-        pinned: dict[int, deque[WorkUnit]] = {w.index: deque() for w in self._workers}
-        for unit in sorted(units, key=lambda unit: len(unit.items), reverse=True):
-            if unit.preferred is not None:
-                pinned[unit.preferred % len(self._workers)].append(unit)
-            else:
-                queue.append(unit)
-
-        def take_for(worker: _WorkerHandle) -> Optional[WorkUnit]:
-            own = pinned[worker.index]
-            if own:
-                return own.popleft()
-            if queue:
-                return queue.popleft()
-            longest = max(pinned.values(), key=len)
-            if longest:
-                return longest.popleft()
-            return None
-
+        queue: deque[WorkUnit] = deque(sorted(units, key=len, reverse=True))
         next_seq = 0
-        while (
-            queue
-            or any(pinned.values())
-            or any(worker.unit is not None for worker in self._workers)
-        ):
+        while queue or any(worker.unit is not None for worker in self._workers):
             for worker in self._workers:
-                if worker.unit is None:
-                    unit = take_for(worker)
-                    if unit is not None:
-                        self._dispatch(worker, unit, next_seq, results, queue)
-                        next_seq += 1
+                if worker.unit is None and queue:
+                    self._dispatch(worker, queue.popleft(), next_seq, results, queue)
+                    next_seq += 1
             busy = [worker for worker in self._workers if worker.unit is not None]
             if not busy:
                 continue

@@ -249,7 +249,7 @@ def zipf_multitenant_requests(
     that tenant's pool, re-stamped with a fresh stream id ``q0, q1, ...`` —
     so hot tenants naturally repeat identical cacheable requests while the
     cold tail barely re-asks anything.  That is exactly the EXP-TEN traffic
-    shape: a consistently-hashed shared cache should answer the head
+    shape: a parent-side shared cache should answer the head
     parent-side while per-worker islands keep recomputing it.
 
     ``request_kwargs`` are forwarded to :func:`random_service_requests`

@@ -42,7 +42,6 @@ class TestValidation:
             ({"queue_limit": 0}, "queue_limit"),
             ({"overload": "explode"}, "overload"),
             ({"port": 70000}, "port"),
-            ({"stats_window": 0}, "stats_window"),
         ],
     )
     def test_invalid_values_are_rejected_with_named_errors(self, kwargs, needle):

@@ -13,7 +13,7 @@ import pytest
 
 from repro.dependencies.pd import PartitionDependency
 from repro.errors import ServiceError
-from repro.service.microbatch import MicroBatcher, percentile
+from repro.service.microbatch import STATS_WINDOW, MicroBatcher, MicroBatchStats, Ticket, percentile
 from repro.service.session import Session
 from repro.service.wire import QueryRequest, QueryResult
 
@@ -279,6 +279,20 @@ class TestAccounting:
         stamp, stamp_again, snapshot = run(scenario())
         assert stamp == stamp_again
         assert snapshot["latency_ms"]["total"]["samples"] == 1
+
+    def test_latency_reservoirs_keep_the_most_recent_stats_window_samples(self):
+        stats = MicroBatchStats(max_batch=4)
+        for number in range(STATS_WINDOW + 10):
+            ticket = Ticket(_request(number), None, stats)
+            ticket.window_closed_at = ticket.planned_at = ticket.enqueued_at + 0.001
+            ticket.executed_at = ticket.planned_at + 0.002
+            ticket.responded_at = ticket.executed_at + (0.5 if number < 10 else 0.003)
+            stats.record_ticket(ticket)
+        latency = stats.snapshot()["latency_ms"]
+        for stage in ("total", "queue_wait", "execute", "respond"):
+            assert latency[stage]["samples"] == STATS_WINDOW
+        # The ten slow first samples fell out of the window.
+        assert latency["respond"]["max"] < 100
 
 
 class TestRealPipeline:

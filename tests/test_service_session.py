@@ -182,6 +182,15 @@ class TestResultCache:
             session.execute(QueryRequest(kind="implies", query=_pd(f"A = A*{name}")))
         assert session.cache_info()["size"] == 3
 
+    def test_cache_info_counts_stores_and_evictions(self):
+        session = Session(GAMMA, result_cache_size=2)
+        for name in ("D", "E", "F"):
+            session.execute(QueryRequest(kind="implies", query=_pd(f"A = A*{name}")))
+        info = session.cache_info()
+        assert info["stores"] == 3
+        assert info["evictions"] == 1
+        assert info["size"] == 2
+
 
 class TestSharedArtifacts:
     def test_base_context_artifacts_are_shared_between_queries(self, session, chain_database):

@@ -285,6 +285,17 @@ class TestRestoredSessionEquivalence:
         assert restored.cache_info()["size"] == 5
         assert restored.cache_info()["maxsize"] == 5
 
+    def test_restoring_into_a_zero_size_cache_keeps_no_entries(self):
+        warm = Session(["A = A*B"])
+        stream = _mixed_stream(30, seed=51)
+        warm.execute_many(stream)
+        snapshot = dump_snapshot(warm)
+        assert decode_snapshot(snapshot)["results"]
+        restored = restore_session(snapshot, result_cache_size=0)
+        assert restored.cache_info()["size"] == 0
+        assert decode_snapshot(dump_snapshot(restored))["results"] == []
+        assert not any(result.cached for result in restored.execute_many(stream))
+
 
 class TestShardedRestore:
     def test_two_shard_executor_restores_byte_identically(self, acceptance_stream, expected_lines):

@@ -1,4 +1,4 @@
-"""Multi-tenant keyspaces: wire v3, tenant isolation, the shared cache, and the ring.
+"""Multi-tenant keyspaces: wire v3, tenant isolation, and the shared cache tier.
 
 The tenancy invariants PR 9 pins:
 
@@ -9,9 +9,8 @@ The tenancy invariants PR 9 pins:
 * per-tenant Γ is isolated — growing tenant A's theory invalidates only A's
   Γ-dependent result entries (pinned by ``cache_info`` counters, not vibes);
 * snapshots round-trip the whole tenant keyspace byte-identically;
-* the parent-side :class:`SharedResultCache` and :class:`ConsistentHashRing`
-  behave: LRU accounting, tenant-scoped invalidation, deterministic and
-  balanced shard assignment;
+* the :class:`ResultCache` every tier uses behaves: LRU accounting,
+  tenant-scoped invalidation, per-tenant counters that add up to the totals;
 * the 2-shard executor answers repeats parent-side, byte-identical to the
   cacheless path, and the server's stats/health expose the tier rates.
 """
@@ -25,7 +24,8 @@ from repro.dependencies.pd import PartitionDependency
 from repro.errors import ServiceError
 from repro.service.config import ServiceConfig
 from repro.service.executor import ShardExecutor
-from repro.service.result_cache import ConsistentHashRing, SharedResultCache
+from repro.service.result_cache import ResultCache as SharedResultCache
+from repro.service.result_cache import gamma_dependent
 from repro.service.server import QueryServer
 from repro.service.session import Session
 from repro.service.snapshot import dump_snapshot, restore_session
@@ -249,37 +249,58 @@ class TestSharedResultCache:
         cache.store("k", self._result())
         assert len(cache) == 0 and cache.lookup("k", None) is None
 
+    def test_seed_entries_keep_the_most_recent_maxsize(self):
+        seed = [(key, (False, None, self._result())) for key in ("a", "b", "c")]
+        cache = SharedResultCache(maxsize=2, entries=seed)
+        assert [key for key, _ in cache.entries()] == ["b", "c"]
+        assert cache.lookup("a", None) is None and cache.lookup("c", "q1").id == "q1"
+        assert len(SharedResultCache(maxsize=0, entries=seed)) == 0
 
-class TestConsistentHashRing:
-    def test_assignment_is_deterministic_and_total(self):
-        ring = ConsistentHashRing(shards=3)
-        keys = [f"key-{i}" for i in range(300)]
-        owners = [ring.shard_for(key) for key in keys]
-        assert owners == [ConsistentHashRing(shards=3).shard_for(key) for key in keys]
-        assert set(owners) == {0, 1, 2}
-
-    def test_load_is_roughly_balanced(self):
-        ring = ConsistentHashRing(shards=2)
-        owners = [ring.shard_for(f"key-{i}") for i in range(1000)]
-        share = owners.count(0) / len(owners)
-        assert 0.3 < share < 0.7
-
-    def test_growing_the_ring_moves_few_keys(self):
-        keys = [f"key-{i}" for i in range(1000)]
-        before = ConsistentHashRing(shards=3)
-        after = ConsistentHashRing(shards=4)
-        moved = sum(
-            1
-            for key in keys
-            if before.shard_for(key) != after.shard_for(key) and after.shard_for(key) != 3
+    def test_only_base_gamma_requests_are_gamma_dependent(self):
+        assert gamma_dependent(_implies("A = A*B"))
+        assert gamma_dependent(_implies("A = A*B", tenant="acme"))
+        assert not gamma_dependent(
+            QueryRequest(kind="implies", dependencies=(_pd("A = A*B"),), query=_pd("A = A*B"))
         )
-        # Consistent hashing's point: keys either stay put or move to the new
-        # shard — cross-moves between surviving shards are rare.
-        assert moved / len(keys) < 0.15
+        assert not gamma_dependent(QueryRequest(kind="fd_implies", fds=(), target=None))
 
-    def test_invalid_shapes_are_rejected(self):
-        with pytest.raises(ServiceError):
-            ConsistentHashRing(shards=0)
+
+def _assert_per_tenant_adds_up(info):
+    per_tenant = info["per_tenant"]
+    assert list(per_tenant) == sorted(per_tenant)
+    assert sum(traffic["hits"] for traffic in per_tenant.values()) == info["hits"]
+    assert sum(traffic["misses"] for traffic in per_tenant.values()) == info["misses"]
+
+
+class TestPerTenantCountersAddUp:
+    """A tenant named ``"default"`` shares the default tenant's label; the
+    per-tenant breakdown must sum the two, not let one overwrite the other."""
+
+    def test_session_tier(self):
+        session = Session(["A = A*B"])
+        session.implies("A = A*B")
+        session.implies("A = A*B", tenant="default")
+        session.implies("A = A*B", tenant="default")
+        info = session.cache_info()
+        assert (info["hits"], info["misses"]) == (1, 2)
+        assert info["per_tenant"] == {"default": {"hits": 1, "misses": 2}}
+        _assert_per_tenant_adds_up(info)
+
+    def test_shared_tier(self):
+        cache = SharedResultCache(maxsize=8)
+        unnamed, named = _implies("A = A*B"), _implies("A = A*B", tenant="default")
+        result = QueryResult(kind="implies", ok=True, value={"implied": True})
+        cache.lookup(request_cache_key(unnamed), None, tenant=None)
+        cache.lookup(request_cache_key(named), None, tenant="default")
+        cache.store(request_cache_key(named), result, tenant="default")
+        cache.lookup(request_cache_key(named), None, tenant="default")
+        for tenant in ("zeta", "alpha"):
+            cache.lookup(request_cache_key(_implies("A = A*B", tenant=tenant)), None, tenant=tenant)
+        info = cache.info()
+        assert (info["hits"], info["misses"]) == (1, 4)
+        assert info["per_tenant"]["default"] == {"hits": 1, "misses": 2}
+        assert list(info["per_tenant"]) == ["alpha", "default", "zeta"]
+        _assert_per_tenant_adds_up(info)
 
 
 def _answer_lines(executor, requests):
@@ -300,7 +321,6 @@ class TestExecutorSharedCache:
             info = executor.shared_cache_info()
         assert first == expected
         assert again == expected
-        assert info["ring_shards"] == 2
         # Pass 1 probes all miss (the probe runs before any compute), every
         # reassembled line is published; pass 2 is answered entirely tier-0.
         assert info["size"] == 5  # 5 distinct (tenant, question) slots
@@ -317,7 +337,6 @@ class TestExecutorSharedCache:
             executor.execute_many(stream)
             info = executor.shared_cache_info()
             supervision = executor.supervision_stats()
-        assert info["ring_shards"] == 0
         assert info["hits"] == 0 and info["misses"] == 0
         # Repeats still hit somewhere: the per-worker tier-2 sessions.
         assert supervision["worker_cache_hits"] == len(stream)
