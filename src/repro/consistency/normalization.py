@@ -12,9 +12,16 @@ universe:
    ``A·B ≤ C``; ``C = A+B`` becomes ``A ≤ C``, ``B ≤ C`` and the *sum PD*
    ``C ≤ A+B`` (the only non-functional survivor).
 3. **Closure** (``E⁺``): add every consequence of the form ``A ≤ B`` between
-   attributes of the extended universe (computed with ALG), and drop any sum
-   PD ``C ≤ A+B`` for which ``A ≤ B`` or ``B ≤ A`` is already a consequence
-   (it is then subsumed by ``C ≤ B`` resp. ``C ≤ A``).
+   attributes of the extended universe, and drop any sum PD ``C ≤ A+B`` for
+   which ``A ≤ B`` or ``B ≤ A`` is already a consequence (it is then
+   subsumed by ``C ≤ B`` resp. ``C ≤ A``).  The fresh attributes only name
+   subexpressions of ``E``, so ``E ∪ E'`` is a definitional extension of
+   ``E``: with ``σ`` mapping each fresh attribute to the subexpression it
+   names (and every original attribute to itself), ``A ≤_{E∪E'} B`` iff
+   ``σ(A) ≤_E σ(B)``.  The step therefore asks ALG over ``E`` alone — one
+   row read per attribute on an :class:`~repro.implication.alg.ImplicationEngine`
+   whose index already holds every ``σ(A)`` as a vertex — and never closes
+   ``E ∪ E'``.  A caller holding a warm engine over ``E`` passes it in.
 
 The result is an :class:`NormalizedDependencies` value carrying the FPD part
 ``F`` (as FDs, ready for the chase) and the surviving sum PDs.  Lemma 12.1
@@ -27,6 +34,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.dependencies.pd import PartitionDependency, PartitionDependencyLike, as_partition_dependency
 from repro.errors import ConsistencyError
@@ -179,69 +187,80 @@ def binarize(
 
 def normalize_dependencies(
     dependencies: Sequence[PartitionDependencyLike],
+    engine: Optional[ImplicationEngine] = None,
 ) -> NormalizedDependencies:
-    """Run the full §6.2 normalization pipeline on a PD set."""
+    """Run the full §6.2 normalization pipeline on a PD set.
+
+    ``engine`` answers the closure step's ``≤_E`` questions; it must reason
+    over exactly ``dependencies`` (a mismatch raises :class:`ValueError`).
+    Passing a warm one — a session's index, kept alive across writes —
+    makes the step a handful of row reads.  Without it an engine over ``E``
+    is built here.
+    """
     pds = [as_partition_dependency(pd) for pd in dependencies]
+    if engine is None:
+        engine = ImplicationEngine(pds)
+    elif set(engine.dependencies) != set(pds):
+        raise ValueError(
+            "the implication engine was built over a different PD set than the one being normalized"
+        )
     equations, aliases, fresh = binarize(pds)
+    universe: set[Attribute] = set(fresh)
+    for pd in pds:
+        universe |= set(pd.attributes)
+    names = sorted(universe)
+    # One AttributeSet per name, shared by every unary FD below.
+    single = {name: AttributeSet([name]) for name in names}
 
     # Step 2: re-express everything as FPDs (i.e. FDs) plus sum constraints.
     fds: list[FunctionalDependency] = []
     sum_constraints: list[SumConstraint] = []
-    binary_pds: list[PartitionDependency] = []
-
     for left, right in aliases:
-        fds.append(FunctionalDependency([left], [right]))
-        fds.append(FunctionalDependency([right], [left]))
-        binary_pds.append(PartitionDependency(Attr(left), Attr(right)))
+        fds.append(FunctionalDependency(single[left], single[right]))
+        fds.append(FunctionalDependency(single[right], single[left]))
+    # σ: each fresh attribute -> the (hash-consed) subexpression of E it names.
+    # Equations come children first, so operands are always resolved already.
+    sigma: dict[Attribute, PartitionExpression] = {}
     for op, c, a, b in equations:
+        left = sigma[a] if a in sigma else Attr(a)
+        right = sigma[b] if b in sigma else Attr(b)
         if op == "*":
             # C = A·B  ⇔  C ≤ A·B  and  A·B ≤ C.
-            fds.append(FunctionalDependency([c], [a, b]))
-            fds.append(FunctionalDependency([a, b], [c]))
-            binary_pds.append(PartitionDependency(Attr(c), Product(Attr(a), Attr(b))))
+            fds.append(FunctionalDependency(single[c], [a, b]))
+            fds.append(FunctionalDependency([a, b], single[c]))
+            sigma[c] = Product(left, right)
         else:
             # C = A+B  ⇔  A ≤ C, B ≤ C and C ≤ A+B.
-            fds.append(FunctionalDependency([a], [c]))
-            fds.append(FunctionalDependency([b], [c]))
+            fds.append(FunctionalDependency(single[a], single[c]))
+            fds.append(FunctionalDependency(single[b], single[c]))
             sum_constraints.append(SumConstraint(c, a, b))
-            binary_pds.append(PartitionDependency(Attr(c), Sum(Attr(a), Attr(b))))
+            sigma[c] = Sum(left, right)
 
-    # Step 3: close under A ≤ B consequences (computed against the *original*
-    # PDs plus the binary equations, which are equivalent over the extended
-    # universe) and prune subsumed sum constraints.  The engine is the
-    # incremental ALG service: one closure over E ∪ E' answers all |U'|²
-    # attribute-order queries.
-    universe: set[Attribute] = set(fresh)
-    for pd in pds:
-        universe |= set(pd.attributes)
-    engine = ImplicationEngine(list(pds) + binary_pds)
-    closure_pairs = engine.attribute_order_consequences(universe)
+    # Step 3: A ≤_{E∪E'} B iff σ(A) ≤_E σ(B), read off E's rows in the
+    # row-major order of the sorted universe.
+    images = [sigma[name] if name in sigma else Attr(name) for name in names]
+    closure_pairs = [(names[i], names[j]) for i, j in engine.leq_pairs(images)]
     for a, b in closure_pairs:
-        fds.append(FunctionalDependency([a], [b]))
+        fds.append(FunctionalDependency(single[a], single[b]))
 
+    # Prune subsumed sum constraints: with A ≤ B, C ≤ A+B reduces to C ≤ B
+    # (resp. C ≤ A when B ≤ A), an FD the closure pairs above already hold.
     order = set(closure_pairs)
-    surviving: list[SumConstraint] = []
-    for constraint in sum_constraints:
-        if (constraint.a, constraint.b) in order:
-            # A ≤ B, so C ≤ A+B is subsumed by C ≤ B (already an FD via closure? add it).
-            fds.append(FunctionalDependency([constraint.c], [constraint.b]))
-            continue
-        if (constraint.b, constraint.a) in order:
-            fds.append(FunctionalDependency([constraint.c], [constraint.a]))
-            continue
-        surviving.append(constraint)
+    surviving = [
+        constraint
+        for constraint in sum_constraints
+        if (constraint.a, constraint.b) not in order and (constraint.b, constraint.a) not in order
+    ]
 
-    # Deduplicate FDs while preserving order.
-    unique_fds = list(dict.fromkeys(fds))
-    # Drop trivial FDs (X -> X).
-    unique_fds = [fd for fd in unique_fds if not fd.is_trivial()]
+    # Deduplicate FDs while preserving order, then drop trivial ones (X -> X).
+    unique_fds = [fd for fd in dict.fromkeys(fds) if not fd.is_trivial()]
 
     return NormalizedDependencies(
         original=pds,
         fds=unique_fds,
         sum_constraints=surviving,
         fresh_attributes=list(fresh),
-        attribute_closure_pairs=sorted(closure_pairs),
+        attribute_closure_pairs=closure_pairs,
     )
 
 

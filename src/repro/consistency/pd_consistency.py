@@ -8,9 +8,13 @@ The pipeline, following §6.2:
 
 1. normalize ``E`` (binarize, re-express, close, prune) into an FD set ``F``
    over an extended universe plus surviving sum constraints ``C ≤ A+B``
-   (:mod:`repro.consistency.normalization`);
+   (:mod:`repro.consistency.normalization`); the closure step asks ALG over
+   ``E`` itself, on a caller's warm engine when one is at hand;
 2. by Lemma 12.1, ``d`` has a weak instance satisfying ``E⁺`` iff it has one
-   satisfying ``F`` alone, so run Honeyman's chase on ``(d, F)``;
+   satisfying ``F`` alone, so run Honeyman's chase on ``(d, F)``.  A column
+   of ``d`` that happens to share its name with one of the fresh attributes
+   invented in step 1 is renamed for the chase, since ``E`` says nothing
+   about it;
 3. report the verdict; on success also construct a witness interpretation
    ``I(w)`` from the chased weak instance (per Theorem 7's proof).
 
@@ -27,14 +31,14 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.consistency.normalization import NormalizedDependencies, SumConstraint, normalize_dependencies
 from repro.dependencies.pd import PartitionDependencyLike, as_partition_dependency
 from repro.partitions.canonical import canonical_interpretation
 from repro.partitions.interpretation import PartitionInterpretation
-from repro.relational.attributes import AttributeSet
+from repro.relational.attributes import Attribute, AttributeSet
 from repro.relational.chase_engine import ChaseEngine
 from repro.relational.database import Database
 from repro.relational.functional_dependencies import closure
@@ -52,6 +56,10 @@ class PdConsistencyResult:
     ``normalized`` — the normalization artifacts (FD set ``F``, sum constraints, closure pairs);
     ``weak_instance`` — a weak instance for ``d`` satisfying ``F`` (when consistent);
     ``interpretation`` — ``I(w)`` for that weak instance (satisfies ``d`` and ``F``).
+
+    A fresh attribute of ``F`` that shares its name with a column of ``d``
+    appears in ``weak_instance`` under a primed name (``Z1'``), so every
+    column of ``d`` keeps its own name and values.
     """
 
     consistent: bool
@@ -70,20 +78,63 @@ def pd_consistency(
     """Theorem 12: polynomial-time consistency of ``(d, E)`` for an arbitrary PD set ``E``.
 
     The chase of step 2 runs on the indexed
-    :class:`~repro.relational.chase_engine.ChaseEngine`.  Callers holding the
-    step-1 artifacts already (from :func:`normalize_dependencies`) can pass
-    ``normalized`` to skip re-normalizing — the ALG implication work of the
-    closure step is then paid once for any number of calls; a prebuilt
-    ``engine`` (from :func:`pd_chase_engine`) additionally skips the chase
-    engine's own FD preprocessing.  :func:`pd_consistency_many` wires both up
-    for a batch of databases.
+    :class:`~repro.relational.chase_engine.ChaseEngine`, one bucket index
+    per left-hand side of ``F``.  Callers holding the step-1 artifacts
+    already (from :func:`normalize_dependencies`, which reads its closure
+    step off an ALG engine over ``E`` — a warm one if the caller passes it)
+    can pass ``normalized`` to skip re-normalizing; a prebuilt ``engine``
+    (from :func:`pd_chase_engine`) additionally skips the chase engine's own
+    FD preprocessing.  :func:`pd_consistency_many` wires both up for a batch
+    of databases.  Database columns named like a fresh attribute of ``F``
+    are renamed for the chase (see :class:`PdConsistencyResult`).
     """
     if normalized is None:
         normalized = normalize_dependencies([as_partition_dependency(pd) for pd in dependencies])
     if engine is None:
         engine = ChaseEngine(normalized.fds)
+    database, renaming = _rename_fresh_collisions(database, normalized)
     chase_result = weak_instance_consistency(database, normalized.fds, engine=engine)
+    if renaming and chase_result.consistent:
+        chase_result = replace(chase_result, witness=_swap_back(chase_result.witness, renaming))
     return _result_from_chase(normalized, chase_result)
+
+
+def _rename_fresh_collisions(
+    database: Database, normalized: NormalizedDependencies
+) -> tuple[Database, dict[Attribute, Attribute]]:
+    """Rename the columns of ``database`` named like a fresh attribute of ``F``.
+
+    Returns the database to chase and the renaming ``{column: new name}``
+    (empty, with the database itself, when nothing collides).  New names add
+    primes until they are unused by the database and by ``F``.
+    """
+    universe = database.universe
+    colliding = [attribute for attribute in normalized.fresh_attributes if attribute in universe]
+    if not colliding:
+        return database, {}
+    taken = set(universe) | set(normalized.universe)
+    renaming: dict[Attribute, Attribute] = {}
+    for attribute in colliding:
+        candidate = attribute + "'"
+        while candidate in taken:
+            candidate += "'"
+        taken.add(candidate)
+        renaming[attribute] = candidate
+    relations = []
+    for relation in database:
+        mapping = {old: new for old, new in renaming.items() if old in relation.attributes}
+        relations.append(relation.rename_attributes(mapping, name=relation.name) if mapping else relation)
+    return Database(relations), renaming
+
+
+def _swap_back(witness: Relation, renaming: dict[Attribute, Attribute]) -> Relation:
+    """Give the database's columns their names back; the fresh attributes take the primed ones.
+
+    Every fresh attribute occurs in some FD of ``F``, so the witness has both columns of each pair.
+    """
+    swap = dict(renaming)
+    swap.update((new, old) for old, new in renaming.items())
+    return witness.rename_attributes(swap, name=witness.name)
 
 
 def _result_from_chase(
@@ -105,8 +156,8 @@ def pd_consistency_many(
 ) -> list[PdConsistencyResult]:
     """Theorem 12 over a batch of databases sharing one PD set.
 
-    Normalization (step 1 — binarize, re-express, run one incremental ALG
-    engine for the closure, prune) and the chase-engine preprocessing both
+    Normalization (step 1 — binarize, re-express, read the closure off one
+    ALG engine over ``E``, prune) and the chase-engine preprocessing both
     depend only on ``E``, so the batch pays them once instead of once per
     database; only the chase itself (step 2) runs per database.  Results
     match per-database :func:`pd_consistency` exactly.

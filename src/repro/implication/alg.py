@@ -332,6 +332,23 @@ class ImplicationEngine:
         relation = self._ensure([p, q])
         return relation.has(relation.index[p], relation.index[q])
 
+    def leq_pairs(self, expressions: Iterable[ExpressionLike]) -> list[tuple[int, int]]:
+        """Position pairs ``(i, j)``, ``i ≠ j``, with ``expressions[i] ≤_E expressions[j]``.
+
+        Row-major order.  Delegates to :meth:`ImplicationIndex.leq_pairs`
+        (one row read per expression); naive engines run the ``leq`` loop.
+        """
+        exprs = [as_expression(e) for e in expressions]
+        if self._index is not None:
+            return self._index.leq_pairs(exprs)
+        self.prepare(exprs)
+        return [
+            (i, j)
+            for i, left in enumerate(exprs)
+            for j, right in enumerate(exprs)
+            if i != j and self.leq(left, right)
+        ]
+
     def class_id(self, expression: ExpressionLike) -> Optional[int]:
         """The ``=_E`` congruence-class id of an expression, or ``None`` on naive engines.
 
@@ -359,18 +376,12 @@ class ImplicationEngine:
     ) -> list[tuple[str, str]]:
         """All consequences of the form ``A ≤ B`` between the given attributes.
 
-        This is the closure step of the Theorem 12 consistency test.  The
-        reflexive pairs ``A ≤ A`` are omitted.
+        The reflexive pairs ``A ≤ A`` are omitted; pairs come sorted.  The
+        Theorem 12 closure step asks the same question over its extended
+        universe (:func:`repro.consistency.normalization.normalize_dependencies`).
         """
         names = sorted(set(attributes))
-        exprs = [Attr(name) for name in names]
-        self.prepare(exprs)
-        result: list[tuple[str, str]] = []
-        for a in names:
-            for b in names:
-                if a != b and self.leq(Attr(a), Attr(b)):
-                    result.append((a, b))
-        return result
+        return [(names[i], names[j]) for i, j in self.leq_pairs(Attr(name) for name in names)]
 
 
 def pd_leq(

@@ -47,7 +47,7 @@ is exactly the monotone shape of ALG (rules only ever insert arcs).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from repro.deadline import active_deadlines, check_deadline
 from repro.dependencies.pd import (
@@ -171,6 +171,28 @@ class ImplicationIndex:
         q = self._register(as_expression(right))
         self._drain()
         return bool(self._up[p] >> q & 1)
+
+    def leq_pairs(self, expressions: Sequence[ExpressionLike]) -> list[tuple[int, int]]:
+        """Position pairs ``(i, j)``, ``i ≠ j``, with ``expressions[i] ≤_E expressions[j]``.
+
+        Pairs come in row-major order.  Each expression costs one ``up``-row
+        read, masked down to the vertices of the list, instead of one
+        :meth:`leq` per pair.  Repeated expressions share a vertex, so each
+        copy lies below the other.  Unregistered expressions are registered
+        first, as :meth:`leq` does.
+        """
+        vids = [self._register(as_expression(raw)) for raw in expressions]
+        self._drain()
+        positions: dict[int, list[int]] = {}
+        for position, vid in enumerate(vids):
+            positions.setdefault(vid, []).append(position)
+        mask = sum(1 << vid for vid in positions)
+        up = self._up
+        pairs: list[tuple[int, int]] = []
+        for i, vid in enumerate(vids):
+            above = sorted(j for target in _bits(up[vid] & mask) for j in positions[target])
+            pairs.extend((i, j) for j in above if j != i)
+        return pairs
 
     def has_arc(self, left: ExpressionLike, right: ExpressionLike) -> bool:
         """``left ≤_E right`` for already-registered expressions (no new vertices).

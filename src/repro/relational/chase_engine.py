@@ -9,16 +9,21 @@ pipelines and every EXP-WI/EXP-T12 benchmark all sit on top of it.
 
 :class:`ChaseEngine` replaces the restart loop with incremental state built
 around one observation: *rows never leave a chase bucket*.  A bucket is the
-set of rows currently agreeing on an FD's left-hand side; merges only coarsen
+set of rows currently agreeing on a left-hand side; merges only coarsen
 value classes, and they coarsen every row of a bucket identically, so bucket
 membership is monotone and a bucket never needs more than a single *witness*
-row (each row is equated with the witness on the FD's right-hand side when it
-joins, and union-find transitivity keeps the whole bucket equated).  The
-engine therefore maintains:
+row (each row is equated with the witness on the right-hand side when it
+joins, and union-find transitivity keeps the whole bucket equated).
 
-* **per-FD hash indexes** mapping a left-hand-side key tuple (current
+FDs sharing a left-hand side share their buckets: ``X → Y₁, …, X → Yₖ`` is
+chased as the one FD ``X → Y₁ ∪ … ∪ Yₖ``, so a row is keyed on ``X`` once,
+not once per FD.  The Theorem 12 normalization emits hundreds of unary FDs
+over far fewer left-hand sides, which is exactly this shape.  The engine
+therefore maintains:
+
+* **per-LHS hash indexes** mapping a left-hand-side key tuple (current
   representatives of the LHS cells) to the bucket's witness row;
-* an **occurrence index** from each representative to the ``(fd, key)``
+* an **occurrence index** from each representative to the ``(lhs, key)``
   buckets whose key mentions it — the only buckets a merge can dirty;
 * a **worklist of merge events** fed by the tableau's merge-event hook
   (:meth:`Tableau.add_merge_listener`): when ``loser`` is absorbed into
@@ -26,12 +31,12 @@ engine therefore maintains:
   two buckets whose keys coarsen together merge by equating their witnesses —
   one equate per bucket pair instead of one per row.
 
-The engine is constructed once per FD set, so the per-FD preprocessing
-(sorted LHS/RHS tuples, the extended universe) is amortized across every
-chase issued against it — :func:`repro.consistency.pd_consistency.pd_consistency`
-and the benchmark sweeps chase many databases against one normalized FD set,
-which is exactly this shape.  :meth:`ChaseEngine.chase_many` batches that
-pattern.
+The engine is constructed once per FD set, so the preprocessing (grouping by
+left-hand side, sorted LHS/RHS tuples, the extended universe) is amortized
+across every chase issued against it —
+:func:`repro.consistency.pd_consistency.pd_consistency` and the benchmark
+sweeps chase many databases against one normalized FD set, which is exactly
+this shape.  :meth:`ChaseEngine.chase_many` batches that pattern.
 
 The engine and the naive chase produce *identical* chased tableaux: the FD
 chase is Church–Rosser (the final partition of tableau values is the unique
@@ -59,23 +64,42 @@ from repro.relational.functional_dependencies import FunctionalDependency
 class ChaseEngine:
     """A reusable, indexed chase engine for a fixed set of FDs.
 
-    Construction preprocesses the FD set; :meth:`chase` runs the delta-driven
-    fixpoint on a tableau, :meth:`chase_database` builds the representative
-    instance first (extending the universe with FD-only attributes, exactly
-    like :func:`repro.relational.chase.chase_database`), and
-    :meth:`chase_many` amortizes both over a batch of databases.
+    Construction groups the FDs by left-hand side, one bucket index per
+    group, equated on the union of the group's right-hand sides;
+    :meth:`chase` runs the delta-driven fixpoint on a tableau,
+    :meth:`chase_database` builds the representative instance first
+    (extending the universe with FD-only attributes, exactly like
+    :func:`repro.relational.chase.chase_database`), and :meth:`chase_many`
+    amortizes both over a batch of databases.  On a constant clash the
+    reported violation is the first FD of the clashing group whose
+    right-hand side holds the clashing attribute.
     """
 
     def __init__(self, fds: Iterable[FunctionalDependency]) -> None:
         self._fds: list[FunctionalDependency] = list(fds)
-        self._lhs: list[tuple[Attribute, ...]] = [tuple(fd.lhs.sorted()) for fd in self._fds]
-        self._rhs: list[tuple[Attribute, ...]] = [tuple(fd.rhs.sorted()) for fd in self._fds]
-        self._fd_attributes = AttributeSet(a for fd in self._fds for a in fd.attributes)
+        group_of: dict[AttributeSet, int] = {}
+        self._members: list[list[FunctionalDependency]] = []
+        rhs_sets: list[set[Attribute]] = []
+        for fd in self._fds:
+            group = group_of.get(fd.lhs)
+            if group is None:
+                group = group_of[fd.lhs] = len(self._members)
+                self._members.append([])
+                rhs_sets.append(set())
+            self._members[group].append(fd)
+            rhs_sets[group] |= fd.rhs
+        self._lhs: list[tuple[Attribute, ...]] = [tuple(sorted(lhs)) for lhs in group_of]
+        self._rhs: list[tuple[Attribute, ...]] = [tuple(sorted(rhs)) for rhs in rhs_sets]
+        self._fd_attributes = AttributeSet(frozenset().union(*group_of, *rhs_sets))
 
     @property
     def fds(self) -> list[FunctionalDependency]:
         """The FD set this engine chases with."""
         return list(self._fds)
+
+    def _violated(self, group: int, attribute: Attribute) -> FunctionalDependency:
+        """The first FD of ``group`` whose right-hand side holds ``attribute``."""
+        return next(fd for fd in self._members[group] if attribute in fd.rhs)
 
     def chase(self, tableau: Tableau) -> ChaseResult:
         """Chase ``tableau`` to fixpoint with the engine's FDs.
@@ -107,12 +131,12 @@ class _ChaseRun:
     def __init__(self, engine: ChaseEngine, tableau: Tableau) -> None:
         self._engine = engine
         self._tableau = tableau
-        # Per-FD: LHS key -> witness row index for that bucket.
-        self._buckets: list[dict[_Key, int]] = [{} for _ in engine._fds]
-        # representative -> {(fd_index, key): None} for buckets keyed through it.
+        # Per LHS group: LHS key -> witness row index for that bucket.
+        self._buckets: list[dict[_Key, int]] = [{} for _ in engine._lhs]
+        # representative -> {(group, key): None} for buckets keyed through it.
         # Inner dicts give insertion-ordered, duplicate-free iteration, keeping
         # the run deterministic without any sorting.  Entries are retired
-        # lazily: a (fd, key) pair whose bucket has since been re-keyed is
+        # lazily: a (group, key) pair whose bucket has since been re-keyed is
         # skipped when encountered (its key can never be re-filed, since dead
         # representatives never reappear in fresh keys).
         self._occurrences: dict[TableauValue, dict[tuple[int, _Key], None]] = {}
@@ -124,7 +148,7 @@ class _ChaseRun:
     def _on_merge(self, winner: TableauValue, loser: TableauValue) -> None:
         self._merges.append((winner, loser))
 
-    def _register(self, fd_index: int, key: _Key) -> None:
+    def _register(self, group: int, key: _Key) -> None:
         """Index a bucket's key under each null representative it mentions.
 
         Constants are skipped: they always win representative election (and a
@@ -132,7 +156,7 @@ class _ChaseRun:
         component can never be the ``loser`` that :meth:`_drain` pops.
         """
         occurrences = self._occurrences
-        entry = (fd_index, key)
+        entry = (group, key)
         for component in key:
             if component.is_constant:
                 continue
@@ -157,7 +181,7 @@ class _ChaseRun:
         return ChaseResult(True, tableau, self._steps)
 
     def _build(self, raw_rows: list) -> Optional[FunctionalDependency]:
-        """File every row into its bucket once — one tight indexed pass.
+        """File every row into its bucket once — one tight indexed pass per LHS.
 
         Joining rows are equated with the bucket witness as they arrive;
         merges fired along the way queue the delta re-keys that
@@ -168,18 +192,18 @@ class _ChaseRun:
         resolve = tableau.resolve
         equate = tableau.equate
         prof = profiling.active()
-        for fd_index, lhs in enumerate(engine._lhs):
+        for group, lhs in enumerate(engine._lhs):
             if prof is not None:
                 prof.deadline_checks += 1
-            check_deadline()  # one budget check per FD pass over the rows
-            rhs = engine._rhs[fd_index]
-            buckets = self._buckets[fd_index]
+            check_deadline()  # one budget check per LHS pass over the rows
+            rhs = engine._rhs[group]
+            buckets = self._buckets[group]
             for i, raw in enumerate(raw_rows):
                 key = tuple(resolve(raw[a]) for a in lhs)
                 witness = buckets.get(key)
                 if witness is None:
                     buckets[key] = i
-                    self._register(fd_index, key)
+                    self._register(group, key)
                 else:
                     other = raw_rows[witness]
                     for b in rhs:
@@ -187,7 +211,7 @@ class _ChaseRun:
                         right = resolve(other[b])
                         if left != right:
                             if not equate(left, right):
-                                return engine._fds[fd_index]
+                                return engine._violated(group, b)
                             self._steps += 1
                             if prof is not None:
                                 prof.chase_steps += 1
@@ -217,8 +241,8 @@ class _ChaseRun:
             entries = occurrences.pop(loser, None)
             if not entries:
                 continue
-            for fd_index, key in entries:
-                buckets = self._buckets[fd_index]
+            for group, key in entries:
+                buckets = self._buckets[group]
                 witness = buckets.get(key)
                 if witness is None:
                     continue  # bucket already re-keyed under an earlier event
@@ -227,18 +251,18 @@ class _ChaseRun:
                 other = buckets.get(new_key)
                 if other is None:
                     buckets[new_key] = witness
-                    self._register(fd_index, new_key)
+                    self._register(group, new_key)
                     continue
                 # Two buckets coarsened onto one key: their rows now agree on
                 # the LHS, so equate the witnesses' RHS cells once.
                 raw = raw_rows[witness]
                 kept = raw_rows[other]
-                for b in engine._rhs[fd_index]:
+                for b in engine._rhs[group]:
                     left = resolve(raw[b])
                     right = resolve(kept[b])
                     if left != right:
                         if not equate(left, right):
-                            return engine._fds[fd_index]
+                            return engine._violated(group, b)
                         self._steps += 1
         return None
 

@@ -16,7 +16,8 @@ session owns:
   :class:`~repro.consistency.normalization.NormalizedDependencies` artifacts
   and the preprocessed :class:`~repro.relational.chase_engine.ChaseEngine`
   are built once per Γ generation and reused by every weak-instance
-  consistency query;
+  consistency query (the normalization's closure step reads that same
+  index);
 * a slice of the session's result cache, one
   :class:`~repro.service.result_cache.ResultCache` (the class every cache
   tier uses) keyed on the canonical wire bytes of each request
@@ -98,9 +99,11 @@ class DependencyContext:
 
     ``engine`` is the incremental ALG engine (the shared implication index);
     ``normalized``/``chase_engine`` are the Theorem 12 step-1 artifacts.
-    Each is constructed on first use and cached until :meth:`extend` (which
+    Each is constructed on first use and cached until :meth:`extend`, which
     resumes the engine's closure delta-wise and drops only the chase-side
-    artifacts, since those are not incremental).
+    artifacts.  Normalization reads its closure step off ``engine``, so
+    building ``normalized`` forces the engine, and re-normalizing after a
+    write costs a binarization plus row reads on the resumed index.
     """
 
     __slots__ = ("_dependencies", "_engine", "_normalized", "_chase_engine")
@@ -124,7 +127,7 @@ class DependencyContext:
     @property
     def normalized(self) -> NormalizedDependencies:
         if self._normalized is None:
-            self._normalized = normalize_dependencies(list(self._dependencies))
+            self._normalized = normalize_dependencies(list(self._dependencies), engine=self.engine)
         return self._normalized
 
     @property

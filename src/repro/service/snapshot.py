@@ -113,9 +113,11 @@ def _encode_normalized(normalized: NormalizedDependencies) -> dict:
 def _encode_tenant(context, generation: int) -> dict:
     """One named tenant's keyspace entry; unforced artifacts stay ``null``.
 
-    The export-never-computes rule holds per tenant: a tenant that has not
-    run an implication query yet snapshots ``index: null`` (and restores
-    lazy), unlike the default tenant whose engine always exists.
+    The export-never-computes rule holds per tenant: a tenant that has run
+    neither an implication query nor a weak-instance read yet snapshots
+    ``index: null`` (and restores lazy), unlike the default tenant whose
+    engine always exists.  A weak-instance read forces the index as well,
+    because normalization reads its closure step off it.
     """
     engine = context.peek_engine()
     index = engine.index if engine is not None else None

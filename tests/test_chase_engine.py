@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro.consistency.normalization import normalize_dependencies
 from repro.errors import DependencyError
 from repro.relational.chase import (
     Tableau,
@@ -28,7 +29,7 @@ from repro.relational.database import Database
 from repro.relational.functional_dependencies import FunctionalDependency, parse_fd_set
 from repro.relational.relations import Relation
 from repro.relational.weak_instance import weak_instance_consistency
-from repro.workloads.random_dependencies import random_fd_set
+from repro.workloads.random_dependencies import random_fd_set, random_pd_set
 from repro.workloads.random_relations import chained_consistent_database, random_database
 
 
@@ -285,3 +286,83 @@ class TestBatchApi:
         without = weak_instance_consistency(database, fds)
         assert with_engine.consistent == without.consistent
         assert with_engine.witness == without.witness
+
+
+def _clashing_attributes(tableau, fd):
+    """Attributes of ``fd.rhs`` on which two rows agreeing on ``fd.lhs`` hold distinct constants."""
+    rows = tableau.rows_as_values()
+    clashes = set()
+    for i, first in enumerate(rows):
+        for second in rows[i + 1 :]:
+            if all(first[a] == second[a] for a in fd.lhs):
+                clashes |= {
+                    b
+                    for b in fd.rhs
+                    if first[b].is_constant and second[b].is_constant and first[b] != second[b]
+                }
+    return clashes
+
+
+class TestOneBucketPerLeftHandSide:
+    """FDs sharing a left-hand side share one bucket index (the normalization shape)."""
+
+    def test_normalization_shaped_sets_match_naive_chase(self):
+        consistent = inconsistent = 0
+        for seed in range(120):
+            rng = random.Random(seed)
+            size = rng.randint(2, 5)
+            pds = random_pd_set(size, rng.randint(1, 4), seed=seed, max_complexity=rng.randint(1, 3))
+            fds = normalize_dependencies(pds).fds
+            database = random_database(
+                relation_count=rng.randint(1, 3),
+                universe_size=size,
+                attributes_per_relation=rng.randint(1, size),
+                tuples_per_relation=rng.randint(1, 5),
+                domain_size=rng.randint(1, 5),
+                seed=seed,
+            )
+            naive = chase_database(database, fds)
+            indexed = chase_database_indexed(database, fds)
+            assert naive.consistent == indexed.consistent, seed
+            if indexed.consistent:
+                consistent += 1
+                assert naive.tableau.rows_as_values() == indexed.tableau.rows_as_values(), seed
+                assert naive.steps == indexed.steps, seed
+            else:
+                inconsistent += 1
+                violation = indexed.violation
+                assert violation in fds, seed
+                clashes = _clashing_attributes(indexed.tableau, violation)
+                same_lhs = [fd for fd in fds if fd.lhs == violation.lhs]
+                assert any(
+                    next(fd for fd in same_lhs if b in fd.rhs) == violation for b in clashes
+                ), seed
+        assert consistent >= 20 and inconsistent >= 20, (consistent, inconsistent)
+
+    def test_many_fds_per_lhs_share_a_bucket_index(self):
+        engine = ChaseEngine(parse_fd_set(["A -> B", "C -> D", "A -> C", "A -> B", "C -> A"]))
+        assert engine._lhs == [("A",), ("C",)]
+        assert engine._rhs == [("B", "C"), ("A", "D")]
+
+    def test_clash_reports_first_fd_of_the_lhs_holding_the_attribute(self):
+        fds = parse_fd_set(["A -> B", "A -> CD", "A -> C"])
+        database = Database([Relation.from_strings("R", "ACD", ["a.c1.d", "a.c2.d"])])
+        result = chase_database_indexed(database, fds)
+        assert not result.consistent
+        assert result.violation == fds[1]
+
+    def test_clash_during_rekeying_reports_the_grouped_fd(self):
+        # The C buckets are filed first (S's C is still a null); A -> C then
+        # merges that null into c, S's bucket re-keys onto R's and the two
+        # witnesses clash on E, which only C -> E holds.
+        fds = parse_fd_set(["C -> D", "C -> E", "A -> C"])
+        database = Database(
+            [
+                Relation.from_strings("R", "AC", ["a.c"]),
+                Relation.from_strings("S", "AE", ["a.e1"]),
+                Relation.from_strings("T", "CE", ["c.e2"]),
+            ]
+        )
+        result = chase_database_indexed(database, fds)
+        assert not result.consistent
+        assert result.violation == fds[1]

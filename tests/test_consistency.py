@@ -15,7 +15,7 @@ from repro.consistency.normalization import SumConstraint
 from repro.consistency.weak_instance_fd import fd_consistency, fpd_consistency, is_fpd_consistent
 from repro.errors import ConsistencyError
 from repro.relational.database import Database
-from repro.relational.functional_dependencies import parse_fd_set
+from repro.relational.functional_dependencies import FunctionalDependency, parse_fd_set
 from repro.relational.relations import Relation
 from repro.relational.weak_instance import is_weak_instance
 
@@ -103,6 +103,30 @@ class TestTheorem12PdConsistency:
 
     def test_empty_dependency_set_always_consistent(self, consistent_database):
         assert is_pd_consistent(consistent_database, [])
+
+    def test_database_column_named_like_a_fresh_attribute_is_unconstrained(self):
+        # Binarizing A = B*C invents Z1; the database's own Z1 column must not
+        # be read as that fresh attribute (E says nothing about it).
+        def database(column):
+            rows = [{"A": "a", column: "x"}, {"A": "a", column: "y"}]
+            return Database.single(Relation.from_rows("R", ["A", column], rows))
+
+        assert "Z1" in pd_consistency(database("Q"), ["A = B*C"]).normalized.fresh_attributes
+        for column in ("Q", "Z1"):
+            result = pd_consistency(database(column), ["A = B*C"])
+            assert result.consistent, column
+            assert is_weak_instance(result.weak_instance, database(column))
+            assert len(result.weak_instance) == 2
+        # The fresh attribute keeps its FDs under a primed name in the witness.
+        witness = pd_consistency(database("Z1"), ["A = B*C"]).weak_instance
+        assert "Z1'" in witness.attributes
+        assert FunctionalDependency(["Z1'"], ["B", "C"]).is_satisfied_by(witness)
+
+    def test_colliding_column_still_chased_against_e(self):
+        # Only the name clash is removed: the A -> B part of E still bites.
+        rows = [{"A": "a", "B": "b1", "Z1": "z"}, {"A": "a", "B": "b2", "Z1": "z"}]
+        database = Database.single(Relation.from_rows("R", ["A", "B", "Z1"], rows))
+        assert not is_pd_consistent(database, ["A = A*B"])
 
 
 class TestLemma121Repair:

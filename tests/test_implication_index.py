@@ -121,6 +121,42 @@ class TestOracleAgreement:
                 assert fast.implies(query) == slow.implies(query), (trial, str(query))
 
 
+class TestLeqPairs:
+    """Row reads in bulk: ``leq_pairs`` is pairwise ``leq``, duplicates included."""
+
+    def test_matches_pairwise_leq_with_duplicates(self):
+        rng = random.Random(606)
+        for trial in range(40):
+            pds, extra = _random_case(rng)
+            index = ImplicationIndex(pds)
+            pool = [side for pd in pds for side in (pd.left, pd.right)] + extra
+            pool += [rng.choice(pool) for _ in range(3)]  # repeated expressions
+            rng.shuffle(pool)
+            expected = [
+                (i, j)
+                for i, left in enumerate(pool)
+                for j, right in enumerate(pool)
+                if i != j and index.leq(left, right)
+            ]
+            assert index.leq_pairs(pool) == expected, trial
+
+    def test_repeated_expression_lies_below_its_copy(self):
+        index = ImplicationIndex(["A = A*B"])
+        assert index.leq_pairs(["A*B", "B", "A*B"]) == [(0, 1), (0, 2), (2, 0), (2, 1)]
+
+    def test_registers_unknown_expressions_like_leq(self):
+        index = ImplicationIndex(["A = A*B"])
+        assert index.leq_pairs(["A", "B", "C"]) == [(0, 1)]
+        assert index.knows("C")
+
+    def test_naive_engine_runs_the_leq_loop(self):
+        pds = ["A = A*(B + C)", "B = B*C"]
+        pool = ["A", "B", "C", "B + C", "A"]
+        assert ImplicationEngine(pds, naive=True).leq_pairs(pool) == ImplicationEngine(
+            pds
+        ).leq_pairs(pool)
+
+
 class TestCongruenceClasses:
     def test_equation_merges_classes(self):
         index = ImplicationIndex(["A = B"])

@@ -1,16 +1,27 @@
 """Tests for repro.consistency.normalization (the §6.2 pipeline: E → E' → E⁺ → F)."""
 
+import random
+
 import pytest
 
 from repro.consistency.normalization import (
+    SumConstraint,
     binarize,
     functional_part,
     normalize_dependencies,
     validate_only_fpds,
 )
+from repro.dependencies.pd import PartitionDependency, as_partition_dependency
 from repro.errors import ConsistencyError
-from repro.implication.alg import pd_implies
+from repro.expressions.ast import Attr, Product, Sum
+from repro.implication.alg import ImplicationEngine, pd_implies
 from repro.relational.functional_dependencies import FunctionalDependency, implies
+from repro.service.session import Session
+from repro.service.snapshot import dump_snapshot, restore_session
+from repro.service.wire import QueryRequest
+from repro.workloads.random_dependencies import random_pd
+from repro.workloads.random_expressions import random_expression
+from repro.workloads.random_relations import attribute_names
 
 
 class TestBinarize:
@@ -96,6 +107,105 @@ class TestNormalizeDependencies:
             from repro.dependencies.conversion import fd_to_pd
 
             assert pd_implies(e_prime, fd_to_pd(fd)), str(fd)
+
+
+def _closure_over_e_and_e_prime(pds):
+    """The reference pipeline: steps 2-3 with ALG closing E ∪ E' over the extended universe."""
+    equations, aliases, fresh = binarize(pds)
+    fds, sums, binary_pds = [], [], []
+    for left, right in aliases:
+        fds += [FunctionalDependency([left], [right]), FunctionalDependency([right], [left])]
+        binary_pds.append(PartitionDependency(Attr(left), Attr(right)))
+    for op, c, a, b in equations:
+        if op == "*":
+            fds += [FunctionalDependency([c], [a, b]), FunctionalDependency([a, b], [c])]
+            binary_pds.append(PartitionDependency(Attr(c), Product(Attr(a), Attr(b))))
+        else:
+            fds += [FunctionalDependency([a], [c]), FunctionalDependency([b], [c])]
+            sums.append(SumConstraint(c, a, b))
+            binary_pds.append(PartitionDependency(Attr(c), Sum(Attr(a), Attr(b))))
+    universe = set(fresh).union(*(pd.attributes for pd in pds))
+    pairs = ImplicationEngine(pds + binary_pds).attribute_order_consequences(universe)
+    fds += [FunctionalDependency([a], [b]) for a, b in pairs]
+    order = set(pairs)
+    surviving = []
+    for constraint in sums:
+        if (constraint.a, constraint.b) in order:
+            fds.append(FunctionalDependency([constraint.c], [constraint.b]))
+        elif (constraint.b, constraint.a) in order:
+            fds.append(FunctionalDependency([constraint.c], [constraint.a]))
+        else:
+            surviving.append(constraint)
+    fds = [fd for fd in dict.fromkeys(fds) if not fd.is_trivial()]
+    return fds, surviving, fresh, sorted(pairs)
+
+
+def _artifacts(normalized):
+    return (
+        normalized.fds,
+        normalized.sum_constraints,
+        normalized.fresh_attributes,
+        normalized.attribute_closure_pairs,
+    )
+
+
+def _random_theory(rng):
+    universe = attribute_names(rng.randint(2, 6))
+    count = rng.randint(1, 5)
+    return [as_partition_dependency(random_pd(universe, rng, rng.randint(1, 3))) for _ in range(count)]
+
+
+class TestClosureReadOffTheIndex:
+    """Normalization over E's own index equals the E ∪ E' closure, list for list."""
+
+    def test_fresh_engine_matches_the_e_prime_closure(self):
+        for seed in range(200):
+            pds = _random_theory(random.Random(seed))
+            assert _artifacts(normalize_dependencies(pds)) == _closure_over_e_and_e_prime(pds), seed
+
+    def test_warm_and_restored_session_engines_match_the_e_prime_closure(self):
+        for seed in range(200):
+            rng = random.Random(1000 + seed)
+            pds = _random_theory(rng)
+            split = rng.randint(0, len(pds))
+            session = Session(pds[:split])
+            # Extra query vertices the normalization never asks about.
+            for _ in range(3):
+                left = random_expression(["A", "B", "C", "X"], rng, 3)
+                right = random_expression(["A", "B", "C", "X"], rng, 3)
+                session.execute(QueryRequest(kind="implies", query=PartitionDependency(left, right)))
+            session.add_dependencies(pds[split:])
+            restored = restore_session(dump_snapshot(session))
+            expected = _closure_over_e_and_e_prime(pds)
+            for warm in (session, restored):
+                context = warm.context_for(QueryRequest(kind="implies", query=pds[0]))
+                assert context.peek_normalized() is None
+                assert _artifacts(context.normalized) == expected, seed
+
+    def test_normalizing_on_a_warm_engine_registers_no_vertices(self):
+        pds = [as_partition_dependency(pd) for pd in ["A = (B + C) * D", "B = B*(A + D)"]]
+        engine = ImplicationEngine(pds)
+        before = engine.index.vertex_count
+        normalize_dependencies(pds, engine=engine)
+        assert engine.index.vertex_count == before
+
+    def test_naive_engine_gives_the_same_artifacts(self):
+        pds = [as_partition_dependency(pd) for pd in ["C = A + B", "A = A*(B + D)"]]
+        naive = ImplicationEngine(pds, naive=True)
+        assert _artifacts(normalize_dependencies(pds, engine=naive)) == _artifacts(
+            normalize_dependencies(pds)
+        )
+
+    @pytest.mark.parametrize(
+        "engine_dependencies",
+        [["A = A*B"], ["A = A*B", "B = B*C", "C = C*D"], []],
+        ids=["subset", "superset", "empty"],
+    )
+    def test_mismatched_engine_is_refused(self, engine_dependencies):
+        with pytest.raises(ValueError, match="different PD set"):
+            normalize_dependencies(
+                ["A = A*B", "B = B*C"], engine=ImplicationEngine(engine_dependencies)
+            )
 
 
 class TestValidateOnlyFpds:

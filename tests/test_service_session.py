@@ -192,6 +192,19 @@ class TestResultCache:
         assert info["size"] == 2
 
 
+class TestFreshAttributeCollisions:
+    def test_column_named_like_a_fresh_attribute_answers_like_any_other(self):
+        def database(column):
+            rows = [{"A": "a", column: "x"}, {"A": "a", column: "y"}]
+            return Database.single(Relation.from_rows("r", ["A", column], rows))
+
+        session = Session(["A = B*C"])
+        renamed = session.consistent(database("Q"))
+        colliding = session.consistent(database("Z1"))
+        assert renamed.consistent and colliding.consistent
+        assert colliding.witness_rows == renamed.witness_rows == 2
+
+
 class TestSharedArtifacts:
     def test_base_context_artifacts_are_shared_between_queries(self, session, chain_database):
         context = session.context_for(QueryRequest(kind="implies", query=_pd("A = A*B")))
