@@ -25,6 +25,7 @@ from repro.service.faults import Fault, FaultPlan
 from repro.service.planner import execute_plan
 from repro.service.session import Session
 from repro.service.snapshot import dump_snapshot
+from repro.service.supervisor import supervision_stats
 from repro.service.wire import dump_result_line
 from repro.workloads.random_service import random_service_requests
 
@@ -79,7 +80,7 @@ def test_restart_to_warm(benchmark, mode, rng_seed):
 
     def run():
         with ShardExecutor(shards=2, snapshot=snapshot, fault_plan=fault_plan) as executor:
-            return _answer_lines(executor, requests), executor.supervision_stats()
+            return _answer_lines(executor, requests), supervision_stats(executor.metrics)
 
     out, stats = benchmark(run)
     assert out == expected  # recovery never changes an answer

@@ -47,7 +47,7 @@ import time
 import pytest
 
 from repro.service.executor import ShardExecutor
-from repro.service.microbatch import MicroBatcher
+from repro.service.microbatch import MicroBatcher, batch_stats
 from repro.service.planner import execute_plan, naive_dispatch
 from repro.service.session import Session
 from repro.service.wire import dump_result_line
@@ -145,7 +145,7 @@ async def _drive_open_loop(requests, arrivals, mode):
         results = await asyncio.gather(
             *(one(arrival, request) for arrival, request in zip(arrivals, requests))
         )
-        stats = batcher.stats.snapshot()
+        stats = batch_stats(batcher.metrics, window["max_batch"])
     return list(results), stats
 
 

@@ -32,6 +32,7 @@ import pytest
 from repro.service.executor import ShardExecutor
 from repro.service.faults import Fault, FaultPlan
 from repro.service.planner import naive_dispatch
+from repro.service.supervisor import supervision_stats
 from repro.service.wire import dump_result_line
 from repro.workloads.random_service import zipf_multitenant_requests
 
@@ -86,7 +87,7 @@ def _run_stream(requests, shared_cache_size, fault_plan=None):
     ) as executor:
         out = _serve_windows(executor, requests)
         shared = executor.shared_cache_info()
-        supervision = executor.supervision_stats()
+        supervision = supervision_stats(executor.metrics)
     hits = shared["hits"] + supervision["worker_cache_hits"]
     return out, hits / len(requests), {"shared": shared, "supervision": supervision}
 

@@ -73,12 +73,12 @@ from repro.service.faults import (
     install_from_env,
     installed_plan,
 )
-from repro.service.microbatch import MicroBatcher, MicroBatchStats, Ticket
+from repro.service.microbatch import MicroBatcher, Ticket
 from repro.service.planner import Batch, execute_plan, naive_dispatch, plan, plan_summary
 from repro.service.result_cache import ResultCache
 from repro.service.server import QueryServer, serve_stream
 from repro.service.session import DependencyContext, Session
-from repro.service.supervisor import SupervisedPool, SupervisorStats, WorkItem, WorkUnit
+from repro.service.supervisor import SupervisedPool, WorkItem, WorkUnit
 from repro.service.telemetry import (
     CostLog,
     MetricsRegistry,
@@ -151,7 +151,6 @@ __all__ = [
     "QueryServer",
     "serve_stream",
     "MicroBatcher",
-    "MicroBatchStats",
     "Ticket",
     "ImplicationAnswer",
     "EquivalenceAnswer",
@@ -172,7 +171,6 @@ __all__ = [
     "ShardExecutor",
     "ResultCache",
     "SupervisedPool",
-    "SupervisorStats",
     "WorkItem",
     "WorkUnit",
     "FAULT_KINDS",

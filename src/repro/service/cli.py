@@ -140,7 +140,6 @@ def serve_lines(
                 responded_at=responded_at,
             )
         if config.metrics_dir is not None:
-            telemetry.registry().gauge("service.elapsed_seconds", elapsed)
             telemetry.flush()
     stats = {
         "requests": len(numbered),

@@ -78,7 +78,6 @@ class ServiceConfig:
     shared_cache_size: int = 4096
     trace: bool = False
     metrics_dir: Optional[str] = None
-    metrics_interval_ms: float = 1000.0
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -114,10 +113,6 @@ class ServiceConfig:
         if self.shared_cache_size < 0:
             raise ServiceError(
                 f"shared_cache_size must be >= 0 (0 disables), got {self.shared_cache_size}"
-            )
-        if self.metrics_interval_ms <= 0:
-            raise ServiceError(
-                f"metrics_interval_ms must be positive, got {self.metrics_interval_ms}"
             )
         if self.fault_plan is not None:
             from repro.service.faults import FaultPlan
@@ -167,11 +162,11 @@ class ServiceConfig:
             foreign_context_limit=self.foreign_context_limit,
         )
 
-    def make_executor(self):
+    def make_executor(self, metrics=None):
         """A :class:`~repro.service.executor.ShardExecutor` per this config.
 
         A boot snapshot, when present, ships to every worker for zero-warmup
-        restore.
+        restore.  ``metrics`` is the registry its pool counts into.
         """
         from repro.service.executor import ShardExecutor
 
@@ -183,6 +178,7 @@ class ServiceConfig:
             unit_timeout_ms=self.unit_timeout_ms,
             shared_cache_size=self.shared_cache_size,
             result_cache_size=self.result_cache_size,
+            metrics=metrics,
         )
 
     @property
@@ -190,20 +186,22 @@ class ServiceConfig:
         """``session`` for in-process dispatch, else ``shards=N``."""
         return "session" if self.shards == 1 else f"shards={self.shards}"
 
-    def make_backend(self):
+    def make_backend(self, metrics=None):
         """The stream backend: :meth:`make_session` or :meth:`make_executor`.
 
         Both answer ``execute_many(requests) -> list[QueryResult]``; the shard
-        count is the only thing that picks between them.  Call
-        :meth:`install_hooks` first, so workers inherit the telemetry switch.
+        count is the only thing that picks between them.  ``metrics`` goes
+        to the executor.  Call :meth:`install_hooks` first, so workers
+        inherit the telemetry switch.
         """
-        return self.make_session() if self.shards == 1 else self.make_executor()
+        return self.make_session() if self.shards == 1 else self.make_executor(metrics)
 
-    def install_hooks(self) -> None:
+    def install_hooks(self, metrics=None) -> None:
         """Arm this process's fault plan and telemetry per this config.
 
         An explicit ``fault_plan`` wins, else the ``REPRO_FAULT_PLAN``
-        environment hook applies.
+        environment hook applies.  ``metrics``, when given, becomes the
+        registry telemetry's opt-in counters go to.
         """
         from repro.service import faults, telemetry
 
@@ -211,11 +209,7 @@ class ServiceConfig:
             faults.install_fault_plan(self.fault_plan)
         else:
             faults.install_from_env()
-        telemetry.configure(
-            trace=self.trace,
-            metrics_dir=self.metrics_dir,
-            interval_ms=self.metrics_interval_ms,
-        )
+        telemetry.configure(trace=self.trace, metrics_dir=self.metrics_dir, registry=metrics)
 
 
 def add_config_arguments(parser: argparse.ArgumentParser, serve: bool = False) -> None:
@@ -343,15 +337,6 @@ def add_config_arguments(parser: argparse.ArgumentParser, serve: bool = False) -
             f"to in-process (0 disables; default {defaults.breaker_threshold})"
         ),
     )
-    parser.add_argument(
-        "--metrics-interval-ms",
-        type=float,
-        default=defaults.metrics_interval_ms,
-        help=(
-            "period of the serve-mode metrics.jsonl dump loop in milliseconds "
-            f"(only meaningful with --metrics-dir; default {defaults.metrics_interval_ms})"
-        ),
-    )
 
 
 def config_from_args(args: argparse.Namespace) -> ServiceConfig:
@@ -383,7 +368,4 @@ def config_from_args(args: argparse.Namespace) -> ServiceConfig:
         shared_cache_size=getattr(args, "shared_cache_size", ServiceConfig.shared_cache_size),
         trace=getattr(args, "trace", False),
         metrics_dir=getattr(args, "metrics_dir", None),
-        metrics_interval_ms=getattr(
-            args, "metrics_interval_ms", ServiceConfig.metrics_interval_ms
-        ),
     )

@@ -36,8 +36,9 @@ input order):
   restarted (warm, when a snapshot is configured), its unit retried, split
   and at worst quarantined to a single typed ``WorkerCrashed`` error line;
   budget-carrying units get a hard wall-clock kill surfacing as typed
-  ``Timeout`` results.  :meth:`supervision_stats` exposes the counters the
-  server's health endpoint and circuit breaker read.
+  ``Timeout`` results.  The pool counts every supervision event into the
+  executor's :attr:`~ShardExecutor.metrics` registry, which the server's
+  health endpoint and circuit breaker read and which outlives the pool.
 * **Deterministic ordering** — every result is reassembled at the request's
   original stream position, so a fault-free run is byte-identical to the
   single-process planner run on the same stream, regardless of worker
@@ -63,7 +64,8 @@ from repro.dependencies.pd import PartitionDependencyLike, as_partition_dependen
 from repro.errors import ServiceError
 from repro.service.planner import IMPLICATION_CHUNK, plan
 from repro.service.result_cache import ResultCache, gamma_dependent
-from repro.service.supervisor import SupervisedPool, SupervisorStats, WorkItem, WorkUnit
+from repro.service.supervisor import SupervisedPool, WorkItem, WorkUnit
+from repro.service.telemetry import MetricsRegistry
 from repro.service.wire import (
     QueryRequest,
     QueryResult,
@@ -75,7 +77,11 @@ from repro.service.wire import (
 
 
 class ShardExecutor:
-    """Execute request streams across a supervised pool of warm worker processes."""
+    """Execute request streams across a supervised pool of warm worker processes.
+
+    ``metrics`` is the registry the pool counts into (a fresh one when
+    omitted; a server passes its own).
+    """
 
     def __init__(
         self,
@@ -89,12 +95,14 @@ class ShardExecutor:
         max_unit_attempts: int = 2,
         shared_cache_size: int = 4096,
         result_cache_size: int = 1024,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if shards < 1:
             raise ServiceError(f"shard count must be positive, got {shards}")
         if max_unit_attempts < 1:
             raise ServiceError(f"max_unit_attempts must be positive, got {max_unit_attempts}")
         self.shards = shards
+        self.metrics = MetricsRegistry() if metrics is None else metrics
         # The shared result tier.  With shared_cache_size=0 it is off and
         # only the workers' own session caches remain (the baseline EXP-TEN
         # measures against).
@@ -128,7 +136,6 @@ class ShardExecutor:
             start_method = "fork" if "fork" in available else "spawn"
         self._start_method = start_method
         self._pool: Optional[SupervisedPool] = None
-        self._final_stats: Optional[SupervisorStats] = None
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -143,6 +150,7 @@ class ShardExecutor:
                 unit_timeout_ms=self._unit_timeout_ms,
                 deadline_grace_ms=self._deadline_grace_ms,
                 result_cache_size=self._result_cache_size,
+                metrics=self.metrics,
             )
         return self._pool
 
@@ -153,7 +161,6 @@ class ShardExecutor:
         sentinel; only a worker that outlives ``timeout`` is terminated.
         """
         if self._pool is not None:
-            self._final_stats = self._pool.stats
             self._pool.close(timeout=timeout)
             self._pool = None
 
@@ -163,14 +170,6 @@ class ShardExecutor:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def supervision_stats(self) -> dict:
-        """The supervisor's counters (live pool, or the last closed pool's)."""
-        if self._pool is not None:
-            return self._pool.stats.as_dict()
-        if self._final_stats is not None:
-            return self._final_stats.as_dict()
-        return SupervisorStats().as_dict()
 
     def shared_cache_info(self) -> dict:
         """The shared result tier's counters."""

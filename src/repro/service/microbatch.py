@@ -25,8 +25,10 @@ stacks do — continuous batching with a bounded window:
   which is what makes served results byte-identical to the file CLI.
 * **Accounting** — every request is stamped at enqueue → window-close →
   plan (hand-off to the worker) → execute (results ready) → respond (written
-  back), and :class:`MicroBatchStats` reports p50/p95/p99 latency per stage
-  plus window-occupancy statistics (mean/max window size, close reasons).
+  back).  The batcher counts requests, windows and per-stage latencies into
+  its :class:`~repro.service.telemetry.MetricsRegistry`, and
+  :func:`batch_stats` reads p50/p95/p99 latency per stage plus window
+  occupancy (mean/max window size, close reasons) back from it.
 
 The batcher is transport-agnostic: :mod:`repro.service.server` feeds it from
 sockets, the EXP-SVC open-loop benchmark feeds it directly.  Graceful drain
@@ -36,53 +38,19 @@ sockets, the EXP-SVC open-loop benchmark feeds it directly.  Graceful drain
 from __future__ import annotations
 
 import asyncio
-import math
 import time
-from collections import deque
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Optional
 
 from repro.deadline import deadline_scope
 from repro.errors import DeadlineExceeded, ServiceError
-from repro.service.result_cache import tenant_label
+from repro.service.telemetry import MetricsRegistry, summarize
 from repro.service.wire import QueryRequest, QueryResult
 
 #: Queue sentinel that tells the collector loop to finish (FIFO order makes
 #: it drain everything admitted before it).
 _DRAIN = object()
-
-#: Reported latency percentiles (×100 for exact integer keys).
-PERCENTILE_POINTS = (50, 95, 99)
-
-#: Distinct tenants tracked in the per-tenant request counters; traffic from
-#: tenants beyond the cap aggregates into one ``"~other"`` bucket so a
-#: million-tenant stream cannot balloon the stats surface.
-TENANT_STATS_LIMIT = 64
-
-#: Most recent requests kept in each latency reservoir.
-STATS_WINDOW = 4096
-
-
-def percentile(samples: Sequence[float], point: float) -> Optional[float]:
-    """Nearest-rank percentile of a *sorted* sample list (``None`` when empty)."""
-    if not samples:
-        return None
-    rank = max(1, min(len(samples), math.ceil(point / 100.0 * len(samples))))
-    return samples[rank - 1]
-
-
-def _stage_summary(samples: Sequence[float]) -> dict:
-    """p50/p95/p99, mean and max of a latency sample set, in milliseconds."""
-    ordered = sorted(samples)
-    summary: dict[str, Any] = {
-        f"p{point}": None if not ordered else round(percentile(ordered, point) * 1000.0, 3)
-        for point in PERCENTILE_POINTS
-    }
-    summary["mean"] = round(sum(ordered) / len(ordered) * 1000.0, 3) if ordered else None
-    summary["max"] = round(ordered[-1] * 1000.0, 3) if ordered else None
-    summary["samples"] = len(ordered)
-    return summary
 
 
 class Ticket:
@@ -106,10 +74,12 @@ class Ticket:
         "shed",
         "window_size",
         "window_reason",
-        "_stats",
+        "_metrics",
     )
 
-    def __init__(self, request: QueryRequest, future: "asyncio.Future[QueryResult]", stats: "MicroBatchStats") -> None:
+    def __init__(
+        self, request: QueryRequest, future: "asyncio.Future[QueryResult]", metrics: MetricsRegistry
+    ) -> None:
         self.request = request
         self.future = future
         self.enqueued_at = time.perf_counter()
@@ -122,104 +92,66 @@ class Ticket:
         # and why it closed ("full" / "timer" / "drain"), stamped at close.
         self.window_size: Optional[int] = None
         self.window_reason: Optional[str] = None
-        self._stats = stats
+        self._metrics = metrics
 
     async def result(self) -> QueryResult:
         """The answer (delivery is up to the caller; see :meth:`mark_responded`)."""
         return await self.future
 
     def mark_responded(self) -> None:
-        """Stamp the respond time and feed this ticket's stage latencies to the stats."""
+        """Stamp the respond time and feed this ticket's stage latencies to the registry."""
         if self.responded_at is not None:
             return
         self.responded_at = time.perf_counter()
-        self._stats.record_ticket(self)
+        record_latencies(self._metrics, self)
 
 
-class MicroBatchStats:
-    """Counters and bounded latency reservoirs for one batcher.
+def record_latencies(metrics: MetricsRegistry, ticket: Ticket) -> None:
+    """Observe a ticket's stage latencies, in milliseconds, on the ``latency_ms.*`` series."""
+    if ticket.shed:
+        return  # shed answers are counted, not sampled: ~0 latency would skew p50 down
+    if ticket.window_closed_at is not None:
+        metrics.observe("latency_ms.queue_wait", (ticket.window_closed_at - ticket.enqueued_at) * 1000.0)
+    if ticket.executed_at is not None and ticket.planned_at is not None:
+        metrics.observe("latency_ms.execute", (ticket.executed_at - ticket.planned_at) * 1000.0)
+    if ticket.responded_at is not None:
+        if ticket.executed_at is not None:
+            metrics.observe("latency_ms.respond", (ticket.responded_at - ticket.executed_at) * 1000.0)
+        metrics.observe("latency_ms.total", (ticket.responded_at - ticket.enqueued_at) * 1000.0)
 
-    Latency samples are kept in bounded deques (the :data:`STATS_WINDOW`
-    most recent requests), so a long-lived server reports *recent*
-    percentiles instead of averaging over its whole life.
+
+def batch_stats(metrics: MetricsRegistry, max_batch: int) -> dict:
+    """The batcher's part of the stats document, read from its registry.
+
+    Latency percentiles cover each series' :data:`~repro.service.telemetry.STATS_WINDOW`
+    most recent samples, so a long-lived server reports *recent* latency.
     """
-
-    def __init__(self, max_batch: int) -> None:
-        self._max_batch = max_batch
-        self.submitted = 0
-        self.answered = 0
-        self.shed = 0
-        self.windows = 0
-        self.window_size_sum = 0
-        self.window_size_max = 0
-        self.closed_by = {"size": 0, "timer": 0, "drain": 0}
-        self.over_budget = 0
-        self.budget_retried = 0
-        self.budget_timeouts = 0
-        self.per_tenant: dict[str, dict[str, int]] = {}
-        self._total: deque[float] = deque(maxlen=STATS_WINDOW)
-        self._queue_wait: deque[float] = deque(maxlen=STATS_WINDOW)
-        self._execute: deque[float] = deque(maxlen=STATS_WINDOW)
-        self._respond: deque[float] = deque(maxlen=STATS_WINDOW)
-
-    def record_tenant(self, tenant: Optional[str], field: str) -> None:
-        """Bump one tenant's ``submitted``/``answered`` counter (capped keyspace)."""
-        label = tenant_label(tenant)
-        bucket = self.per_tenant.get(label)
-        if bucket is None:
-            if len(self.per_tenant) >= TENANT_STATS_LIMIT:
-                label = "~other"
-                bucket = self.per_tenant.get(label)
-            if bucket is None:
-                bucket = {"submitted": 0, "answered": 0}
-                self.per_tenant[label] = bucket
-        bucket[field] += 1
-
-    def record_window(self, size: int, reason: str) -> None:
-        self.windows += 1
-        self.window_size_sum += size
-        self.window_size_max = max(self.window_size_max, size)
-        self.closed_by[reason] += 1
-
-    def record_ticket(self, ticket: Ticket) -> None:
-        if ticket.shed:
-            return  # shed answers are counted, not sampled: ~0 latency would skew p50 down
-        if ticket.window_closed_at is not None:
-            self._queue_wait.append(ticket.window_closed_at - ticket.enqueued_at)
-        if ticket.executed_at is not None and ticket.planned_at is not None:
-            self._execute.append(ticket.executed_at - ticket.planned_at)
-        if ticket.responded_at is not None:
-            if ticket.executed_at is not None:
-                self._respond.append(ticket.responded_at - ticket.executed_at)
-            self._total.append(ticket.responded_at - ticket.enqueued_at)
-
-    def snapshot(self) -> dict:
-        """The stats dict the ``--stats`` endpoint and EXP-SVC report."""
-        mean_size = self.window_size_sum / self.windows if self.windows else None
-        return {
-            "requests": {
-                "submitted": self.submitted,
-                "answered": self.answered,
-                "shed": self.shed,
-                "per_tenant": {label: dict(bucket) for label, bucket in self.per_tenant.items()},
+    windows = metrics.value("windows.count")
+    mean_size = metrics.value("windows.size_sum") / windows if windows else None
+    return {
+        "requests": {
+            "submitted": metrics.value("requests.submitted"),
+            "answered": metrics.value("requests.answered"),
+            "shed": metrics.value("requests.shed"),
+            "per_tenant": metrics.per_tenant("requests", ("submitted", "answered")),
+        },
+        "windows": {
+            "count": windows,
+            "mean_size": round(mean_size, 3) if mean_size is not None else None,
+            "max_size": metrics.value("windows.max_size"),
+            "occupancy": round(mean_size / max_batch, 4) if mean_size else None,
+            "closed_by": {
+                reason: metrics.value(f"windows.closed_by.{reason}") for reason in ("size", "timer", "drain")
             },
-            "windows": {
-                "count": self.windows,
-                "mean_size": round(mean_size, 3) if mean_size is not None else None,
-                "max_size": self.window_size_max,
-                "occupancy": round(mean_size / self._max_batch, 4) if mean_size else None,
-                "closed_by": dict(self.closed_by),
-                "over_budget": self.over_budget,
-                "budget_retried": self.budget_retried,
-                "budget_timeouts": self.budget_timeouts,
-            },
-            "latency_ms": {
-                "total": _stage_summary(self._total),
-                "queue_wait": _stage_summary(self._queue_wait),
-                "execute": _stage_summary(self._execute),
-                "respond": _stage_summary(self._respond),
-            },
-        }
+            "over_budget": metrics.value("windows.over_budget"),
+            "budget_retried": metrics.value("windows.budget_retried"),
+            "budget_timeouts": metrics.value("windows.budget_timeouts"),
+        },
+        "latency_ms": {
+            stage: summarize(metrics.series(f"latency_ms.{stage}").recent)
+            for stage in ("total", "queue_wait", "execute", "respond")
+        },
+    }
 
 
 class MicroBatcher:
@@ -240,6 +172,7 @@ class MicroBatcher:
         queue_limit: int = 256,
         overload: str = "block",
         window_budget_ms: Optional[float] = None,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if max_batch < 1:
             raise ServiceError(f"max_batch must be >= 1, got {max_batch}")
@@ -257,7 +190,7 @@ class MicroBatcher:
         self._max_batch = max_batch
         self._queue_limit = queue_limit
         self._overload = overload
-        self.stats = MicroBatchStats(max_batch)
+        self.metrics = MetricsRegistry() if metrics is None else metrics
         self._queue: "asyncio.Queue[Any]" = asyncio.Queue(maxsize=queue_limit)
         self._worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-window")
         self._collector: Optional[asyncio.Task] = None
@@ -322,12 +255,11 @@ class MicroBatcher:
         if self._collector is None:
             raise ServiceError("micro-batcher is not started")
         loop = asyncio.get_running_loop()
-        ticket = Ticket(request, loop.create_future(), self.stats)
-        self.stats.submitted += 1
-        self.stats.record_tenant(request.tenant, "submitted")
+        ticket = Ticket(request, loop.create_future(), self.metrics)
+        self.metrics.inc_tenant("requests.submitted", request.tenant)
         if self._overload == "shed" and self._queue.full():
             ticket.shed = True
-            self.stats.shed += 1
+            self.metrics.inc("requests.shed")
             ticket.future.set_result(
                 QueryResult(
                     kind=request.kind,
@@ -360,7 +292,12 @@ class MicroBatcher:
                 ticket.window_closed_at = now
                 ticket.window_size = len(window)
                 ticket.window_reason = reason
-            self.stats.record_window(len(window), reason)
+            metrics = self.metrics
+            metrics.inc("windows.count")
+            metrics.inc("windows.size_sum", len(window))
+            metrics.inc(f"windows.closed_by.{reason}")
+            if len(window) > metrics.value("windows.max_size"):
+                metrics.gauge("windows.max_size", len(window))
             await self._run_window(window)
             if reason == "drain":
                 return
@@ -412,8 +349,7 @@ class MicroBatcher:
         now = time.perf_counter()
         for ticket, result in zip(window, results):
             ticket.executed_at = now
-            self.stats.answered += 1
-            self.stats.record_tenant(ticket.request.tenant, "answered")
+            self.metrics.inc_tenant("requests.answered", ticket.request.tenant)
             if not ticket.future.done():  # a cancelled waiter must not crash the loop
                 ticket.future.set_result(result)
 
@@ -450,10 +386,10 @@ class MicroBatcher:
 
     def _retry_individually(self, requests: list[QueryRequest]) -> list[QueryResult]:
         """The over-budget retry lane: one request at a time, fresh budget each."""
-        self.stats.over_budget += 1
+        self.metrics.inc("windows.over_budget")
         out: list[QueryResult] = []
         for request in requests:
-            self.stats.budget_retried += 1
+            self.metrics.inc("windows.budget_retried")
             scope = None
             try:
                 with deadline_scope(self._window_budget_ms) as scope:
@@ -461,7 +397,7 @@ class MicroBatcher:
             except DeadlineExceeded as exc:
                 if scope is None or exc.scope is not scope:
                     raise
-                self.stats.budget_timeouts += 1
+                self.metrics.inc("windows.budget_timeouts")
                 out.append(
                     QueryResult(
                         kind=request.kind,

@@ -16,9 +16,11 @@ Results are stored with ``id=None`` (the caller's id is re-stamped on hit)
 and error results are never cached, so a hit is byte-identical to
 recomputing.  Entries answered against a tenant's base Γ are marked, and
 :meth:`ResultCache.invalidate_tenant` drops exactly those when that tenant's
-Γ grows.  Per-tenant hit/miss counters feed the stats surface.  Every
-operation takes a lock: the shared tier is reached from the micro-batcher's
-worker thread and from control lines alike.
+Γ grows.  Hit/miss counters, total and per tenant (under the registry's
+tenant-label cap), live in the cache's own
+:class:`~repro.service.telemetry.MetricsRegistry` and feed the stats
+surface.  Every operation takes a lock: the shared tier is reached from the
+micro-batcher's worker thread and from control lines alike.
 """
 
 from __future__ import annotations
@@ -29,17 +31,13 @@ from collections.abc import Iterable
 from dataclasses import replace
 from typing import Optional
 
+from repro.service.telemetry import MetricsRegistry
 from repro.service.wire import QueryRequest, QueryResult
 
-__all__ = ["ResultCache", "gamma_dependent", "tenant_label"]
+__all__ = ["ResultCache", "gamma_dependent"]
 
 # key -> (uses_tenant_gamma, tenant, result-without-caller-id)
 Entry = tuple[bool, Optional[str], QueryResult]
-
-
-def tenant_label(tenant: Optional[str]) -> str:
-    """The display name of a tenant key (``None`` is the default tenant)."""
-    return "default" if tenant is None else tenant
 
 
 def gamma_dependent(request: QueryRequest) -> bool:
@@ -66,13 +64,9 @@ class ResultCache:
         self._entries: "OrderedDict[str, Entry]" = OrderedDict(
             kept[max(0, len(kept) - self._maxsize) :]
         )
-        self._hits = 0
-        self._misses = 0
-        self._stores = 0
-        self._evictions = 0
-        # Keyed by display label, so None and a tenant named "default" add up.
-        self._tenant_hits: dict[str, int] = {}
-        self._tenant_misses: dict[str, int] = {}
+        # Per-tenant counters are keyed by display label, so None and a
+        # tenant named "default" add up.
+        self.metrics = MetricsRegistry()
 
     @property
     def enabled(self) -> bool:
@@ -84,16 +78,13 @@ class ResultCache:
         """The cached result re-stamped with the caller's id, or ``None``."""
         if not self._maxsize:
             return None
-        label = tenant_label(tenant)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
-                self._hits += 1
-                self._tenant_hits[label] = self._tenant_hits.get(label, 0) + 1
+                self.metrics.inc_tenant("hits", tenant)
                 return replace(entry[2], id=request_id, cached=True)
-            self._misses += 1
-            self._tenant_misses[label] = self._tenant_misses.get(label, 0) + 1
+            self.metrics.inc_tenant("misses", tenant)
             return None
 
     def store(
@@ -108,10 +99,10 @@ class ResultCache:
             return
         with self._lock:
             self._entries[key] = (uses_tenant_gamma, tenant, replace(result, id=None, cached=False))
-            self._stores += 1
+            self.metrics.inc("stores")
             while len(self._entries) > self._maxsize:
                 self._entries.popitem(last=False)
-                self._evictions += 1
+                self.metrics.inc("evictions")
 
     def invalidate_tenant(self, tenant: Optional[str]) -> int:
         """Drop the tenant's base-Γ entries (its Γ grew); returns the count dropped."""
@@ -136,20 +127,14 @@ class ResultCache:
 
     def info(self) -> dict:
         """Counters and per-tenant traffic (sorted by label), shaped for the stats surface."""
+        metrics = self.metrics
         with self._lock:
-            labels = sorted(set(self._tenant_hits) | set(self._tenant_misses))
             return {
-                "hits": self._hits,
-                "misses": self._misses,
-                "stores": self._stores,
-                "evictions": self._evictions,
+                "hits": metrics.value("hits"),
+                "misses": metrics.value("misses"),
+                "stores": metrics.value("stores"),
+                "evictions": metrics.value("evictions"),
                 "size": len(self._entries),
                 "maxsize": self._maxsize,
-                "per_tenant": {
-                    label: {
-                        "hits": self._tenant_hits.get(label, 0),
-                        "misses": self._tenant_misses.get(label, 0),
-                    }
-                    for label in labels
-                },
+                "per_tenant": metrics.per_tenant("", ("hits", "misses")),
             }

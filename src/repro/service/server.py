@@ -21,23 +21,23 @@ Shape of the thing:
   the socket stops being read and TCP pushes back on the client.  Under
   ``shed`` the client instead receives a well-formed ``ok=false`` result
   with error type ``"Overloaded"``;
-* **control lines** — ``{"control": "stats"}`` answers with the latency
-  percentiles (p50/p95/p99 per stage), window-occupancy statistics and the
-  session's cache diagnostics, ``{"control": "ping"}`` answers
-  ``{"control": "pong"}``, ``{"control": "health"}`` reports the circuit
-  breaker, supervision counters (crashes/restarts/quarantines/timeouts,
-  warm-restart latency, per-worker restart counts) and request totals,
-  ``{"control": "metrics"}`` serves the unified telemetry registry
-  (:mod:`~repro.service.telemetry`), and ``{"control": "snapshot"}`` exports
-  a durable Γ snapshot of the *live* session into ``--snapshot-dir`` (the
-  export runs on the window worker thread, so it never races a mutating
-  window); all are served in-order like any other line;
+* **control lines** — the server's batcher and executor count into its one
+  :class:`~repro.service.telemetry.MetricsRegistry`, and three lines are
+  views over it: ``{"control": "stats"}`` (per-stage p50/p95/p99 latency,
+  window occupancy, cache tiers), ``{"control": "health"}`` (circuit
+  breaker, supervision counters and warm-restart latency, request totals)
+  and ``{"control": "metrics"}`` (the registry itself, plus gauges for the
+  values read at request time).  ``{"control": "ping"}`` answers
+  ``{"control": "pong"}`` and ``{"control": "snapshot"}`` exports a durable
+  Γ snapshot of the *live* session into ``--snapshot-dir`` (the export runs
+  on the window worker thread, so it never races a mutating window); all
+  are served in-order like any other line;
 * **observability** — with ``--trace`` or ``--metrics-dir`` the server mints
   a trace id per request at decode (or propagates the wire ``trace`` field),
   opens a root span, and emits ``plan``/``execute``/``respond`` children
   retrospectively from the ticket's stage stamps when the answer is written;
-  ``--metrics-dir`` additionally dumps spans, cost records and metrics
-  snapshots to JSONL files on a periodic flush task (and once at drain);
+  ``--metrics-dir`` additionally dumps spans, cost records and the metrics
+  document to JSONL files every second (and once at drain);
 * **graceful degradation** — with a sharded backend, repeated worker crashes
   (``breaker_threshold`` of them) trip a circuit breaker: the executor is
   closed and the server falls back to in-process execution, answering every
@@ -67,8 +67,10 @@ from repro.errors import ServiceError
 from repro.service import telemetry
 from repro.service.config import ServiceConfig
 from repro.service.executor import ShardExecutor
-from repro.service.microbatch import MicroBatcher, Ticket
+from repro.service.microbatch import MicroBatcher, Ticket, batch_stats
 from repro.service.session import Session
+from repro.service.supervisor import supervision_stats
+from repro.service.telemetry import MetricsRegistry
 from repro.service.wire import (
     canonical_dumps,
     canonical_loads,
@@ -80,6 +82,9 @@ from repro.service.wire import (
 #: Writer-queue sentinel: the reader is done, flush and close.
 _END = object()
 
+#: Seconds between serve-mode ``--metrics-dir`` dumps (one more runs at drain).
+METRICS_DUMP_INTERVAL = 1.0
+
 
 class QueryServer:
     """One listening socket, one shared micro-batcher, many ordered connections."""
@@ -89,14 +94,15 @@ class QueryServer:
         self._session = session
         self._executor = None
         self._breaker_tripped = False
-        self._supervision_final: Optional[dict] = None
+        # Every count this server's layers keep: the batcher and executor it
+        # builds write here, and stats/health/metrics are views over it.
+        self.metrics = MetricsRegistry()
         self._batcher: Optional[MicroBatcher] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._conn_tasks: set[asyncio.Task] = set()
         self._metrics_task: Optional[asyncio.Task] = None
         self._drain_event = asyncio.Event()
         self._drained = False
-        self._connections_served = 0
         self.host: Optional[str] = None
         self.port: Optional[int] = None
 
@@ -109,11 +115,11 @@ class QueryServer:
         config = self.config
         # Arm the hooks before the executor exists so forked/spawned workers
         # inherit the telemetry enablement and ship their spans back in replies.
-        config.install_hooks()
+        config.install_hooks(self.metrics)
         if self._session is not None and config.shards == 1:
             backend = self._session
         else:
-            backend = config.make_backend()
+            backend = config.make_backend(self.metrics)
         if isinstance(backend, ShardExecutor):
             self._executor = backend
             # Create the worker pool now, in the main thread, so fork happens
@@ -130,6 +136,7 @@ class QueryServer:
             queue_limit=config.queue_limit,
             overload=config.overload,
             window_budget_ms=config.window_budget_ms,
+            metrics=self.metrics,
         )
         await self._batcher.start()
         self._server = await asyncio.start_server(self._handle_connection, config.host, config.port)
@@ -196,7 +203,7 @@ class QueryServer:
         """The sharded window executor, wrapped in the circuit breaker.
 
         Runs on the batcher's window worker thread.  After every window the
-        supervisor's crash counter is checked against ``breaker_threshold``;
+        registry's ``supervisor.crashes`` is checked against ``breaker_threshold``;
         crossing it *trips the breaker*: the executor is closed (gracefully —
         restarted workers are healthy, they are just being crashed faster
         than they can earn their keep) and every later window executes
@@ -208,7 +215,7 @@ class QueryServer:
             return self._fallback_session().execute_many(requests)
         results = executor.execute_many(requests)
         threshold = self.config.breaker_threshold
-        if threshold > 0 and executor.supervision_stats()["crashes"] >= threshold:
+        if threshold > 0 and self.metrics.value("supervisor.crashes") >= threshold:
             self._trip_breaker()
         return results
 
@@ -217,7 +224,6 @@ class QueryServer:
         self._executor = None
         self._breaker_tripped = True
         if executor is not None:
-            self._supervision_final = executor.supervision_stats()
             executor.close()
         self._fallback_session()  # build the in-process backend eagerly
 
@@ -231,17 +237,13 @@ class QueryServer:
     def _backend_name(self) -> str:
         return "session" if self._breaker_tripped else self.config.backend_name
 
-    def _supervision_snapshot(self) -> Optional[dict]:
-        if self._executor is not None:
-            return self._executor.supervision_stats()
-        return self._supervision_final
-
     def stats_snapshot(self) -> dict:
-        """Batcher latency/window statistics plus server-level counters."""
-        snapshot = self._batcher.stats.snapshot() if self._batcher is not None else {}
+        """The stats document: the batcher's counts and latency series from the
+        registry, plus server, supervision and cache-tier sections."""
+        snapshot = batch_stats(self.metrics, self.config.max_batch)
         snapshot["server"] = {
             "connections_open": len(self._conn_tasks),
-            "connections_served": self._connections_served,
+            "connections_served": self.metrics.value("server.connections_served"),
             "mode": self._backend_name(),
             "window": {
                 "max_wait_ms": self.config.max_wait_ms,
@@ -250,9 +252,8 @@ class QueryServer:
                 "overload": self.config.overload,
             },
         }
-        supervision = self._supervision_snapshot()
-        if supervision is not None:
-            snapshot["supervision"] = supervision
+        if self.config.shards > 1:
+            snapshot["supervision"] = supervision_stats(self.metrics)
         if self._session is not None:
             snapshot["session_cache"] = self._session.cache_info()
         snapshot["result_cache"] = self._result_cache_snapshot()
@@ -262,10 +263,11 @@ class QueryServer:
         """Cache traffic by tier (shared / worker / session) and by tenant.
 
         Sharded backends report the executor's parent-side shared tier and
-        the aggregated per-worker session-cache deltas; the in-process
-        backend reports its session cache.  ``per_tenant`` merges whatever
-        tiers keep tenant-resolved counters (the shared tier and the
-        in-process session; worker deltas are tier totals only).
+        the per-worker session caches' traffic, which every worker reply
+        counts into the registry; the in-process backend reports its session
+        cache.  ``per_tenant`` merges whatever tiers keep tenant-resolved
+        counters (the shared tier and the in-process session; worker replies
+        carry tier totals only).
         """
 
         def _with_rate(tier: dict) -> dict:
@@ -279,11 +281,10 @@ class QueryServer:
             shared = self._executor.shared_cache_info()
             per_tenant = shared.pop("per_tenant", {})
             tiers["shared"] = _with_rate(shared)
-            supervision = self._executor.supervision_stats()
             tiers["worker"] = _with_rate(
                 {
-                    "hits": supervision.get("worker_cache_hits", 0),
-                    "misses": supervision.get("worker_cache_misses", 0),
+                    "hits": self.metrics.value("result_cache.tiers.worker.hits"),
+                    "misses": self.metrics.value("result_cache.tiers.worker.misses"),
                 }
             )
         if self._session is not None:
@@ -298,25 +299,34 @@ class QueryServer:
         return {"tiers": tiers, "per_tenant": per_tenant}
 
     def metrics_snapshot(self) -> dict:
-        """The unified metrics document: the telemetry registry with the
-        server's scattered layer stats absorbed as ``service.*`` gauges."""
-        telemetry.registry().absorb("service", self.stats_snapshot())
-        return telemetry.metrics_export()
+        """The metrics document: this server's registry, plus gauges for the
+        values read at the moment of the request (open connections and the
+        cache tiers, named like their stats keys)."""
+        document = telemetry.metrics_export(self.metrics)
+        gauges = document["gauges"]
+        gauges["server.connections_open"] = len(self._conn_tasks)
+        caches = self._result_cache_snapshot()
+        for tier, counts in caches["tiers"].items():
+            if tier != "worker":  # the worker tier's counts are registry counters already
+                for key, value in counts.items():
+                    gauges[f"result_cache.tiers.{tier}.{key}"] = value
+        for label, traffic in caches["per_tenant"].items():
+            for key, value in traffic.items():
+                gauges[f"result_cache.per_tenant.{label}.{key}"] = value
+        return document
 
     async def _metrics_dump_loop(self) -> None:
-        interval = max(0.01, telemetry.interval_ms() / 1000.0)
         while True:
-            await asyncio.sleep(interval)
+            await asyncio.sleep(METRICS_DUMP_INTERVAL)
             self._flush_metrics()
 
     def _flush_metrics(self) -> None:
-        telemetry.registry().absorb("service", self.stats_snapshot())
-        telemetry.flush()
+        telemetry.flush(self.metrics_snapshot())
 
     def health_snapshot(self) -> dict:
         """Liveness-and-degradation summary: breaker, supervision, request totals."""
         sharded = self.config.shards > 1
-        stats = self._batcher.stats if self._batcher is not None else None
+        metrics = self.metrics
         return {
             "status": "degraded" if self._breaker_tripped else "ok",
             "backend": self._backend_name(),
@@ -325,12 +335,12 @@ class QueryServer:
                 "threshold": self.config.breaker_threshold,
                 "tripped": self._breaker_tripped,
             },
-            "supervision": self._supervision_snapshot(),
+            "supervision": supervision_stats(metrics) if sharded else None,
             "requests": {
-                "submitted": stats.submitted if stats else 0,
-                "answered": stats.answered if stats else 0,
-                "shed": stats.shed if stats else 0,
-                "budget_timeouts": stats.budget_timeouts if stats else 0,
+                "submitted": metrics.value("requests.submitted"),
+                "answered": metrics.value("requests.answered"),
+                "shed": metrics.value("requests.shed"),
+                "budget_timeouts": metrics.value("windows.budget_timeouts"),
             },
             "cache": {
                 name: tier["hit_rate"]
@@ -343,18 +353,13 @@ class QueryServer:
         """The in-process session backend (``None`` when sharded)."""
         return self._session
 
-    @property
-    def batcher(self) -> Optional[MicroBatcher]:
-        """The shared micro-batcher (exposed for tests and diagnostics)."""
-        return self._batcher
-
     # -- per-connection machinery ----------------------------------------------
 
     async def _handle_connection(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
-        self._connections_served += 1
+        self.metrics.inc("server.connections_served")
         pending: "asyncio.Queue" = asyncio.Queue()
         writer_task = asyncio.ensure_future(self._write_responses(pending, writer))
         drain_wait = asyncio.ensure_future(self._drain_event.wait())

@@ -59,6 +59,7 @@ from repro.implication.fd_implication import fd_implies_via_pds
 from repro.lattice.quotient import finite_counterexample, quotient_fragment
 from repro.relational.chase_engine import ChaseEngine
 from repro.service.result_cache import Entry, ResultCache, gamma_dependent
+from repro.service.telemetry import MetricsRegistry
 from repro.service.wire import (
     QueryRequest,
     QueryResult,
@@ -529,6 +530,11 @@ class Session:
     def cache_enabled(self) -> bool:
         """Whether this session keeps a result cache at all."""
         return self._results.enabled
+
+    @property
+    def cache_metrics(self) -> MetricsRegistry:
+        """The result cache's counter registry (what a shard worker reports from)."""
+        return self._results.metrics
 
     def cache_info(self) -> dict:
         """Result-cache, tenant, and context diagnostics.

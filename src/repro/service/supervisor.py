@@ -29,8 +29,11 @@ replaces it with an explicit supervision loop:
 Restarted workers are re-warmed exactly like fresh ones — from the shipped
 snapshot when the executor has one (the
 :mod:`~repro.service.snapshot` zero-warmup path), else by replaying Γ — and
-restart latency is accounted in :class:`SupervisorStats` (the EXP-FLT
-benchmark pins it).  The deterministic chaos hooks live in
+every restart, crash and escalation step is counted into the pool's
+:class:`~repro.service.telemetry.MetricsRegistry` (restart latency on the
+``supervisor.restart_ms`` series, which the EXP-FLT benchmark pins);
+:func:`supervision_stats` reads the health document's supervision section
+back from it.  The deterministic chaos hooks live in
 :mod:`repro.service.faults`; workers arm them via
 :func:`~repro.service.faults.set_worker_context` so a seeded
 :class:`~repro.service.faults.FaultPlan` can exercise every branch of this
@@ -43,13 +46,14 @@ import json
 import multiprocessing
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection
 from typing import Optional
 
 from repro.errors import ServiceError
 from repro.service import telemetry
 from repro.service.session import Session
+from repro.service.telemetry import MetricsRegistry
 from repro.service.wire import (
     QueryResult,
     dump_result_line,
@@ -90,56 +94,35 @@ class WorkUnit:
         return len(self.items)
 
 
-@dataclass
-class SupervisorStats:
-    """Counters the health endpoint and the EXP-FLT benchmark report."""
+#: The escalation and lifecycle events the pool counts, as ``supervisor.<event>``.
+SUPERVISOR_COUNTERS = (
+    "crashes",
+    "restarts",
+    "retries",
+    "splits",
+    "quarantined",
+    "timeouts",
+    "corrupted",
+    "units_dispatched",
+)
 
-    crashes: int = 0
-    restarts: int = 0
-    retries: int = 0
-    splits: int = 0
-    quarantined: int = 0
-    timeouts: int = 0
-    corrupted: int = 0
-    units_dispatched: int = 0
-    restart_seconds: float = 0.0
-    last_restart_seconds: Optional[float] = None
-    restarts_by_worker: dict = field(default_factory=dict)
-    # Aggregated worker-session result-cache traffic (the second cache tier):
-    # each validated reply carries the unit's hit/miss delta.
-    worker_cache_hits: int = 0
-    worker_cache_misses: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "crashes": self.crashes,
-            "restarts": self.restarts,
-            "retries": self.retries,
-            "splits": self.splits,
-            "quarantined": self.quarantined,
-            "timeouts": self.timeouts,
-            "corrupted": self.corrupted,
-            "units_dispatched": self.units_dispatched,
-            "restart_seconds": round(self.restart_seconds, 6),
-            # Warm-restart latency, surfaced where operators look for it
-            # ({"control": "health"}): the mean and most recent re-warm.
-            "restart_mean_ms": (
-                round(self.restart_seconds / self.restarts * 1000.0, 3) if self.restarts else None
-            ),
-            "last_restart_ms": (
-                round(self.last_restart_seconds * 1000.0, 3)
-                if self.last_restart_seconds is not None
-                else None
-            ),
-            # Worker slot → restart count, keyed by the slot's string index
-            # (sorted, so the dict itself is deterministic).
-            "restarts_by_worker": {
-                str(index): self.restarts_by_worker[index]
-                for index in sorted(self.restarts_by_worker)
-            },
-            "worker_cache_hits": self.worker_cache_hits,
-            "worker_cache_misses": self.worker_cache_misses,
-        }
+def supervision_stats(metrics: MetricsRegistry) -> dict:
+    """The supervision document ``{"control": "health"}`` serves, read from a pool's registry.
+
+    Warm-restart latency — the mean and the most recent re-warm — comes from
+    the ``supervisor.restart_ms`` series; ``restarts_by_worker`` maps each
+    restarted worker slot's string index to its restart count.
+    """
+    document: dict = {name: metrics.value(f"supervisor.{name}") for name in SUPERVISOR_COUNTERS}
+    restart = metrics.series("supervisor.restart_ms")
+    document["restart_seconds"] = round(restart.total / 1000.0, 6)
+    document["restart_mean_ms"] = round(restart.total / restart.count, 3) if restart.count else None
+    document["last_restart_ms"] = round(restart.recent[-1], 3) if restart.recent else None
+    document["restarts_by_worker"] = metrics.family("supervisor.restarts_by_worker.")
+    document["worker_cache_hits"] = metrics.value("result_cache.tiers.worker.hits")
+    document["worker_cache_misses"] = metrics.value("result_cache.tiers.worker.misses")
+    return document
 
 
 def _worker_main(
@@ -197,22 +180,16 @@ def _worker_main(
                 encoded[original_index] = dump_result_line(
                     error_result_for_line(line, original_index + 1, exc)
                 )
-        before = session.cache_info()
         results = session.execute_many(requests, batch=True)
-        after = session.cache_info()
         for original_index, request, result in zip(positions, requests, results):
             encoded[original_index] = faults.corrupt_result_line(
                 request.id, dump_result_line(result)
             )
-        # The unit's session-cache delta rides back with the reply, so the
-        # parent can account the warm per-worker tier without another RPC.
-        info = {
-            "cache_hits": after["hits"] - before["hits"],
-            "cache_misses": after["misses"] - before["misses"],
-        }
-        # Spans and cost records produced while executing this unit ride the
-        # same reply — that is how a trace crosses the process boundary.
-        info.update(telemetry.drain_for_reply())
+        # The unit's session-cache increments ride back with the reply, so
+        # the parent can account the warm per-worker tier without another
+        # RPC; so do spans and cost records when traced — that is how a
+        # trace crosses the process boundary.
+        info = telemetry.drain_for_reply(session.cache_metrics)
         conn.send((unit_seq, [(index, encoded[index]) for index, _ in lines], info))
     conn.close()
 
@@ -262,6 +239,7 @@ class SupervisedPool:
         unit_timeout_ms: Optional[float] = None,
         deadline_grace_ms: float = 2000.0,
         result_cache_size: int = 1024,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if workers < 1:
             raise ServiceError(f"worker count must be positive, got {workers}")
@@ -272,7 +250,7 @@ class SupervisedPool:
         self._result_cache_size = result_cache_size
         self._unit_timeout_ms = unit_timeout_ms
         self._deadline_grace_ms = deadline_grace_ms
-        self.stats = SupervisorStats()
+        self.metrics = MetricsRegistry() if metrics is None else metrics
         self._workers = [self._spawn(index, 0) for index in range(workers)]
 
     # -- worker lifecycle ------------------------------------------------------
@@ -309,13 +287,10 @@ class SupervisedPool:
         worker.process.join()
         started = time.perf_counter()
         fresh = self._spawn(worker.index, worker.incarnation + 1)
-        elapsed = time.perf_counter() - started
-        self.stats.restarts += 1
-        self.stats.restart_seconds += elapsed
-        self.stats.last_restart_seconds = elapsed
-        self.stats.restarts_by_worker[worker.index] = (
-            self.stats.restarts_by_worker.get(worker.index, 0) + 1
-        )
+        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        self.metrics.inc("supervisor.restarts")
+        self.metrics.inc(f"supervisor.restarts_by_worker.{worker.index}")
+        self.metrics.observe("supervisor.restart_ms", elapsed_ms)
         self._workers[worker.index] = fresh
 
     def close(self, timeout: float = 5.0) -> None:
@@ -421,12 +396,12 @@ class SupervisedPool:
         except (OSError, BrokenPipeError, ValueError):
             # The worker died idle (e.g. between units); replace it and treat
             # the dispatch as a crash of this unit.
-            self.stats.crashes += 1
+            self.metrics.inc("supervisor.crashes")
             worker.unit = None
             self._respawn(worker)
             self._fail_unit(unit, "crash", results, queue)
             return
-        self.stats.units_dispatched += 1
+        self.metrics.inc("supervisor.units_dispatched")
 
     def _handle_reply(self, worker: _WorkerHandle, results: dict[int, str], queue: deque) -> None:
         unit = worker.unit
@@ -440,16 +415,14 @@ class SupervisedPool:
         if validated is None:
             # The reply channel lied (torn write, codec bug): the worker's
             # state is no longer trusted — replace it and escalate the unit.
-            self.stats.corrupted += 1
+            self.metrics.inc("supervisor.corrupted")
             worker.unit = None
             self._respawn(worker)
             self._fail_unit(unit, "corrupt", results, queue)
             return
         lines, info = validated
         results.update(lines)
-        # Adopt the worker's spans/cost first (it pops them out of info, so
-        # the counter loop below sees only the ints it expects).
-        telemetry.adopt_reply(info)
+        telemetry.adopt_reply(info, self.metrics)
         telemetry.record_unit_dispatch(
             [item.trace for item in unit.items],
             worker=worker.index,
@@ -461,15 +434,13 @@ class SupervisedPool:
             ),
             attempt=unit.attempts_left,
         )
-        self.stats.worker_cache_hits += info.get("cache_hits", 0)
-        self.stats.worker_cache_misses += info.get("cache_misses", 0)
         worker.unit = None
         worker.expires_at = None
 
     def _handle_crash(self, worker: _WorkerHandle, results: dict[int, str], queue: deque) -> None:
         unit = worker.unit
         assert unit is not None
-        self.stats.crashes += 1
+        self.metrics.inc("supervisor.crashes")
         worker.unit = None
         self._respawn(worker)
         self._fail_unit(unit, "crash", results, queue)
@@ -478,7 +449,7 @@ class SupervisedPool:
         unit = worker.unit
         assert unit is not None
         budget_ms = worker.budget_ms
-        self.stats.timeouts += 1
+        self.metrics.inc("supervisor.timeouts")
         worker.unit = None
         self._respawn(worker)
         self._fail_unit(unit, "timeout", results, queue, budget_ms=budget_ms)
@@ -502,7 +473,9 @@ class SupervisedPool:
                 # the channel is torn.
                 if not isinstance(value, list):
                     return None
-            elif not isinstance(value, int):
+            elif key != "cache" or not isinstance(value, dict):
+                return None
+            elif not all(isinstance(count, int) for count in value.values()):
                 return None
         expected = {item.index for item in unit.items}
         out: dict[int, str] = {}
@@ -544,7 +517,7 @@ class SupervisedPool:
                 results[item.index] = self._timeout_line(item, budget_ms)
                 return
             # Re-run each request alone so only the slow one pays.
-            self.stats.splits += 1
+            self.metrics.inc("supervisor.splits")
             for item in unit.items:
                 telemetry.record_escalation(
                     item.trace, "split", reason, request_id=item.request_id, unit_size=len(unit.items)
@@ -554,7 +527,7 @@ class SupervisedPool:
             return
         unit.attempts_left -= 1
         if unit.attempts_left > 0:
-            self.stats.retries += 1
+            self.metrics.inc("supervisor.retries")
             for item in unit.items:
                 telemetry.record_escalation(
                     item.trace, "retry", reason, request_id=item.request_id, unit_size=len(unit.items)
@@ -564,7 +537,7 @@ class SupervisedPool:
         if len(unit.items) > 1:
             # The unit killed a worker twice: isolate the culprit by retrying
             # every request as its own singleton (one attempt each).
-            self.stats.splits += 1
+            self.metrics.inc("supervisor.splits")
             for item in unit.items:
                 telemetry.record_escalation(
                     item.trace, "split", reason, request_id=item.request_id, unit_size=len(unit.items)
@@ -573,7 +546,7 @@ class SupervisedPool:
                 queue.appendleft(WorkUnit(items=(item,), attempts_left=1))
             return
         item = unit.items[0]
-        self.stats.quarantined += 1
+        self.metrics.inc("supervisor.quarantined")
         telemetry.record_escalation(item.trace, "quarantine", reason, request_id=item.request_id)
         results[item.index] = dump_result_line(
             QueryResult(

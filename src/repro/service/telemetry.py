@@ -5,7 +5,8 @@ supervisor → kernels); this module is the one place their telemetry meets.
 It deliberately changes *nothing* about answers: trace ids are excluded from
 cache keys and results (see :func:`repro.service.wire.request_cache_key`), a
 traced stream is byte-identical on its result lines to an untraced one, and
-every hook no-ops behind a single ``enabled()`` check when telemetry is off.
+every opt-in hook no-ops behind a single ``enabled()`` check when telemetry
+is off.
 
 Three coordinated pieces:
 
@@ -16,33 +17,38 @@ layer that knows only ``request.trace`` — the session evaluating in a worker
 process, the supervisor annotating an escalation — can parent spans to the
 request's root without extra plumbing.  Completed spans buffer in a bounded
 deque; worker processes drain theirs into the supervisor reply's ``info``
-dict (``{"spans": [...], "cost": [...]}``) and the parent adopts them, so
-one request's tree is whole even when its work crossed process boundaries.
+dict (``{"cache": {...}, "spans": [...], "cost": [...]}``, the worker
+cache's hit/miss increments riding every reply, traced or not) and the
+parent adopts them, so one request's tree is whole even when its work
+crossed process boundaries.
 
 **Metrics registry** (:class:`MetricsRegistry`).  Counters, gauges, and
-bounded fixed-bucket histograms under flat dotted names.  ``absorb()``
-flattens the service's pre-existing stats dicts (micro-batch, supervision,
-cache tiers) into gauges, so ``{"control": "metrics"}`` and the
-``--metrics-dir`` dump expose *one* deterministic canonical-JSON document
-instead of today's per-layer patchwork.
+series (bucket counts plus recent samples) under flat dotted names.  A
+server builds one and hands it to its micro-batcher and shard executor,
+which count into it directly, always on; the ``stats``, ``health`` and
+``metrics`` control lines and the ``--metrics-dir`` dump are views over it,
+so each count is kept in one place.
 
 **Cost log** (:class:`CostLog`).  Every executed work unit appends one
 ``(kind, method, |Γ|, request count, query size, kernel counters, wall
 time)`` record — the calibration feed the ROADMAP's capacity-aware adaptive
 planner will learn per-group cost models from.
 
-Process-global state is intentional (one service process, one telemetry
-sink); ``os.register_at_fork`` clears inherited buffers in forked workers so
-parent spans are never double-reported, and :func:`reset` gives tests a
+The opt-in pieces are process-global on purpose (one service process, one
+telemetry sink; their counters go to the registry :func:`configure` was last
+given); ``os.register_at_fork`` clears inherited buffers in forked workers
+so parent spans are never double-reported, and :func:`reset` gives tests a
 clean slate.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import threading
 import time
+from bisect import bisect_left
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import replace
@@ -85,6 +91,17 @@ DEFAULT_BUCKETS_MS = (0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
 #: Bounded-buffer sizes: old entries are dropped, never blocked on.
 SPAN_BUFFER_LIMIT = 65536
 COST_LOG_LIMIT = 65536
+
+#: Most recent samples each series keeps for its percentiles.
+STATS_WINDOW = 4096
+
+#: Reported percentiles of a series summary.
+PERCENTILE_POINTS = (50, 95, 99)
+
+#: Distinct tenant labels per per-tenant counter group; the rest aggregate
+#: into :data:`OTHER_TENANTS`.
+TENANT_STATS_LIMIT = 64
+OTHER_TENANTS = "~other"
 
 
 # ---------------------------------------------------------------------------
@@ -250,25 +267,34 @@ class Tracer:
 # ---------------------------------------------------------------------------
 
 
-class _Histogram:
-    """Fixed-bucket histogram: counts per upper bound plus an overflow slot."""
+def percentile(samples: Sequence[float], point: float) -> Optional[float]:
+    """Nearest-rank percentile of a *sorted* sample list (``None`` when empty)."""
+    if not samples:
+        return None
+    rank = max(1, min(len(samples), math.ceil(point / 100.0 * len(samples))))
+    return samples[rank - 1]
 
-    __slots__ = ("bounds", "counts", "count", "total")
+
+class _Series:
+    """Observations of one quantity: fixed-bucket counts over its whole life
+    plus the :data:`STATS_WINDOW` most recent samples, which the stats
+    documents summarize as *recent* percentiles."""
+
+    __slots__ = ("bounds", "counts", "count", "total", "recent")
 
     def __init__(self, bounds: Sequence[float]) -> None:
         self.bounds = tuple(bounds)
         self.counts = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.total = 0.0
+        self.recent: deque = deque(maxlen=STATS_WINDOW)
 
     def observe(self, value: float) -> None:
         self.count += 1
         self.total += value
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[index] += 1
-                return
-        self.counts[-1] += 1
+        # The first bound >= value; past the last bound is the overflow slot.
+        self.counts[bisect_left(self.bounds, value)] += 1
+        self.recent.append(value)
 
     def as_dict(self) -> dict:
         return {
@@ -279,9 +305,28 @@ class _Histogram:
         }
 
 
-class MetricsRegistry:
-    """Counters, gauges, and bounded histograms under flat dotted names.
+def summarize(samples: Sequence[float]) -> dict:
+    """p50/p95/p99, mean and max of a sample set (rounded to 3 places)."""
+    ordered = sorted(samples)
+    summary: Dict[str, Any] = {
+        f"p{point}": None if not ordered else round(percentile(ordered, point), 3)
+        for point in PERCENTILE_POINTS
+    }
+    summary["mean"] = round(sum(ordered) / len(ordered), 3) if ordered else None
+    summary["max"] = round(ordered[-1], 3) if ordered else None
+    summary["samples"] = len(ordered)
+    return summary
 
+
+def _tenant_prefix(group: str) -> str:
+    return f"{group}.per_tenant." if group else "per_tenant."
+
+
+class MetricsRegistry:
+    """Counters, gauges, and bounded series under flat dotted names.
+
+    Each serving layer writes its counts here directly; the ``stats``,
+    ``health`` and ``metrics`` documents are views that read them back.
     The export is a plain dict ready for :func:`canonical_dumps`: three
     top-level sections whose keys sort deterministically, so two registries
     fed the same observations export byte-identical documents.
@@ -290,35 +335,76 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, float] = {}
-        self._histograms: Dict[str, _Histogram] = {}
+        self._series: Dict[str, _Series] = {}
+        # group -> tenant labels admitted to its per-tenant counters
+        self._tenant_labels: Dict[str, set] = {}
+        # counter -> value at the previous drain()
+        self._drained: Dict[str, int] = {}
 
     def inc(self, name: str, value: int = 1) -> None:
         self._counters[name] = self._counters.get(name, 0) + value
+
+    def inc_tenant(self, name: str, tenant: Optional[str], value: int = 1) -> None:
+        """Bump ``name`` and its per-tenant counter ``<group>.per_tenant.<label>.<field>``.
+
+        This is the one label cap of the service: each group admits
+        :data:`TENANT_STATS_LIMIT` tenant labels, and traffic from tenants
+        beyond them lands on ``"~other"``, so a million-tenant stream cannot
+        balloon the registry.  The per-tenant counters always sum to the total;
+        the ``None`` tenant is labelled ``"default"``.
+        """
+        self.inc(name, value)
+        group, _, field = name.rpartition(".")
+        labels = self._tenant_labels.setdefault(group, set())
+        label = "default" if tenant is None else tenant
+        if label not in labels:
+            if len(labels) >= TENANT_STATS_LIMIT:
+                label = OTHER_TENANTS
+            labels.add(label)
+        self.inc(f"{_tenant_prefix(group)}{label}.{field}", value)
 
     def gauge(self, name: str, value: float) -> None:
         self._gauges[name] = value
 
     def observe(self, name: str, value: float, bounds: Sequence[float] = DEFAULT_BUCKETS_MS) -> None:
-        histogram = self._histograms.get(name)
-        if histogram is None:
-            histogram = self._histograms[name] = _Histogram(bounds)
-        histogram.observe(value)
+        series = self._series.get(name)
+        if series is None:
+            series = self._series[name] = _Series(bounds)
+        series.observe(value)
 
-    def absorb(self, prefix: str, mapping: Any) -> None:
-        """Flatten a nested stats dict into gauges under dotted names.
+    def value(self, name: str) -> float:
+        """A counter's or gauge's current value (0 when never written)."""
+        return self._counters.get(name, self._gauges.get(name, 0))
 
-        Numbers become gauges (bools as 0/1); nested dicts recurse with a
-        dotted prefix; strings, lists, and ``None`` values are skipped —
-        they belong in the structured stats document, not in metrics.
-        """
-        if isinstance(mapping, dict):
-            for key in sorted(mapping, key=str):
-                self.absorb(f"{prefix}.{key}", mapping[key])
-            return
-        if isinstance(mapping, bool):
-            self._gauges[prefix] = int(mapping)
-        elif isinstance(mapping, (int, float)):
-            self._gauges[prefix] = mapping
+    def series(self, name: str) -> _Series:
+        """A series (an empty one when never observed)."""
+        return self._series.get(name) or _Series(())
+
+    def family(self, prefix: str) -> Dict[str, int]:
+        """Every counter under ``prefix``, keyed by the rest of its name (sorted)."""
+        return {
+            name[len(prefix) :]: self._counters[name]
+            for name in sorted(self._counters)
+            if name.startswith(prefix)
+        }
+
+    def per_tenant(self, group: str, fields: Sequence[str]) -> Dict[str, Dict[str, int]]:
+        """The ``inc_tenant`` counters of a group as ``{label: {field: count}}``, sorted by label."""
+        out: Dict[str, Dict[str, int]] = {}
+        for name, value in self.family(_tenant_prefix(group)).items():
+            label, _, field = name.rpartition(".")
+            out.setdefault(label, dict.fromkeys(fields, 0))[field] = value
+        return dict(sorted(out.items()))
+
+    def drain(self, names: Sequence[str]) -> Dict[str, int]:
+        """The named counters' increments since the previous drain (totals are kept)."""
+        out: Dict[str, int] = {}
+        for name in names:
+            delta = self._counters.get(name, 0) - self._drained.get(name, 0)
+            if delta:
+                out[name] = delta
+                self._drained[name] = self._counters[name]
+        return out
 
     def export(self) -> dict:
         return {
@@ -327,7 +413,7 @@ class MetricsRegistry:
                 name: (round(value, 6) if isinstance(value, float) else value)
                 for name, value in sorted(self._gauges.items())
             },
-            "histograms": {name: self._histograms[name].as_dict() for name in sorted(self._histograms)},
+            "histograms": {name: self._series[name].as_dict() for name in sorted(self._series)},
         }
 
 
@@ -373,7 +459,6 @@ class _TelemetryState:
     def __init__(self) -> None:
         self.enabled = False
         self.metrics_dir: Optional[Path] = None
-        self.interval_ms = 1000.0
         self.registry = MetricsRegistry()
         self.tracer = Tracer()
         self.cost_log = CostLog()
@@ -387,18 +472,20 @@ def configure(
     *,
     trace: bool = False,
     metrics_dir: Optional[str] = None,
-    interval_ms: Optional[float] = None,
+    registry: Optional[MetricsRegistry] = None,
 ) -> None:
     """Turn telemetry on or off for this process.
 
     Tracing is enabled when either flag asks for it: an explicit ``trace``
     request, or a ``metrics_dir`` (a dump destination implies collection).
+    ``registry`` is where the opt-in counters of this process go from now
+    on — a server passes its own, so one registry holds all its counts.
     Existing buffers are kept — reconfiguring mid-run must not lose spans.
     """
     _STATE.metrics_dir = Path(metrics_dir) if metrics_dir else None
     _STATE.enabled = bool(trace) or _STATE.metrics_dir is not None
-    if interval_ms is not None:
-        _STATE.interval_ms = float(interval_ms)
+    if registry is not None:
+        _STATE.registry = registry
 
 
 def enabled() -> bool:
@@ -409,7 +496,6 @@ def reset() -> None:
     """Fresh disabled state — test isolation."""
     _STATE.enabled = False
     _STATE.metrics_dir = None
-    _STATE.interval_ms = 1000.0
     _STATE.registry = MetricsRegistry()
     _STATE.tracer = Tracer()
     _STATE.cost_log = CostLog()
@@ -425,10 +511,6 @@ def tracer() -> Tracer:
 
 def cost_log() -> CostLog:
     return _STATE.cost_log
-
-
-def interval_ms() -> float:
-    return _STATE.interval_ms
 
 
 def metrics_dir() -> Optional[Path]:
@@ -543,8 +625,6 @@ def finish_request(span: Span, ticket: Any, result: Optional[QueryResult]) -> No
         span.event("window_closed", at=window_closed)
     _annotate_outcome(span, result)
     state.registry.inc("trace.requests_finished")
-    if enqueued is not None and responded is not None:
-        state.registry.observe("request.latency_ms", (responded - enqueued) * 1000.0)
     span.end(at=responded)
 
 
@@ -584,7 +664,6 @@ def record_request_tree(
         ).end(at=finish)
     _annotate_outcome(root, result)
     state.registry.inc("trace.requests_finished")
-    state.registry.observe("request.latency_ms", (responded_at - admitted_at) * 1000.0)
     root.end(at=responded_at)
 
 
@@ -692,7 +771,6 @@ def record_escalation(trace: Optional[str], step: str, reason: str, **attrs: Any
     if step == "timeout":
         span.event("deadline_exceeded")
     span.end()
-    state.registry.inc(f"supervisor.escalations.{step}")
 
 
 def record_unit_dispatch(
@@ -718,7 +796,6 @@ def record_unit_dispatch(
         attrs={"worker": worker, "items": items, "attempt": attempt, "traces": traced},
     )
     span.end()
-    state.registry.inc("supervisor.units_dispatched")
     state.registry.observe("unit_dispatch.wall_ms", wall_ms)
 
 
@@ -727,11 +804,22 @@ def record_unit_dispatch(
 # ---------------------------------------------------------------------------
 
 
-def drain_for_reply() -> Dict[str, list]:
-    """Worker side: pack buffered spans and cost records into a reply info dict."""
+#: The worker result-cache counters every supervisor reply carries.
+WORKER_CACHE_COUNTERS = ("hits", "misses")
+
+
+def drain_for_reply(cache: Optional[MetricsRegistry] = None) -> Dict[str, Any]:
+    """Worker side: the reply's info dict.
+
+    ``cache`` is the worker session's result-cache registry: its hit/miss
+    increments since the previous reply ride every reply, traced or not.
+    Buffered spans and cost records are packed when telemetry is on.
+    """
+    payload: Dict[str, Any] = {}
+    if cache is not None:
+        payload["cache"] = cache.drain(WORKER_CACHE_COUNTERS)
     if not _STATE.enabled:
-        return {}
-    payload: Dict[str, list] = {}
+        return payload
     spans = _STATE.tracer.drain()
     if spans:
         payload["spans"] = spans
@@ -741,48 +829,55 @@ def drain_for_reply() -> Dict[str, list]:
     return payload
 
 
-def adopt_reply(info: dict) -> None:
-    """Parent side: absorb a worker reply's spans/cost into this process.
+def adopt_reply(info: dict, registry: Optional[MetricsRegistry] = None) -> None:
+    """Parent side: take a worker reply's counts, spans and cost records.
 
-    Pops the telemetry keys out of ``info`` so downstream consumers see only
-    the numeric counters they already expect.
+    Cache increments count into ``registry`` (this process's registry when
+    omitted) as the ``result_cache.tiers.worker.*`` series; spans and cost
+    records are adopted when telemetry is on.  Pops every key it consumes.
     """
+    registry = _STATE.registry if registry is None else registry
+    for name, value in info.pop("cache", {}).items():
+        registry.inc(f"result_cache.tiers.worker.{name}", value)
     spans = info.pop("spans", None)
     cost = info.pop("cost", None)
     if not _STATE.enabled:
         return
-    state = _STATE
     if spans:
-        state.tracer.adopt(spans)
+        _STATE.tracer.adopt(spans)
     if cost:
-        state.cost_log.extend(cost)
-        state.registry.inc("costlog.records", len(cost))
+        _STATE.cost_log.extend(cost)
+        registry.inc("costlog.records", len(cost))
         for record in cost:
             kernel = record.get("kernel") if isinstance(record, dict) else None
             if isinstance(kernel, dict):
                 for name, value in kernel.items():
                     if isinstance(value, int) and value:
-                        state.registry.inc(f"kernel.{name}", value)
+                        registry.inc(f"kernel.{name}", value)
             wall = record.get("wall_ms") if isinstance(record, dict) else None
             if isinstance(wall, (int, float)):
-                state.registry.observe("work_unit.wall_ms", float(wall))
+                registry.observe("work_unit.wall_ms", float(wall))
 
 
-def metrics_export() -> dict:
-    """The one deterministic metrics document (ready for canonical JSON)."""
-    document = _STATE.registry.export()
+def metrics_export(registry: Optional[MetricsRegistry] = None) -> dict:
+    """The one deterministic metrics document (ready for canonical JSON).
+
+    ``registry`` defaults to this process's; the trace and cost-log
+    sections describe this process's buffers.
+    """
+    document = (_STATE.registry if registry is None else registry).export()
     document["trace"] = _STATE.tracer.snapshot()
     document["costlog"] = _STATE.cost_log.snapshot()
     return document
 
 
-def flush(directory: Optional[str] = None) -> Optional[Dict[str, int]]:
+def flush(document: Optional[dict] = None, directory: Optional[str] = None) -> Optional[Dict[str, int]]:
     """Append buffered telemetry to the metrics directory's JSONL files.
 
     Writes ``trace.jsonl`` (one span per line), ``costlog.jsonl`` (one work
-    unit per line), and ``metrics.jsonl`` (one registry snapshot per flush).
-    Returns per-file appended counts, or ``None`` when no directory is
-    configured.
+    unit per line), and ``metrics.jsonl`` (one metrics document per flush:
+    ``document``, or :func:`metrics_export` when omitted).  Returns per-file
+    appended counts, or ``None`` when no directory is configured.
     """
     target = Path(directory) if directory else _STATE.metrics_dir
     if target is None:
@@ -800,5 +895,5 @@ def flush(directory: Optional[str] = None) -> Optional[Dict[str, int]]:
                 for record in records:
                     handle.write(canonical_dumps(record) + "\n")
         with (target / "metrics.jsonl").open("a", encoding="utf-8") as handle:
-            handle.write(canonical_dumps(metrics_export()) + "\n")
+            handle.write(canonical_dumps(document if document is not None else metrics_export()) + "\n")
     return {"spans": len(spans), "cost": len(records)}

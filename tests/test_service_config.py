@@ -21,6 +21,7 @@ from repro.service.config import (
 )
 from repro.service.executor import ShardExecutor
 from repro.service.session import Session
+from repro.service.supervisor import supervision_stats
 from repro.workloads.random_service import random_service_requests
 
 
@@ -112,6 +113,15 @@ class TestArgparseRoundTrip:
         with pytest.raises(ServiceError):
             config_from_args(parser.parse_args(["--queue-limit", "0"]))
 
+    def test_the_metrics_dump_period_is_not_a_flag(self, capsys):
+        # serve mode dumps --metrics-dir every second and on drain; there is no knob
+        parser = argparse.ArgumentParser()
+        add_config_arguments(parser, serve=True)
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(["--metrics-dir", "out", "--metrics-interval-ms", "250"])
+        assert exit_info.value.code == 2
+        assert "--metrics-interval-ms" in capsys.readouterr().err
+
 
 class TestFactories:
     def test_make_session_applies_dependencies_and_tuning(self):
@@ -148,7 +158,7 @@ class TestFactories:
         with config.make_executor() as executor:
             first = executor.execute_many(stream)
             assert executor.execute_many(stream) == first
-            assert executor.supervision_stats()["worker_cache_hits"] == 0
+            assert supervision_stats(executor.metrics)["worker_cache_hits"] == 0
 
 
 class TestInstallHooks:
@@ -186,9 +196,8 @@ class TestInstallHooks:
         assert faults.installed_plan() is None
 
     def test_telemetry_follows_the_trace_flag(self):
-        ServiceConfig(trace=True, metrics_interval_ms=250.0).install_hooks()
+        ServiceConfig(trace=True).install_hooks()
         assert telemetry.enabled()
-        assert telemetry.interval_ms() == 250.0
         ServiceConfig().install_hooks()
         assert not telemetry.enabled()
 

@@ -30,7 +30,7 @@ from repro.service.faults import (
 )
 from repro.service.planner import execute_plan
 from repro.service.session import Session
-from repro.service.supervisor import SupervisedPool, WorkItem, WorkUnit
+from repro.service.supervisor import SupervisedPool, WorkItem, WorkUnit, supervision_stats
 from repro.service.wire import (
     QueryRequest,
     dump_request_line,
@@ -159,7 +159,7 @@ class TestSupervisedExecution:
             shards=2, dependencies=DEPENDENCIES, fault_plan=plan.to_json()
         ) as executor:
             lines = [dump_result_line(r) for r in executor.execute_many(requests)]
-            stats = executor.supervision_stats()
+            stats = supervision_stats(executor.metrics)
         assert lines == _reference(requests)
         assert stats["crashes"] == 1
         assert stats["restarts"] == 1
@@ -175,7 +175,7 @@ class TestSupervisedExecution:
             shards=2, dependencies=DEPENDENCIES, fault_plan=plan.to_json()
         ) as executor:
             lines = [dump_result_line(r) for r in executor.execute_many(requests)]
-            stats = executor.supervision_stats()
+            stats = supervision_stats(executor.metrics)
         reference = _reference(requests)
         for i, request in enumerate(requests):
             if request.id == victim:
@@ -197,7 +197,7 @@ class TestSupervisedExecution:
             shards=2, dependencies=DEPENDENCIES, fault_plan=plan.to_json()
         ) as executor:
             lines = [dump_result_line(r) for r in executor.execute_many(requests)]
-            stats = executor.supervision_stats()
+            stats = supervision_stats(executor.metrics)
         reference = _reference(requests)
         for i, request in enumerate(requests):
             if request.id == "q1":
@@ -222,7 +222,7 @@ class TestSupervisedExecution:
             deadline_grace_ms=400.0,
         ) as executor:
             lines = [dump_result_line(r) for r in executor.execute_many(requests)]
-            stats = executor.supervision_stats()
+            stats = supervision_stats(executor.metrics)
         reference = _reference(requests)
         for i, request in enumerate(requests):
             if request.id == "q1":
@@ -245,7 +245,7 @@ class TestSupervisedExecution:
             shards=2, dependencies=DEPENDENCIES, fault_plan=plan.to_json()
         ) as executor:
             lines = [dump_result_line(r) for r in executor.execute_many(requests)]
-            stats = executor.supervision_stats()
+            stats = supervision_stats(executor.metrics)
         assert lines == _reference(requests)
         assert stats["corrupted"] >= 1
         assert stats["restarts"] >= 1
@@ -284,7 +284,7 @@ class TestSupervisedExecution:
         bad = load_result_line(out[0])
         assert not bad.ok
         assert load_result_line(out[1]).ok
-        assert pool.stats.crashes == 0
+        assert pool.metrics.value("supervisor.crashes") == 0
 
 
 def _req_line(i, kind, query, **extra):
@@ -425,7 +425,7 @@ class TestAcceptanceStream:
         reference = [dump_result_line(r) for r in execute_plan(Session(), stream)]
         with ShardExecutor(shards=2, fault_plan=plan.to_json()) as executor:
             lines = [dump_result_line(r) for r in executor.execute_many(stream)]
-            stats = executor.supervision_stats()
+            stats = supervision_stats(executor.metrics)
         assert len(lines) == 200
         differing = [i for i in range(200) if lines[i] != reference[i]]
         victims = {stream[i].id for i in differing}

@@ -13,7 +13,8 @@ import pytest
 
 from repro.dependencies.pd import PartitionDependency
 from repro.errors import ServiceError
-from repro.service.microbatch import STATS_WINDOW, MicroBatcher, MicroBatchStats, Ticket, percentile
+from repro.service.microbatch import MicroBatcher, Ticket, batch_stats, record_latencies
+from repro.service.telemetry import STATS_WINDOW, MetricsRegistry, percentile
 from repro.service.session import Session
 from repro.service.wire import QueryRequest, QueryResult
 
@@ -58,13 +59,13 @@ class TestWindowTriggers:
                 results = await asyncio.wait_for(
                     asyncio.gather(*(t.result() for t in tickets)), timeout=5
                 )
-                return results, mb.stats
+                return results, mb.metrics
 
         results, stats = run(scenario())
         assert [r.value["echo"] for r in results] == ["q0", "q1", "q2"]
-        assert stats.windows == 1
-        assert stats.closed_by["size"] == 1
-        assert stats.window_size_max == 3
+        assert stats.value("windows.count") == 1
+        assert stats.value("windows.closed_by.size") == 1
+        assert stats.value("windows.max_size") == 3
 
     def test_timer_trigger_closes_partial_window(self):
         async def scenario():
@@ -73,12 +74,12 @@ class TestWindowTriggers:
                 results = await asyncio.wait_for(
                     asyncio.gather(*(t.result() for t in tickets)), timeout=5
                 )
-                return results, mb.stats
+                return results, mb.metrics
 
         results, stats = run(scenario())
         assert all(r.ok for r in results)
-        assert stats.closed_by["timer"] == 1
-        assert stats.window_size_max == 2
+        assert stats.value("windows.closed_by.timer") == 1
+        assert stats.value("windows.max_size") == 2
 
     def test_backlog_coalesces_into_one_window(self):
         """Requests queued while a window executes all land in the next window."""
@@ -88,17 +89,17 @@ class TestWindowTriggers:
             async with MicroBatcher(executor, max_wait_ms=0, max_batch=10) as mb:
                 first = await mb.submit(_request(0))
                 # Wait until the collector owns the first window (queue empty).
-                while mb.stats.windows < 1:
+                while mb.metrics.value("windows.count") < 1:
                     await asyncio.sleep(0.001)
                 backlog = [await mb.submit(_request(i)) for i in range(1, 5)]
                 executor.gate.set()
                 await asyncio.wait_for(
                     asyncio.gather(first.result(), *(t.result() for t in backlog)), timeout=5
                 )
-                return mb.stats
+                return mb.metrics
 
         stats = run(scenario())
-        assert stats.windows == 2
+        assert stats.value("windows.count") == 2
         assert executor.windows[0] == ["q0"]
         assert executor.windows[1] == ["q1", "q2", "q3", "q4"]
 
@@ -112,7 +113,7 @@ class TestOverload:
                 executor, max_wait_ms=0, max_batch=1, queue_limit=2, overload="shed"
             ) as mb:
                 first = await mb.submit(_request(0))
-                while mb.stats.windows < 1:  # collector holds q0, queue empty again
+                while mb.metrics.value("windows.count") < 1:  # collector holds q0, queue empty again
                     await asyncio.sleep(0.001)
                 queued = [await mb.submit(_request(i)) for i in (1, 2)]  # queue now full
                 shed = await mb.submit(_request(3))
@@ -121,7 +122,7 @@ class TestOverload:
                 served = await asyncio.wait_for(
                     asyncio.gather(first.result(), *(t.result() for t in queued)), timeout=5
                 )
-                return shed, shed_result, served, mb.stats
+                return shed, shed_result, served, mb.metrics
 
         shed, shed_result, served, stats = run(scenario())
         assert shed.shed
@@ -130,9 +131,9 @@ class TestOverload:
         assert shed_result.kind == "implies"
         assert shed_result.error["type"] == "Overloaded"
         assert all(r.ok for r in served)
-        assert stats.shed == 1
-        assert stats.submitted == 4
-        assert stats.answered == 3  # shed requests are answered without execution
+        assert stats.value("requests.shed") == 1
+        assert stats.value("requests.submitted") == 4
+        assert stats.value("requests.answered") == 3  # shed requests are answered without execution
 
     def test_block_policy_delays_submit_until_space_frees(self):
         executor = GatedExecutor()
@@ -142,7 +143,7 @@ class TestOverload:
                 executor, max_wait_ms=0, max_batch=1, queue_limit=1, overload="block"
             ) as mb:
                 first = await mb.submit(_request(0))
-                while mb.stats.windows < 1:
+                while mb.metrics.value("windows.count") < 1:
                     await asyncio.sleep(0.001)
                 second = await mb.submit(_request(1))  # fills the queue
                 blocked = asyncio.ensure_future(mb.submit(_request(2)))
@@ -166,11 +167,11 @@ class TestDrain:
             tickets = [await mb.submit(_request(i)) for i in range(5)]
             # The window would wait a minute; drain must flush it now.
             await asyncio.wait_for(mb.drain(), timeout=5)
-            return [ticket.future.result() for ticket in tickets], mb.stats
+            return [ticket.future.result() for ticket in tickets], mb.metrics
 
         results, stats = run(scenario())
         assert [r.id for r in results] == [f"q{i}" for i in range(5)]
-        assert stats.closed_by["drain"] == 1
+        assert stats.value("windows.closed_by.drain") == 1
 
     def test_submit_after_drain_is_rejected(self):
         async def scenario():
@@ -252,7 +253,7 @@ class TestAccounting:
                     for ticket in tickets:
                         await ticket.result()
                         ticket.mark_responded()
-                return mb.stats.snapshot()
+                return batch_stats(mb.metrics, max_batch=4)
 
         snapshot = run(scenario())
         assert snapshot["requests"]["submitted"] == 12
@@ -274,21 +275,21 @@ class TestAccounting:
                 ticket.mark_responded()
                 stamp = ticket.responded_at
                 ticket.mark_responded()
-                return stamp, ticket.responded_at, mb.stats.snapshot()
+                return stamp, ticket.responded_at, batch_stats(mb.metrics, max_batch=1)
 
         stamp, stamp_again, snapshot = run(scenario())
         assert stamp == stamp_again
         assert snapshot["latency_ms"]["total"]["samples"] == 1
 
     def test_latency_reservoirs_keep_the_most_recent_stats_window_samples(self):
-        stats = MicroBatchStats(max_batch=4)
+        metrics = MetricsRegistry()
         for number in range(STATS_WINDOW + 10):
-            ticket = Ticket(_request(number), None, stats)
+            ticket = Ticket(_request(number), None, metrics)
             ticket.window_closed_at = ticket.planned_at = ticket.enqueued_at + 0.001
             ticket.executed_at = ticket.planned_at + 0.002
             ticket.responded_at = ticket.executed_at + (0.5 if number < 10 else 0.003)
-            stats.record_ticket(ticket)
-        latency = stats.snapshot()["latency_ms"]
+            record_latencies(metrics, ticket)
+        latency = batch_stats(metrics, max_batch=4)["latency_ms"]
         for stage in ("total", "queue_wait", "execute", "respond"):
             assert latency[stage]["samples"] == STATS_WINDOW
         # The ten slow first samples fell out of the window.

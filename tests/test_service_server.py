@@ -205,14 +205,14 @@ class TestDrain:
             reader, writer = await asyncio.open_connection(host, port)
             writer.write(("".join(line + "\n" for line in requests)).encode("utf-8"))
             await writer.drain()  # no EOF: the connection stays open
-            await _poll(lambda: server.batcher.stats.submitted >= 3)
+            await _poll(lambda: server.metrics.value("requests.submitted") >= 3)
             started = time.perf_counter()
             await server.drain()
             elapsed = time.perf_counter() - started
             answers = [await reader.readline() for _ in requests]
             trailer = await reader.readline()
             writer.close()
-            return answers, trailer, elapsed, server.batcher.stats
+            return answers, trailer, elapsed, server.metrics
 
         answers, trailer, elapsed, stats = run(scenario(), timeout=30)
         assert elapsed < 30.0  # nowhere near the 60 s window timer
@@ -220,7 +220,7 @@ class TestDrain:
         assert [r.id for r in decoded] == ["d0", "d1", "d2"]
         assert all(r.ok for r in decoded)
         assert trailer == b""  # the server closed the connection after draining
-        assert stats.closed_by["drain"] == 1
+        assert stats.value("windows.closed_by.drain") == 1
 
 
 class GatedSession(Session):
@@ -250,20 +250,20 @@ class TestOverloadShed:
             host, port = await server.start()
             try:
                 reader, writer = await asyncio.open_connection(host, port)
-                stats = server.batcher.stats
+                stats = server.metrics
 
                 # s0 is dequeued into a window that blocks on the gate.
                 writer.write((requests[0] + "\n").encode("utf-8"))
                 await writer.drain()
-                await _poll(lambda: stats.windows >= 1)
+                await _poll(lambda: stats.value("windows.count") >= 1)
                 # s1 fills the admission queue (queue_limit=1).
                 writer.write((requests[1] + "\n").encode("utf-8"))
                 await writer.drain()
-                await _poll(lambda: stats.submitted >= 2)
+                await _poll(lambda: stats.value("requests.submitted") >= 2)
                 # s2 finds the queue full and is shed immediately.
                 writer.write((requests[2] + "\n").encode("utf-8"))
                 await writer.drain()
-                await _poll(lambda: stats.shed >= 1)
+                await _poll(lambda: stats.value("requests.shed") >= 1)
 
                 session.gate.set()
                 writer.write_eof()
@@ -285,7 +285,7 @@ class TestOverloadShed:
         assert not shed.ok
         assert shed.error["type"] == "Overloaded"
         assert "queue full" in shed.error["message"]
-        assert stats.shed == 1
+        assert stats.value("requests.shed") == 1
 
 
 class TestServeCommand:

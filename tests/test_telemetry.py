@@ -36,8 +36,9 @@ from repro.service.config import ServiceConfig
 from repro.service.executor import ShardExecutor
 from repro.service.faults import ENV_VAR, Fault, FaultPlan, clear_fault_plan
 from repro.service.planner import execute_plan
-from repro.service.server import serve_stream
+from repro.service.server import QueryServer, serve_stream
 from repro.service.session import Session
+from repro.service.supervisor import supervision_stats
 from repro.service.wire import (
     QueryRequest,
     canonical_dumps,
@@ -227,17 +228,20 @@ class TestMetricsRegistry:
         assert histogram["count"] == 2
         assert sum(histogram["counts"]) == 2
 
-    def test_absorb_flattens_nested_stats_to_gauges(self):
+    def test_per_tenant_counters_sum_to_the_total_and_drain_reports_increments(self):
         registry = telemetry.MetricsRegistry()
-        registry.absorb(
-            "service",
-            {"server": {"connections_open": 2, "mode": "session", "ok": True}, "shed": 0},
-        )
-        gauges = registry.export()["gauges"]
-        assert gauges["service.server.connections_open"] == 2
-        assert gauges["service.server.ok"] == 1
-        assert gauges["service.shed"] == 0
-        assert "service.server.mode" not in gauges  # strings are not metrics
+        for tenant in (None, "default", "acme"):
+            registry.inc_tenant("requests.submitted", tenant)
+        assert registry.value("requests.submitted") == 3
+        assert registry.per_tenant("requests", ("submitted", "answered")) == {
+            "acme": {"submitted": 1, "answered": 0},
+            "default": {"submitted": 2, "answered": 0},
+        }
+        assert registry.drain(("requests.submitted", "never")) == {"requests.submitted": 3}
+        registry.inc("requests.submitted", 2)
+        assert registry.drain(("requests.submitted",)) == {"requests.submitted": 2}
+        assert registry.drain(("requests.submitted",)) == {}
+        assert registry.value("requests.submitted") == 5  # draining keeps the total
 
     def test_histogram_overflow_slot(self):
         registry = telemetry.MetricsRegistry()
@@ -546,7 +550,7 @@ class TestServerTelemetry:
         # the snapshot is cut when the control line is *read*, so decode-time
         # counters are visible while respond-time histograms may still be empty
         assert metrics["counters"]["trace.requests_started"] == len(prefix)
-        assert metrics["gauges"]["service.server.connections_served"] >= 0
+        assert metrics["counters"]["server.connections_served"] == 1
         assert set(metrics) == {"counters", "costlog", "gauges", "histograms", "trace"}
         assert metrics["trace"]["started"] > 0
         # canonical export: the line itself re-serializes byte-identically
@@ -590,7 +594,7 @@ class TestServerTelemetry:
             shards=2, dependencies=("A = A*B",), fault_plan=plan.to_json()
         ) as executor:
             executor.execute_many(requests)
-            supervision = executor.supervision_stats()
+            supervision = supervision_stats(executor.metrics)
         # this is the document {"control": "health"} serves under "supervision"
         assert supervision["restarts"] >= 1
         assert supervision["last_restart_ms"] > 0
@@ -599,8 +603,175 @@ class TestServerTelemetry:
 
     def test_untraced_fresh_supervision_reports_null_restart_latency(self):
         with ShardExecutor(shards=2, dependencies=()) as executor:
-            stats = executor.supervision_stats()
+            stats = supervision_stats(executor.metrics)
         assert stats["restarts"] == 0
         assert stats["restart_mean_ms"] is None
         assert stats["last_restart_ms"] is None
         assert stats["restarts_by_worker"] == {}
+
+
+# ---------------------------------------------------------------------------
+# One registry per server: stats / health / metrics are views over it
+# ---------------------------------------------------------------------------
+
+
+async def _converse(host, port, lines):
+    """Send lines on a fresh connection and read one answer per line."""
+    reader, writer = await asyncio.open_connection(host, port)
+    writer.write("".join(line + "\n" for line in lines).encode("utf-8"))
+    await writer.drain()
+    writer.write_eof()
+    answers = [json.loads(await reader.readline()) for _ in lines]
+    writer.close()
+    await writer.wait_closed()
+    return answers
+
+
+def _leaves(document, prefix=""):
+    """Dotted path -> number for every numeric leaf of a nested document."""
+    out = {}
+    for key, value in document.items():
+        path = f"{prefix}{key}"
+        if isinstance(value, dict):
+            out.update(_leaves(value, path + "."))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            out[path] = value
+    return out
+
+
+#: Stats/health keys derived from counts (rates, means, restart latency);
+#: with the config values and the session's own diagnostics they are the
+#: only numeric keys that are not a count some series of the metrics export
+#: must equal.
+_NOT_COUNTS = ("hit_rate", "mean_size", "occupancy", "restart_seconds", "restart_mean_ms", "last_restart_ms")
+_NOT_COUNT_SECTIONS = ("session_cache.", "server.window.", "breaker.", "cache.")
+
+
+def _series_for(path):
+    """The metrics-export series a stats/health count path is a view of."""
+    path = path.replace("supervision.worker_cache_", "result_cache.tiers.worker.")
+    path = path.replace("supervision.", "supervisor.")
+    if path == "requests.budget_timeouts":  # health's copy of the window counter
+        return "windows.budget_timeouts"
+    return path
+
+
+def _assert_documents_match_metrics(stats, health, metrics):
+    def series(name):
+        for section in ("counters", "gauges"):
+            if name in metrics[section]:
+                return metrics[section][name]
+        return 0  # a series is created on its first write
+
+    checked = 0
+    for document in (stats, health):
+        for path, value in _leaves(document).items():
+            head, _, last = path.rpartition(".")
+            if last in _NOT_COUNTS or path.startswith(_NOT_COUNT_SECTIONS):
+                continue
+            if path.startswith("latency_ms."):
+                if last == "samples":
+                    histogram = metrics["histograms"].get(head)
+                    assert value == (histogram["count"] if histogram else 0), path
+                    checked += 1
+                continue
+            assert value == series(_series_for(path)), (path, value)
+            checked += 1
+    return checked
+
+
+class TestOneRegistryPerServer:
+    @pytest.fixture(scope="class")
+    def stream(self, acceptance_stream):
+        # repeats reach the caches; a few tenants exercise the per-tenant series
+        prefix = [
+            dataclasses.replace(request, tenant=f"t{index % 3}") if index % 4 == 0 else request
+            for index, request in enumerate(acceptance_stream[:24])
+        ]
+        return [line for line in requests_to_jsonl(prefix + prefix).split("\n") if line.strip()]
+
+    @pytest.mark.parametrize(
+        "shards", [1, pytest.param(2, marks=pytest.mark.skipif(not HAS_FORK, reason="needs fork"))]
+    )
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_every_count_in_stats_and_health_is_a_series_of_the_metrics_export(self, stream, shards, trace):
+        async def scenario():
+            config = ServiceConfig(shards=shards, max_batch=8, trace=trace)
+            async with QueryServer(config) as server:
+                answers = await _converse(server.host, server.port, stream)
+                controls = ['{"control":"stats"}', '{"control":"health"}', '{"control":"metrics"}']
+                return answers, await _converse(server.host, server.port, controls)
+
+        answers, (stats, health, metrics) = run(scenario())
+        assert len(answers) == len(stream)
+        stats, health, metrics = stats["stats"], health["health"], metrics["metrics"]
+        assert stats["requests"]["submitted"] == len(stream)
+        assert stats["latency_ms"]["total"]["samples"] == len(stream)
+        assert (health["supervision"] is not None) == (shards > 1)
+        if shards > 1:
+            # one count, one place: tracing adds no second dispatch counter
+            dispatched = metrics["counters"]["supervisor.units_dispatched"]
+            assert health["supervision"]["units_dispatched"] == dispatched
+            assert not any(name.startswith("supervisor.escalations") for name in metrics["counters"])
+        assert "request.latency_ms" not in metrics["histograms"]
+        checked = _assert_documents_match_metrics(stats, health, metrics)
+        assert checked > 20
+
+    def test_two_servers_in_one_process_count_independently(self, stream):
+        async def scenario():
+            async with QueryServer(ServiceConfig()) as one, QueryServer(ServiceConfig()) as two:
+                await _converse(one.host, one.port, stream[:3])
+                await _converse(two.host, two.port, stream[:5])
+                await _converse(two.host, two.port, stream[5:7])
+                return one.metrics_snapshot(), two.metrics_snapshot(), one.health_snapshot()
+
+        metrics_one, metrics_two, health_one = run(scenario())
+        assert metrics_one["counters"]["requests.submitted"] == health_one["requests"]["submitted"] == 3
+        assert metrics_two["counters"]["requests.submitted"] == 7
+        assert metrics_one["counters"]["server.connections_served"] == 1
+        assert metrics_two["counters"]["server.connections_served"] == 2
+        assert metrics_one["histograms"]["latency_ms.total"]["count"] == 3
+        assert metrics_two["histograms"]["latency_ms.total"]["count"] == 7
+
+    def test_metrics_carries_the_serving_counters_with_telemetry_off(self, stream):
+        async def scenario():
+            async with QueryServer(ServiceConfig(max_batch=8)) as server:
+                await _converse(server.host, server.port, stream)
+                (answer,) = await _converse(server.host, server.port, ['{"control":"metrics"}'])
+                return answer["metrics"]
+
+        metrics = run(scenario())
+        assert not telemetry.enabled()
+        counters, gauges, histograms = metrics["counters"], metrics["gauges"], metrics["histograms"]
+        assert counters["requests.submitted"] == counters["requests.answered"] == len(stream)
+        assert counters["windows.count"] >= len(stream) // 8
+        assert counters["server.connections_served"] == 2
+        assert histograms["latency_ms.total"]["count"] == len(stream)
+        assert gauges["result_cache.tiers.session.hits"] > 0
+        assert "trace.requests_started" not in counters
+
+    @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+    def test_worker_cache_totals_do_not_depend_on_tracing(self):
+        from repro.dependencies.pd import PartitionDependency
+
+        # 16 equal queries plan into two 8-request units, one per idle worker,
+        # so the second pass hits each worker's cache deterministically.
+        requests = [
+            QueryRequest(kind="implies", id=f"q{i}", query=PartitionDependency.parse("A = A*C"))
+            for i in range(16)
+        ]
+
+        def worker_tier(trace):
+            telemetry.reset()
+            telemetry.configure(trace=trace)
+            with ShardExecutor(
+                shards=2, dependencies=("A = A*B", "B = B*C"), shared_cache_size=0
+            ) as executor:
+                executor.execute_many(requests)
+                executor.execute_many(requests)
+                supervision = supervision_stats(executor.metrics)
+            return supervision["worker_cache_hits"], supervision["worker_cache_misses"]
+
+        untraced = worker_tier(False)
+        assert untraced[0] > 0 and sum(untraced) == 2 * len(requests)
+        assert worker_tier(True) == untraced

@@ -29,6 +29,8 @@ from repro.service.result_cache import gamma_dependent
 from repro.service.server import QueryServer
 from repro.service.session import Session
 from repro.service.snapshot import dump_snapshot, restore_session
+from repro.service.supervisor import supervision_stats
+from repro.service.telemetry import TENANT_STATS_LIMIT
 from repro.service.wire import (
     QueryRequest,
     QueryResult,
@@ -303,6 +305,28 @@ class TestPerTenantCountersAddUp:
         _assert_per_tenant_adds_up(info)
 
 
+class TestPerTenantLabelsAreCapped:
+    """Every cache tier keeps at most TENANT_STATS_LIMIT tenant labels (the
+    rest fold into ``"~other"``), and the breakdown still adds up."""
+
+    def test_a_cache_tier_folds_tenants_past_the_cap(self):
+        cache = SharedResultCache(maxsize=16)
+        for index in range(10_000):
+            cache.lookup(f"key{index}", None, tenant=f"tenant{index}")
+        info = cache.info()
+        assert len(info["per_tenant"]) == TENANT_STATS_LIMIT + 1
+        assert info["per_tenant"]["~other"] == {"hits": 0, "misses": 10_000 - TENANT_STATS_LIMIT}
+        _assert_per_tenant_adds_up(info)
+
+    def test_the_session_tier_folds_tenants_past_the_cap(self):
+        session = Session(["A = A*B"])
+        for index in range(3_000):
+            session.implies("A = A*B", tenant=f"tenant{index}")
+        info = session.cache_info()
+        assert len(info["per_tenant"]) == TENANT_STATS_LIMIT + 1
+        _assert_per_tenant_adds_up(info)
+
+
 def _answer_lines(executor, requests):
     return [dump_result_line(r) for r in executor.execute_many(requests)]
 
@@ -336,7 +360,7 @@ class TestExecutorSharedCache:
             executor.execute_many(stream)
             executor.execute_many(stream)
             info = executor.shared_cache_info()
-            supervision = executor.supervision_stats()
+            supervision = supervision_stats(executor.metrics)
         assert info["hits"] == 0 and info["misses"] == 0
         # Repeats still hit somewhere: the per-worker tier-2 sessions.
         assert supervision["worker_cache_hits"] == len(stream)
