@@ -17,34 +17,44 @@ from collections.abc import Iterable
 from typing import Union
 
 from repro.errors import DependencyError
-from repro.expressions.ast import ExpressionLike, PartitionExpression, as_expression
+from repro.expressions.ast import ExpressionLike, PartitionExpression, Product, as_expression
+from repro.expressions.parser import memoized_parse
 from repro.expressions.printer import to_infix
 from repro.relational.attributes import AttributeSet
 
 
 class PartitionDependency:
-    """An equation ``left = right`` between partition expressions."""
+    """An equation ``left = right`` between partition expressions.
 
-    __slots__ = ("_left", "_right")
+    The text ``str(pd)`` (the wire form ``"lhs = rhs"``) is rendered once and
+    kept in the ``_text`` slot.
+    """
+
+    __slots__ = ("_left", "_right", "_text")
 
     def __init__(self, left: ExpressionLike, right: ExpressionLike) -> None:
         self._left = as_expression(left)
         self._right = as_expression(right)
+        self._text = None
 
     @classmethod
     def parse(cls, text: str) -> "PartitionDependency":
         """Parse ``"e = e'"``, the FPD order notation ``"X <= Y"``, or ``"X ≤ Y"``.
 
         ``X <= Y`` abbreviates the PD ``X = X * Y`` (equivalently
-        ``Y = Y + X``), following §3.2 of the paper.
+        ``Y = Y + X``), following §3.2 of the paper.  Memoized by text
+        (:func:`~repro.expressions.parser.memoized_parse`); PDs are immutable,
+        so callers share the returned object.
         """
+        return memoized_parse(cls._parse_text, text)
+
+    @classmethod
+    def _parse_text(cls, text: str) -> "PartitionDependency":
         normalized = text.replace("≤", "<=")
         if "<=" in normalized:
             left_text, right_text = normalized.split("<=", 1)
             left = as_expression(left_text.strip())
             right = as_expression(right_text.strip())
-            from repro.expressions.ast import Product
-
             return cls(left, Product(left, right))
         if "=" not in normalized:
             raise DependencyError(f"cannot parse PD from {text!r}: missing '=' or '<='")
@@ -102,11 +112,18 @@ class PartitionDependency:
     def __hash__(self) -> int:
         return hash((self._left, self._right))
 
+    def __reduce__(self):
+        return (type(self), (self._left, self._right))
+
     def __repr__(self) -> str:
         return f"PartitionDependency({to_infix(self._left)!r}, {to_infix(self._right)!r})"
 
     def __str__(self) -> str:
-        return f"{to_infix(self._left)} = {to_infix(self._right)}"
+        text = self._text
+        if text is None:
+            text = f"{to_infix(self._left)} = {to_infix(self._right)}"
+            self._text = text
+        return text
 
 
 #: Things accepted wherever a PD is expected: a PD, a string like ``"A = A*B"``,

@@ -17,13 +17,24 @@ returns the unique interned object for that syntax tree, so structural
 equality coincides with object identity (``Attr("A") * Attr("B") is
 parse_expression("A*B")``).  Every node carries its hash, attribute set,
 complexity, size and dual as cached values computed once at interning time,
-and memoizes its rendered string on first ``__str__`` (the quotient pipeline
-sorts pools by ``(size, str)``, so repeated rendering is a hot path, but an
-eager render would cost O(term size) memory per node of a shared DAG).
-This makes the dictionary- and set-heavy algorithms downstream — the ALG
-digraph of §5.2, the rewrite explorer, the identity checker, the quotient
-construction — cheap: hashing is a slot load and equality checks are almost
-always a pointer comparison.
+and memoizes two renderings in slots, each filled on first use (an eager
+render would cost O(term size) memory per node of a shared DAG):
+
+* ``_str`` — the fully parenthesized ``__str__`` form.  The quotient pipeline
+  sorts pools by ``(size, str)``, so repeated rendering is a hot path.
+* ``_infix`` — the minimal-parenthesis form of
+  :func:`repro.expressions.printer.to_infix`, which the service's wire,
+  planner and cache keys print over and over for the same interned nodes.
+  It is kept apart from ``_str`` because the two differ (``(A * B) + C``
+  against ``A * B + C``) and the wire bytes are fixed to ``to_infix``.
+
+``Attr`` sets both at construction (they are its name); binary nodes start
+with ``None`` in both.
+
+The cached values make the dictionary- and set-heavy algorithms downstream
+— the ALG digraph of §5.2, the rewrite explorer, the identity checker, the
+quotient construction — cheap: hashing is a slot load and equality checks
+are almost always a pointer comparison.
 
 Interning uses per-class :class:`weakref.WeakValueDictionary` tables, so
 expression nodes are reclaimed once nothing outside the tables references
@@ -63,6 +74,7 @@ class PartitionExpression:
         "_dual",
         "_is_product_of_attributes",
         "_str",
+        "_infix",
         "__weakref__",
     )
 
@@ -141,6 +153,7 @@ class Attr(PartitionExpression):
         self._dual = self
         self._is_product_of_attributes = True
         self._str = name
+        self._infix = name
         cls._intern[name] = self
         return self
 
@@ -200,10 +213,11 @@ class _Binary(PartitionExpression):
         self._is_product_of_attributes = (
             cls is Product and left._is_product_of_attributes and right._is_product_of_attributes
         )
-        # Rendered lazily on first __str__: eager rendering would store O(term
-        # size) characters per node and defeat the DAG sharing for never-printed
-        # expressions.
+        # Rendered lazily on first __str__ / to_infix: eager rendering would
+        # store O(term size) characters per node and defeat the DAG sharing
+        # for never-printed expressions.
         self._str = None
+        self._infix = None
         cls._intern[key] = self
         return self
 

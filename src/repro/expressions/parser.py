@@ -16,15 +16,33 @@ deals with single expressions.
 Operators associate to the left, matching :func:`repro.expressions.ast.product_of`.
 Because ``*`` and ``+`` are associative in every lattice this choice never
 affects the semantics, only the concrete syntax tree.
+
+Parsing is a pure function of the text: expressions are hash-consed and
+dependencies immutable.  :func:`memoized_parse` therefore keeps the last
+:data:`PARSE_MEMO_SIZE` results, keyed by ``(parser, text)``, and both
+:func:`parse_expression` and :meth:`PartitionDependency.parse
+<repro.dependencies.pd.PartitionDependency.parse>` go through it, so a text
+the service receives again (a tenant re-sending its Γ with every request) is
+tokenized once.  Errors are not memoized: a malformed text is parsed again
+and raises the same error every time.  The memo holds strong references to
+interned nodes, which stay valid across ``fork``.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import TypeVar
 
 from repro.errors import ExpressionError
 from repro.expressions.ast import Attr, PartitionExpression, Product, Sum
+
+#: How many distinct texts :func:`memoized_parse` keeps (least recently used go first).
+PARSE_MEMO_SIZE = 4096
+
+_Parsed = TypeVar("_Parsed")
 
 _TOKEN_PATTERN = re.compile(
     r"\s*(?:(?P<attr>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[*+().]))"
@@ -134,11 +152,31 @@ class _Parser:
         )
 
 
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
+def memoized_parse(parser: Callable[[str], _Parsed], text: str) -> _Parsed:
+    """``parser(text)``, remembered for the last :data:`PARSE_MEMO_SIZE` texts.
+
+    ``parser`` must be a pure function of the text (returning hash-consed or
+    immutable objects).  Exceptions propagate and are not remembered.
+    """
+    return parser(text)
+
+
+def parse_memo_info() -> dict[str, int]:
+    """The parse memo's current entry count and its bound (a resource gauge)."""
+    info = memoized_parse.cache_info()
+    return {"entries": info.currsize, "bound": info.maxsize}
+
+
 def parse_expression(text: str) -> PartitionExpression:
-    """Parse a partition expression such as ``"A * (B + C)"``.
+    """Parse a partition expression such as ``"A * (B + C)"`` (memoized by text).
 
     Raises :class:`~repro.errors.ExpressionError` on malformed input.
     """
+    return memoized_parse(_parse_expression_text, text)
+
+
+def _parse_expression_text(text: str) -> PartitionExpression:
     tokens = tokenize(text)
     if not tokens:
         raise ExpressionError("cannot parse an empty partition expression")

@@ -22,16 +22,26 @@ def to_infix(expression: PartitionExpression) -> str:
     Parentheses are emitted only where the parser's precedence (``*`` over
     ``+``) or left-associativity would otherwise rebuild a different tree:
     sums nested under products, and right operands that repeat their parent's
-    operator.
+    operator.  The rendering is cached on the interned node (its ``_infix``
+    slot), so each node is rendered once however often it is printed.
     """
-    if isinstance(expression, Attr):
-        return expression.name
-    if isinstance(expression, (Product, Sum)):
-        operator = "*" if isinstance(expression, Product) else "+"
-        left = _infix_child(expression.left, type(expression), is_right=False)
-        right = _infix_child(expression.right, type(expression), is_right=True)
-        return f"{left} {operator} {right}"
-    raise ExpressionError(f"unknown expression node {expression!r}")
+    try:
+        rendered = expression._infix
+    except AttributeError:
+        raise ExpressionError(f"unknown expression node {expression!r}") from None
+    if rendered is None:
+        rendered = _render_infix(expression)
+    return rendered
+
+
+def _render_infix(expression: PartitionExpression) -> str:
+    """Render a binary node from its children's cached renderings and cache it."""
+    operator = "*" if isinstance(expression, Product) else "+"
+    left = _infix_child(expression.left, type(expression), is_right=False)
+    right = _infix_child(expression.right, type(expression), is_right=True)
+    rendered = f"{left} {operator} {right}"
+    expression._infix = rendered
+    return rendered
 
 
 def _infix_child(child: PartitionExpression, parent_type: type, is_right: bool) -> str:

@@ -50,8 +50,8 @@ from repro.service.wire import (
     QueryRequest,
     QueryResult,
     canonical_dumps,
+    dependencies_key,
     encode_fd,
-    encode_pd,
     request_cache_key,
     validate_request,
 )
@@ -102,7 +102,7 @@ def _dependency_key(request: QueryRequest) -> Optional[tuple[str, ...]]:
         return tuple(canonical_dumps(encode_fd(fd)) for fd in request.fds)
     if request.dependencies is None:
         return None if request.tenant is None else ("\x00tenant", request.tenant)
-    return tuple(encode_pd(pd) for pd in request.dependencies)
+    return dependencies_key(request.dependencies)
 
 
 def plan(requests: Sequence[QueryRequest]) -> list[Batch]:

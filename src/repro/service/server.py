@@ -64,6 +64,7 @@ import asyncio
 from typing import Optional
 
 from repro.errors import ServiceError
+from repro.expressions.parser import parse_memo_info
 from repro.service import telemetry
 from repro.service.config import ServiceConfig
 from repro.service.executor import ShardExecutor
@@ -300,11 +301,14 @@ class QueryServer:
 
     def metrics_snapshot(self) -> dict:
         """The metrics document: this server's registry, plus gauges for the
-        values read at the moment of the request (open connections and the
-        cache tiers, named like their stats keys)."""
+        values read at the moment of the request (open connections, the
+        cache tiers named like their stats keys, and this process's parse
+        memo: its entry count and bound)."""
         document = telemetry.metrics_export(self.metrics)
         gauges = document["gauges"]
         gauges["server.connections_open"] = len(self._conn_tasks)
+        for key, value in parse_memo_info().items():
+            gauges[f"parse_memo.{key}"] = value
         caches = self._result_cache_snapshot()
         for tier, counts in caches["tiers"].items():
             if tier != "worker":  # the worker tier's counts are registry counters already

@@ -63,7 +63,7 @@ from repro.service.telemetry import MetricsRegistry
 from repro.service.wire import (
     QueryRequest,
     QueryResult,
-    encode_pd,
+    dependencies_key,
     request_cache_key,
     validate_request,
 )
@@ -379,7 +379,7 @@ class Session:
         """
         if request.dependencies is None:
             return self._tenant_state(request.tenant).context
-        key = tuple(encode_pd(pd) for pd in request.dependencies)
+        key = dependencies_key(request.dependencies)
         context = self._foreign.get(key)
         if context is not None:
             self._foreign.move_to_end(key)

@@ -13,11 +13,17 @@ two contracts that the rest of the service (and its tests) lean on:
   processes (the shard executor's ordering test and the CLI's byte-identical
   end-to-end check both do exactly that).
 * **Round-tripping through the interned substrate** — decoding re-interns on
-  the way in: expressions go through the parser (so ``decode(encode(e)) is
-  e`` inside one process, by PR 2's hash-consing), partitions are rebuilt on
-  a fresh :class:`~repro.partitions.kernel.Universe` in canonical label form,
-  and ``encode → decode → encode`` is byte-identical for every wire type
-  (``tests/test_wire.py`` checks this on randomized inputs).
+  the way in: expression and PD texts go through the parser's bounded text
+  memo (:func:`repro.expressions.parser.memoized_parse`), so a text seen
+  recently is not parsed again and ``decode(encode(e)) is e`` inside one
+  process, by hash-consing; partitions are rebuilt on a fresh
+  :class:`~repro.partitions.kernel.Universe` in canonical label form, and
+  ``encode → decode → encode`` is byte-identical for every wire type
+  (``tests/test_wire.py`` checks this on randomized inputs).  Encoding reads
+  cached text: every interned node keeps its ``to_infix`` rendering and every
+  PD its ``"lhs = rhs"`` line after the first render, so the result lines,
+  the planner's and session's Γ keys (:func:`dependencies_key`) and the cache
+  key (:func:`request_cache_key`) print each node once.
 
 The envelope carries ``{"v": WIRE_VERSION}``; :func:`decode_request` and
 :func:`decode_result` require the version *explicitly* and reject everything
@@ -162,8 +168,13 @@ def decode_expression(text: Any) -> PartitionExpression:
 
 
 def encode_pd(pd: PartitionDependency) -> str:
-    """A PD as ``"lhs = rhs"`` over the infix rendering."""
-    return f"{to_infix(pd.left)} = {to_infix(pd.right)}"
+    """A PD as ``"lhs = rhs"`` over the infix rendering (its cached ``str``)."""
+    return str(pd)
+
+
+def dependencies_key(dependencies: Iterable[PartitionDependency]) -> tuple[str, ...]:
+    """A PD set Γ as the tuple of its encoded PDs: the key of its reasoning context."""
+    return tuple(str(pd) for pd in dependencies)
 
 
 def decode_pd(text: Any) -> PartitionDependency:
@@ -393,6 +404,8 @@ def validate_request(request: QueryRequest) -> None:
     """Check the kind-specific field contract; raise :class:`ServiceError` if broken."""
     if request.kind not in REQUEST_KINDS:
         raise ServiceError(f"unknown request kind {request.kind!r}; expected one of {REQUEST_KINDS}")
+    if request.id is not None and not isinstance(request.id, str):
+        raise ServiceError(f"'id' must be a string, got {request.id!r}")
     if request.kind in ("implies", "counterexample") and request.query is None:
         raise ServiceError(f"a {request.kind!r} request needs a 'query' PD")
     if request.kind == "equivalent" and (request.left is None or request.right is None):

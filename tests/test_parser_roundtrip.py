@@ -9,15 +9,22 @@ for every expression crossing a process boundary, so it is pinned here:
 * precedence and associativity edge cases build exactly the expected trees;
 * minimality: ``to_infix`` output never contains a redundant paren pair
   (checked by re-parsing with each paren pair removed — the result must
-  differ or fail).
+  differ or fail);
+* the ``to_infix`` text cached on each interned node equals a slot-free
+  reference render, before and after a pickle round trip.
 """
 
-import pytest
+import pickle
 
-from repro.expressions.ast import Product, Sum, attrs
+import pytest
+from hypothesis import given, settings
+
+from repro.dependencies.pd import PartitionDependency
+from repro.expressions.ast import Attr, PartitionExpression, Product, Sum, attrs
 from repro.expressions.parser import parse_expression
 from repro.expressions.printer import to_infix, to_paper, to_prefix
 from repro.workloads.random_expressions import random_expression
+from tests.conftest import expressions
 
 A, B, C, D = attrs("A", "B", "C", "D")
 
@@ -119,3 +126,50 @@ class TestMinimality:
             assert reparsed is not expression, (
                 f"redundant parens in {rendered!r}: {stripped!r} parses identically"
             )
+
+
+def _reference_infix(expression: PartitionExpression) -> str:
+    """The minimal-parenthesis render computed from scratch, reading no cached slot."""
+    if isinstance(expression, Attr):
+        return expression.name
+    parent = type(expression)
+
+    def child(node: PartitionExpression, is_right: bool) -> str:
+        text = _reference_infix(node)
+        wrap = (parent is Product and isinstance(node, Sum)) or (is_right and type(node) is parent)
+        return f"({text})" if wrap else text
+
+    operator = "*" if parent is Product else "+"
+    return f"{child(expression.left, False)} {operator} {child(expression.right, True)}"
+
+
+class TestCachedInfix:
+    """``to_infix`` reads the node's ``_infix`` slot after the first render."""
+
+    @given(expressions(max_depth=4))
+    @settings(max_examples=200, deadline=None)
+    def test_cached_render_matches_reference_and_reparses_to_the_node(self, expression):
+        expected = _reference_infix(expression)
+        assert to_infix(expression) == expected
+        assert to_infix(expression) == expected  # the cached read
+        assert parse_expression(expected) is expression
+
+    @given(expressions(max_depth=4))
+    @settings(max_examples=100, deadline=None)
+    def test_pickling_keeps_identity_and_rendering(self, expression):
+        to_infix(expression)  # fill the slot before pickling
+        clone = pickle.loads(pickle.dumps(expression))
+        assert clone is expression
+        assert to_infix(clone) == _reference_infix(expression)
+        assert parse_expression(to_infix(clone)) is expression
+
+    @given(expressions(max_depth=3), expressions(max_depth=3))
+    @settings(max_examples=100, deadline=None)
+    def test_pd_text_is_cached_and_survives_pickling(self, left, right):
+        pd = PartitionDependency(left, right)
+        text = f"{_reference_infix(left)} = {_reference_infix(right)}"
+        assert str(pd) == text
+        assert str(pd) is str(pd)
+        clone = pickle.loads(pickle.dumps(pd))
+        assert clone == pd and str(clone) == text
+        assert PartitionDependency.parse(text) == pd

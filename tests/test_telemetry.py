@@ -750,6 +750,24 @@ class TestOneRegistryPerServer:
         assert gauges["result_cache.tiers.session.hits"] > 0
         assert "trace.requests_started" not in counters
 
+    def test_metrics_reports_the_parse_memo_gauge_within_its_bound(self, stream):
+        from repro.expressions.parser import PARSE_MEMO_SIZE, parse_expression
+
+        async def scenario():
+            async with QueryServer(ServiceConfig(max_batch=8)) as server:
+                await _converse(server.host, server.port, stream)
+                controls = ['{"control":"metrics"}', '{"control":"health"}']
+                first, health = await _converse(server.host, server.port, controls)
+                for index in range(PARSE_MEMO_SIZE + 16):  # more distinct texts than the bound
+                    parse_expression(f"G{index} + H")
+                (second,) = await _converse(server.host, server.port, ['{"control":"metrics"}'])
+                return first["metrics"]["gauges"], health["health"], second["metrics"]["gauges"]
+
+        first, health, second = run(scenario())
+        assert 0 < first["parse_memo.entries"] <= first["parse_memo.bound"] == PARSE_MEMO_SIZE
+        assert second["parse_memo.entries"] == second["parse_memo.bound"] == PARSE_MEMO_SIZE
+        assert "parse_memo" not in json.dumps(health)  # health stays time- and memo-free
+
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
     def test_worker_cache_totals_do_not_depend_on_tracing(self):
         from repro.dependencies.pd import PartitionDependency

@@ -16,18 +16,30 @@ Malformed payloads must raise :class:`~repro.errors.ServiceError` — the CLI
 turns those into structured per-line error results.
 """
 
+import gc
+import json
+import multiprocessing
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import repro.expressions.parser as parser_module
+import repro.expressions.printer as printer_module
 from repro.dependencies.fpd import FunctionalPartitionDependency
 from repro.dependencies.pd import PartitionDependency
 from repro.errors import ServiceError
+from repro.expressions.parser import PARSE_MEMO_SIZE, memoized_parse, parse_memo_info
 from repro.implication.alg import ImplicationEngine
 from repro.partitions.kernel import Universe
 from repro.partitions.partition import Partition, partition_from_mapping
 from repro.relational.schema import DatabaseScheme, RelationScheme
 from repro.service import wire
+from repro.service.cli import serve_lines
+from repro.service.executor import ShardExecutor
+from repro.service.session import Session
 from repro.service.wire import QueryRequest, QueryResult, canonical_dumps
 from repro.workloads.random_dependencies import random_fd_set, random_pd_set
 from repro.workloads.random_expressions import random_expression
@@ -237,11 +249,25 @@ class TestMalformedPayloads:
             '{"v": 1, "kind": "counterexample", "query": "A = B", "max_pool": null}',
             '{"v": 1, "kind": "consistent", "database": {"relations": []}, "max_nodes": "x"}',
             '{"v": 1, "kind": "consistent", "database": {"relations": []}, "max_nodes": true}',
+            '{"v": 3, "kind": "implies", "id": [1], "query": "A = B"}',
+            '{"v": 3, "kind": "implies", "id": 7, "query": "A = B"}',
         ],
     )
     def test_bad_request_lines_raise_service_error(self, payload):
         with pytest.raises(ServiceError):
             wire.load_request_line(payload)
+
+    @pytest.mark.parametrize("bad_id", ["[1]", "7", "{}", "true"])
+    def test_non_string_ids_are_refused_and_not_echoed(self, bad_id):
+        line = f'{{"v": 3, "kind": "implies", "id": {bad_id}, "query": "A = B"}}'
+        (answer,), stats = serve_lines([line])
+        result = wire.load_result_line(answer)
+        assert not result.ok and stats["invalid"] == 1
+        assert result.id == "line1"
+        assert result.error == {
+            "type": "ServiceError",
+            "message": f"'id' must be a string, got {json.loads(bad_id)!r}",
+        }
 
     def test_missing_version_is_rejected_explicitly(self):
         # The version is required, never defaulted: an envelope without "v"
@@ -312,3 +338,108 @@ class TestDeadlineOnTheWire:
         with_deadline = QueryRequest(kind="implies", id="a", query=query, deadline_ms=100)
         without = QueryRequest(kind="implies", id="b", query=query)
         assert wire.request_cache_key(with_deadline) == wire.request_cache_key(without)
+
+
+#: The acceptance mix, one window of it.
+ACCEPTANCE_MIX = {"implies": 5, "equivalent": 3, "consistent": 3, "counterexample": 1}
+
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+def _outcome(decode, text):
+    try:
+        return ("value", decode(text))
+    except ServiceError as exc:
+        return ("error", str(exc))
+
+
+class TestParseMemo:
+    """Decoding goes through one bounded text memo; errors are never memoized."""
+
+    @given(st.text(alphabet="AB1 *+().=<≤·#", max_size=14))
+    @example("A +* B")
+    @example("A = ")
+    @example("(A = B")
+    @example("A <= B)")
+    @example("")
+    @settings(max_examples=200, deadline=None)
+    def test_decoding_a_text_twice_gives_the_same_outcome(self, text):
+        for decode in (wire.decode_pd, wire.decode_expression):
+            first = _outcome(decode, text)
+            second = _outcome(decode, text)
+            if first[0] == "value":
+                assert second[0] == "value" and second[1] is first[1]
+            else:
+                assert second == first
+
+    @given(st.integers(min_value=1, max_value=64))
+    @settings(max_examples=3, deadline=None)
+    def test_memo_never_holds_more_than_its_bound(self, extra):
+        memoized_parse.cache_clear()
+        texts = [f"M{i} * N" for i in range(PARSE_MEMO_SIZE + extra)]
+        for text in texts:
+            wire.decode_expression(text)
+        assert parse_memo_info() == {"entries": PARSE_MEMO_SIZE, "bound": PARSE_MEMO_SIZE}
+        hits = memoized_parse.cache_info().hits
+        wire.decode_expression(texts[-1])  # the newest text is still held
+        assert memoized_parse.cache_info().hits == hits + 1
+        wire.decode_expression(texts[0])  # the oldest was evicted: parsed again
+        assert memoized_parse.cache_info().hits == hits + 1
+        memoized_parse.cache_clear()
+
+    @pytest.mark.skipif(not HAS_FORK, reason="platform has no fork start method")
+    def test_forked_two_shard_executor_answers_byte_identically(self):
+        lines = wire.requests_to_jsonl(
+            random_service_requests(24, seed=11, kind_weights=ACCEPTANCE_MIX, include_cad=True)
+        ).splitlines()
+        # Decoding in the parent fills the memo and the rendering slots the
+        # forked workers inherit.
+        requests = [wire.load_request_line(line) for line in lines]
+        reference = [wire.dump_result_line(r) for r in Session().execute_many(requests)]
+        with ShardExecutor(shards=2, start_method="fork") as executor:
+            answers = executor.execute_many([wire.load_request_line(line) for line in lines])
+        assert [wire.dump_result_line(r) for r in answers] == reference
+
+
+class TestParseOnceRenderOnce:
+    """A timing-free guard on the wire's text memo and the cached renderings."""
+
+    def test_a_repeated_window_tokenizes_each_text_once_and_renders_nothing_again(
+        self, monkeypatch
+    ):
+        window = wire.requests_to_jsonl(
+            random_service_requests(12, seed=3, kind_weights=ACCEPTANCE_MIX, include_cad=True)
+        ).splitlines()
+        expected = set()
+        for line in window:
+            payload = json.loads(line)
+            for text in payload.get("dependencies", []) + [payload.get("query", "")]:
+                expected.update(side.strip() for side in text.split("=") if side.strip())
+            expected.update(payload[key] for key in ("left", "right") if key in payload)
+
+        tokenized = Counter()
+        rendered = []
+        tokenize, render = parser_module.tokenize, printer_module._render_infix
+
+        def counting_tokenize(text):
+            tokenized[text] += 1
+            return tokenize(text)
+
+        def counting_render(expression):
+            rendered.append(expression)
+            return render(expression)
+
+        monkeypatch.setattr(parser_module, "tokenize", counting_tokenize)
+        monkeypatch.setattr(printer_module, "_render_infix", counting_render)
+        memoized_parse.cache_clear()
+
+        first, _ = serve_lines(window)
+        assert set(tokenized) == expected
+        assert max(tokenized.values()) == 1
+        tokenized_once, rendered_once = sum(tokenized.values()), len(rendered)
+        assert rendered_once > 0
+        gc.collect()
+        second, _ = serve_lines(window)
+        assert second == first
+        assert sum(tokenized.values()) == tokenized_once
+        assert len(rendered) == rendered_once
