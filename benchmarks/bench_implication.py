@@ -13,7 +13,10 @@ Series produced:
   incremental :class:`~repro.implication.alg.ImplicationEngine`, which
   resumes propagation delta-wise — the implication-service claim of the
   README is that the incremental engine beats from-scratch recomputation by
-  ≥3× on streams of ≥50 queries.
+  ≥3× on streams of ≥50 queries.  The ``overlay`` variant answers each round
+  on one warm engine, each query in an index overlay (the service's
+  implication lane), and checks that the rounds leave the index exactly as
+  they found it.
 
 Workload: random PD sets plus mixed implied/independent query streams from
 :mod:`repro.workloads.random_implication`, generated with a fixed seed.
@@ -24,6 +27,7 @@ implementations cannot silently diverge.
 import pytest
 
 from repro.implication.alg import ImplicationEngine, alg_closure, alg_closure_naive, pd_implies
+from repro.implication.word_problems import lattice_word_problems
 from repro.workloads.random_dependencies import random_pd_set
 from repro.workloads.random_expressions import random_expression
 from repro.workloads.random_implication import random_implication_workload
@@ -94,16 +98,22 @@ def _decide_incremental(theory, queries):
 
 @pytest.mark.benchmark(group="EXP-ALG query stream: incremental vs from-scratch")
 @pytest.mark.parametrize("query_count", [10, 25, 50])
-@pytest.mark.parametrize("variant", ["incremental", "scratch-worklist"])
+@pytest.mark.parametrize("variant", ["incremental", "overlay", "scratch-worklist"])
 def test_alg_query_stream(benchmark, variant, query_count, rng_seed):
     theory, queries = _stream_workload(query_count, rng_seed)
     if variant == "incremental":
         run = lambda: _decide_incremental(theory, queries)  # noqa: E731
+    elif variant == "overlay":
+        warm = ImplicationEngine(theory)
+        state = warm.index.export_state()
+        run = lambda: lattice_word_problems(theory, queries, engine=warm)  # noqa: E731
     else:
         run = lambda: _decide_scratch(theory, queries, alg_closure)  # noqa: E731
 
     verdicts = benchmark(run)
     assert verdicts == _decide_scratch(theory, queries, alg_closure)
+    if variant == "overlay":
+        assert warm.index.export_state() == state  # the rounds left no trace
 
 
 @pytest.mark.benchmark(group="EXP-ALG query stream: naive fixpoint baseline")

@@ -8,9 +8,10 @@ Series produced:
   naive one-at-a-time baseline that builds fresh engines per request (the
   pre-service workflow).  The service claim is planner ≥ 2× on non-trivial
   theories; measured on these streams: 1.5× at 4 PDs/theory, 3.4× at 8,
-  7.0× at 12 (the win comes from amortizing Γ closures in bounded chunks
-  and the Theorem 12 normalization + chase preprocessing per dependency set
-  instead of per request — matching the README's EXP-SVC table).
+  7.0× at 12 (the win comes from closing each Γ once and answering its
+  implication queries in per-query overlays on that warm ALG index, and
+  from the Theorem 12 normalization + chase preprocessing per dependency
+  set instead of per request — matching the README's EXP-SVC table).
 * **shard scaling** — the same largest stream through the multiprocess
   :class:`~repro.service.executor.ShardExecutor` with 1, 2 and 4 workers.
   Each round gets a *fresh* executor (pool startup inside the timed region):

@@ -41,13 +41,22 @@ Propagation polls :func:`~repro.deadline.check_deadline` once per vertex
 created and once per delta-row pop; a budget that expires mid-propagation
 leaves the remaining deltas queued, and the next call resumes from them.
 
-The index never forgets: dependencies and vertices can only be added, which
-is exactly the monotone shape of ALG (rules only ever insert arcs).
+Outside an overlay the index never forgets: dependencies and vertices can
+only be added, which is exactly the monotone shape of ALG (rules only ever
+insert arcs).  Read-only query streams use :meth:`ImplicationIndex.overlay`
+instead: the block registers and answers its queries on the warm relation,
+and on exit (normal or by any exception, a deadline included) every vertex it
+added is forgotten.  The rollback is exact because ALG over a larger vertex
+set is conservative over a smaller one (Lemma 9.2: ``p ≤_E q`` iff
+``(p, q) ∈ Γ`` for *any* ``V`` containing both), so the old vertices' rows
+only ever gained bits at the new positions: truncating the vertex lists and
+masking each old row back to the old width restores the pre-entry fixpoint.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+import contextlib
+from collections.abc import Iterable, Iterator, Sequence
 
 from repro.deadline import active_deadlines, check_deadline
 from repro.dependencies.pd import (
@@ -117,6 +126,7 @@ class ImplicationIndex:
         # Vertex id -> row bits set but not yet propagated.
         self._new_up: dict[int, int] = {}
         self._new_down: dict[int, int] = {}
+        self._overlays = 0  # open overlay blocks; E cannot grow inside one
 
     # -- public surface ---------------------------------------------------------
 
@@ -146,6 +156,8 @@ class ImplicationIndex:
     def add_dependencies(self, dependencies: Iterable[PartitionDependencyLike]) -> None:
         """Extend ``E`` and resume propagation from the new equation arcs."""
         pds = [as_partition_dependency(raw) for raw in dependencies]
+        if pds and self._overlays:
+            raise RuntimeError("E cannot grow inside an overlay: its rollback keeps only vertices")
         # Register every side before committing any PD, so a deadline that
         # stops registration leaves ``E`` and the rows unchanged.
         sides = [(self._register(pd.left), self._register(pd.right)) for pd in pds]
@@ -268,6 +280,57 @@ class ImplicationIndex:
             for source, row in zip(exprs, self._up)
             for target in _bits(row)
         }
+
+    @contextlib.contextmanager
+    def overlay(self) -> Iterator["ImplicationIndex"]:
+        """Answer throw-away queries on the warm relation, then roll it back exactly.
+
+        Inside the block the index is used as usual (:meth:`add_expressions`,
+        :meth:`leq`, :meth:`equivalent`, ...) except that ``E`` cannot grow.
+        On exit — normal, :class:`~repro.errors.DeadlineExceeded` or any other
+        exception — every vertex registered inside is forgotten: the relation
+        is the pre-entry fixpoint again, :meth:`export_state` compares equal,
+        and class ids taken before the block stay valid.  Entry closes any
+        propagation left queued by an interrupted call first.
+        """
+        self._drain()
+        count, operands = len(self._exprs), self._operands
+        self._overlays += 1
+        try:
+            yield self
+        finally:
+            self._overlays -= 1
+            self._rollback(count, operands)
+
+    def _rollback(self, count: int, operands: int) -> None:
+        """Forget every vertex with id ``≥ count`` (the :meth:`overlay` exit).
+
+        New composites are unindexed newest first, so each one's operand-table
+        entries are the last in their lists.  An old row can only have gained
+        bits at new positions (Lemma 9.2), so masking it restores it; queued
+        deltas are then stale and dropped.
+        """
+        self._new_up.clear()
+        self._new_down.clear()
+        exprs, vertex = self._exprs, self._vertex
+        if len(exprs) == count:
+            return
+        for vid in range(len(exprs) - 1, count - 1, -1):
+            node = exprs[vid]
+            del vertex[node]
+            if isinstance(node, Attr):
+                continue
+            table = self._products_of if isinstance(node, Product) else self._sums_of
+            for operand in {vertex[node.left], vertex[node.right]}:  # type: ignore[attr-defined]
+                entries = table[operand]
+                entries.pop()
+                if not entries:
+                    del table[operand]
+        del exprs[count:]
+        mask = (1 << count) - 1
+        self._up = [row & mask for row in self._up[:count]]
+        self._down = [row & mask for row in self._down[:count]]
+        self._operands = operands
 
     # -- snapshot support -------------------------------------------------------
 

@@ -25,7 +25,7 @@ input order):
 * **Plan-aware units** — the parent plans the stream first
   (:func:`repro.service.planner.plan`) and deals the shared tier's misses
   as *batch-aligned work units* instead of raw requests round-robin.
-  Amortization lives in the batches (one Γ closure per implication chunk,
+  Amortization lives in the batches (one Γ closure per implication group,
   one normalization per consistency group); a round-robin deal would
   scatter every batch over every worker and re-pay each group's setup
   ``shards`` times — measured, it made 4 shards *slower* than one process.
@@ -62,7 +62,7 @@ from typing import Optional
 
 from repro.dependencies.pd import PartitionDependencyLike, as_partition_dependency
 from repro.errors import ServiceError
-from repro.service.planner import IMPLICATION_CHUNK, plan
+from repro.service.planner import plan
 from repro.service.result_cache import ResultCache, gamma_dependent
 from repro.service.supervisor import SupervisedPool, WorkItem, WorkUnit
 from repro.service.telemetry import MetricsRegistry
@@ -185,22 +185,21 @@ class ShardExecutor:
         """Batch-aligned work units over the shared tier's misses.
 
         The whole stream is planned, then each batch keeps only its misses.
-        Implication/equivalence batches split at the planner's own chunk
-        size (each chunk shares one engine wherever it lands); consistency
-        and FD-implication groups split into at most ``shards`` slices (one
-        normalization / translated engine per slice); the per-request kinds
-        (CAD, quotient, counterexample) and every deadline-carrying batch
-        split all the way down — a budgeted request must be its own unit so
-        a hard kill takes nobody else with it.
+        Implication/equivalence, consistency and FD-implication groups split
+        into at most ``shards`` slices (one warm Γ context — overlays on its
+        index, one normalization, one translated engine — per slice); the
+        per-request kinds (CAD, quotient, counterexample) and every
+        deadline-carrying batch split all the way down — a budgeted request
+        must be its own unit so a hard kill takes nobody else with it.
         """
         units: list[list[int]] = []
         for batch in plan(requests):
             indices = [i for i in batch.indices if i in misses]
             if batch.deadline:
                 step = 1
-            elif batch.kind in ("implies", "equivalent"):
-                step = IMPLICATION_CHUNK
-            elif batch.kind in ("consistent", "fd_implies") and batch.method != "cad":
+            elif batch.kind in ("implies", "equivalent", "consistent", "fd_implies") and (
+                batch.method != "cad"
+            ):
                 step = max(1, -(-len(indices) // self.shards))
             else:
                 step = 1

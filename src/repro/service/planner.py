@@ -5,14 +5,13 @@ one request at a time pays the per-Γ setup (ALG closure, Theorem 12
 normalization, chase-engine preprocessing) over and over.  The planner
 recovers the batch shape the kernels already serve:
 
-* ``implies`` / ``equivalent`` requests over one Γ are routed into
-  :func:`repro.implication.word_problems.lattice_word_problems` in bounded
-  chunks (:data:`IMPLICATION_CHUNK` queries per engine).  Chunking matters:
-  one engine per query re-pays Γ's closure every time, while one engine for
-  the *whole* group drags every query's subexpressions into a single ALG
-  vertex set whose arc relation grows quadratically — measured on random
-  mixed streams, the bounded chunk beats both ends by 2–6× and the
-  unbounded engine by an order of magnitude;
+* ``implies`` / ``equivalent`` requests over one Γ are answered by one
+  :func:`repro.implication.word_problems.lattice_word_problems` call on the
+  Γ context's warm ALG engine, one
+  :meth:`~repro.implication.index.ImplicationIndex.overlay` per query: Γ is
+  never re-closed, no overlay's vertex set (and quadratic arc relation)
+  grows with the group, and every query's subexpressions leave the index
+  again, so Γ writes keep resuming over an index of Γ's own size;
 * ``consistent``/``weak_instance`` requests over one Γ share the session's
   normalization artifacts and preprocessed chase engine — the
   :func:`repro.consistency.pd_consistency.pd_consistency_many` /
@@ -59,12 +58,6 @@ from repro.service.wire import (
 #: Group key: (kind, consistency method or "", dependency-set key or None,
 #: carries-a-deadline flag).
 BatchKey = tuple[str, str, Optional[tuple[str, ...]], bool]
-
-#: Queries per fresh ALG engine in an implication/equivalence batch.  The
-#: measured sweet spot: large enough to amortize Γ's closure, small enough
-#: that the engine's vertex set (and hence its quadratic arc relation) stays
-#: bounded by the chunk instead of the stream.
-IMPLICATION_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -201,12 +194,7 @@ def execute_plan(session: Session, requests: Sequence[QueryRequest]) -> list[Que
                     _warm_batch(
                         session, requests[pending[0]], batch, [requests[i] for i in pending]
                     )
-                    for index in pending:
-                        # The probe above already recorded the miss; evaluate
-                        # directly and store, instead of probing a second time.
-                        result = session.execute(requests[index], use_cache=False)
-                        session.cache_store(requests[index], result, key=keys.get(index))
-                        results[index] = result
+                    _execute_each(session, requests, results, pending, keys)
         for index, first in duplicates:
             prior = results[first]
             if prior is not None and prior.ok:
@@ -255,62 +243,65 @@ def _execute_implication_batch(
     pending: list[int],
     keys: dict[int, str],
 ) -> None:
-    """Decide a same-Γ implication/equivalence group in bounded fresh-engine chunks.
+    """Decide a same-Γ implication/equivalence group on the warm index, in overlays.
 
-    Each chunk of :data:`IMPLICATION_CHUNK` queries shares one
-    :func:`~repro.implication.word_problems.lattice_word_problems` engine —
-    Γ's closure is paid once per chunk, and no chunk's subexpressions bloat
-    the closure another chunk (or the session's own index) propagates over.
+    The Γ context (and its engine) is created as for every other kind; the
+    kernel answers each query in an overlay that rolls the index back, so
+    the group's subexpressions never become part of the tenant's state.
     """
     representative = requests[pending[0]]
-    if representative.dependencies is not None:
-        # Churn-free probe: reuse the cached context if this Γ is already
-        # live (counts a hit, keeps it warm in the LRU) but never *insert*
-        # one — the chunks build their own engines, so a fresh entry's
-        # artifacts would go unused while evicting a context other requests
-        # still share.
-        context = session.context_for(representative, create=False)
-        dependencies: Sequence[PartitionDependency] = (
-            context.dependencies if context is not None else representative.dependencies
-        )
-    else:
-        dependencies = session.context_for(representative).dependencies
-    for start in range(0, len(pending), IMPLICATION_CHUNK):
-        chunk = pending[start : start + IMPLICATION_CHUNK]
-        queries = []
-        for index in chunk:
-            request = requests[index]
-            if request.kind == "implies":
-                queries.append(request.query)
-            else:
-                queries.append(PartitionDependency(request.left, request.right))
-        # The grouped kernel bypasses Session._evaluate, so the injection
-        # hook fires here — a poison request kills its worker whichever lane
-        # it rides in (the chunk has no deadline scopes; this is a no-op
-        # without an installed fault plan).
-        for index in chunk:
-            _faults().on_request(requests[index].id)
-        try:
-            with telemetry.work_unit(
-                representative.kind,
-                gamma=len(dependencies),
-                requests=len(chunk),
-                query_size=sum(q.left.size() + q.right.size() for q in queries),
-            ):
-                verdicts = lattice_word_problems(dependencies, queries)
-        except DeadlineExceeded:
-            raise  # an enclosing budget (window budget) owns this, not a line
-        except Exception:
-            # Fall back to per-request dispatch so errors are reported per line.
-            for index in chunk:
-                results[index] = session.execute(requests[index], cache_key=keys.get(index))
-            continue
-        for index, verdict in zip(chunk, verdicts):
-            request = requests[index]
-            field = "implied" if request.kind == "implies" else "equivalent"
-            result = QueryResult(kind=request.kind, ok=True, id=request.id, value={field: verdict})
-            session.cache_store(request, result, key=keys.get(index))
-            results[index] = result
+    queries = []
+    for index in pending:
+        request = requests[index]
+        if request.kind == "implies":
+            queries.append(request.query)
+        else:
+            queries.append(PartitionDependency(request.left, request.right))
+    # The grouped kernel bypasses Session._evaluate, so the injection hook
+    # fires here — a poison request kills its worker whichever lane it rides
+    # in (the group has no deadline scopes; this is a no-op without an
+    # installed fault plan).
+    for index in pending:
+        _faults().on_request(requests[index].id)
+    context = session.context_for(representative)
+    try:
+        with telemetry.work_unit(
+            representative.kind,
+            gamma=len(context.dependencies),
+            requests=len(pending),
+            query_size=sum(q.left.size() + q.right.size() for q in queries),
+        ):
+            verdicts = lattice_word_problems(context.dependencies, queries, engine=context.engine)
+    except DeadlineExceeded:
+        raise  # an enclosing budget (window budget) owns this, not a line
+    except Exception:
+        _execute_each(session, requests, results, pending, keys)
+        return
+    for index, verdict in zip(pending, verdicts):
+        request = requests[index]
+        field = "implied" if request.kind == "implies" else "equivalent"
+        result = QueryResult(kind=request.kind, ok=True, id=request.id, value={field: verdict})
+        session.cache_store(request, result, key=keys.get(index))
+        results[index] = result
+
+
+def _execute_each(
+    session: Session,
+    requests: Sequence[QueryRequest],
+    results: list[Optional[QueryResult]],
+    pending: list[int],
+    keys: dict[int, str],
+) -> None:
+    """Evaluate each pending request and store it (errors are reported per line).
+
+    The planner's probe already counted each request's miss, so this never
+    probes the cache a second time.  It is the per-request loop of the warmed
+    groups and the fallback of a failed grouped kernel.
+    """
+    for index in pending:
+        result = session.execute(requests[index], use_cache=False)
+        session.cache_store(requests[index], result, key=keys.get(index))
+        results[index] = result
 
 
 def _execute_fd_batch(
@@ -336,9 +327,7 @@ def _execute_fd_batch(
     except DeadlineExceeded:
         raise  # an enclosing budget (window budget) owns this, not a line
     except Exception:
-        # Fall back to per-request dispatch so errors are reported per line.
-        for index in pending:
-            results[index] = session.execute(requests[index], cache_key=keys.get(index))
+        _execute_each(session, requests, results, pending, keys)
         return
     for index, verdict in zip(pending, verdicts):
         request = requests[index]

@@ -35,9 +35,7 @@ subexpressions pay for them once.  Requests carrying an explicit
 (engine + normalization artifacts per foreign dependency set) that is
 likewise shared across tenants — the context is a pure function of the
 dependency set; only the *result cache slot* is tenant-scoped.  The context
-LRU keeps hit/miss/eviction counters (:meth:`Session.cache_info`) and
-supports churn-free probes (``context_for(request, create=False)``), which
-is how the batch planner reuses contexts without evicting live ones.
+LRU keeps hit/miss/eviction counters (:meth:`Session.cache_info`).
 """
 
 from __future__ import annotations
@@ -365,17 +363,13 @@ class Session:
         state.generation += 1
         self._results.invalidate_tenant(tenant)
 
-    def context_for(self, request: QueryRequest, create: bool = True) -> Optional[DependencyContext]:
+    def context_for(self, request: QueryRequest) -> DependencyContext:
         """The dependency context a request runs against (tenant Γ or its own).
 
         Requests without an explicit ``dependencies`` field run against their
         tenant's base Γ (the tenant keyspace entry is created on demand —
         tenant states are cheap and never evicted).  Requests *with* explicit
-        dependencies share a bounded LRU of per-Γ contexts across tenants;
-        ``create=False`` turns that path into a churn-free probe that returns
-        the cached context or ``None`` without inserting or evicting — the
-        batch planner uses this so a stream of one-off dependency sets cannot
-        flush contexts that live requests still share.
+        dependencies share a bounded LRU of per-Γ contexts across tenants.
         """
         if request.dependencies is None:
             return self._tenant_state(request.tenant).context
@@ -386,8 +380,6 @@ class Session:
             self._context_hits += 1
             return context
         self._context_misses += 1
-        if not create:
-            return None
         context = DependencyContext(request.dependencies)
         self._foreign[key] = context
         while len(self._foreign) > self._foreign_context_limit:

@@ -8,18 +8,29 @@ same final input.
 """
 
 import random
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.deadline import deadline_scope
 from repro.dependencies.pd import PartitionDependency
+from repro.errors import DeadlineExceeded
 from repro.implication.alg import (
     ImplicationEngine,
     alg_closure,
     alg_closure_naive,
     pd_equivalent,
+    pd_implies,
 )
 from repro.implication.index import ImplicationIndex, implication_index
+from repro.implication.word_problems import lattice_word_problems
 from repro.workloads.random_dependencies import random_pd_set
 from repro.workloads.random_expressions import random_expression
 from repro.workloads.random_implication import random_implication_workload
+
+from tests.conftest import expressions
 
 UNIVERSE = ["A", "B", "C"]
 
@@ -287,3 +298,140 @@ class TestServiceSurface:
         assert pd_equivalent(first, second)
         assert pd_equivalent(first, second, naive=True)
         assert not pd_equivalent(first, ["A = B"])
+
+
+_PAIRS = st.tuples(expressions(max_depth=2), expressions(max_depth=2))
+
+
+def _overlay_case(pairs, pool):
+    """Γ from expression pairs, a warm index over Γ and the pool, and its state."""
+    gamma = [PartitionDependency(left, right) for left, right in pairs]
+    index = ImplicationIndex(gamma, pool)
+    return gamma, index, index.export_state()
+
+
+class TestOverlay:
+    """Query overlays on a warm index: exact rollback, oracle answers (Lemma 9.2)."""
+
+    @given(
+        st.lists(_PAIRS, max_size=3),
+        st.lists(expressions(max_depth=2), max_size=3),
+        st.lists(st.tuples(expressions(max_depth=3), expressions(max_depth=3)), min_size=1, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_overlay_answers_match_the_oracle_and_roll_back(self, raw_gamma, pool, queries):
+        gamma, index, before = _overlay_case(raw_gamma, pool)
+        sides = [side for pair in queries for side in pair]
+        with index.overlay():
+            index.add_expressions(sides)
+            oracle = alg_closure(gamma, list(pool) + sides)
+            assert index.as_expression_pairs() == oracle.as_expression_pairs()
+            _assert_classes_maximal(index)
+        assert index.export_state() == before
+        # The batch entry point answers in an overlay too, as a fresh engine would.
+        arcs = oracle.as_expression_pairs()
+        expected = [(left, right) in arcs and (right, left) in arcs for left, right in queries]
+        engine = ImplicationEngine.from_index(index)
+        assert lattice_word_problems(gamma, queries, engine=engine) == expected
+        assert lattice_word_problems(gamma, queries) == expected
+        assert index.export_state() == before
+
+    @given(
+        st.lists(_PAIRS, max_size=3),
+        st.lists(expressions(max_depth=2), min_size=1, max_size=4),
+        st.lists(expressions(max_depth=3), min_size=1, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_class_ids_taken_before_an_overlay_stay_valid(self, raw_gamma, pool, extra):
+        _, index, before = _overlay_case(raw_gamma, pool)
+        ids = [index.class_id(expression) for expression in pool]
+        classes = index.classes()
+        with index.overlay():
+            index.add_expressions(extra)
+            assert [index.class_id(expression) for expression in pool] == ids
+        assert [index.class_id(expression) for expression in pool] == ids
+        assert index.classes() == classes
+        assert index.export_state() == before
+
+    @given(
+        st.lists(_PAIRS, max_size=3),
+        st.lists(expressions(max_depth=2), max_size=3),
+        st.lists(expressions(max_depth=3), min_size=1, max_size=4),
+        st.integers(min_value=0, max_value=40),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_deadline_mid_overlay_leaves_the_state_and_later_answers_exact(
+        self, raw_gamma, pool, extra, polls
+    ):
+        gamma, index, before = _overlay_case(raw_gamma, pool)
+        # A scope that expires after ``polls`` budget checks: the overlay is
+        # interrupted at every reachable point, mid-registration or mid-drain.
+        with deadline_scope(60_000) as scope:
+            countdown = iter(range(polls))
+
+            def check():
+                if next(countdown, None) is None:
+                    raise DeadlineExceeded(scope)
+
+            with mock.patch("repro.implication.index.check_deadline", check):
+                try:
+                    with index.overlay():
+                        index.add_expressions(extra)
+                except DeadlineExceeded as exc:
+                    assert exc.scope is scope
+        assert index.export_state() == before
+        # The rolled-back index keeps answering exactly, inside and outside overlays.
+        with index.overlay():
+            index.add_expressions(extra)
+            oracle = alg_closure(gamma, list(pool) + list(extra))
+            assert index.as_expression_pairs() == oracle.as_expression_pairs()
+        index.add_expressions(extra)
+        assert index.as_expression_pairs() == oracle.as_expression_pairs()
+
+    def test_an_expired_scope_interrupts_the_overlay_and_rolls_it_back(self):
+        gamma = ["A = A*B", "B = B*C"]
+        index = ImplicationIndex(gamma, ["A*C"])
+        before = index.export_state()
+        with pytest.raises(DeadlineExceeded):
+            with deadline_scope(0):
+                with index.overlay():
+                    index.add_expressions(["(A+D)*(C+E)"])
+        assert index.export_state() == before
+        engine = ImplicationEngine.from_index(index)
+        assert lattice_word_problems(gamma, ["A = A*C", "C = C*A"], engine=engine) == [True, False]
+        assert index.export_state() == before
+
+    def test_gamma_cannot_grow_inside_an_overlay(self):
+        index = ImplicationIndex(["A = A*B"])
+        before = index.export_state()
+        with pytest.raises(RuntimeError):
+            with index.overlay():
+                index.add_dependencies(["B = B*C"])
+        assert index.export_state() == before
+        index.add_dependencies(["B = B*C"])  # outside an overlay E grows as usual
+        assert index.has_arc("A", "C")
+
+    def test_a_long_batch_matches_fresh_engines_and_rolls_back(self):
+        rng = random.Random(7)
+        gamma = random_pd_set(4, 4, rng, max_complexity=2)
+        queries = [
+            PartitionDependency(random_expression(UNIVERSE, rng, 3), random_expression(UNIVERSE, rng, 3))
+            for _ in range(19)
+        ]
+        engine = ImplicationEngine(gamma)
+        before = engine.index.export_state()
+        expected = [pd_implies(gamma, query) for query in queries]
+        assert lattice_word_problems(gamma, queries, engine=engine) == expected
+        assert engine.index.export_state() == before
+
+    def test_a_naive_engine_is_refused(self):
+        gamma = ["A = A*B"]
+        with pytest.raises(ValueError):
+            lattice_word_problems(gamma, ["A = A*B"], engine=ImplicationEngine(gamma, naive=True))
+
+    def test_an_engine_over_another_theory_is_refused(self):
+        engine = ImplicationEngine(["A = A*B"])
+        before = engine.index.export_state()
+        with pytest.raises(ValueError):
+            lattice_word_problems(["B = B*C"], ["A = A*B"], engine=engine)
+        assert engine.index.export_state() == before

@@ -102,6 +102,16 @@ class TestShardedExecution:
         assert results[0].value == {"implied": True}
         assert results[1].value == {"implied": False}
 
+    def test_an_implication_group_is_dealt_in_at_most_shards_slices(self):
+        gamma = (_pd("A = A*B"), _pd("B = B*C"))
+        requests = [
+            QueryRequest(kind="implies", id=f"q{i}", dependencies=gamma, query=_pd(f"A = A*{name}"))
+            for i, name in enumerate(["C", "D", "E", "F", "G", "H", "I"])
+        ]
+        with ShardExecutor(shards=3) as executor:
+            units = executor._work_units(requests, set(range(len(requests))))
+        assert units == [[0, 1, 2], [3, 4, 5], [6]]
+
     def test_pool_survives_multiple_execute_calls(self, stream, reference):
         with ShardExecutor(shards=2) as executor:
             first = _encoded(executor.execute_many(stream[:10]))

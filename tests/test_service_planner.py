@@ -1,13 +1,20 @@
 """Planner properties: stable grouping, byte-identical results, real amortization."""
 
+from dataclasses import replace
+from unittest import mock
+
 import pytest
 
+from repro.deadline import deadline_scope
 from repro.dependencies.pd import PartitionDependency
+from repro.errors import DeadlineExceeded
+from repro.expressions.parser import parse_expression
+from repro.implication.alg import ImplicationEngine
+from repro.implication.index import ImplicationIndex
 from repro.relational.database import Database
 from repro.relational.functional_dependencies import FunctionalDependency
 from repro.relational.relations import Relation
 from repro.service.planner import (
-    IMPLICATION_CHUNK,
     execute_plan,
     naive_dispatch,
     plan,
@@ -104,8 +111,8 @@ class TestByteIdenticalResults:
         assert planned == naive
 
     def test_chunking_boundary_exact(self):
-        # A group larger than one chunk must still answer every query.
-        count = IMPLICATION_CHUNK * 2 + 3
+        # A group larger than the old 8-query chunk must answer every query.
+        count = 19
         gamma = (_pd("A = A*B"), _pd("B = B*C"))
         requests = [
             QueryRequest(kind="implies", id=f"q{i}", dependencies=gamma, query=_pd("A = A*C"))
@@ -174,3 +181,114 @@ class TestCacheInterplay:
         assert [r.id for r in results] == ["a", "b", "c"]
         assert results[0].value == results[1].value == results[2].value
         assert results[1].cached and results[2].cached
+
+
+class TestKernelFailureFallback:
+    """A grouped kernel that raises falls back to per-request dispatch, one miss each."""
+
+    @pytest.mark.parametrize(
+        "kernel, requests",
+        [
+            (
+                "lattice_word_problems",
+                [
+                    QueryRequest(kind="implies", id="a", query=_pd("A = A*C")),
+                    QueryRequest(kind="implies", id="b", query=_pd("C = C*A")),
+                ],
+            ),
+            (
+                "fd_implies_all_via_pds",
+                [
+                    QueryRequest(
+                        kind="fd_implies",
+                        id=name,
+                        fds=(FunctionalDependency.parse("A -> B"),),
+                        target=FunctionalDependency.parse(target),
+                    )
+                    for name, target in (("a", "A -> B"), ("b", "B -> A"))
+                ],
+            ),
+        ],
+    )
+    def test_fallback_counts_each_miss_once_and_answers_like_execute(self, kernel, requests):
+        def broken(*args, **kwargs):
+            raise RuntimeError("kernel failure")
+
+        session = Session(["A = A*B", "B = B*C"])
+        with mock.patch(f"repro.service.planner.{kernel}", broken):
+            planned = execute_plan(session, requests)
+        assert session.cache_info()["misses"] == len(requests)
+        one_by_one = Session(["A = A*B", "B = B*C"])
+        assert _encoded(planned) == _encoded([one_by_one.execute(r) for r in requests])
+
+
+class TestWarmIndexOverlay:
+    """Implication groups answer on the tenant's warm index and leave it unchanged."""
+
+    GAMMAS = {None: ["A = A*B", "B = B*C"], "acme": ["C = C*D", "D = A+B"]}
+
+    def _warm_session(self) -> Session:
+        session = Session(self.GAMMAS[None])
+        session.add_dependencies(self.GAMMAS["acme"], tenant="acme")
+        for tenant in self.GAMMAS:  # build and warm both tenants' indexes
+            session.execute(QueryRequest(kind="implies", tenant=tenant, query=_pd("A = A*B")))
+        return session
+
+    def _window(self) -> list[QueryRequest]:
+        requests = []
+        for tenant in self.GAMMAS:
+            for i, text in enumerate(["A = A*C", "C = C*A", "D = D*(A+B)", "(A+C)*D = D*(C+E)"]):
+                requests.append(
+                    QueryRequest(kind="implies", id=f"{tenant}-i{i}", tenant=tenant, query=_pd(text))
+                )
+            for i, (left, right) in enumerate([("A*C", "A"), ("D", "A+B"), ("C+E", "E+C*D")]):
+                requests.append(
+                    QueryRequest(
+                        kind="equivalent",
+                        id=f"{tenant}-e{i}",
+                        tenant=tenant,
+                        left=parse_expression(left),
+                        right=parse_expression(right),
+                    )
+                )
+        return requests
+
+    def _index_states(self, session: Session) -> dict:
+        states = {}
+        for tenant in self.GAMMAS:
+            probe = QueryRequest(kind="implies", tenant=tenant, query=_pd("A = A"))
+            index = session.context_for(probe).engine.index
+            states[tenant] = (index.vertex_count, index.export_state())
+        return states
+
+    def test_window_builds_no_engine_and_leaves_each_index_unchanged(self):
+        session = self._warm_session()
+        requests = self._window()
+        before = self._index_states(session)
+        with mock.patch.object(
+            ImplicationEngine, "__init__", autospec=True, side_effect=ImplicationEngine.__init__
+        ) as engines, mock.patch.object(
+            ImplicationIndex, "__init__", autospec=True, side_effect=ImplicationIndex.__init__
+        ) as indexes:
+            planned = execute_plan(session, requests)
+        assert engines.call_count == indexes.call_count == 0
+        assert self._index_states(session) == before
+        naive = []
+        for request in requests:  # naive_dispatch knows one Γ: run each tenant's as the default
+            [result] = naive_dispatch([replace(request, tenant=None)], self.GAMMAS[request.tenant])
+            naive.append(result)
+        assert _encoded(planned) == _encoded(naive)
+
+    def test_expiring_window_budget_leaves_each_index_unchanged(self):
+        session = self._warm_session()
+        requests = self._window()
+        before = self._index_states(session)
+        with pytest.raises(DeadlineExceeded) as excinfo:
+            with deadline_scope(0):  # the micro-batcher's window budget, already spent
+                execute_plan(session, requests)
+        # The budget ran out inside the overlay, while it registered query vertices.
+        assert {"lattice_word_problems", "_register"} <= {entry.name for entry in excinfo.traceback}
+        assert self._index_states(session) == before
+        again = execute_plan(session, requests)
+        assert self._index_states(session) == before
+        assert _encoded(again) == _encoded(execute_plan(self._warm_session(), requests))

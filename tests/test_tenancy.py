@@ -163,17 +163,6 @@ class TestContextCacheCounters:
         assert info["hits"] >= 1
         assert info["size"] <= info["maxsize"] == 2
 
-    def test_create_false_probes_without_inserting_or_evicting(self):
-        session = Session(GAMMA, foreign_context_limit=2)
-        request = QueryRequest(
-            kind="implies", dependencies=(_pd("A = A*Z"),), query=_pd("A = A*Z")
-        )
-        before = session.cache_info()["contexts"]
-        assert session.context_for(request, create=False) is None
-        after = session.cache_info()["contexts"]
-        assert after["size"] == before["size"] == 0
-        assert after["evictions"] == before["evictions"]
-
 
 class TestSnapshotTenantRoundTrip:
     def _warm_session(self) -> Session:
