@@ -7,8 +7,9 @@ query.  This subsystem packages them behind a stable, stateful, scalable
 request surface:
 
 * :mod:`repro.service.wire` — versioned, deterministic JSON codecs for every
-  object that crosses a process boundary (expressions, PDs/FPDs/FDs,
-  partitions/universes, relations/databases/schemas, requests, results);
+  object a request or result carries (expressions, PDs — an FPD travels as
+  its ``"X <= Y"`` PD text — FDs, relations/databases, requests, results);
+  the service speaks exactly :data:`WIRE_VERSION` and refuses any other;
 * :mod:`repro.service.session` — :class:`Session`, the uniform
   ``QueryRequest → QueryResult`` surface owning one shared implication
   index, the Theorem 12 normalization cache, and a result cache
@@ -38,7 +39,8 @@ request surface:
 * :mod:`repro.service.snapshot` — durable Γ snapshots: a versioned,
   digest-protected codec for a warm session's implication-index fixpoint,
   normalization artifacts and result cache, enabling zero-warmup restores
-  of sessions, shard workers and servers (``--snapshot-dir``).
+  of sessions, shard workers and servers (``--snapshot-dir``); it reads
+  exactly :data:`SNAPSHOT_VERSION` and refuses any other.
 
 Minimal use::
 
@@ -70,7 +72,6 @@ from repro.service.faults import (
     FaultPlan,
     clear_fault_plan,
     install_fault_plan,
-    install_from_env,
     installed_plan,
 )
 from repro.service.microbatch import MicroBatcher, Ticket
@@ -109,27 +110,19 @@ from repro.service.wire import (
     decode_database,
     decode_expression,
     decode_fd,
-    decode_fpd,
-    decode_partition,
     decode_pd,
     decode_relation,
     decode_request,
     decode_result,
-    decode_scheme,
-    decode_universe,
     dump_request_line,
     dump_result_line,
     encode_database,
     encode_expression,
     encode_fd,
-    encode_fpd,
-    encode_partition,
     encode_pd,
     encode_relation,
     encode_request,
     encode_result,
-    encode_scheme,
-    encode_universe,
     error_result_for_line,
     load_request_line,
     load_result_line,
@@ -177,7 +170,6 @@ __all__ = [
     "Fault",
     "FaultPlan",
     "install_fault_plan",
-    "install_from_env",
     "installed_plan",
     "clear_fault_plan",
     "Span",
@@ -203,14 +195,6 @@ __all__ = [
     "decode_pd",
     "encode_fd",
     "decode_fd",
-    "encode_fpd",
-    "decode_fpd",
-    "encode_universe",
-    "decode_universe",
-    "encode_partition",
-    "decode_partition",
-    "encode_scheme",
-    "decode_scheme",
     "encode_relation",
     "decode_relation",
     "encode_database",

@@ -199,16 +199,14 @@ class ServiceConfig:
     def install_hooks(self, metrics=None) -> None:
         """Arm this process's fault plan and telemetry per this config.
 
-        An explicit ``fault_plan`` wins, else the ``REPRO_FAULT_PLAN``
-        environment hook applies.  ``metrics``, when given, becomes the
-        registry telemetry's opt-in counters go to.
+        A ``fault_plan`` is installed process-wide; without one, whatever
+        plan the process already holds stays.  ``metrics``, when given,
+        becomes the registry telemetry's opt-in counters go to.
         """
         from repro.service import faults, telemetry
 
         if self.fault_plan is not None:
             faults.install_fault_plan(self.fault_plan)
-        else:
-            faults.install_from_env()
         telemetry.configure(trace=self.trace, metrics_dir=self.metrics_dir, registry=metrics)
 
 

@@ -6,8 +6,8 @@ supervisor handles *injectable on purpose*, deterministically, from pytest:
 
 * a :class:`FaultPlan` is a seeded, ordered tuple of :class:`Fault` records
   with a canonical JSON codec, so a plan travels through
-  :class:`~repro.service.config.ServiceConfig`, a CLI flag, or the
-  :data:`ENV_VAR` environment hook into subprocess workers byte-identically;
+  :class:`~repro.service.config.ServiceConfig` or a CLI flag into
+  subprocess workers byte-identically;
 * workers call the hook points (:func:`on_unit_start`, :func:`on_request`,
   :func:`corrupt_result_line`) at the exact seams the supervisor defends:
   unit dispatch, request evaluation, and the result wire.
@@ -46,7 +46,8 @@ while one with ``incarnation=None`` follows the request wherever it lands
 (the poison request).
 
 The state is process-global on purpose: workers receive the plan over the
-spawn/fork boundary (or via :data:`ENV_VAR`) and the hook points are free
+spawn/fork boundary (a forked worker also inherits a plan installed in
+its parent) and the hook points are free
 functions the session can call without threading a handle through every
 layer.  Tests reset with :func:`clear_fault_plan` (autouse fixture).
 """
@@ -63,11 +64,6 @@ from typing import Optional
 from repro.deadline import check_deadline
 from repro.errors import ServiceError
 from repro.service.wire import canonical_dumps
-
-#: Environment hook: a canonical FaultPlan JSON document.  Worker processes
-#: and freshly started servers install it automatically, so a chaos run can
-#: reach every process of a service tree without plumbing.
-ENV_VAR = "REPRO_FAULT_PLAN"
 
 FAULT_KINDS = ("crash_worker", "crash_request", "delay", "hang", "corrupt")
 
@@ -204,14 +200,6 @@ def install_fault_plan(plan) -> Optional[FaultPlan]:
         raise ServiceError(f"cannot install a fault plan from {type(plan).__name__}")
     _UNITS_STARTED = 0
     return _PLAN
-
-
-def install_from_env() -> Optional[FaultPlan]:
-    """Install the plan from :data:`ENV_VAR`, if set; returns it (or ``None``)."""
-    text = os.environ.get(ENV_VAR)
-    if not text:
-        return None
-    return install_fault_plan(text)
 
 
 def installed_plan() -> Optional[FaultPlan]:

@@ -1,11 +1,11 @@
 """Stateful query sessions: a tenant keyspace of implication indexes and caches.
 
-A :class:`Session` is the in-process front door of the query service.  Since
-wire v3 it is **multi-tenant**: requests carry an optional ``tenant`` field,
-and the session keeps one :class:`TenantState` per tenant — the tenant's own
-PD set Γ, generation counter, and lazily built per-Γ artifacts
+A :class:`Session` is the in-process front door of the query service.  It
+is **multi-tenant**: requests carry an optional ``tenant`` field, and the
+session keeps one :class:`TenantState` per tenant — the tenant's own PD set
+Γ, generation counter, and lazily built per-Γ artifacts
 (:class:`DependencyContext`).  Requests without a tenant run under the
-*default* tenant, which is exactly the pre-v3 behaviour.  Per tenant the
+*default* tenant, the session's own Γ.  Per tenant the
 session owns:
 
 * one persistent :class:`~repro.implication.index.ImplicationIndex` (wrapped

@@ -62,16 +62,12 @@ from repro.service.wire import (
     encode_result,
 )
 
-#: Snapshot format version; bump on any incompatible payload change.
-#: Version 2 (multi-tenancy) adds the ``tenants`` list and widens result
-#: entries to ``[key, uses_gamma, tenant, result]`` quadruples; the
-#: top-level ``generation``/``dependencies``/``index``/``normalized`` fields
-#: keep describing the *default* tenant, exactly as version 1 did.
+#: Snapshot format version; bump on any incompatible payload change.  The
+#: only version :func:`decode_snapshot` accepts.  The top-level
+#: ``generation``/``dependencies``/``index``/``normalized`` fields describe
+#: the *default* tenant, each ``tenants`` entry a named one in the same
+#: shape, and result entries are ``[key, uses_gamma, tenant, result]``.
 SNAPSHOT_VERSION = 2
-
-#: Versions :func:`decode_snapshot` accepts.  Version-1 documents restore as
-#: a default-tenant-only keyspace (their result entries carry no tenant).
-SUPPORTED_SNAPSHOT_VERSIONS = (1, 2)
 
 #: The ``kind`` tag of a snapshot document (guards against feeding the codec
 #: some other canonical-JSON artifact).
@@ -176,6 +172,29 @@ def _require_list(payload: dict, key: str, context: str) -> list:
     return value
 
 
+def _check_tenant_state(state: dict, context: str, lazy: bool) -> None:
+    """Validate one tenant's ``generation``/``dependencies``/``index``/``normalized``.
+
+    The default tenant (the document's top level) and every ``tenants`` entry
+    share this shape; only a named tenant (``lazy``) may snapshot ``index: null``.
+    """
+    generation = _require(state, "generation", context)
+    if isinstance(generation, bool) or not isinstance(generation, int) or generation < 0:
+        raise ServiceError(f"{context} generation must be a non-negative integer, got {generation!r}")
+    _require_list(state, "dependencies", context)
+    index = _require(state, "index", context)
+    if index is not None or not lazy:
+        for field in ("expressions", "parent", "arcs"):
+            _require_list(index, field, context + " index")
+        for entry in index["arcs"]:
+            if not isinstance(entry, list) or len(entry) != 2 or not isinstance(entry[1], list):
+                raise ServiceError(f"{context} index arc entry {entry!r} is not a [root, targets] pair")
+    normalized = _require(state, "normalized", context)
+    if normalized is not None:
+        for field in ("fds", "sum_constraints", "fresh_attributes", "closure_pairs"):
+            _require_list(normalized, field, context + " normalization")
+
+
 def decode_snapshot(text: Union[str, bytes]) -> dict:
     """Parse and *verify* a snapshot document: JSON, kind, version, digest, shape.
 
@@ -192,7 +211,7 @@ def decode_snapshot(text: Union[str, bytes]) -> dict:
     kind = payload.get("kind")
     if kind != SNAPSHOT_KIND:
         raise ServiceError(f"snapshot payload has kind {kind!r}; expected {SNAPSHOT_KIND!r}")
-    version = _check_version(payload, "snapshot", expected=SUPPORTED_SNAPSHOT_VERSIONS)
+    _check_version(payload, "snapshot", expected=SNAPSHOT_VERSION)
     stored = _require(payload, "digest", "snapshot")
     actual = _digest(payload)
     if stored != actual:
@@ -200,60 +219,23 @@ def decode_snapshot(text: Union[str, bytes]) -> dict:
             "snapshot digest mismatch: the stored text is corrupted "
             f"(stored {str(stored)[:16]}…, computed {actual[:16]}…)"
         )
-    generation = _require(payload, "generation", "snapshot")
-    if isinstance(generation, bool) or not isinstance(generation, int) or generation < 0:
-        raise ServiceError(f"snapshot generation must be a non-negative integer, got {generation!r}")
-    _require_list(payload, "dependencies", "snapshot")
-    index = _require(payload, "index", "snapshot")
-    for field in ("expressions", "parent", "arcs"):
-        _require_list(index, field, "snapshot index")
-    for entry in index["arcs"]:
-        if not isinstance(entry, list) or len(entry) != 2 or not isinstance(entry[1], list):
-            raise ServiceError(f"snapshot index arc entry {entry!r} is not a [root, targets] pair")
-    normalized = _require(payload, "normalized", "snapshot")
-    if normalized is not None:
-        for field in ("fds", "sum_constraints", "fresh_attributes", "closure_pairs"):
-            _require_list(normalized, field, "snapshot normalization")
-    if version >= 2:
-        for entry in _require_list(payload, "tenants", "snapshot"):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not isinstance(entry[0], str)
-                or not entry[0]
-                or not isinstance(entry[1], dict)
-            ):
-                raise ServiceError(
-                    f"snapshot tenant entry must be a [name, state] pair, got {entry!r}"
-                )
-            tenant_state = entry[1]
-            tenant_context = f"snapshot tenant {entry[0]!r}"
-            tenant_generation = _require(tenant_state, "generation", tenant_context)
-            if (
-                isinstance(tenant_generation, bool)
-                or not isinstance(tenant_generation, int)
-                or tenant_generation < 0
-            ):
-                raise ServiceError(
-                    f"{tenant_context} generation must be a non-negative integer, "
-                    f"got {tenant_generation!r}"
-                )
-            _require_list(tenant_state, "dependencies", tenant_context)
-            tenant_index = _require(tenant_state, "index", tenant_context)
-            if tenant_index is not None:
-                for field in ("expressions", "parent", "arcs"):
-                    _require_list(tenant_index, field, tenant_context + " index")
-            tenant_normalized = _require(tenant_state, "normalized", tenant_context)
-            if tenant_normalized is not None:
-                for field in ("fds", "sum_constraints", "fresh_attributes", "closure_pairs"):
-                    _require_list(tenant_normalized, field, tenant_context + " normalization")
-        entry_width, entry_shape = 4, "[key, uses_gamma, tenant, result] quadruple"
-    else:
-        entry_width, entry_shape = 3, "[key, uses_base_gamma, result] triple"
+    _check_tenant_state(payload, "snapshot", lazy=False)
+    for entry in _require_list(payload, "tenants", "snapshot"):
+        if (
+            not isinstance(entry, list)
+            or len(entry) != 2
+            or not isinstance(entry[0], str)
+            or not entry[0]
+            or not isinstance(entry[1], dict)
+        ):
+            raise ServiceError(f"snapshot tenant entry must be a [name, state] pair, got {entry!r}")
+        _check_tenant_state(entry[1], f"snapshot tenant {entry[0]!r}", lazy=True)
     for entry in _require_list(payload, "results", "snapshot"):
-        if not isinstance(entry, list) or len(entry) != entry_width or not isinstance(entry[0], str):
-            raise ServiceError(f"snapshot result entry must be a {entry_shape}, got {entry!r}")
-        if entry_width == 4 and entry[2] is not None and (not isinstance(entry[2], str) or not entry[2]):
+        if not isinstance(entry, list) or len(entry) != 4 or not isinstance(entry[0], str):
+            raise ServiceError(
+                f"snapshot result entry must be a [key, uses_gamma, tenant, result] quadruple, got {entry!r}"
+            )
+        if entry[2] is not None and (not isinstance(entry[2], str) or not entry[2]):
             raise ServiceError(
                 f"snapshot result entry tenant must be null or a non-empty string, got {entry[2]!r}"
             )
@@ -343,7 +325,7 @@ def restore_session(
         DependencyContext, dependencies, payload["index"], payload["normalized"]
     )
     tenants = []
-    for name, tenant_state in payload.get("tenants", ()):
+    for name, tenant_state in payload["tenants"]:
         tenant_dependencies = tuple(decode_pd(text) for text in tenant_state["dependencies"])
         tenants.append(
             (
@@ -358,12 +340,7 @@ def restore_session(
             )
         )
     results = []
-    for entry in payload["results"]:
-        if len(entry) == 4:
-            key, uses_gamma, tenant, result_payload = entry
-        else:  # a version-1 document: default-tenant entries only
-            key, uses_gamma, result_payload = entry
-            tenant = None
+    for key, uses_gamma, tenant, result_payload in payload["results"]:
         result = decode_result(result_payload)
         if not result.ok:
             raise ServiceError("snapshot result cache contains an error result (never cached)")

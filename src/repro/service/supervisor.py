@@ -150,8 +150,6 @@ def _worker_main(
     faults.set_worker_context(worker_index, incarnation)
     if fault_plan_json is not None:
         faults.install_fault_plan(fault_plan_json)
-    else:
-        faults.install_from_env()
     if snapshot_text is not None:
         from repro.service.snapshot import restore_session
 

@@ -1,54 +1,45 @@
 """Versioned, deterministic JSON codecs for the query service (the wire layer).
 
-Every object the service accepts or produces — expressions, PDs/FPDs/FDs,
-partitions and universes, relations/databases/schemas, query requests and
-query results — has an ``encode_*``/``decode_*`` pair here.  The codecs obey
-two contracts that the rest of the service (and its tests) lean on:
+Every object a request or result carries — expressions, PDs (an FPD travels
+as its ``"X <= Y"`` PD text), FDs, relations and databases, query requests
+and query results — has an ``encode_*``/``decode_*`` pair here.  The codecs
+obey two contracts that the rest of the service (and its tests) lean on:
 
 * **Determinism** — encoding is a pure function of the object's *semantics*:
-  attribute sets and relation rows are emitted sorted, partitions are emitted
-  in canonical first-occurrence label form, JSON is serialized with sorted
-  keys and no whitespace (:func:`canonical_dumps`).  Two equal objects encode
-  to identical bytes, so encoded results can be compared with ``==`` across
-  processes (the shard executor's ordering test and the CLI's byte-identical
-  end-to-end check both do exactly that).
+  attribute sets and relation rows are emitted sorted, JSON is serialized
+  with sorted keys and no whitespace (:func:`canonical_dumps`).  Two equal
+  objects encode to identical bytes, so encoded results can be compared with
+  ``==`` across processes (the shard executor's ordering test and the CLI's
+  byte-identical end-to-end check both do exactly that).
 * **Round-tripping through the interned substrate** — decoding re-interns on
   the way in: expression and PD texts go through the parser's bounded text
   memo (:func:`repro.expressions.parser.memoized_parse`), so a text seen
   recently is not parsed again and ``decode(encode(e)) is e`` inside one
-  process, by hash-consing; partitions are rebuilt on a fresh
-  :class:`~repro.partitions.kernel.Universe` in canonical label form, and
-  ``encode → decode → encode`` is byte-identical for every wire type
-  (``tests/test_wire.py`` checks this on randomized inputs).  Encoding reads
-  cached text: every interned node keeps its ``to_infix`` rendering and every
-  PD its ``"lhs = rhs"`` line after the first render, so the result lines,
-  the planner's and session's Γ keys (:func:`dependencies_key`) and the cache
-  key (:func:`request_cache_key`) print each node once.
+  process, by hash-consing; ``encode → decode → encode`` is byte-identical
+  for every wire type (``tests/test_wire.py`` checks this on randomized
+  inputs).  Encoding reads cached text: every interned node keeps its
+  ``to_infix`` rendering and every PD its ``"lhs = rhs"`` line after the
+  first render, so the result lines, the planner's and session's Γ keys
+  (:func:`dependencies_key`) and the cache key (:func:`request_cache_key`)
+  print each node once.
 
-The envelope carries ``{"v": WIRE_VERSION}``; :func:`decode_request` and
-:func:`decode_result` require the version *explicitly* and reject everything
-outside :data:`SUPPORTED_WIRE_VERSIONS` — a payload without ``"v"`` is
-refused, never silently assumed current, so incompatible format changes must
-bump :data:`WIRE_VERSION` and old envelopes cannot be mis-versioned by
-omission.  Version 2 added the optional ``deadline_ms`` request field (a
-per-query wall-clock budget); version-1 payloads still decode, but a v1
-envelope carrying ``deadline_ms`` is rejected — an old peer echoing unknown
-fields must not silently gain semantics.  Version 3 added the optional
-``tenant`` request field (the keyspace a request reasons and caches under);
-v1/v2 payloads decode as the *default* tenant, and an older envelope
-carrying ``tenant`` is rejected on the same principle.  Version 3 also
-carries the optional ``trace`` request field — a caller-supplied trace id
-for end-to-end observability; it is metadata only (excluded from cache keys
-and absent from results), and an older envelope carrying ``trace`` is
-rejected like the other post-v1 fields.  Malformed payloads
-raise
-:class:`~repro.errors.ServiceError` — never ``KeyError``/``TypeError`` — so
-the CLI can turn them into structured error results.
+The envelope carries ``{"v": WIRE_VERSION}``, and :func:`decode_request` and
+:func:`decode_result` accept exactly that version, given explicitly as an
+integer.  A payload without ``"v"`` is refused, never silently assumed
+current, and so is any other version: incompatible format changes bump
+:data:`WIRE_VERSION`, and every producer of the format lives in this
+package.  The optional request fields ``deadline_ms`` (a per-query
+wall-clock budget), ``tenant`` (the keyspace a request reasons and caches
+under) and ``trace`` (a caller-supplied trace id — metadata only, excluded
+from cache keys and absent from results) are part of the current version.
+Malformed payloads raise :class:`~repro.errors.ServiceError` — never
+``KeyError``/``TypeError`` — so the CLI can turn them into structured error
+results.
 
 Expressions travel as their minimal-parenthesis infix rendering
 (:func:`repro.expressions.printer.to_infix`), which the parser inverts
 exactly; PDs travel as ``"lhs = rhs"`` over the same rendering.  This keeps
-request files human-writable: ``{"v": 1, "kind": "implies", "dependencies":
+request files human-writable: ``{"v": 3, "kind": "implies", "dependencies":
 ["A = A * B"], "query": "A = A * B"}`` is a valid line of a JSONL stream.
 """
 
@@ -59,25 +50,19 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
-from repro.dependencies.fpd import FunctionalPartitionDependency
 from repro.dependencies.pd import PartitionDependency
 from repro.errors import ServiceError
 from repro.expressions.ast import PartitionExpression
 from repro.expressions.parser import parse_expression
 from repro.expressions.printer import to_infix
-from repro.partitions.kernel import Universe
-from repro.partitions.partition import Partition
 from repro.relational.database import Database
 from repro.relational.functional_dependencies import FunctionalDependency
 from repro.relational.relations import Relation
-from repro.relational.schema import DatabaseScheme, RelationScheme
+from repro.relational.schema import RelationScheme
 from repro.relational.tuples import Row
 
 #: Wire format version; bump on any incompatible payload change.
 WIRE_VERSION = 3
-
-#: Versions this service still decodes (encoding always emits WIRE_VERSION).
-SUPPORTED_WIRE_VERSIONS = (1, 2, 3)
 
 #: The query kinds the service understands.
 REQUEST_KINDS = (
@@ -91,8 +76,6 @@ REQUEST_KINDS = (
 
 #: Consistency methods (Theorem 12 weak-instance test; Theorem 11 CAD search).
 CONSISTENT_METHODS = ("weak_instance", "cad")
-
-_SCALAR_TYPES = (str, int, float, bool, type(None))
 
 
 def canonical_dumps(payload: Any) -> str:
@@ -131,22 +114,18 @@ def _require_int(payload: dict, key: str, context: str, default=None, allow_none
     return value
 
 
-def _check_version(payload: dict, context: str, expected=SUPPORTED_WIRE_VERSIONS) -> int:
-    accepted = expected if isinstance(expected, tuple) else (expected,)
-    if len(accepted) == 1:
-        spoken = f"version {accepted[0]}"
-    else:
-        listed = [str(v) for v in accepted]
-        spoken = "versions " + ", ".join(listed[:-1]) + f" and {listed[-1]}"
+def _check_version(payload: dict, context: str, expected: int = WIRE_VERSION) -> None:
     if "v" not in payload:
         raise ServiceError(
             f"{context} payload is missing the 'v' version field; "
-            f"this service speaks {spoken} and requires it explicitly"
+            f"this service speaks version {expected} and requires it explicitly"
         )
     version = payload["v"]
-    if version not in accepted:
-        raise ServiceError(f"{context} uses version {version!r}; this service speaks {spoken}")
-    return version
+    # ``True == 1`` and ``3.0 == 3``: only the integer itself names a version.
+    if isinstance(version, bool) or not isinstance(version, int) or version != expected:
+        raise ServiceError(
+            f"{context} uses version {version!r}; this service speaks version {expected}"
+        )
 
 
 # -- expressions and dependencies ------------------------------------------------
@@ -201,94 +180,7 @@ def decode_fd(payload: Any) -> FunctionalDependency:
         raise ServiceError(f"cannot decode FD {payload!r}: {exc}") from None
 
 
-def encode_fpd(fpd: FunctionalPartitionDependency) -> dict:
-    """An FPD in the same shape as an FD (it *is* one, semantically)."""
-    return {"lhs": fpd.lhs.sorted(), "rhs": fpd.rhs.sorted()}
-
-
-def decode_fpd(payload: Any) -> FunctionalPartitionDependency:
-    lhs = _require(payload, "lhs", "FPD")
-    rhs = _require(payload, "rhs", "FPD")
-    try:
-        return FunctionalPartitionDependency(lhs, rhs)
-    except Exception as exc:
-        raise ServiceError(f"cannot decode FPD {payload!r}: {exc}") from None
-
-
-# -- partitions and universes ----------------------------------------------------
-
-
-def _check_elements(elements: Iterable[Any], context: str) -> list:
-    checked = []
-    for element in elements:
-        if not isinstance(element, _SCALAR_TYPES):
-            raise ServiceError(
-                f"{context} elements must be JSON scalars, got {type(element).__name__}: {element!r}"
-            )
-        checked.append(element)
-    return checked
-
-
-def encode_universe(universe: Universe) -> list:
-    """A universe as its element list, in interning (id) order."""
-    return _check_elements(universe.elements, "universe")
-
-
-def decode_universe(payload: Any) -> Universe:
-    if not isinstance(payload, list):
-        raise ServiceError(f"universe payload must be a list, got {type(payload).__name__}")
-    return Universe(_check_elements(payload, "universe"))
-
-
-def encode_partition(partition: Partition) -> dict:
-    """A partition as ``{"universe": [...], "labels": [...]}`` in canonical label form."""
-    return {
-        "universe": _check_elements(partition.universe.elements, "partition"),
-        "labels": list(partition.labels),
-    }
-
-
-def decode_partition(payload: Any) -> Partition:
-    elements = _require(payload, "universe", "partition")
-    labels = _require(payload, "labels", "partition")
-    if not isinstance(elements, list) or not isinstance(labels, list):
-        raise ServiceError("partition payload needs list-valued 'universe' and 'labels'")
-    if len(elements) != len(labels):
-        raise ServiceError(
-            f"partition payload has {len(elements)} elements but {len(labels)} labels"
-        )
-    try:
-        return Partition.from_labels(Universe(elements), labels)
-    except Exception as exc:
-        raise ServiceError(f"cannot decode partition: {exc}") from None
-
-
 # -- relational objects ----------------------------------------------------------
-
-
-def encode_scheme(scheme: RelationScheme) -> dict:
-    """A relation scheme as its name plus sorted attribute list."""
-    return {"name": scheme.name, "attributes": scheme.attributes.sorted()}
-
-
-def decode_scheme(payload: Any) -> RelationScheme:
-    name = _require(payload, "name", "scheme")
-    attributes = _require(payload, "attributes", "scheme")
-    try:
-        return RelationScheme(name, attributes)
-    except Exception as exc:
-        raise ServiceError(f"cannot decode relation scheme {payload!r}: {exc}") from None
-
-
-def encode_database_scheme(scheme: DatabaseScheme) -> list:
-    """A database scheme as its relation schemes sorted by name."""
-    return [encode_scheme(s) for s in sorted(scheme, key=lambda s: s.name)]
-
-
-def decode_database_scheme(payload: Any) -> DatabaseScheme:
-    if not isinstance(payload, list):
-        raise ServiceError("database scheme payload must be a list of relation schemes")
-    return DatabaseScheme([decode_scheme(item) for item in payload])
 
 
 def encode_relation(relation: Relation) -> dict:
@@ -351,7 +243,7 @@ class QueryRequest:
     ``dependencies`` is the PD set Γ the query reasons over; ``None`` means
     "use the session's own Γ" (the stateful mode).  ``tenant`` names the
     keyspace that Γ (and the request's cache slot) lives in; ``None`` is the
-    default tenant, which is how every pre-v3 request decodes.  ``trace`` is
+    default tenant, which a request without ``tenant`` uses.  ``trace`` is
     an optional caller-supplied trace id: pure observability metadata that
     never influences the answer (it is excluded from cache keys and results);
     when absent, a tracing-enabled server mints one at decode.  The remaining
@@ -479,19 +371,7 @@ def encode_request(request: QueryRequest) -> dict:
 def decode_request(payload: Any) -> QueryRequest:
     """Rebuild a :class:`QueryRequest`, re-interning every expression on the way in."""
     kind = _require(payload, "kind", "request")
-    version = _check_version(payload, "request")
-    if "deadline_ms" in payload and version < 2:
-        raise ServiceError(
-            "'deadline_ms' needs wire version 2; a version-1 request cannot carry a deadline"
-        )
-    if "tenant" in payload and version < 3:
-        raise ServiceError(
-            f"'tenant' needs wire version 3; a version-{version} request cannot carry a tenant"
-        )
-    if "trace" in payload and version < 3:
-        raise ServiceError(
-            f"'trace' needs wire version 3; a version-{version} request cannot carry a trace id"
-        )
+    _check_version(payload, "request")
     if kind not in REQUEST_KINDS:
         raise ServiceError(f"unknown request kind {kind!r}; expected one of {REQUEST_KINDS}")
     raw_deps = payload.get("dependencies")
@@ -555,15 +435,18 @@ def decode_result(payload: Any) -> QueryResult:
     _check_version(payload, "result")
     if not isinstance(ok, bool):
         raise ServiceError(f"result 'ok' must be a boolean, got {ok!r}")
+    result_id = payload.get("id")
+    if result_id is not None and not isinstance(result_id, str):
+        raise ServiceError(f"'id' must be a string, got {result_id!r}")
     if ok:
         value = _require(payload, "value", "result")
         if not isinstance(value, dict):
             raise ServiceError("result 'value' must be a JSON object")
-        return QueryResult(kind=kind, ok=True, id=payload.get("id"), value=value)
+        return QueryResult(kind=kind, ok=True, id=result_id, value=value)
     error = _require(payload, "error", "result")
     if not isinstance(error, dict):
         raise ServiceError("result 'error' must be a JSON object")
-    return QueryResult(kind=kind, ok=False, id=payload.get("id"), error=error)
+    return QueryResult(kind=kind, ok=False, id=result_id, error=error)
 
 
 def request_cache_key(request: QueryRequest) -> str:

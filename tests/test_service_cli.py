@@ -120,7 +120,7 @@ class TestServeLines:
         self, shards, acceptance_stream, expected_lines
     ):
         lines = requests_to_jsonl(acceptance_stream[:12]).strip().split("\n")
-        lines.insert(3, '{"v": 1, "kind": "implies"')  # torn mid-object
+        lines.insert(3, '{"v": 3, "kind": "implies"')  # torn mid-object
         out, stats = serve_lines(lines, config=ServiceConfig(shards=shards))
         bad = load_result_line(out[3])
         assert not bad.ok and bad.id == "line4"  # positional fallback id
@@ -134,13 +134,24 @@ class TestServeLines:
         _, sharded = serve_lines(lines, with_plan=True, config=ServiceConfig(shards=2))
         assert "plan" not in sharded
 
+    def test_readme_wire_example_replays_byte_for_byte(self):
+        # README's ``→`` request lines, served, must print exactly its ``←``
+        # result lines: the documented wire example stays the service's own.
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+        sent = [line[2:] for line in readme if line.startswith("→ ")]
+        shown = [line[2:] for line in readme if line.startswith("← ")]
+        assert len(sent) == len(shown) >= 3
+        out, stats = serve_lines(sent)
+        assert out == shown
+        assert stats["invalid"] == 1  # the version-2 line, answered in place
+
 
 class TestCliSurface:
     def test_stdin_stdout_with_session_dependencies(self):
         stdin = (
-            '{"v":1,"kind":"implies","id":"x","query":"A = A * C"}\n'
+            '{"v":3,"kind":"implies","id":"x","query":"A = A * C"}\n'
             "\n"
-            '{"v":1,"kind":"implies","id":"y","query":"C = C * A"}\n'
+            '{"v":3,"kind":"implies","id":"y","query":"C = C * A"}\n'
         )
         proc = _run_cli(["-d", "A = A*B; B = B*C", "-"], stdin_text=stdin)
         assert proc.returncode == 0, proc.stderr
@@ -151,7 +162,7 @@ class TestCliSurface:
 
     def test_malformed_lines_become_error_results_in_place(self):
         stdin = (
-            '{"v":1,"kind":"implies","id":"ok","query":"A = A"}\n'
+            '{"v":3,"kind":"implies","id":"ok","query":"A = A"}\n'
             "this is not json\n"
             '{"kind":"implies"}\n'
         )
@@ -168,7 +179,7 @@ class TestCliSurface:
     def test_error_results_name_original_file_lines_past_blanks(self):
         stdin = (
             "\n"
-            '{"v":1,"kind":"implies","id":"ok","query":"A = A"}\n'
+            '{"v":3,"kind":"implies","id":"ok","query":"A = A"}\n'
             "\n"
             "\n"
             "not json either\n"

@@ -165,8 +165,7 @@ class TestInstallHooks:
     """``install_hooks`` is the one copy of the process-wide hook arming."""
 
     @pytest.fixture(autouse=True)
-    def _pristine_hooks(self, monkeypatch):
-        monkeypatch.delenv(faults.ENV_VAR, raising=False)
+    def _pristine_hooks(self):
         faults.clear_fault_plan()
         telemetry.reset()
         yield
@@ -178,16 +177,16 @@ class TestInstallHooks:
         ServiceConfig(fault_plan=plan.to_json()).install_hooks()
         assert faults.installed_plan() == plan
 
-    def test_the_environment_plan_applies_without_an_explicit_one(self, monkeypatch):
+    def test_an_installed_plan_stays_without_an_explicit_one(self):
         plan = faults.FaultPlan(seed=6, faults=(faults.Fault(kind="crash_request", request_id="q2"),))
-        monkeypatch.setenv(faults.ENV_VAR, plan.to_json())
+        faults.install_fault_plan(plan)
         ServiceConfig().install_hooks()
         assert faults.installed_plan() == plan
 
-    def test_an_explicit_fault_plan_wins_over_the_environment(self, monkeypatch):
+    def test_an_explicit_fault_plan_replaces_an_installed_one(self):
         explicit = faults.FaultPlan(seed=1, faults=(faults.Fault(kind="crash_request", request_id="a"),))
         ambient = faults.FaultPlan(seed=2, faults=(faults.Fault(kind="crash_request", request_id="b"),))
-        monkeypatch.setenv(faults.ENV_VAR, ambient.to_json())
+        faults.install_fault_plan(ambient)
         ServiceConfig(fault_plan=explicit.to_json()).install_hooks()
         assert faults.installed_plan() == explicit
 

@@ -20,12 +20,10 @@ from repro.service import serve_stream
 from repro.service.config import ServiceConfig
 from repro.service.executor import ShardExecutor
 from repro.service.faults import (
-    ENV_VAR,
     Fault,
     FaultPlan,
     clear_fault_plan,
     install_fault_plan,
-    install_from_env,
     installed_plan,
 )
 from repro.service.planner import execute_plan
@@ -49,8 +47,7 @@ def run(coro, timeout=120):
 
 
 @pytest.fixture(autouse=True)
-def _pristine_fault_state(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
+def _pristine_fault_state():
     clear_fault_plan()
     yield
     clear_fault_plan()
@@ -131,14 +128,6 @@ class TestFaultCodec:
         assert installed_plan() == plan
         clear_fault_plan()
         assert installed_plan() is None
-
-    def test_install_from_env(self, monkeypatch):
-        plan = FaultPlan(seed=5, faults=(Fault(kind="hang", request_id="y", delay_ms=2.0),))
-        monkeypatch.setenv(ENV_VAR, plan.to_json())
-        assert install_from_env() == plan
-        monkeypatch.delenv(ENV_VAR)
-        clear_fault_plan()
-        assert install_from_env() is None
 
     def test_service_config_validates_fault_plan(self):
         with pytest.raises(ServiceError):
@@ -288,7 +277,7 @@ class TestSupervisedExecution:
 
 
 def _req_line(i, kind, query, **extra):
-    return json.dumps({"v": 2, "id": f"q{i}", "kind": kind, "query": query, **extra})
+    return json.dumps({"v": 3, "id": f"q{i}", "kind": kind, "query": query, **extra})
 
 
 @needs_fork

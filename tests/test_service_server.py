@@ -145,7 +145,7 @@ class TestByteIdentity:
 
 class TestControlLines:
     def test_stats_ping_and_unknown_control_answer_in_order(self):
-        request = '{"v":1,"kind":"implies","id":"r1","query":"A = A"}'
+        request = '{"v":3,"kind":"implies","id":"r1","query":"A = A"}'
         lines = [
             '{"control":"ping"}',
             request,
@@ -174,7 +174,7 @@ class TestControlLines:
 class TestErrorResults:
     def test_error_results_echo_parseable_ids_and_fall_back_to_line_numbers(self):
         lines = [
-            '{"v":1,"kind":"implies","id":"good","query":"A = A"}',
+            '{"v":3,"kind":"implies","id":"good","query":"A = A"}',
             '{"kind":"implies","id":"no-query"}',  # valid JSON, invalid request
             "utter garbage",  # not JSON at all
         ]
@@ -190,11 +190,31 @@ class TestErrorResults:
         assert not garbage.ok
         assert garbage.id == "line3"  # nothing parsed: the connection line number
 
+    def test_old_wire_versions_get_one_in_place_invalid_result(self):
+        lines = [
+            '{"v":1,"kind":"implies","id":"old1","query":"A = A"}',
+            '{"v":3,"kind":"implies","id":"good","query":"A = A"}',
+            '{"v":2,"kind":"implies","id":"old2","query":"A = A"}',
+        ]
+
+        async def scenario():
+            async with QueryServer(ServiceConfig(max_wait_ms=5.0)) as server:
+                return await _converse(server.host, server.port, lines)
+
+        old1, good, old2 = (load_result_line(line) for line in run(scenario()))
+        assert good.ok and good.id == "good"
+        for result, version in ((old1, 1), (old2, 2)):
+            assert (result.kind, result.ok, result.id) == ("invalid", False, f"old{version}")
+            assert result.error == {
+                "type": "ServiceError",
+                "message": f"request uses version {version}; this service speaks version 3",
+            }
+
 
 class TestDrain:
     def test_drain_answers_admitted_requests_without_waiting_for_the_window_timer(self):
         requests = [
-            f'{{"v":1,"kind":"implies","id":"d{i}","query":"A = A * B"}}' for i in range(3)
+            f'{{"v":3,"kind":"implies","id":"d{i}","query":"A = A * B"}}' for i in range(3)
         ]
 
         async def scenario():
@@ -238,7 +258,7 @@ class GatedSession(Session):
 class TestOverloadShed:
     def test_surplus_requests_are_shed_with_well_formed_errors(self):
         requests = [
-            f'{{"v":1,"kind":"implies","id":"s{i}","query":"A = A"}}' for i in range(3)
+            f'{{"v":3,"kind":"implies","id":"s{i}","query":"A = A"}}' for i in range(3)
         ]
 
         async def scenario():
@@ -306,7 +326,7 @@ class TestServeCommand:
 
             with socket.create_connection((host, int(port)), timeout=30) as conn:
                 conn.sendall(
-                    b'{"v":1,"kind":"implies","id":"live","query":"A = A * B","dependencies":["A = A * B"]}\n'
+                    b'{"v":3,"kind":"implies","id":"live","query":"A = A * B","dependencies":["A = A * B"]}\n'
                     b'{"control":"ping"}\n'
                 )
                 stream = conn.makefile("r", encoding="utf-8")

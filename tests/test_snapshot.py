@@ -22,6 +22,7 @@ import json
 
 import pytest
 
+from repro.dependencies.pd import PartitionDependency
 from repro.errors import ServiceError
 from repro.service.config import ServiceConfig
 from repro.service.executor import ShardExecutor
@@ -38,6 +39,7 @@ from repro.service.snapshot import (
     snapshot_path,
 )
 from repro.service.wire import (
+    QueryRequest,
     canonical_dumps,
     canonical_loads,
     dump_result_line,
@@ -147,10 +149,16 @@ class TestCodecRejections:
         with pytest.raises(ServiceError, match="digest mismatch"):
             decode_snapshot(flipped)
 
-    def test_version_skew_is_refused(self):
+    @pytest.mark.parametrize("version", [SNAPSHOT_VERSION + 1, 1, True])
+    def test_version_skew_is_refused(self, version):
+        # One snapshot version: a newer document, a version-1 one and a
+        # boolean "v" (``True == 1``) are all refused before any shape check.
         text = dump_snapshot(_warm_session(5))
-        skewed = _resealed(text, lambda p: p.__setitem__("v", SNAPSHOT_VERSION + 1))
-        with pytest.raises(ServiceError, match="speaks version"):
+        skewed = _resealed(text, lambda p: p.__setitem__("v", version))
+        with pytest.raises(
+            ServiceError,
+            match=f"snapshot uses version {version!r}; this service speaks version {SNAPSHOT_VERSION}",
+        ):
             decode_snapshot(skewed)
 
     def test_missing_version_is_refused_explicitly(self):
@@ -207,6 +215,23 @@ class TestCodecRejections:
 
         with pytest.raises(ServiceError, match="arcs both ways"):
             restore_session(_resealed(text, corrupt))
+
+    def test_a_named_tenant_passes_the_default_tenant_shape_check(self):
+        # One validator for every tenant: a torn arc entry in a named
+        # tenant's index is refused at decode, not met as a crash in restore.
+        session = Session(random_pd_set(4, 3, seed=6, max_complexity=2))
+        session.add_dependencies(["C = C*D"], tenant="acme")
+        session.execute(
+            QueryRequest(kind="implies", tenant="acme", query=PartitionDependency.parse("C = C*D"))
+        )
+        text = dump_snapshot(session)
+
+        def corrupt(payload):
+            arcs = payload["tenants"][0][1]["index"]["arcs"]
+            arcs[0] = arcs[0][:1]
+
+        with pytest.raises(ServiceError, match="snapshot tenant 'acme' index arc entry"):
+            decode_snapshot(_resealed(text, corrupt))
 
 
 class TestRestoreValidation:

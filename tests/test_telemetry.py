@@ -34,7 +34,7 @@ from repro.service import telemetry
 from repro.service.cli import serve_lines
 from repro.service.config import ServiceConfig
 from repro.service.executor import ShardExecutor
-from repro.service.faults import ENV_VAR, Fault, FaultPlan, clear_fault_plan
+from repro.service.faults import Fault, FaultPlan, clear_fault_plan
 from repro.service.planner import execute_plan
 from repro.service.server import QueryServer, serve_stream
 from repro.service.session import Session
@@ -60,8 +60,7 @@ def run(coro, timeout=120):
 
 
 @pytest.fixture(autouse=True)
-def _pristine_telemetry(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
+def _pristine_telemetry():
     clear_fault_plan()
     telemetry.reset()
     yield
@@ -180,13 +179,6 @@ class TestWireTrace:
         request = load_request_line('{"v":3,"kind":"implies","id":"x","query":"A = A*B","trace":"t1"}')
         assert request.trace == "t1"
         assert decode_request(encode_request(request)).trace == "t1"
-
-    def test_trace_refused_on_old_envelopes(self):
-        for version in (1, 2):
-            with pytest.raises(ServiceError, match="'trace' needs wire version 3"):
-                load_request_line(
-                    json.dumps({"v": version, "kind": "implies", "id": "x", "query": "A = A*B", "trace": "t1"})
-                )
 
     def test_trace_must_be_nonempty_string(self):
         with pytest.raises(ServiceError):

@@ -2,8 +2,8 @@
 
 The tenancy invariants PR 9 pins:
 
-* wire version 3 carries an optional ``tenant`` field; older envelopes
-  cannot smuggle one in, and pre-v3 payloads decode as the default tenant;
+* wire version 3 carries an optional ``tenant`` field, and a request
+  without one runs under the default tenant;
 * ``tenant`` stays inside :func:`request_cache_key`, so no cache tier can
   serve one tenant's answer to another;
 * per-tenant Γ is isolated — growing tenant A's theory invalidates only A's
@@ -65,17 +65,6 @@ class TestWireV3Tenant:
     def test_default_tenant_is_omitted_from_the_envelope(self):
         payload = encode_request(_implies("A = A*C"))
         assert "tenant" not in payload
-
-    def test_pre_v3_payloads_decode_as_the_default_tenant(self):
-        for version in (1, 2):
-            payload = {"v": version, "kind": "implies", "query": "A = A*C"}
-            assert decode_request(payload).tenant is None
-
-    def test_old_envelopes_cannot_carry_a_tenant(self):
-        for version in (1, 2):
-            payload = {"v": version, "kind": "implies", "query": "A = A*C", "tenant": "t"}
-            with pytest.raises(ServiceError, match="wire version 3"):
-                decode_request(payload)
 
     def test_invalid_tenants_are_rejected(self):
         for bad in ("", 7, ["t"]):

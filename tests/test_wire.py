@@ -5,8 +5,6 @@ inputs and the two encodings must be **byte-identical** (via
 :func:`~repro.service.wire.canonical_dumps`).  On top of the syntactic
 checks, decoded objects are cross-checked against oracle semantics:
 
-* a decoded partition *equals* the original partition (block structure, not
-  just labels);
 * a decoded Γ yields identical implication verdicts to the original on a
   query stream (fresh engines on both sides, so the check does not lean on
   interning identity);
@@ -19,7 +17,6 @@ turns those into structured per-line error results.
 import gc
 import json
 import multiprocessing
-import random
 from collections import Counter
 
 import pytest
@@ -28,14 +25,10 @@ from hypothesis import strategies as st
 
 import repro.expressions.parser as parser_module
 import repro.expressions.printer as printer_module
-from repro.dependencies.fpd import FunctionalPartitionDependency
 from repro.dependencies.pd import PartitionDependency
 from repro.errors import ServiceError
 from repro.expressions.parser import PARSE_MEMO_SIZE, memoized_parse, parse_memo_info
 from repro.implication.alg import ImplicationEngine
-from repro.partitions.kernel import Universe
-from repro.partitions.partition import Partition, partition_from_mapping
-from repro.relational.schema import DatabaseScheme, RelationScheme
 from repro.service import wire
 from repro.service.cli import serve_lines
 from repro.service.executor import ShardExecutor
@@ -77,56 +70,6 @@ class TestExpressionAndDependencyCodecs:
             assert first == second
             assert wire.decode_fd(wire.encode_fd(fd)) == fd
 
-    def test_fpd_round_trip(self):
-        fpd = FunctionalPartitionDependency(["A", "B"], ["C"])
-        first, second = _double_trip(wire.encode_fpd, wire.decode_fpd, fpd)
-        assert first == second
-        assert wire.decode_fpd(wire.encode_fpd(fpd)) == fpd
-
-
-class TestPartitionCodecs:
-    def _random_partition(self, seed: int) -> Partition:
-        rng = random.Random(seed)
-        population = [f"x{i}" for i in range(rng.randint(1, 12))]
-        return partition_from_mapping({x: rng.randint(0, 3) for x in population})
-
-    def test_partition_round_trip_byte_identical(self):
-        for seed in range(60):
-            partition = self._random_partition(seed)
-            first, second = _double_trip(wire.encode_partition, wire.decode_partition, partition)
-            assert first == second
-
-    def test_decoded_partition_equals_oracle_blocks(self):
-        for seed in range(60):
-            partition = self._random_partition(seed)
-            decoded = wire.decode_partition(wire.encode_partition(partition))
-            assert decoded == partition
-            assert decoded.blocks == partition.blocks
-            assert decoded.block_count() == partition.block_count()
-
-    def test_universe_round_trip_preserves_id_order(self):
-        universe = Universe(["b", "a", "c", "a"])
-        encoded = wire.encode_universe(universe)
-        assert encoded == ["b", "a", "c"]
-        decoded = wire.decode_universe(encoded)
-        assert decoded.elements == universe.elements
-        assert wire.encode_universe(decoded) == encoded
-
-    def test_universe_rejects_non_scalar_elements(self):
-        with pytest.raises(ServiceError):
-            wire.decode_universe(["a", ["b"]])
-        with pytest.raises(ServiceError):
-            wire.encode_universe(Universe([("t", "uple")]))
-
-    def test_partition_rejects_non_scalar_elements(self):
-        partition = Partition([[("tuple", "element")]])
-        with pytest.raises(ServiceError):
-            wire.encode_partition(partition)
-
-    def test_partition_rejects_mismatched_lengths(self):
-        with pytest.raises(ServiceError):
-            wire.decode_partition({"universe": ["a", "b"], "labels": [0]})
-
 
 class TestRelationalCodecs:
     def test_relation_round_trip_byte_identical(self):
@@ -152,19 +95,6 @@ class TestRelationalCodecs:
                 ):
                     if fd.attributes <= original.attributes:
                         assert original.satisfies_fd(fd) == copy.satisfies_fd(fd)
-
-    def test_scheme_round_trip(self):
-        scheme = RelationScheme("r", ["B", "A", "C"])
-        first, second = _double_trip(wire.encode_scheme, wire.decode_scheme, scheme)
-        assert first == second
-        assert wire.decode_scheme(wire.encode_scheme(scheme)) == scheme
-
-    def test_database_scheme_round_trip(self):
-        scheme = DatabaseScheme([RelationScheme("s", "CD"), RelationScheme("r", "AB")])
-        first = canonical_dumps(wire.encode_database_scheme(scheme))
-        decoded = wire.decode_database_scheme(wire.encode_database_scheme(scheme))
-        assert canonical_dumps(wire.encode_database_scheme(decoded)) == first
-
 
 class TestGammaOracle:
     """A decoded Γ must answer implication exactly like the original."""
@@ -231,30 +161,69 @@ class TestRequestResultCodecs:
         assert [wire.dump_request_line(r) for r in decoded] == lines
 
 
+#: A one-relation database payload, so a ``consistent`` case fails on its own field.
+ONE_RELATION = '{"relations": [{"name": "r", "attributes": ["A"], "rows": [["a"]]}]}'
+
+
 class TestMalformedPayloads:
     @pytest.mark.parametrize(
-        "payload",
+        "payload, message",
         [
-            "not json at all",
-            '{"v": 1, "kind": "implies"}',  # missing query
-            '{"v": 1, "kind": "nonsense", "query": "A = B"}',
-            '{"kind": "implies", "query": "A = B", "v": 999}',
-            '{"v": 1, "kind": "consistent", "database": {"relations": []}, "method": "psychic"}',
-            '{"v": 1, "kind": "equivalent", "left": "A +* B", "right": "A"}',
-            '{"v": 1, "kind": "quotient", "pool": []}',
-            '{"v": 1, "kind": "fd_implies", "fds": [{"lhs": ["A"]}],'
-            ' "target": {"lhs": ["A"], "rhs": ["B"]}}',
-            '{"v": 1, "kind": "counterexample", "query": "A = B", "max_pool": "oops"}',
-            '{"v": 1, "kind": "counterexample", "query": "A = B", "max_pool": [400]}',
-            '{"v": 1, "kind": "counterexample", "query": "A = B", "max_pool": null}',
-            '{"v": 1, "kind": "consistent", "database": {"relations": []}, "max_nodes": "x"}',
-            '{"v": 1, "kind": "consistent", "database": {"relations": []}, "max_nodes": true}',
-            '{"v": 3, "kind": "implies", "id": [1], "query": "A = B"}',
-            '{"v": 3, "kind": "implies", "id": 7, "query": "A = B"}',
+            ("not json at all", "invalid JSON on the wire"),
+            ('{"v": 3, "kind": "implies"}', "implies payload is missing the 'query' field"),
+            ('{"v": 3, "kind": "nonsense", "query": "A = B"}', "unknown request kind 'nonsense'"),
+            (
+                '{"kind": "implies", "query": "A = B", "v": 999}',
+                "request uses version 999; this service speaks version 3",
+            ),
+            (
+                '{"kind": "implies", "query": "A = B", "v": true}',
+                "request uses version True; this service speaks version 3",
+            ),
+            (
+                '{"kind": "implies", "query": "A = B", "v": 3.0}',
+                "request uses version 3.0; this service speaks version 3",
+            ),
+            (
+                '{"v": 3, "kind": "consistent", "database": ' + ONE_RELATION + ', "method": "psychic"}',
+                "unknown consistency method 'psychic'",
+            ),
+            (
+                '{"v": 3, "kind": "equivalent", "left": "A +* B", "right": "A"}',
+                "cannot decode expression 'A \\+\\* B'",
+            ),
+            ('{"v": 3, "kind": "quotient", "pool": []}', "needs a non-empty 'pool'"),
+            (
+                '{"v": 3, "kind": "fd_implies", "fds": [{"lhs": ["A"]}],'
+                ' "target": {"lhs": ["A"], "rhs": ["B"]}}',
+                "FD payload is missing the 'rhs' field",
+            ),
+            (
+                '{"v": 3, "kind": "counterexample", "query": "A = B", "max_pool": "oops"}',
+                "field 'max_pool' must be an integer, got 'oops'",
+            ),
+            (
+                '{"v": 3, "kind": "counterexample", "query": "A = B", "max_pool": [400]}',
+                "field 'max_pool' must be an integer, got \\[400\\]",
+            ),
+            (
+                '{"v": 3, "kind": "counterexample", "query": "A = B", "max_pool": null}',
+                "field 'max_pool' must be an integer, got null",
+            ),
+            (
+                '{"v": 3, "kind": "consistent", "database": ' + ONE_RELATION + ', "max_nodes": "x"}',
+                "field 'max_nodes' must be an integer, got 'x'",
+            ),
+            (
+                '{"v": 3, "kind": "consistent", "database": ' + ONE_RELATION + ', "max_nodes": true}',
+                "field 'max_nodes' must be an integer, got True",
+            ),
+            ('{"v": 3, "kind": "implies", "id": [1], "query": "A = B"}', "'id' must be a string"),
+            ('{"v": 3, "kind": "implies", "id": 7, "query": "A = B"}', "'id' must be a string"),
         ],
     )
-    def test_bad_request_lines_raise_service_error(self, payload):
-        with pytest.raises(ServiceError):
+    def test_bad_request_lines_raise_service_error(self, payload, message):
+        with pytest.raises(ServiceError, match=message):
             wire.load_request_line(payload)
 
     @pytest.mark.parametrize("bad_id", ["[1]", "7", "{}", "true"])
@@ -277,23 +246,56 @@ class TestMalformedPayloads:
         with pytest.raises(ServiceError, match="missing the 'v' version field"):
             wire.decode_result({"kind": "implies", "ok": True, "value": {}})
 
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "implies", "query": "A = A * B"},
+            {"kind": "implies", "query": "A = A * B", "deadline_ms": 100},
+            {"kind": "implies", "query": "A = A * B", "tenant": "t"},
+            {"kind": "implies", "query": "A = A * B", "trace": "t1"},
+            {"kind": "implies", "ok": True, "value": {"implied": True}},
+        ],
+        ids=["request", "deadline", "tenant", "trace", "result"],
+    )
+    def test_old_envelopes_are_refused_naming_the_version_spoken(self, version, payload):
+        # One wire version: a v1/v2 request or result is refused outright,
+        # whatever fields it carries, and the error names version 3.
+        line = json.dumps({"v": version, "id": "old", **payload})
+        message = f"uses version {version}; this service speaks version 3"
+        load = wire.load_result_line if "ok" in payload else wire.load_request_line
+        with pytest.raises(ServiceError, match=message):
+            load(line)
+        if "ok" not in payload:
+            # The CLI still answers the refused line in place, under its id.
+            (answer,), stats = serve_lines([line])
+            result = wire.load_result_line(answer)
+            assert stats["invalid"] == 1 and result.kind == "invalid" and result.id == "old"
+            assert result.error == {"type": "ServiceError", "message": "request " + message}
+
     def test_explicit_null_max_nodes_means_unbounded(self):
         request = wire.load_request_line(
-            '{"v": 1, "kind": "consistent", "database": {"relations": '
+            '{"v": 3, "kind": "consistent", "database": {"relations": '
             '[{"name": "r", "attributes": ["A"], "rows": [["a"]]}]}, "max_nodes": null}'
         )
         assert request.max_nodes is None
 
     def test_bad_result_payloads_raise_service_error(self):
-        for payload in (
-            {"kind": "implies"},
-            {"kind": "implies", "ok": "yes"},
-            {"kind": "implies", "ok": True},
-            {"kind": "implies", "ok": False, "error": "boom"},
-            {"kind": "implies", "ok": True, "value": {}, "v": 99},
+        for payload, message in (
+            ({"v": 3, "kind": "implies"}, "result payload is missing the 'ok' field"),
+            ({"v": 3, "kind": "implies", "ok": "yes"}, "result 'ok' must be a boolean"),
+            ({"v": 3, "kind": "implies", "ok": True}, "result payload is missing the 'value' field"),
+            (
+                {"v": 3, "kind": "implies", "ok": False, "error": "boom"},
+                "result 'error' must be a JSON object",
+            ),
+            ({"kind": "implies", "ok": True, "value": {}, "v": 99}, "result uses version 99"),
+            ({"v": 3, "kind": "implies", "ok": True, "id": 7, "value": {}}, "'id' must be a string, got 7"),
         ):
-            with pytest.raises(ServiceError):
+            with pytest.raises(ServiceError, match=message):
                 wire.decode_result(payload)
+        with pytest.raises(ServiceError, match="'id' must be a string, got 7"):
+            wire.load_result_line('{"v":3,"kind":"implies","ok":true,"id":7,"value":{}}')
 
     def test_validate_request_rejects_missing_fields(self):
         with pytest.raises(ServiceError):
@@ -317,20 +319,10 @@ class TestDeadlineOnTheWire:
         assert "deadline_ms" not in wire.encode_request(request)
         assert wire.decode_request(wire.encode_request(request)).deadline_ms is None
 
-    def test_version_1_payloads_still_decode(self):
-        request = wire.load_request_line('{"v": 1, "kind": "implies", "query": "A = A * B"}')
-        assert request.deadline_ms is None
-
-    def test_version_1_payload_cannot_carry_a_deadline(self):
-        with pytest.raises(ServiceError, match="wire version 2"):
-            wire.load_request_line(
-                '{"v": 1, "kind": "implies", "query": "A = A * B", "deadline_ms": 100}'
-            )
-
     @pytest.mark.parametrize("value", ["100", True, 0, -5, 1.5])
     def test_invalid_deadline_values_are_rejected(self, value):
-        payload = {"v": 2, "kind": "implies", "query": "A = A * B", "deadline_ms": value}
-        with pytest.raises(ServiceError):
+        payload = {"v": 3, "kind": "implies", "query": "A = A * B", "deadline_ms": value}
+        with pytest.raises(ServiceError, match="'deadline_ms' must be"):
             wire.decode_request(payload)
 
     def test_cache_key_ignores_deadline(self):
