@@ -15,9 +15,10 @@ requests, 12 PDs/theory — the same workload EXP-SVC scales on):
   table records the exact ratio per machine).
 * **2-shard executor cold vs restore** — worker pools built inside the timed
   region (that *is* the cost being measured): (a) cold workers replay Γ and
-  the stream; (b) snapshot-shipped workers restore and answer from warm
-  state.  This is the per-worker warm-up the snapshot removes — it used to
-  scale with ``shards × |stream|``.
+  the stream; (b) the snapshot ships to the workers and seeds the parent's
+  shared tier, which answers the stream the snapshot captured without
+  dispatching it.  This is the per-worker warm-up the snapshot removes — it
+  used to scale with ``shards × |stream|``.
 * **server boot-to-first-answer** — an asyncio :class:`QueryServer` booted
   (a) cold and (b) from ``--snapshot-dir``, timed from ``start()`` to the
   first answered request of the acceptance-shaped stream.

@@ -30,7 +30,6 @@ def pytest_benchmark_update_json(config, benchmarks, output_json):
         "EXP-SVC": "query service: planner batching vs naive dispatch; multiprocess shard scaling",
         "EXP-SNAP": "durable Γ snapshots: cold start vs zero-warmup restore (session, shards, server)",
         "EXP-FLT": "fault tolerance: supervised fault-free execution; restart-to-warm latency",
-        "EXP-TEN": "multi-tenant serving: shared parent-side result cache vs per-worker islands",
         "EXP-OBS": "observability: end-to-end tracing + kernel profiling overhead vs untraced serving",
     }
 

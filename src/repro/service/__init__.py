@@ -18,11 +18,12 @@ request surface:
   stream by kind and dependency set and routes each group into the amortized
   batch APIs;
 * :mod:`repro.service.executor` — :class:`ShardExecutor`, the multiprocess
-  fan-out with per-worker session warm-up, wire-codec transport and
-  deterministic result ordering;
+  fan-out with per-worker session warm-up, wire-codec transport,
+  deterministic result ordering and a parent-side shared result tier, the
+  sharded backend's only cache;
 * :mod:`repro.service.result_cache` — :class:`ResultCache`, the one LRU
-  result cache behind every tier: each session's, each shard worker's,
-  and the executor's parent-side shared tier;
+  result cache class: an in-process session's cache and the executor's
+  shared tier;
 * :mod:`repro.service.supervisor` — :class:`SupervisedPool`, the fault-
   tolerant worker pool under the executor: liveness monitoring, warm
   restarts, retry/split/quarantine escalation and hard deadline kills;

@@ -72,7 +72,6 @@ def _read_numbered_lines(stream: TextIO) -> list[tuple[int, str]]:
 
 def serve_lines(
     lines: Sequence,
-    with_plan: bool = False,
     config: Optional[ServiceConfig] = None,
 ) -> tuple[list[str], dict]:
     """Answer request lines; returns (result lines in input order, stats dict).
@@ -82,7 +81,8 @@ def serve_lines(
     *original file* even when blank lines were skipped.  Each line is decoded
     exactly once: undecodable lines become structured error results in place
     (echoing the request id when one parsed), and the decoded remainder goes
-    to ``config``'s backend (the default config when ``None``).
+    to ``config``'s backend (the default config when ``None``).  With
+    ``config.stats`` an in-process run's stats carry a ``plan`` summary.
     """
     config = config or ServiceConfig()
     numbered = [
@@ -149,7 +149,7 @@ def serve_lines(
     }
     # Re-planning the stream just to describe it is not free; only do it
     # when the caller will actually print the stats.
-    if with_plan and requests and config.shards == 1:
+    if config.stats and requests and config.shards == 1:
         stats["plan"] = plan_summary(requests)
     if config.snapshot_dir is not None and isinstance(backend, Session):
         from repro.service.snapshot import save_snapshot
@@ -191,7 +191,7 @@ def batch_main(argv: Sequence[str]) -> int:
             print(f"error: cannot read {args.input!r}: {exc}", file=sys.stderr)
             return 2
 
-    result_lines, stats = serve_lines(lines, config=config, with_plan=config.stats)
+    result_lines, stats = serve_lines(lines, config=config)
 
     text = "".join(line + "\n" for line in result_lines)
     if args.output == "-":

@@ -53,7 +53,8 @@ class ServiceConfig:
     """Every tunable of the query service, in one validated place.
 
     ``shards == 1`` means in-process dispatch.  ``result_cache_size`` sizes
-    the session result cache, in process or in every shard worker.
+    the in-process session's result cache; ``shared_cache_size`` sizes the
+    sharded executor's parent-side tier, a sharded backend's only cache.
     ``max_wait_ms``/``max_batch`` bound the micro-batch window in time and
     size; ``queue_limit`` bounds admission; ``port = 0`` asks the OS for an
     ephemeral port.
@@ -62,7 +63,6 @@ class ServiceConfig:
     dependencies: tuple[PartitionDependency, ...] = ()
     shards: int = 1
     result_cache_size: int = 1024
-    foreign_context_limit: int = 16
     max_wait_ms: float = 20.0
     max_batch: int = 32
     queue_limit: int = 256
@@ -84,10 +84,6 @@ class ServiceConfig:
             raise ServiceError(f"shards must be at least 1, got {self.shards}")
         if self.result_cache_size < 0:
             raise ServiceError(f"result_cache_size must be >= 0, got {self.result_cache_size}")
-        if self.foreign_context_limit < 1:
-            raise ServiceError(
-                f"foreign_context_limit must be >= 1, got {self.foreign_context_limit}"
-            )
         if self.max_wait_ms < 0:
             raise ServiceError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
         if self.max_batch < 1:
@@ -153,20 +149,16 @@ class ServiceConfig:
             return Session.restore(
                 snapshot,
                 result_cache_size=self.result_cache_size,
-                foreign_context_limit=self.foreign_context_limit,
                 expected_dependencies=self.dependencies or None,
             )
-        return Session(
-            self.dependencies,
-            result_cache_size=self.result_cache_size,
-            foreign_context_limit=self.foreign_context_limit,
-        )
+        return Session(self.dependencies, result_cache_size=self.result_cache_size)
 
     def make_executor(self, metrics=None):
         """A :class:`~repro.service.executor.ShardExecutor` per this config.
 
         A boot snapshot, when present, ships to every worker for zero-warmup
-        restore.  ``metrics`` is the registry its pool counts into.
+        restore and seeds the shared tier with its result entries.
+        ``metrics`` is the registry its pool counts into.
         """
         from repro.service.executor import ShardExecutor
 
@@ -177,7 +169,6 @@ class ServiceConfig:
             fault_plan=self.fault_plan,
             unit_timeout_ms=self.unit_timeout_ms,
             shared_cache_size=self.shared_cache_size,
-            result_cache_size=self.result_cache_size,
             metrics=metrics,
         )
 
@@ -230,8 +221,8 @@ def add_config_arguments(parser: argparse.ArgumentParser, serve: bool = False) -
         type=int,
         default=defaults.result_cache_size,
         help=(
-            "session result-cache entries, per shard worker when sharded "
-            f"(0 disables; default {defaults.result_cache_size})"
+            f"in-process session result-cache entries (0 disables; default {defaults.result_cache_size}); "
+            "sharded workers keep none, see --shared-cache-size"
         ),
     )
     parser.add_argument("--stats", action="store_true", help="print a summary line to stderr")
@@ -249,8 +240,8 @@ def add_config_arguments(parser: argparse.ArgumentParser, serve: bool = False) -
         type=int,
         default=defaults.shared_cache_size,
         help=(
-            "parent-side shared result-cache entries for sharded dispatch "
-            f"(0 disables the shared tier; default {defaults.shared_cache_size})"
+            "parent-side shared result-cache entries for sharded dispatch, its only "
+            f"cache (0 disables it; default {defaults.shared_cache_size})"
         ),
     )
     parser.add_argument(

@@ -17,11 +17,14 @@ input order):
   restores the configured snapshot), then answers its units through the
   batch planner.  Workers therefore amortize exactly like the in-process
   service; the executor adds parallelism on top.
-* **A shared result tier** — the parent holds one
+* **One result cache, in the parent** — the parent holds one
   :class:`~repro.service.result_cache.ResultCache` (the class every session
-  uses too).  It answers repeats before any unit is formed, and every
-  worker's computed results are published back into it, so any shard's
-  work warms the cache for every later caller.
+  uses too), the shared tier.  It answers repeats before any unit is formed,
+  and every worker's computed results are published back into it, so any
+  shard's work warms the cache for every later caller.  It is the sharded
+  backend's only cache: the parent sees every request, so a repeat never
+  reaches a worker, and the workers' sessions keep none.  A configured
+  snapshot's result entries seed it at construction.
 * **Plan-aware units** — the parent plans the stream first
   (:func:`repro.service.planner.plan`) and deals the shared tier's misses
   as *batch-aligned work units* instead of raw requests round-robin.
@@ -91,28 +94,19 @@ class ShardExecutor:
         snapshot: Optional[str] = None,
         fault_plan: Optional[str] = None,
         unit_timeout_ms: Optional[float] = None,
-        deadline_grace_ms: float = 2000.0,
-        max_unit_attempts: int = 2,
         shared_cache_size: int = 4096,
-        result_cache_size: int = 1024,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if shards < 1:
             raise ServiceError(f"shard count must be positive, got {shards}")
-        if max_unit_attempts < 1:
-            raise ServiceError(f"max_unit_attempts must be positive, got {max_unit_attempts}")
         self.shards = shards
         self.metrics = MetricsRegistry() if metrics is None else metrics
-        # The shared result tier.  With shared_cache_size=0 it is off and
-        # only the workers' own session caches remain (the baseline EXP-TEN
-        # measures against).
-        self._shared_cache = ResultCache(shared_cache_size)
-        self._result_cache_size = result_cache_size
         self._dependencies = [as_partition_dependency(pd) for pd in dependencies]
+        warm_results: list = []
         if snapshot is not None:
             # Validate once in the parent — a corrupt or mismatched snapshot
             # should fail loudly at construction, not inside every worker.
-            from repro.service.snapshot import decode_snapshot
+            from repro.service.snapshot import decode_snapshot, snapshot_results
             from repro.service.wire import decode_pd
 
             payload = decode_snapshot(snapshot)
@@ -126,11 +120,13 @@ class ShardExecutor:
                     )
             else:
                 self._dependencies = [decode_pd(text) for text in payload["dependencies"]]
+            warm_results = snapshot_results(payload)
+        # The shared result tier (off with shared_cache_size=0: a sharded
+        # backend then caches nothing).
+        self._shared_cache = ResultCache(shared_cache_size, warm_results)
         self._snapshot = snapshot
         self._fault_plan = fault_plan
         self._unit_timeout_ms = unit_timeout_ms
-        self._deadline_grace_ms = deadline_grace_ms
-        self._max_unit_attempts = max_unit_attempts
         if start_method is None:
             available = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in available else "spawn"
@@ -148,8 +144,6 @@ class ShardExecutor:
                 start_method=self._start_method,
                 fault_plan_json=self._fault_plan,
                 unit_timeout_ms=self._unit_timeout_ms,
-                deadline_grace_ms=self._deadline_grace_ms,
-                result_cache_size=self._result_cache_size,
                 metrics=self.metrics,
             )
         return self._pool
@@ -240,7 +234,6 @@ class ShardExecutor:
                     )
                     for i in unit_indices
                 ),
-                attempts_left=self._max_unit_attempts,
             )
             for unit_indices in self._work_units(requests, set(misses))
         ]

@@ -141,28 +141,27 @@ def execute_plan(session: Session, requests: Sequence[QueryRequest]) -> list[Que
     results: list[Optional[QueryResult]] = [None] * len(requests)
     # Canonical keys are computed once per request and threaded through the
     # probe, the dispatch and the store (encoding a database-carrying request
-    # three times was measurable on the hot path).
+    # three times was measurable on the hot path).  They are computed even
+    # when the session keeps no cache (a shard worker's): they are also what
+    # finds a repeat inside the stream.
     keys: dict[int, str] = {}
     for batch in plan(requests):
         pending: list[int] = []
         duplicates: list[tuple[int, int]] = []  # (stream index, index of first occurrence)
         first_by_key: dict[str, int] = {}
         for index in batch.indices:
-            if session.cache_enabled:
-                keys[index] = request_cache_key(requests[index])
-            cached = session.cache_lookup(requests[index], key=keys.get(index))
+            key = keys[index] = request_cache_key(requests[index])
+            cached = session.cache_lookup(requests[index], key=key)
             if cached is not None:
                 results[index] = cached
                 continue
             # Identical requests always share a batch (same canonical key ⇒
             # same group key): dispatch the first occurrence, copy the rest.
-            key = keys.get(index)
-            first = first_by_key.get(key) if key is not None else None
+            first = first_by_key.get(key)
             if first is not None:
                 duplicates.append((index, first))
                 continue
-            if key is not None:
-                first_by_key[key] = index
+            first_by_key[key] = index
             pending.append(index)
         if pending:
             if batch.deadline:
@@ -177,7 +176,7 @@ def execute_plan(session: Session, requests: Sequence[QueryRequest]) -> list[Que
                         query_size=telemetry.request_query_size(requests[index]),
                     ):
                         result = session.execute(requests[index], use_cache=False)
-                    session.cache_store(requests[index], result, key=keys.get(index))
+                    session.cache_store(requests[index], result, key=keys[index])
                     results[index] = result
             elif batch.kind == "fd_implies":
                 _execute_fd_batch(session, requests, results, pending, keys)
@@ -202,7 +201,7 @@ def execute_plan(session: Session, requests: Sequence[QueryRequest]) -> list[Que
             else:
                 # Error results are never cached; match the sequential path
                 # and recompute (the probe counts this request's own miss).
-                results[index] = session.execute(requests[index], cache_key=keys.get(index))
+                results[index] = session.execute(requests[index], cache_key=keys[index])
     missing = [i for i, result in enumerate(results) if result is None]
     if missing:  # loud, not misaligned: a dropped slot would shift the CLI stream
         raise ServiceError(f"planner produced no result for requests {missing[:5]}")
@@ -281,7 +280,7 @@ def _execute_implication_batch(
         request = requests[index]
         field = "implied" if request.kind == "implies" else "equivalent"
         result = QueryResult(kind=request.kind, ok=True, id=request.id, value={field: verdict})
-        session.cache_store(request, result, key=keys.get(index))
+        session.cache_store(request, result, key=keys[index])
         results[index] = result
 
 
@@ -300,7 +299,7 @@ def _execute_each(
     """
     for index in pending:
         result = session.execute(requests[index], use_cache=False)
-        session.cache_store(requests[index], result, key=keys.get(index))
+        session.cache_store(requests[index], result, key=keys[index])
         results[index] = result
 
 
@@ -332,7 +331,7 @@ def _execute_fd_batch(
     for index, verdict in zip(pending, verdicts):
         request = requests[index]
         result = QueryResult(kind="fd_implies", ok=True, id=request.id, value={"implied": verdict})
-        session.cache_store(request, result, key=keys.get(index))
+        session.cache_store(request, result, key=keys[index])
         results[index] = result
 
 

@@ -2,11 +2,12 @@
 
 Answers to the paper's decision problems are pure functions of the canonical
 request bytes (:func:`repro.service.wire.request_cache_key`, tenant embedded,
-id/deadline excluded) and of the Γ they were answered against, so every tier
-caches them the same way through :class:`ResultCache`:
+id/deadline excluded) and of the Γ they were answered against, so a backend
+needs one cache, in the process that sees every request.  Each backend keeps
+exactly one :class:`ResultCache`:
 
-* each :class:`~repro.service.session.Session` holds one — the in-process
-  tier, and the per-worker tier inside every shard worker;
+* the in-process :class:`~repro.service.session.Session` holds one — the
+  session tier (a shard worker's session is built with none);
 * the :class:`~repro.service.executor.ShardExecutor` holds one in the parent
   — the shared tier, consulted before any request is dealt to a worker and
   fed back from every worker's reply, so any shard's computation warms the

@@ -261,14 +261,12 @@ class QueryServer:
         return snapshot
 
     def _result_cache_snapshot(self) -> dict:
-        """Cache traffic by tier (shared / worker / session) and by tenant.
+        """Cache traffic by tier (shared / session) and by tenant.
 
-        Sharded backends report the executor's parent-side shared tier and
-        the per-worker session caches' traffic, which every worker reply
-        counts into the registry; the in-process backend reports its session
-        cache.  ``per_tenant`` merges whatever tiers keep tenant-resolved
-        counters (the shared tier and the in-process session; worker replies
-        carry tier totals only).
+        A sharded backend reports the executor's parent-side shared tier, its
+        only cache; the in-process backend (or the session a tripped breaker
+        fell back to) reports its session cache.  ``per_tenant`` merges the
+        tiers' tenant-resolved counters.
         """
 
         def _with_rate(tier: dict) -> dict:
@@ -282,12 +280,6 @@ class QueryServer:
             shared = self._executor.shared_cache_info()
             per_tenant = shared.pop("per_tenant", {})
             tiers["shared"] = _with_rate(shared)
-            tiers["worker"] = _with_rate(
-                {
-                    "hits": self.metrics.value("result_cache.tiers.worker.hits"),
-                    "misses": self.metrics.value("result_cache.tiers.worker.misses"),
-                }
-            )
         if self._session is not None:
             info = self._session.cache_info()
             tiers["session"] = _with_rate({"hits": info["hits"], "misses": info["misses"]})
@@ -311,9 +303,8 @@ class QueryServer:
             gauges[f"parse_memo.{key}"] = value
         caches = self._result_cache_snapshot()
         for tier, counts in caches["tiers"].items():
-            if tier != "worker":  # the worker tier's counts are registry counters already
-                for key, value in counts.items():
-                    gauges[f"result_cache.tiers.{tier}.{key}"] = value
+            for key, value in counts.items():
+                gauges[f"result_cache.tiers.{tier}.{key}"] = value
         for label, traffic in caches["per_tenant"].items():
             for key, value in traffic.items():
                 gauges[f"result_cache.per_tenant.{label}.{key}"] = value

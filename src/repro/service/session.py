@@ -35,7 +35,8 @@ subexpressions pay for them once.  Requests carrying an explicit
 (engine + normalization artifacts per foreign dependency set) that is
 likewise shared across tenants — the context is a pure function of the
 dependency set; only the *result cache slot* is tenant-scoped.  The context
-LRU keeps hit/miss/eviction counters (:meth:`Session.cache_info`).
+LRU holds :data:`FOREIGN_CONTEXT_LIMIT` contexts and keeps hit/miss/eviction
+counters (:meth:`Session.cache_info`).
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from repro.implication.fd_implication import fd_implies_via_pds
 from repro.lattice.quotient import finite_counterexample, quotient_fragment
 from repro.relational.chase_engine import ChaseEngine
 from repro.service.result_cache import Entry, ResultCache, gamma_dependent
-from repro.service.telemetry import MetricsRegistry
 from repro.service.wire import (
     QueryRequest,
     QueryResult,
@@ -66,6 +66,9 @@ from repro.service.wire import (
     validate_request,
 )
 
+#: Per-Γ contexts the foreign-dependency LRU keeps (requests carrying their
+#: own ``dependencies``); the least recently used one is evicted beyond it.
+FOREIGN_CONTEXT_LIMIT = 16
 
 _FAULTS = None
 
@@ -203,7 +206,6 @@ class Session:
         self,
         dependencies: Iterable[PartitionDependencyLike] = (),
         result_cache_size: int = 1024,
-        foreign_context_limit: int = 16,
     ) -> None:
         base = tuple(as_partition_dependency(pd) for pd in dependencies)
         context = DependencyContext(base)
@@ -213,7 +215,6 @@ class Session:
         self._tenants: "OrderedDict[Optional[str], TenantState]" = OrderedDict()
         self._tenants[None] = TenantState(context)
         self._results = ResultCache(result_cache_size)
-        self._foreign_context_limit = max(1, foreign_context_limit)
         self._foreign: "OrderedDict[tuple[str, ...], DependencyContext]" = OrderedDict()
         self._context_hits = 0
         self._context_misses = 0
@@ -239,7 +240,6 @@ class Session:
         cls,
         snapshot,
         result_cache_size: int = 1024,
-        foreign_context_limit: int = 16,
         expected_generation: Optional[int] = None,
         expected_dependencies=None,
     ) -> "Session":
@@ -256,7 +256,6 @@ class Session:
         return restore_session(
             snapshot,
             result_cache_size=result_cache_size,
-            foreign_context_limit=foreign_context_limit,
             expected_generation=expected_generation,
             expected_dependencies=expected_dependencies,
         )
@@ -288,7 +287,6 @@ class Session:
         generation: int,
         results: Sequence[tuple[str, Entry]],
         result_cache_size: int,
-        foreign_context_limit: int,
         tenants: Sequence[tuple[str, DependencyContext, int]] = (),
     ) -> "Session":
         """Assemble a session around restored artifacts (internal; codec-only).
@@ -303,7 +301,6 @@ class Session:
         for name, context, tenant_generation in tenants:
             session._tenants[name] = TenantState(context, tenant_generation)
         session._results = ResultCache(result_cache_size, results)
-        session._foreign_context_limit = max(1, foreign_context_limit)
         session._foreign = OrderedDict()
         session._context_hits = 0
         session._context_misses = 0
@@ -382,7 +379,7 @@ class Session:
         self._context_misses += 1
         context = DependencyContext(request.dependencies)
         self._foreign[key] = context
-        while len(self._foreign) > self._foreign_context_limit:
+        while len(self._foreign) > FOREIGN_CONTEXT_LIMIT:
             self._foreign.popitem(last=False)
             self._context_evictions += 1
         return context
@@ -518,16 +515,6 @@ class Session:
         )
         return api.answer_for(self.execute(request))
 
-    @property
-    def cache_enabled(self) -> bool:
-        """Whether this session keeps a result cache at all."""
-        return self._results.enabled
-
-    @property
-    def cache_metrics(self) -> MetricsRegistry:
-        """The result cache's counter registry (what a shard worker reports from)."""
-        return self._results.metrics
-
     def cache_info(self) -> dict:
         """Result-cache, tenant, and context diagnostics.
 
@@ -548,7 +535,7 @@ class Session:
                 "misses": self._context_misses,
                 "evictions": self._context_evictions,
                 "size": len(self._foreign),
-                "maxsize": self._foreign_context_limit,
+                "maxsize": FOREIGN_CONTEXT_LIMIT,
             },
         }
 

@@ -254,6 +254,24 @@ def snapshot_dependencies(snapshot: Union[str, bytes, dict]) -> tuple:
     return tuple(decode_pd(text) for text in payload["dependencies"])
 
 
+def snapshot_results(snapshot: Union[str, bytes, dict]) -> list:
+    """A snapshot's result-cache entries, least recent first (verifies text input).
+
+    Each entry is ``(key, (uses_gamma, tenant, result))``, the shape
+    :class:`~repro.service.result_cache.ResultCache` is seeded with: a
+    restored session seeds its own cache from them, a sharded executor its
+    parent-side shared tier.
+    """
+    payload = snapshot if isinstance(snapshot, dict) else decode_snapshot(snapshot)
+    results = []
+    for key, uses_gamma, tenant, result_payload in payload["results"]:
+        result = decode_result(result_payload)
+        if not result.ok:
+            raise ServiceError("snapshot result cache contains an error result (never cached)")
+        results.append((key, (bool(uses_gamma), tenant, result)))
+    return results
+
+
 def _decode_normalized(payload: dict, dependencies) -> NormalizedDependencies:
     constraints = []
     for entry in payload["sum_constraints"]:
@@ -288,7 +306,6 @@ def _decode_normalized(payload: dict, dependencies) -> NormalizedDependencies:
 def restore_session(
     snapshot: Union[str, bytes, dict],
     result_cache_size: int = 1024,
-    foreign_context_limit: int = 16,
     expected_generation: Optional[int] = None,
     expected_dependencies=None,
 ):
@@ -301,7 +318,8 @@ def restore_session(
 
     ``expected_generation`` refuses a stale snapshot of an older Γ;
     ``expected_dependencies`` (any iterable of PDs) refuses a snapshot whose
-    base Γ differs from the one the caller configured.
+    base Γ differs from the one the caller configured.  A cache-less session
+    (``result_cache_size=0``, a shard worker's) decodes no result entries.
     """
     from repro.service.session import DependencyContext, Session
 
@@ -339,18 +357,11 @@ def restore_session(
                 tenant_state["generation"],
             )
         )
-    results = []
-    for key, uses_gamma, tenant, result_payload in payload["results"]:
-        result = decode_result(result_payload)
-        if not result.ok:
-            raise ServiceError("snapshot result cache contains an error result (never cached)")
-        results.append((key, (bool(uses_gamma), tenant, result)))
     return Session._from_restored(
         base,
         generation=generation,
-        results=results,
+        results=snapshot_results(payload) if result_cache_size > 0 else [],
         result_cache_size=result_cache_size,
-        foreign_context_limit=foreign_context_limit,
         tenants=tenants,
     )
 

@@ -5,9 +5,11 @@ killed mid-task (OOM, segfault, a poison request) loses the whole ``map``
 call, and there is no per-task wall-clock control at all.  This module
 replaces it with an explicit supervision loop:
 
-* each worker is a plain :class:`multiprocessing.Process` holding one warm
-  :class:`~repro.service.session.Session`, spoken to over a duplex pipe
-  with wire-format strings (the executor's transport discipline);
+* each worker is a plain :class:`multiprocessing.Process` holding one warm,
+  cache-less :class:`~repro.service.session.Session` (the executor's
+  parent-side shared tier is a sharded backend's only result cache), spoken
+  to over a duplex pipe with wire-format strings (the executor's transport
+  discipline);
 * the parent multiplexes worker pipes *and* process sentinels through
   :func:`multiprocessing.connection.wait`, so a reply, a crash and a blown
   wall clock are all just events on one loop;
@@ -21,10 +23,10 @@ replaces it with an explicit supervision loop:
   result.  Every other request in the stream still gets its byte-identical
   answer — the blast radius of a poison request is exactly one line;
 * a unit whose requests carry ``deadline_ms`` budgets gets a **hard
-  wall-clock limit** (max budget + grace) on top of the workers'
-  cooperative :func:`~repro.deadline.check_deadline` hooks: a kernel that
-  never reaches a check point is reclaimed by SIGKILL and the request is
-  answered with a typed ``Timeout`` error result.
+  wall-clock limit** (max budget + :data:`DEADLINE_GRACE_MS`) on top of
+  the workers' cooperative :func:`~repro.deadline.check_deadline` hooks: a
+  kernel that never reaches a check point is reclaimed by SIGKILL and the
+  request is answered with a typed ``Timeout`` error result.
 
 Restarted workers are re-warmed exactly like fresh ones — from the shipped
 snapshot when the executor has one (the
@@ -79,6 +81,14 @@ class WorkItem:
     trace: Optional[str] = None
 
 
+#: Wall-clock slack a deadline-carrying unit gets past its largest budget
+#: before its worker is hard-killed (cooperative expiry normally wins).
+DEADLINE_GRACE_MS = 2000.0
+
+#: Delivery attempts of a work unit before the ladder splits or quarantines it.
+MAX_UNIT_ATTEMPTS = 2
+
+
 @dataclass
 class WorkUnit:
     """A batch-aligned dispatch quantum with its remaining delivery attempts.
@@ -88,7 +98,7 @@ class WorkUnit:
     """
 
     items: tuple[WorkItem, ...]
-    attempts_left: int = 2
+    attempts_left: int = MAX_UNIT_ATTEMPTS
 
     def __len__(self) -> int:
         return len(self.items)
@@ -120,8 +130,6 @@ def supervision_stats(metrics: MetricsRegistry) -> dict:
     document["restart_mean_ms"] = round(restart.total / restart.count, 3) if restart.count else None
     document["last_restart_ms"] = round(restart.recent[-1], 3) if restart.recent else None
     document["restarts_by_worker"] = metrics.family("supervisor.restarts_by_worker.")
-    document["worker_cache_hits"] = metrics.value("result_cache.tiers.worker.hits")
-    document["worker_cache_misses"] = metrics.value("result_cache.tiers.worker.misses")
     return document
 
 
@@ -132,11 +140,12 @@ def _worker_main(
     encoded_dependencies: list[str],
     snapshot_text: Optional[str],
     fault_plan_json: Optional[str],
-    result_cache_size: int,
     telemetry_enabled: bool = False,
 ) -> None:
     """One supervised worker: warm a session, then serve units until the sentinel.
 
+    The session keeps no result cache: the parent probes its shared tier
+    before dealing a unit, so a worker only sees requests that tier missed.
     Each unit is answered request-by-request through the worker's planner —
     an undecodable line becomes an in-place error result (the rest of the
     unit still computes), mirroring the CLI's per-line isolation.
@@ -153,11 +162,11 @@ def _worker_main(
     if snapshot_text is not None:
         from repro.service.snapshot import restore_session
 
-        session = restore_session(snapshot_text, result_cache_size=result_cache_size)
+        session = restore_session(snapshot_text, result_cache_size=0)
     else:
         from repro.dependencies.pd import parse_pd_set
 
-        session = Session(parse_pd_set(encoded_dependencies), result_cache_size=result_cache_size)
+        session = Session(parse_pd_set(encoded_dependencies), result_cache_size=0)
     while True:
         try:
             message = conn.recv()
@@ -183,11 +192,9 @@ def _worker_main(
             encoded[original_index] = faults.corrupt_result_line(
                 request.id, dump_result_line(result)
             )
-        # The unit's session-cache increments ride back with the reply, so
-        # the parent can account the warm per-worker tier without another
-        # RPC; so do spans and cost records when traced — that is how a
-        # trace crosses the process boundary.
-        info = telemetry.drain_for_reply(session.cache_metrics)
+        # Spans and cost records ride back with the reply when traced — that
+        # is how a trace crosses the process boundary.
+        info = telemetry.drain_for_reply()
         conn.send((unit_seq, [(index, encoded[index]) for index, _ in lines], info))
     conn.close()
 
@@ -235,8 +242,6 @@ class SupervisedPool:
         start_method: str = "fork",
         fault_plan_json: Optional[str] = None,
         unit_timeout_ms: Optional[float] = None,
-        deadline_grace_ms: float = 2000.0,
-        result_cache_size: int = 1024,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if workers < 1:
@@ -245,9 +250,7 @@ class SupervisedPool:
         self._encoded_dependencies = list(encoded_dependencies)
         self._snapshot = snapshot
         self._fault_plan_json = fault_plan_json
-        self._result_cache_size = result_cache_size
         self._unit_timeout_ms = unit_timeout_ms
-        self._deadline_grace_ms = deadline_grace_ms
         self.metrics = MetricsRegistry() if metrics is None else metrics
         self._workers = [self._spawn(index, 0) for index in range(workers)]
 
@@ -264,7 +267,6 @@ class SupervisedPool:
                 self._encoded_dependencies,
                 self._snapshot,
                 self._fault_plan_json,
-                self._result_cache_size,
                 telemetry.enabled(),
             ),
             daemon=True,
@@ -380,7 +382,7 @@ class SupervisedPool:
     ) -> None:
         budgets = [item.deadline_ms for item in unit.items if item.deadline_ms is not None]
         if budgets:
-            budget_ms: Optional[float] = max(budgets) + self._deadline_grace_ms
+            budget_ms: Optional[float] = max(budgets) + DEADLINE_GRACE_MS
         else:
             budget_ms = self._unit_timeout_ms
         worker.unit = unit
@@ -466,14 +468,9 @@ class SupervisedPool:
         if not isinstance(info, dict):
             return None
         for key, value in info.items():
-            if key in ("spans", "cost"):
-                # Telemetry payloads are lists of dicts; anything else means
-                # the channel is torn.
-                if not isinstance(value, list):
-                    return None
-            elif key != "cache" or not isinstance(value, dict):
-                return None
-            elif not all(isinstance(count, int) for count in value.values()):
+            # Telemetry payloads are lists of dicts; anything else means the
+            # channel is torn.
+            if key not in ("spans", "cost") or not isinstance(value, list):
                 return None
         expected = {item.index for item in unit.items}
         out: dict[int, str] = {}

@@ -16,10 +16,9 @@ The *root span id is derived from the trace id* (``<trace>.r``), so any
 layer that knows only ``request.trace`` — the session evaluating in a worker
 process, the supervisor annotating an escalation — can parent spans to the
 request's root without extra plumbing.  Completed spans buffer in a bounded
-deque; worker processes drain theirs into the supervisor reply's ``info``
-dict (``{"cache": {...}, "spans": [...], "cost": [...]}``, the worker
-cache's hit/miss increments riding every reply, traced or not) and the
-parent adopts them, so one request's tree is whole even when its work
+deque; traced worker processes drain theirs into the supervisor reply's
+``info`` dict (``{"spans": [...], "cost": [...]}``, empty when untraced) and
+the parent adopts them, so one request's tree is whole even when its work
 crossed process boundaries.
 
 **Metrics registry** (:class:`MetricsRegistry`).  Counters, gauges, and
@@ -338,8 +337,6 @@ class MetricsRegistry:
         self._series: Dict[str, _Series] = {}
         # group -> tenant labels admitted to its per-tenant counters
         self._tenant_labels: Dict[str, set] = {}
-        # counter -> value at the previous drain()
-        self._drained: Dict[str, int] = {}
 
     def inc(self, name: str, value: int = 1) -> None:
         self._counters[name] = self._counters.get(name, 0) + value
@@ -395,16 +392,6 @@ class MetricsRegistry:
             label, _, field = name.rpartition(".")
             out.setdefault(label, dict.fromkeys(fields, 0))[field] = value
         return dict(sorted(out.items()))
-
-    def drain(self, names: Sequence[str]) -> Dict[str, int]:
-        """The named counters' increments since the previous drain (totals are kept)."""
-        out: Dict[str, int] = {}
-        for name in names:
-            delta = self._counters.get(name, 0) - self._drained.get(name, 0)
-            if delta:
-                out[name] = delta
-                self._drained[name] = self._counters[name]
-        return out
 
     def export(self) -> dict:
         return {
@@ -717,24 +704,37 @@ def work_unit(
         try:
             yield prof
         finally:
-            wall_ms = (time.perf_counter() - start) * 1000.0
-            kernel = prof.as_dict()
-            state.cost_log.append(
-                {
-                    "kind": kind,
-                    "method": method,
-                    "gamma": gamma,
-                    "requests": requests,
-                    "query_size": query_size,
-                    "kernel": kernel,
-                    "wall_ms": round(wall_ms, 3),
-                }
-            )
-            state.registry.inc("costlog.records")
-            state.registry.observe("work_unit.wall_ms", wall_ms)
-            for name, value in kernel.items():
-                if value:
-                    state.registry.inc(f"kernel.{name}", value)
+            record = {
+                "kind": kind,
+                "method": method,
+                "gamma": gamma,
+                "requests": requests,
+                "query_size": query_size,
+                "kernel": prof.as_dict(),
+                "wall_ms": round((time.perf_counter() - start) * 1000.0, 3),
+            }
+            state.cost_log.append(record)
+            _count_cost_record(state.registry, record)
+
+
+def _count_cost_record(registry: MetricsRegistry, record: Any) -> None:
+    """Count one cost record into ``registry``: ``costlog.records``, its
+    non-zero ``kernel.*`` counters and its ``work_unit.wall_ms`` sample.
+
+    Records adopted from a worker reply crossed a pipe, so fields of the
+    wrong type are skipped rather than trusted.
+    """
+    registry.inc("costlog.records")
+    if not isinstance(record, dict):
+        return
+    kernel = record.get("kernel")
+    if isinstance(kernel, dict):
+        for name, value in kernel.items():
+            if isinstance(value, int) and value:
+                registry.inc(f"kernel.{name}", value)
+    wall = record.get("wall_ms")
+    if isinstance(wall, (int, float)):
+        registry.observe("work_unit.wall_ms", float(wall))
 
 
 def request_query_size(request: QueryRequest) -> int:
@@ -804,20 +804,13 @@ def record_unit_dispatch(
 # ---------------------------------------------------------------------------
 
 
-#: The worker result-cache counters every supervisor reply carries.
-WORKER_CACHE_COUNTERS = ("hits", "misses")
-
-
-def drain_for_reply(cache: Optional[MetricsRegistry] = None) -> Dict[str, Any]:
+def drain_for_reply() -> Dict[str, Any]:
     """Worker side: the reply's info dict.
 
-    ``cache`` is the worker session's result-cache registry: its hit/miss
-    increments since the previous reply ride every reply, traced or not.
-    Buffered spans and cost records are packed when telemetry is on.
+    Buffered spans and cost records are packed when telemetry is on; an
+    untraced reply carries an empty dict.
     """
     payload: Dict[str, Any] = {}
-    if cache is not None:
-        payload["cache"] = cache.drain(WORKER_CACHE_COUNTERS)
     if not _STATE.enabled:
         return payload
     spans = _STATE.tracer.drain()
@@ -830,15 +823,12 @@ def drain_for_reply(cache: Optional[MetricsRegistry] = None) -> Dict[str, Any]:
 
 
 def adopt_reply(info: dict, registry: Optional[MetricsRegistry] = None) -> None:
-    """Parent side: take a worker reply's counts, spans and cost records.
+    """Parent side: take a worker reply's spans and cost records.
 
-    Cache increments count into ``registry`` (this process's registry when
-    omitted) as the ``result_cache.tiers.worker.*`` series; spans and cost
-    records are adopted when telemetry is on.  Pops every key it consumes.
+    Both are adopted when telemetry is on; each cost record is counted into
+    ``registry`` (this process's registry when omitted).  Pops every key it
+    consumes.
     """
-    registry = _STATE.registry if registry is None else registry
-    for name, value in info.pop("cache", {}).items():
-        registry.inc(f"result_cache.tiers.worker.{name}", value)
     spans = info.pop("spans", None)
     cost = info.pop("cost", None)
     if not _STATE.enabled:
@@ -847,16 +837,9 @@ def adopt_reply(info: dict, registry: Optional[MetricsRegistry] = None) -> None:
         _STATE.tracer.adopt(spans)
     if cost:
         _STATE.cost_log.extend(cost)
-        registry.inc("costlog.records", len(cost))
+        registry = _STATE.registry if registry is None else registry
         for record in cost:
-            kernel = record.get("kernel") if isinstance(record, dict) else None
-            if isinstance(kernel, dict):
-                for name, value in kernel.items():
-                    if isinstance(value, int) and value:
-                        registry.inc(f"kernel.{name}", value)
-            wall = record.get("wall_ms") if isinstance(record, dict) else None
-            if isinstance(wall, (int, float)):
-                registry.observe("work_unit.wall_ms", float(wall))
+            _count_cost_record(registry, record)
 
 
 def metrics_export(registry: Optional[MetricsRegistry] = None) -> dict:

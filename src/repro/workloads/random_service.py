@@ -220,8 +220,7 @@ def zipf_tenant_weights(tenants: int, skew: float) -> list[float]:
     Rank 1 is the hottest tenant; ``skew=0`` degenerates to a uniform
     distribution and larger ``skew`` concentrates traffic on the head — the
     regime where a shared result cache pays for itself because the hot
-    tenants' working sets fit while the cold tail would thrash per-worker
-    islands.
+    tenants' working sets fit.
     """
     if tenants < 1:
         raise ValueError(f"tenant count must be positive, got {tenants}")
@@ -248,9 +247,9 @@ def zipf_multitenant_requests(
     tenant by :func:`zipf_tenant_weights` and then one request uniformly from
     that tenant's pool, re-stamped with a fresh stream id ``q0, q1, ...`` —
     so hot tenants naturally repeat identical cacheable requests while the
-    cold tail barely re-asks anything.  That is exactly the EXP-TEN traffic
-    shape: a parent-side shared cache should answer the head
-    parent-side while per-worker islands keep recomputing it.
+    cold tail barely re-asks anything.  That is the traffic shape the
+    sharded executor's parent-side shared cache is for: it answers the head
+    without dispatching it to a worker.
 
     ``request_kwargs`` are forwarded to :func:`random_service_requests`
     (``kind_weights``, ``theory_count``, ``embed_dependencies``, ...).

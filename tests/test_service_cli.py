@@ -129,9 +129,9 @@ class TestServeLines:
 
     def test_plan_summary_describes_the_in_process_backend_only(self, acceptance_stream):
         lines = requests_to_jsonl(acceptance_stream[:20]).strip().split("\n")
-        _, in_process = serve_lines(lines, with_plan=True)
+        _, in_process = serve_lines(lines, config=ServiceConfig(stats=True))
         assert in_process["plan"]
-        _, sharded = serve_lines(lines, with_plan=True, config=ServiceConfig(shards=2))
+        _, sharded = serve_lines(lines, config=ServiceConfig(shards=2, stats=True))
         assert "plan" not in sharded
 
     def test_readme_wire_example_replays_byte_for_byte(self):

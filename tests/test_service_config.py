@@ -21,8 +21,6 @@ from repro.service.config import (
 )
 from repro.service.executor import ShardExecutor
 from repro.service.session import Session
-from repro.service.supervisor import supervision_stats
-from repro.workloads.random_service import random_service_requests
 
 
 class TestValidation:
@@ -37,7 +35,6 @@ class TestValidation:
         [
             ({"shards": 0}, "shards"),
             ({"result_cache_size": -1}, "result_cache_size"),
-            ({"foreign_context_limit": 0}, "foreign_context_limit"),
             ({"max_wait_ms": -0.5}, "max_wait_ms"),
             ({"max_batch": 0}, "max_batch"),
             ({"queue_limit": 0}, "queue_limit"),
@@ -143,22 +140,6 @@ class TestFactories:
         sharded = ServiceConfig(shards=3)
         assert isinstance(sharded.make_backend(), ShardExecutor)
         assert sharded.backend_name == "shards=3"
-
-    def test_sharded_workers_honour_the_result_cache_size(self):
-        stream = random_service_requests(
-            40,
-            seed=3,
-            attribute_count=4,
-            theory_count=1,
-            pds_per_theory=2,
-            max_complexity=2,
-            kind_weights={"implies": 1},
-        )
-        config = ServiceConfig(shards=2, result_cache_size=0, shared_cache_size=0)
-        with config.make_executor() as executor:
-            first = executor.execute_many(stream)
-            assert executor.execute_many(stream) == first
-            assert supervision_stats(executor.metrics)["worker_cache_hits"] == 0
 
 
 class TestInstallHooks:

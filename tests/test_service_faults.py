@@ -16,7 +16,7 @@ import pytest
 
 from repro.dependencies.pd import PartitionDependency
 from repro.errors import ServiceError
-from repro.service import serve_stream
+from repro.service import serve_stream, supervisor
 from repro.service.config import ServiceConfig
 from repro.service.executor import ShardExecutor
 from repro.service.faults import (
@@ -200,15 +200,13 @@ class TestSupervisedExecution:
         assert stats["crashes"] == 0
         assert stats["timeouts"] == 0
 
-    def test_hung_worker_is_hard_killed(self):
+    def test_hung_worker_is_hard_killed(self, monkeypatch):
         """A kernel that never reaches a check point is reclaimed by SIGKILL."""
+        monkeypatch.setattr(supervisor, "DEADLINE_GRACE_MS", 400.0)
         requests = _stream(deadline_on="q1", deadline_ms=100)
         plan = FaultPlan(seed=4, faults=(Fault(kind="hang", request_id="q1", delay_ms=30_000.0),))
         with ShardExecutor(
-            shards=2,
-            dependencies=DEPENDENCIES,
-            fault_plan=plan.to_json(),
-            deadline_grace_ms=400.0,
+            shards=2, dependencies=DEPENDENCIES, fault_plan=plan.to_json()
         ) as executor:
             lines = [dump_result_line(r) for r in executor.execute_many(requests)]
             stats = supervision_stats(executor.metrics)

@@ -13,6 +13,7 @@ from repro.lattice.quotient import finite_counterexample, quotient_fragment
 from repro.relational.database import Database
 from repro.relational.functional_dependencies import FunctionalDependency
 from repro.relational.relations import Relation
+from repro.service import session as session_module
 from repro.service.session import Session
 from repro.service.wire import QueryRequest
 
@@ -223,8 +224,9 @@ class TestSharedArtifacts:
         assert context.engine is engine_before  # incremental resume, not rebuild
         assert context.dependencies[-1] == _pd("C = C*D")
 
-    def test_foreign_context_lru_bound(self):
-        session = Session(GAMMA, foreign_context_limit=2)
+    def test_foreign_context_lru_bound(self, monkeypatch):
+        monkeypatch.setattr(session_module, "FOREIGN_CONTEXT_LIMIT", 2)
+        session = Session(GAMMA)
         for name in ("D", "E", "F"):
             request = QueryRequest(
                 kind="implies", dependencies=(_pd(f"A = A*{name}"),), query=_pd("A = A*B")

@@ -12,7 +12,8 @@ The contract under test, layer by layer:
   after restore, and a preserved generation counter that refuses stale
   snapshots via ``expected_generation``;
 * **deployment** — a snapshot ships to 2-shard executor workers (zero-warmup
-  boot, byte-identical output), boots the asyncio server warm from
+  boot, byte-identical output) and seeds the executor's shared tier with its
+  result entries, boots the asyncio server warm from
   ``--snapshot-dir``, is written back on drain, and can be exported from a
   *live* server with the ``{"control": "snapshot"}`` line.
 """
@@ -29,6 +30,7 @@ from repro.service.executor import ShardExecutor
 from repro.service.planner import execute_plan
 from repro.service.server import QueryServer, serve_stream
 from repro.service.session import Session
+from repro.service.supervisor import supervision_stats
 from repro.service.snapshot import (
     SNAPSHOT_VERSION,
     decode_snapshot,
@@ -328,6 +330,18 @@ class TestShardedRestore:
         with ShardExecutor(shards=2, snapshot=snapshot) as executor:
             lines = [dump_result_line(r) for r in executor.execute_many(acceptance_stream)]
         assert lines == expected_lines
+
+    def test_a_warm_snapshot_seeds_the_shared_tier(self):
+        warm = Session(["A = A*B"])
+        stream = _mixed_stream(40, seed=32)
+        expected = [dump_result_line(r) for r in warm.execute_many(stream)]
+        with ShardExecutor(shards=2, snapshot=dump_snapshot(warm)) as executor:
+            lines = [dump_result_line(r) for r in executor.execute_many(stream)]
+            hits = executor.shared_cache_info()["hits"]
+            dispatched = supervision_stats(executor.metrics)["units_dispatched"]
+        assert lines == expected
+        assert hits == len(stream)
+        assert dispatched == 0  # every answer came from the parent, no worker ran
 
     def test_executor_refuses_a_mismatched_snapshot(self):
         snapshot = dump_snapshot(Session(["A = A*B"]))

@@ -30,12 +30,12 @@ from repro.deadline import check_deadline, deadline_scope
 from repro.errors import DeadlineExceeded, ServiceError
 from repro.sat.formulas import CnfFormula
 from repro.sat.nae3sat import nae_backtracking
-from repro.service import telemetry
+from repro.service import supervisor, telemetry
 from repro.service.cli import serve_lines
 from repro.service.config import ServiceConfig
 from repro.service.executor import ShardExecutor
 from repro.service.faults import Fault, FaultPlan, clear_fault_plan
-from repro.service.planner import execute_plan
+from repro.service.planner import execute_plan, naive_dispatch
 from repro.service.server import QueryServer, serve_stream
 from repro.service.session import Session
 from repro.service.supervisor import supervision_stats
@@ -220,7 +220,7 @@ class TestMetricsRegistry:
         assert histogram["count"] == 2
         assert sum(histogram["counts"]) == 2
 
-    def test_per_tenant_counters_sum_to_the_total_and_drain_reports_increments(self):
+    def test_per_tenant_counters_sum_to_the_total(self):
         registry = telemetry.MetricsRegistry()
         for tenant in (None, "default", "acme"):
             registry.inc_tenant("requests.submitted", tenant)
@@ -229,11 +229,6 @@ class TestMetricsRegistry:
             "acme": {"submitted": 1, "answered": 0},
             "default": {"submitted": 2, "answered": 0},
         }
-        assert registry.drain(("requests.submitted", "never")) == {"requests.submitted": 3}
-        registry.inc("requests.submitted", 2)
-        assert registry.drain(("requests.submitted",)) == {"requests.submitted": 2}
-        assert registry.drain(("requests.submitted",)) == {}
-        assert registry.value("requests.submitted") == 5  # draining keeps the total
 
     def test_histogram_overflow_slot(self):
         registry = telemetry.MetricsRegistry()
@@ -437,10 +432,10 @@ class TestEscalationSpans:
             for i, text in enumerate(self.QUERIES)
         ]
 
-    def _execute(self, requests, plan, **kwargs):
+    def _execute(self, requests, plan):
         telemetry.configure(trace=True)
         with ShardExecutor(
-            shards=2, dependencies=self.DEPENDENCIES, fault_plan=plan.to_json(), **kwargs
+            shards=2, dependencies=self.DEPENDENCIES, fault_plan=plan.to_json()
         ) as executor:
             lines = [dump_result_line(r) for r in executor.execute_many(requests)]
         return lines, telemetry.tracer().drain()
@@ -467,10 +462,11 @@ class TestEscalationSpans:
             assert span["parent"] == f"{span['trace']}.r"
             assert span["attrs"]["reason"]
 
-    def test_hard_killed_deadline_carries_deadline_exceeded_event(self):
+    def test_hard_killed_deadline_carries_deadline_exceeded_event(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "DEADLINE_GRACE_MS", 400.0)
         requests = self._stream(deadline_on="q1", deadline_ms=100)
         plan = FaultPlan(seed=4, faults=(Fault(kind="hang", request_id="q1", delay_ms=30_000.0),))
-        lines, spans = self._execute(requests, plan, deadline_grace_ms=400.0)
+        lines, spans = self._execute(requests, plan)
 
         result = load_result_line(lines[1])
         assert not result.ok and result.error["type"] == "Timeout"
@@ -641,7 +637,6 @@ _NOT_COUNT_SECTIONS = ("session_cache.", "server.window.", "breaker.", "cache.")
 
 def _series_for(path):
     """The metrics-export series a stats/health count path is a view of."""
-    path = path.replace("supervision.worker_cache_", "result_cache.tiers.worker.")
     path = path.replace("supervision.", "supervisor.")
     if path == "requests.budget_timeouts":  # health's copy of the window counter
         return "windows.budget_timeouts"
@@ -761,27 +756,38 @@ class TestOneRegistryPerServer:
         assert "parse_memo" not in json.dumps(health)  # health stays time- and memo-free
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
-    def test_worker_cache_totals_do_not_depend_on_tracing(self):
+    def test_a_sharded_server_reports_only_the_shared_tier(self, stream):
+        async def scenario():
+            async with QueryServer(ServiceConfig(shards=2, max_batch=8)) as server:
+                await _converse(server.host, server.port, stream)
+                controls = ['{"control":"stats"}', '{"control":"health"}', '{"control":"metrics"}']
+                return await _converse(server.host, server.port, controls)
+
+        stats, health, metrics = run(scenario())
+        stats, health, metrics = stats["stats"], health["health"], metrics["metrics"]
+        assert list(stats["result_cache"]["tiers"]) == ["shared"]
+        assert list(health["cache"]) == ["shared"]
+        assert stats["result_cache"]["tiers"]["shared"]["hits"] > 0  # the stream repeats itself
+        for document in (stats, health, metrics):
+            text = json.dumps(document)
+            assert "worker_cache" not in text and "tiers.worker" not in text
+
+    @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+    def test_a_cache_less_worker_computes_each_duplicate_once(self):
         from repro.dependencies.pd import PartitionDependency
 
-        # 16 equal queries plan into two 8-request units, one per idle worker,
-        # so the second pass hits each worker's cache deterministically.
+        # 16 requests over 4 distinct questions, one implication group: with
+        # the shared tier off all reach the workers as two 8-request units,
+        # each holding every question twice.
+        questions = ["A = A*C", "B = B*A", "C = C*A", "A = A*B*C"]
         requests = [
-            QueryRequest(kind="implies", id=f"q{i}", query=PartitionDependency.parse("A = A*C"))
+            QueryRequest(kind="implies", id=f"q{i}", query=PartitionDependency.parse(questions[i % 4]))
             for i in range(16)
         ]
-
-        def worker_tier(trace):
-            telemetry.reset()
-            telemetry.configure(trace=trace)
-            with ShardExecutor(
-                shards=2, dependencies=("A = A*B", "B = B*C"), shared_cache_size=0
-            ) as executor:
-                executor.execute_many(requests)
-                executor.execute_many(requests)
-                supervision = supervision_stats(executor.metrics)
-            return supervision["worker_cache_hits"], supervision["worker_cache_misses"]
-
-        untraced = worker_tier(False)
-        assert untraced[0] > 0 and sum(untraced) == 2 * len(requests)
-        assert worker_tier(True) == untraced
+        dependencies = ("A = A*B", "B = B*C")
+        telemetry.configure(trace=True)
+        with ShardExecutor(shards=2, dependencies=dependencies, shared_cache_size=0) as executor:
+            lines = [dump_result_line(r) for r in executor.execute_many(requests)]
+        records = telemetry.cost_log().drain()
+        assert sum(record["requests"] for record in records) == 2 * len(questions)
+        assert lines == [dump_result_line(r) for r in naive_dispatch(requests, dependencies)]

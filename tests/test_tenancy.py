@@ -12,7 +12,9 @@ The tenancy invariants PR 9 pins:
 * the :class:`ResultCache` every tier uses behaves: LRU accounting,
   tenant-scoped invalidation, per-tenant counters that add up to the totals;
 * the 2-shard executor answers repeats parent-side, byte-identical to the
-  cacheless path, and the server's stats/health expose the tier rates.
+  cacheless path: on a Zipf multi-tenant stream its shared tier answers most
+  requests, and a transient worker crash changes no answer;
+* the server's stats/health expose the tier rates.
 """
 
 import asyncio
@@ -24,8 +26,11 @@ from repro.dependencies.pd import PartitionDependency
 from repro.errors import ServiceError
 from repro.service.config import ServiceConfig
 from repro.service.executor import ShardExecutor
+from repro.service.faults import Fault, FaultPlan
+from repro.service.planner import naive_dispatch
 from repro.service.result_cache import ResultCache as SharedResultCache
 from repro.service.result_cache import gamma_dependent
+from repro.service import session as session_module
 from repro.service.server import QueryServer
 from repro.service.session import Session
 from repro.service.snapshot import dump_snapshot, restore_session
@@ -41,6 +46,7 @@ from repro.service.wire import (
     load_request_line,
     request_cache_key,
 )
+from repro.workloads.random_service import zipf_multitenant_requests
 
 GAMMA = ["A = A*B", "B = B*C"]
 
@@ -132,8 +138,9 @@ class TestTenantKeyspaces:
 
 
 class TestContextCacheCounters:
-    def test_foreign_context_hits_misses_and_evictions_are_counted(self):
-        session = Session(GAMMA, foreign_context_limit=2)
+    def test_foreign_context_hits_misses_and_evictions_are_counted(self, monkeypatch):
+        monkeypatch.setattr(session_module, "FOREIGN_CONTEXT_LIMIT", 2)
+        session = Session(GAMMA)
         deps = [(_pd(f"A = A*{name}"),) for name in ("C", "D", "E")]
         requests = [
             QueryRequest(kind="implies", dependencies=d, query=_pd("A = A*B")) for d in deps
@@ -330,19 +337,6 @@ class TestExecutorSharedCache:
         assert info["hits"] == len(stream)
         assert set(info["per_tenant"]) == {f"t{i}" for i in range(5)}
 
-    def test_islands_mode_has_no_ring_and_no_tier0(self, stream):
-        # One shard so the second pass deterministically reaches the worker
-        # session that answered the first (intra-batch duplicates are
-        # amortized by the batch closure, not counted as cache hits).
-        with ShardExecutor(shards=1, shared_cache_size=0) as executor:
-            executor.execute_many(stream)
-            executor.execute_many(stream)
-            info = executor.shared_cache_info()
-            supervision = supervision_stats(executor.metrics)
-        assert info["hits"] == 0 and info["misses"] == 0
-        # Repeats still hit somewhere: the per-worker tier-2 sessions.
-        assert supervision["worker_cache_hits"] == len(stream)
-
     def test_invalidate_tenant_reaches_the_shared_tier(self, stream):
         with ShardExecutor(shards=2, shared_cache_size=64) as executor:
             first = _answer_lines(executor, stream)
@@ -351,10 +345,55 @@ class TestExecutorSharedCache:
             assert _answer_lines(executor, stream) == first
             assert executor.shared_cache_info()["size"] == 5  # t0 re-published
 
-    def test_result_cache_size_bounds_the_tier2_islands(self, stream):
-        with ShardExecutor(shards=2, shared_cache_size=0, result_cache_size=1) as executor:
-            expected = _answer_lines(executor, stream)
-            assert _answer_lines(executor, stream) == expected
+
+class TestZipfMultiTenantStream:
+    """The shared tier on a Zipf-skewed multi-tenant stream served in windows.
+
+    50 tenants draw from fixed per-tenant pools with skew ``s = 1.0``, served
+    over 2 shards in 25-request windows, the micro-batch shape.  The parent
+    probes each window in stream order and publishes its misses before the
+    next, so the hit count is deterministic.
+    """
+
+    WINDOW = 25
+    #: A transient crash: worker 0 dies on its first unit, once.
+    CRASH_ONCE = FaultPlan(
+        seed=20260617, faults=(Fault(kind="crash_worker", worker=0, unit=0, incarnation=0),)
+    )
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        return zipf_multitenant_requests(
+            400,
+            seed=20260617,
+            tenants=50,
+            skew=1.0,
+            pool_per_tenant=4,
+            theory_count=2,
+            pds_per_theory=3,
+            max_complexity=2,
+        )
+
+    @pytest.fixture(scope="class")
+    def expected(self, stream):
+        return [dump_result_line(r) for r in naive_dispatch(stream)]
+
+    def _serve(self, stream, fault_plan=None):
+        with ShardExecutor(shards=2, fault_plan=fault_plan) as executor:
+            out = []
+            for start in range(0, len(stream), self.WINDOW):
+                out.extend(_answer_lines(executor, stream[start : start + self.WINDOW]))
+            return out, executor.shared_cache_info(), supervision_stats(executor.metrics)
+
+    def test_the_shared_tier_answers_most_of_the_stream(self, stream, expected):
+        out, shared, _ = self._serve(stream)
+        assert out == expected
+        assert shared["hits"] / len(stream) > 0.5
+
+    def test_a_transient_worker_crash_changes_no_answer(self, stream, expected):
+        out, _, supervision = self._serve(stream, fault_plan=self.CRASH_ONCE.to_json())
+        assert out == expected
+        assert supervision["crashes"] >= 1
 
 
 class TestServerTenancyStats:
