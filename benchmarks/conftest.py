@@ -1,11 +1,11 @@
 """Shared configuration for the benchmark harness.
 
-Every benchmark module regenerates one experiment from EXPERIMENTS.md
-(a paper figure or a complexity claim).  The modules use ``pytest-benchmark``
-groups named after the experiment ids (FIG1..FIG3, EXP-T4..EXP-T12, EXP-FD,
-EXP-WI) so that ``pytest benchmarks/ --benchmark-only`` prints one comparison
+Every benchmark module regenerates one experiment: a paper figure or a
+complexity claim of a kernel.  The modules use ``pytest-benchmark`` groups
+named after the experiment ids (FIG1..FIG3, EXP-T4..EXP-T12, EXP-FD, EXP-WI,
+...) so that ``pytest benchmarks/ --benchmark-only`` prints one comparison
 table per experiment — those tables are the "rows/series" the reproduction
-reports.
+reports.  The query service is timed end to end by ``perfbench/``, not here.
 """
 
 import pytest
@@ -27,10 +27,6 @@ def pytest_benchmark_update_json(config, benchmarks, output_json):
         "EXP-WI": "weak instance chase scaling",
         "EXP-PART": "integer partition kernel vs block oracle; batch PD satisfaction",
         "EXP-LAT": "bitset lattice kernel and class-driven quotient pipeline vs dict-table oracles",
-        "EXP-SVC": "query service: planner batching vs naive dispatch; multiprocess shard scaling",
-        "EXP-SNAP": "durable Γ snapshots: cold start vs zero-warmup restore (session, shards, server)",
-        "EXP-FLT": "fault tolerance: supervised fault-free execution; restart-to-warm latency",
-        "EXP-OBS": "observability: end-to-end tracing + kernel profiling overhead vs untraced serving",
     }
 
 

@@ -1,7 +1,8 @@
 """Micro-batch windows: re-batch continuous traffic so amortization survives live load.
 
-The batch planner's 1.5–7× group-by amortization (PR 5) only materializes
-when requests arrive *pre-collected*; a live socket delivers them one at a
+The batch planner's group-by amortization (one ALG engine and one
+normalization per distinct Γ, not per request) only materializes when
+requests arrive *pre-collected*; a live socket delivers them one at a
 time.  :class:`MicroBatcher` closes that gap the way modern inference-serving
 stacks do — continuous batching with a bounded window:
 
@@ -31,7 +32,7 @@ stacks do — continuous batching with a bounded window:
   occupancy (mean/max window size, close reasons) back from it.
 
 The batcher is transport-agnostic: :mod:`repro.service.server` feeds it from
-sockets, the EXP-SVC open-loop benchmark feeds it directly.  Graceful drain
+sockets, tests feed it directly.  Graceful drain
 (:meth:`MicroBatcher.drain`) answers everything admitted before shutdown.
 """
 
@@ -58,8 +59,8 @@ class Ticket:
 
     ``future`` resolves to the :class:`~repro.service.wire.QueryResult`;
     awaiting callers should call :meth:`mark_responded` once they have
-    delivered the answer (the server does it after the socket write, the
-    benchmark driver after its ``await``) so the total-latency sample covers
+    delivered the answer (the server does it after the socket write, a
+    direct caller after its ``await``) so the total-latency sample covers
     the full enqueue→respond span.
     """
 
@@ -195,6 +196,7 @@ class MicroBatcher:
         self._worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-window")
         self._collector: Optional[asyncio.Task] = None
         self._draining = False
+        self._worker_closed = False
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -223,10 +225,12 @@ class MicroBatcher:
         self._draining = True
         if self._collector is None:
             self._worker.shutdown(wait=False)
+            self._worker_closed = True
             return
         await self._queue.put(_DRAIN)
         await self._collector
         self._worker.shutdown(wait=True)
+        self._worker_closed = True
 
     async def run_exclusive(self, fn: Callable[[], Any]) -> Any:
         """Run ``fn`` on the window worker thread, serialized against windows.
@@ -235,8 +239,13 @@ class MicroBatcher:
         submitting ``fn`` to the same thread means it can never interleave
         with a window that is mutating the session.  The live-snapshot
         control line uses this to export a consistent Γ state from a serving
-        process without pausing admission.
+        process without pausing admission.  After :meth:`drain` has run every
+        admitted window and joined the worker, nothing can interleave with
+        ``fn``, so it runs here (a control line admitted before the drain
+        still gets its answer).
         """
+        if self._worker_closed:
+            return fn()
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(self._worker, fn)
 

@@ -28,8 +28,10 @@ input order, byte-identical to one-at-a-time :meth:`Session.execute` calls
 
 :func:`naive_dispatch` is the deliberately unamortized baseline — a fresh
 :class:`~repro.service.session.Session` per request, the "import the library
-and hand-wire an engine per query" workflow the service replaces.  EXP-SVC
-benchmarks the two against each other.
+and hand-wire an engine per query" workflow the service replaces.  It builds
+an ALG engine (and, for consistency, a Theorem 12 normalization) per request
+where the planner builds one per distinct Γ; ``tests/test_service_planner.py``
+counts both.
 """
 
 from __future__ import annotations
@@ -343,8 +345,8 @@ def naive_dispatch(
 
     This is what "import the library and wire up an engine for each query"
     costs; it produces byte-identical results to :func:`execute_plan` because
-    every decision procedure is deterministic in its inputs.  EXP-SVC's
-    batched-vs-naive comparison measures this function against the planner.
+    every decision procedure is deterministic in its inputs.  The tests and
+    ``perfbench/`` use it as the reference every serving mode must match.
     """
     base: list[PartitionDependency] = list(dependencies)  # type: ignore[arg-type]
     out: list[QueryResult] = []

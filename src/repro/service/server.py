@@ -30,8 +30,9 @@ Shape of the thing:
   values read at request time).  ``{"control": "ping"}`` answers
   ``{"control": "pong"}`` and ``{"control": "snapshot"}`` exports a durable
   Γ snapshot of the *live* session into ``--snapshot-dir`` (the export runs
-  on the window worker thread, so it never races a mutating window); all
-  are served in-order like any other line;
+  on the window worker thread, so it never races a mutating window); each
+  is evaluated at its turn in the connection's order, once every earlier
+  line has its answer, so its counts cover the requests sent before it;
 * **observability** — with ``--trace`` or ``--metrics-dir`` the server mints
   a trace id per request at decode (or propagates the wire ``trace`` field),
   opens a root span, and emits ``plan``/``execute``/``respond`` children
@@ -401,14 +402,14 @@ class QueryServer:
                 self._conn_tasks.discard(task)
 
     async def _handle_line(self, text: str, line_number: int, pending: "asyncio.Queue") -> None:
-        """Decode one line into an ordered response slot (ticket or immediate line)."""
+        """Decode one line into an ordered response slot (ticket, control op or immediate line)."""
         try:
             payload = canonical_loads(text)
         except ServiceError as exc:
             await pending.put(dump_result_line(error_result_for_line(text, line_number, exc)))
             return
         if isinstance(payload, dict) and "control" in payload:
-            await pending.put(await self._control_line(payload))
+            await pending.put(payload)  # the writer evaluates it at its turn
             return
         try:
             request = decode_request(payload)
@@ -503,7 +504,12 @@ class QueryServer:
         )
 
     async def _write_responses(self, pending: "asyncio.Queue", writer: asyncio.StreamWriter) -> None:
-        """Deliver answers strictly in this connection's request order."""
+        """Deliver answers strictly in this connection's request order.
+
+        A control op is evaluated here, when every earlier ticket of the
+        connection has resolved, so ``stats``/``health``/``metrics`` count
+        the requests sent before them and ``snapshot`` captures their work.
+        """
         while True:
             item = await pending.get()
             if item is _END:
@@ -514,7 +520,12 @@ class QueryServer:
             else:
                 ticket = item if isinstance(item, Ticket) else None
             result = await ticket.result() if ticket is not None else None
-            line = dump_result_line(result) if ticket is not None else item
+            if ticket is not None:
+                line = dump_result_line(result)
+            elif isinstance(item, dict):
+                line = await self._control_line(item)
+            else:
+                line = item
             try:
                 writer.write(line.encode("utf-8") + b"\n")
                 await writer.drain()

@@ -33,7 +33,7 @@ snapshot when the executor has one (the
 :mod:`~repro.service.snapshot` zero-warmup path), else by replaying Γ — and
 every restart, crash and escalation step is counted into the pool's
 :class:`~repro.service.telemetry.MetricsRegistry` (restart latency on the
-``supervisor.restart_ms`` series, which the EXP-FLT benchmark pins);
+``supervisor.restart_ms`` series);
 :func:`supervision_stats` reads the health document's supervision section
 back from it.  The deterministic chaos hooks live in
 :mod:`repro.service.faults`; workers arm them via

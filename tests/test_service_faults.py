@@ -28,6 +28,7 @@ from repro.service.faults import (
 )
 from repro.service.planner import execute_plan
 from repro.service.session import Session
+from repro.service.snapshot import dump_snapshot
 from repro.service.supervisor import SupervisedPool, WorkItem, WorkUnit, supervision_stats
 from repro.service.wire import (
     QueryRequest,
@@ -138,14 +139,25 @@ class TestFaultCodec:
 
 @needs_fork
 class TestSupervisedExecution:
-    def test_transient_worker_crash_is_invisible(self):
-        """A worker SIGKILLed mid-stream restarts; the answers do not change."""
+    @pytest.mark.parametrize("warm", [False, True], ids=["replayed", "snapshot"])
+    def test_transient_worker_crash_is_invisible(self, warm):
+        """A worker SIGKILLed mid-stream restarts; the answers do not change.
+
+        Workers boot either by replaying Γ or from a warm snapshot, and a
+        crashed one restarts the same way.  The snapshot's result entries
+        answer none of the stream, so the crash still hits a dispatched unit.
+        """
         requests = _stream()
+        snapshot = None
+        if warm:
+            session = Session(DEPENDENCIES)
+            session.execute_many([QueryRequest(kind="implies", query=_pd("B = B*C"))])
+            snapshot = dump_snapshot(session)
         plan = FaultPlan(
             seed=1, faults=(Fault(kind="crash_worker", worker=0, unit=0, incarnation=0),)
         )
         with ShardExecutor(
-            shards=2, dependencies=DEPENDENCIES, fault_plan=plan.to_json()
+            shards=2, dependencies=DEPENDENCIES, snapshot=snapshot, fault_plan=plan.to_json()
         ) as executor:
             lines = [dump_result_line(r) for r in executor.execute_many(requests)]
             stats = supervision_stats(executor.metrics)

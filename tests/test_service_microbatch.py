@@ -183,6 +183,17 @@ class TestDrain:
 
         run(scenario())
 
+    def test_run_exclusive_after_drain_still_runs(self):
+        # A control line admitted before a drain is answered after it; its
+        # export must not need the joined window worker.
+        async def scenario():
+            mb = MicroBatcher(_echo_executor)
+            await mb.start()
+            await mb.drain()
+            return await mb.run_exclusive(lambda: "exported")
+
+        assert run(scenario()) == "exported"
+
     def test_unstarted_batcher_rejects_submit(self):
         async def scenario():
             mb = MicroBatcher(_echo_executor)

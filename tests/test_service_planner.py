@@ -1,10 +1,12 @@
 """Planner properties: stable grouping, byte-identical results, real amortization."""
 
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
 import pytest
 
+from repro.consistency.normalization import normalize_dependencies
 from repro.deadline import deadline_scope
 from repro.dependencies.pd import PartitionDependency
 from repro.errors import DeadlineExceeded
@@ -124,6 +126,47 @@ class TestByteIdenticalResults:
         assert len(results) == count
         for i, result in enumerate(results):
             assert result.value == {"implied": bool(i % 2)}
+
+
+class TestAmortization:
+    """The planner's win over naive dispatch, pinned as a count of per-Γ builds."""
+
+    @staticmethod
+    def _builds(run):
+        """(ALG engines, Theorem 12 normalizations) built by ``run()``, counted per Γ."""
+        with mock.patch.object(
+            ImplicationEngine, "__init__", autospec=True, side_effect=ImplicationEngine.__init__
+        ) as engines, mock.patch(
+            "repro.service.session.normalize_dependencies", side_effect=normalize_dependencies
+        ) as normalizations:
+            run()
+        return (
+            Counter(tuple(call.args[1]) for call in engines.call_args_list),
+            Counter(tuple(call.args[0]) for call in normalizations.call_args_list),
+        )
+
+    def test_planner_builds_once_per_gamma_what_naive_builds_per_request(self):
+        requests = random_service_requests(
+            60,
+            seed=20260617,
+            theory_count=2,
+            pds_per_theory=8,
+            max_complexity=3,
+            kind_weights={"implies": 5, "equivalent": 3, "consistent": 3},
+        )
+        per_gamma = Counter(request.dependencies for request in requests)
+        consistency = Counter(r.dependencies for r in requests if r.kind == "consistent")
+        assert len(per_gamma) == 2 and len(consistency) == 2
+
+        engines, normalizations = self._builds(lambda: execute_plan(Session(), requests))
+        # one engine per distinct Γ, plus the session's own (empty) base Γ
+        assert engines == Counter({(): 1, **dict.fromkeys(per_gamma, 1)})
+        assert normalizations == Counter(dict.fromkeys(consistency, 1))
+
+        engines, normalizations = self._builds(lambda: naive_dispatch(requests))
+        # a fresh session per request: its base Γ and the request's Γ, every time
+        assert engines == Counter({(): len(requests), **per_gamma})
+        assert normalizations == consistency
 
 
 class TestCacheInterplay:

@@ -9,6 +9,10 @@ The observability contract, pinned at every layer:
 * every admitted request yields a well-formed span tree — a root span
   (``<trace>.r``) with ``plan`` / ``execute`` / ``respond`` children — and
   every executed work unit appends one cost record with kernel counters;
+* tracing's cost is pinned as a count of the work it does, not as a
+  wall-clock share: exact span and cost-record totals on the acceptance
+  stream, at most five spans per request, and nothing at all recorded with
+  telemetry off;
 * supervised fault escalation (crash → retry → split → quarantine) leaves
   one annotated ``escalation`` span per rung, parented to the victim's root,
   and a hard-killed deadline carries a ``deadline_exceeded`` event;
@@ -35,7 +39,7 @@ from repro.service.cli import serve_lines
 from repro.service.config import ServiceConfig
 from repro.service.executor import ShardExecutor
 from repro.service.faults import Fault, FaultPlan, clear_fault_plan
-from repro.service.planner import execute_plan, naive_dispatch
+from repro.service.planner import execute_plan, naive_dispatch, plan_summary
 from repro.service.server import QueryServer, serve_stream
 from repro.service.session import Session
 from repro.service.supervisor import supervision_stats
@@ -326,6 +330,10 @@ class TestFileModeAcceptance:
     ):
         lines = requests_to_jsonl(acceptance_stream).strip().split("\n")
         untraced, _ = serve_lines(lines, config=ServiceConfig())
+        # telemetry off records nothing: no span, no cost record, no counter
+        assert telemetry.tracer().snapshot()["started"] == 0
+        assert telemetry.cost_log().recorded == 0
+        assert telemetry.registry().export()["counters"] == {}
         telemetry.reset()
         metrics_dir = tmp_path / "telemetry"
         traced, _ = serve_lines(
@@ -346,14 +354,24 @@ class TestFileModeAcceptance:
         assert evaluates
         root_ids = {root["span"] for root in roots}
         assert all(span["parent"] in root_ids for span in evaluates)
+        # Tracing work is a fixed count, not a wall-clock share: four spans
+        # per request (root + plan/execute/respond), plus one evaluate span
+        # per session-evaluated request (the 41 consistent and 16
+        # counterexample requests of this stream).
+        summary = plan_summary(acceptance_stream)
+        kinds = summary["requests_per_kind"]
+        assert len(evaluates) == kinds["consistent"] + kinds["counterexample"] == 57
+        assert len(spans) == 4 * len(acceptance_stream) + len(evaluates) == 857
+        assert len(spans) <= 5 * len(acceptance_stream)
 
         cost = [json.loads(line) for line in (metrics_dir / "costlog.jsonl").open()]
         assert cost, "executed work units must produce cost records"
         for record in cost:
             assert set(record) == {"kind", "method", "gamma", "requests", "query_size", "kernel", "wall_ms"}
-        # one record per *executed* work unit: every distinct request is
-        # covered (the stream's one cache-key duplicate answers from the
-        # result cache and is never executed)
+        # one record per *executed* work unit, i.e. per planned batch: every
+        # distinct request is covered (the stream's one cache-key duplicate
+        # answers from the result cache and is never executed)
+        assert len(cost) == summary["batches"] == 7
         distinct = len({request_cache_key(r) for r in acceptance_stream})
         assert sum(record["requests"] for record in cost) >= distinct
         assert any(any(record["kernel"].values()) for record in cost)
@@ -562,6 +580,8 @@ class TestServerTelemetry:
             assert line == canonical_dumps(payload)  # canonical bytes on the wire
         # health is time-free and must reproduce byte-for-byte across runs
         assert health_one == health_two
+        # control lines answer at their turn: every request before them counts
+        assert json.loads(health_one)["health"]["requests"]["answered"] == len(prefix)
         stats = json.loads(stats_one)["stats"]
         assert list(stats["result_cache"]["per_tenant"]) == sorted(
             stats["result_cache"]["per_tenant"]
