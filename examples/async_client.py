@@ -48,7 +48,7 @@ async def client(host: str, port: int, name: str, lines: list[str]) -> list[str]
 
 async def _main() -> None:
     theory = ["A = A*B", "B = B*C"]
-    config = ServiceConfig(max_wait_ms=10.0, max_batch=32).with_dependencies("; ".join(theory))
+    config = ServiceConfig(max_batch=32).with_dependencies("; ".join(theory))
 
     async with QueryServer(config) as server:
         host, port = server.host, server.port

@@ -11,11 +11,12 @@ Two modes share one wire format and one :class:`~repro.service.config.ServiceCon
   (``tests/test_service_cli.py`` pins this end-to-end on a 200-request mix).
 * **serve mode**: ``python -m repro.service serve`` starts the asyncio
   socket server (:mod:`repro.service.server`) speaking the same JSONL
-  protocol continuously, with micro-batch windows (``--max-wait-ms``,
-  ``--max-batch``), bounded-queue backpressure (``--queue-limit``,
-  ``--overload block|shed``) and graceful drain on SIGINT/SIGTERM.  The
-  bound address is announced on stderr (``--port 0`` picks an ephemeral
-  port); ``--stats`` prints the latency/window statistics on shutdown.
+  protocol continuously, with micro-batch windows that close on an empty
+  backlog or at ``--max-batch`` requests, bounded-queue backpressure
+  (``--queue-limit``, ``--overload block|shed``) and graceful drain on
+  SIGINT/SIGTERM.  The bound address is announced on stderr (``--port 0``
+  picks an ephemeral port); ``--stats`` prints the latency/window statistics
+  on shutdown.
 
 ``--stats`` prints one canonical-JSON line to stderr in either mode.
 

@@ -5,9 +5,8 @@
 * the **batch CLI** (``python -m repro.service FILE``) reads ``dependencies``,
   ``shards`` and the cache sizes;
 * the **async server** (``python -m repro.service serve``) additionally reads
-  the micro-batch window bounds (``max_wait_ms``, ``max_batch``), the
-  admission-queue depth (``queue_limit``), the ``overload`` policy and the
-  listen address;
+  the micro-batch window size bound (``max_batch``), the admission-queue
+  depth (``queue_limit``), the ``overload`` policy and the listen address;
 * :meth:`ServiceConfig.install_hooks` arms the process-wide fault plan and
   telemetry, and :meth:`ServiceConfig.make_backend` picks the one stream
   backend both entry points call ``execute_many`` on — the in-process
@@ -55,15 +54,15 @@ class ServiceConfig:
     ``shards == 1`` means in-process dispatch.  ``result_cache_size`` sizes
     the in-process session's result cache; ``shared_cache_size`` sizes the
     sharded executor's parent-side tier, a sharded backend's only cache.
-    ``max_wait_ms``/``max_batch`` bound the micro-batch window in time and
-    size; ``queue_limit`` bounds admission; ``port = 0`` asks the OS for an
+    ``max_batch`` bounds the micro-batch window's size (a window also closes
+    as soon as the backlog is empty, so it has no time bound);
+    ``queue_limit`` bounds admission; ``port = 0`` asks the OS for an
     ephemeral port.
     """
 
     dependencies: tuple[PartitionDependency, ...] = ()
     shards: int = 1
     result_cache_size: int = 1024
-    max_wait_ms: float = 20.0
     max_batch: int = 32
     queue_limit: int = 256
     overload: str = "block"
@@ -84,8 +83,6 @@ class ServiceConfig:
             raise ServiceError(f"shards must be at least 1, got {self.shards}")
         if self.result_cache_size < 0:
             raise ServiceError(f"result_cache_size must be >= 0, got {self.result_cache_size}")
-        if self.max_wait_ms < 0:
-            raise ServiceError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
         if self.max_batch < 1:
             raise ServiceError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.queue_limit < 1:
@@ -285,12 +282,6 @@ def add_config_arguments(parser: argparse.ArgumentParser, serve: bool = False) -
         help="listen port (0 = ephemeral; the bound port is announced on stderr)",
     )
     parser.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=defaults.max_wait_ms,
-        help=f"micro-batch window timer in milliseconds (default {defaults.max_wait_ms})",
-    )
-    parser.add_argument(
         "--max-batch",
         type=int,
         default=defaults.max_batch,
@@ -342,7 +333,6 @@ def config_from_args(args: argparse.Namespace) -> ServiceConfig:
         dependencies=dependencies,
         shards=args.shards,
         result_cache_size=args.cache_size,
-        max_wait_ms=getattr(args, "max_wait_ms", ServiceConfig.max_wait_ms),
         max_batch=getattr(args, "max_batch", ServiceConfig.max_batch),
         queue_limit=getattr(args, "queue_limit", ServiceConfig.queue_limit),
         overload=getattr(args, "overload", ServiceConfig.overload),

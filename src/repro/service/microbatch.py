@@ -13,12 +13,15 @@ stacks do — continuous batching with a bounded window:
   immediately with a well-formed ``ok=false`` result whose error type is
   ``"Overloaded"`` — the client still gets exactly one answer per request.
 * **Windowing** — a single collector loop drains the queue into windows
-  bounded in size (``max_batch``) and time (``max_wait_ms`` measured from the
-  first request of the window).  A backlog (requests that queued while the
-  previous window executed) is drained without waiting, so the system
-  degrades into *larger* windows under load — exactly when amortization pays
-  most.  Each closed window goes to the pipeline executor **whole**, so the
-  planner sees the same batch shape a request file would give it.
+  without ever waiting for more traffic (group commit).  A window closes
+  when the backlog is empty (``idle``), when it holds ``max_batch``
+  requests (``size``) or when the drain sentinel arrives (``drain``).
+  Windows run one at a time, so requests that queue while one executes form
+  the next window's backlog: an idle server answers a lone request at once,
+  and a loaded one degrades into *larger* windows — exactly when
+  amortization pays most.  Each closed window goes to the pipeline executor
+  **whole**, so the planner sees the same batch shape a request file would
+  give it.
 * **Execution** — windows run on one dedicated worker thread
   (:class:`~concurrent.futures.ThreadPoolExecutor` of size 1), keeping the
   event loop free to accumulate the next window while the current one
@@ -90,7 +93,7 @@ class Ticket:
         self.responded_at: Optional[float] = None
         self.shed = False
         # Telemetry annotations: the size of the window this ticket rode in
-        # and why it closed ("full" / "timer" / "drain"), stamped at close.
+        # and why it closed ("size" / "idle" / "drain"), stamped at close.
         self.window_size: Optional[int] = None
         self.window_reason: Optional[str] = None
         self._metrics = metrics
@@ -142,7 +145,7 @@ def batch_stats(metrics: MetricsRegistry, max_batch: int) -> dict:
             "max_size": metrics.value("windows.max_size"),
             "occupancy": round(mean_size / max_batch, 4) if mean_size else None,
             "closed_by": {
-                reason: metrics.value(f"windows.closed_by.{reason}") for reason in ("size", "timer", "drain")
+                reason: metrics.value(f"windows.closed_by.{reason}") for reason in ("size", "idle", "drain")
             },
             "over_budget": metrics.value("windows.over_budget"),
             "budget_retried": metrics.value("windows.budget_retried"),
@@ -168,7 +171,6 @@ class MicroBatcher:
     def __init__(
         self,
         execute_window: Callable[[list[QueryRequest]], Sequence[QueryResult]],
-        max_wait_ms: float = 20.0,
         max_batch: int = 32,
         queue_limit: int = 256,
         overload: str = "block",
@@ -177,8 +179,6 @@ class MicroBatcher:
     ) -> None:
         if max_batch < 1:
             raise ServiceError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_ms < 0:
-            raise ServiceError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         if queue_limit < 1:
             raise ServiceError(f"queue_limit must be >= 1, got {queue_limit}")
         if overload not in ("block", "shed"):
@@ -187,7 +187,6 @@ class MicroBatcher:
             raise ServiceError(f"window_budget_ms must be positive, got {window_budget_ms}")
         self._execute_window = execute_window
         self._window_budget_ms = window_budget_ms
-        self._max_wait = max_wait_ms / 1000.0
         self._max_batch = max_batch
         self._queue_limit = queue_limit
         self._overload = overload
@@ -295,7 +294,7 @@ class MicroBatcher:
             if first is _DRAIN:
                 return
             window = [first]
-            reason = await self._fill_window(window)
+            reason = self._fill_window(window)
             now = time.perf_counter()
             for ticket in window:
                 ticket.window_closed_at = now
@@ -311,24 +310,17 @@ class MicroBatcher:
             if reason == "drain":
                 return
 
-    async def _fill_window(self, window: list) -> str:
-        """Grow the window to ``max_batch`` or the timer; returns the close reason.
+    def _fill_window(self, window: list) -> str:
+        """Grow the window from the backlog; returns the close reason.
 
-        Backlog is drained synchronously (no await), so requests that queued
-        while the previous window executed coalesce immediately.
+        Never awaits: whatever queued while the previous window executed
+        coalesces now, and an empty backlog closes the window (``idle``).
         """
-        deadline = time.perf_counter() + self._max_wait
         while len(window) < self._max_batch:
             try:
                 item = self._queue.get_nowait()
             except asyncio.QueueEmpty:
-                timeout = deadline - time.perf_counter()
-                if timeout <= 0:
-                    return "timer"
-                try:
-                    item = await asyncio.wait_for(self._queue.get(), timeout)
-                except asyncio.TimeoutError:
-                    return "timer"
+                return "idle"
             if item is _DRAIN:
                 return "drain"
             window.append(item)

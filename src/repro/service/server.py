@@ -133,7 +133,6 @@ class QueryServer:
             execute = backend.execute_many
         self._batcher = MicroBatcher(
             execute,
-            max_wait_ms=config.max_wait_ms,
             max_batch=config.max_batch,
             queue_limit=config.queue_limit,
             overload=config.overload,
@@ -156,8 +155,8 @@ class QueryServer:
         flushes its open window — its drain sentinel rides the same FIFO
         queue as the tickets, so everything admitted resolves first — and the
         open writers finish delivering every admitted answer.  The batcher
-        drain must not wait for the writers: they are waiting on *it* to
-        close a window that would otherwise sit out its full ``max_wait_ms``.
+        drain must not wait for the writers: they are waiting on *it* for
+        the answers to the requests it still holds.
         """
         if self._drained:
             return
@@ -248,7 +247,6 @@ class QueryServer:
             "connections_served": self.metrics.value("server.connections_served"),
             "mode": self._backend_name(),
             "window": {
-                "max_wait_ms": self.config.max_wait_ms,
                 "max_batch": self.config.max_batch,
                 "queue_limit": self.config.queue_limit,
                 "overload": self.config.overload,

@@ -35,7 +35,6 @@ class TestValidation:
         [
             ({"shards": 0}, "shards"),
             ({"result_cache_size": -1}, "result_cache_size"),
-            ({"max_wait_ms": -0.5}, "max_wait_ms"),
             ({"max_batch": 0}, "max_batch"),
             ({"queue_limit": 0}, "queue_limit"),
             ({"overload": "explode"}, "overload"),
@@ -77,7 +76,7 @@ class TestArgparseRoundTrip:
         assert config.result_cache_size == 64
         assert config.stats
         # Serve-only knobs keep their defaults in file mode.
-        assert config.max_wait_ms == ServiceConfig.max_wait_ms
+        assert config.max_batch == ServiceConfig.max_batch
         assert config.overload == ServiceConfig.overload
 
     def test_serve_mode_flags(self):
@@ -85,7 +84,6 @@ class TestArgparseRoundTrip:
             [
                 "--host", "0.0.0.0",
                 "--port", "4321",
-                "--max-wait-ms", "7.5",
                 "--max-batch", "16",
                 "--queue-limit", "9",
                 "--overload", "shed",
@@ -93,7 +91,6 @@ class TestArgparseRoundTrip:
             serve=True,
         )
         assert (config.host, config.port) == ("0.0.0.0", 4321)
-        assert config.max_wait_ms == 7.5
         assert config.max_batch == 16
         assert config.queue_limit == 9
         assert config.overload == "shed"
@@ -118,6 +115,17 @@ class TestArgparseRoundTrip:
             parser.parse_args(["--metrics-dir", "out", "--metrics-interval-ms", "250"])
         assert exit_info.value.code == 2
         assert "--metrics-interval-ms" in capsys.readouterr().err
+
+    def test_the_window_has_no_timer_flag(self, capsys):
+        # a window closes on an empty backlog, at --max-batch or at drain
+        parser = argparse.ArgumentParser()
+        add_config_arguments(parser, serve=True)
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(["--max-wait-ms", "5"])
+        assert exit_info.value.code == 2
+        assert "--max-wait-ms" in capsys.readouterr().err
+        with pytest.raises(TypeError):
+            ServiceConfig(max_wait_ms=5.0)
 
 
 class TestFactories:

@@ -26,6 +26,7 @@ from repro.service.faults import (
     install_fault_plan,
     installed_plan,
 )
+from repro.service.microbatch import MicroBatcher, batch_stats
 from repro.service.planner import execute_plan
 from repro.service.session import Session
 from repro.service.snapshot import dump_snapshot
@@ -34,6 +35,7 @@ from repro.service.wire import (
     QueryRequest,
     dump_request_line,
     dump_result_line,
+    load_request_line,
     load_result_line,
     request_cache_key,
 )
@@ -297,7 +299,7 @@ class TestCircuitBreaker:
 
         plan = FaultPlan(seed=7, faults=(Fault(kind="crash_request", request_id="q2"),))
         config = ServiceConfig(
-            shards=2, breaker_threshold=1, fault_plan=plan.to_json(), max_wait_ms=5.0
+            shards=2, breaker_threshold=1, fault_plan=plan.to_json()
         )
 
         async def scenario():
@@ -336,7 +338,7 @@ class TestCircuitBreaker:
         assert answers["q2"]["error"]["type"] == "WorkerCrashed"
 
     def test_health_reports_ok_before_any_fault(self):
-        config = ServiceConfig(max_wait_ms=5.0)
+        config = ServiceConfig()
         out, _ = run(serve_stream('{"control":"health"}', config))
         health = json.loads(out[0])["health"]
         assert health["status"] == "ok"
@@ -352,14 +354,23 @@ class TestWindowBudget:
             _req_line(2, "implies", "B = B*C"),
             _req_line(3, "implies", "A = A*C"),
         ]
-        config = ServiceConfig(
-            window_budget_ms=150.0, fault_plan=plan.to_json(), max_wait_ms=30.0, max_batch=8
-        )
-        out, stats = run(serve_stream("\n".join(lines), config))
-        answers = {json.loads(line)["id"]: json.loads(line) for line in out}
+        install_fault_plan(plan.to_json())
+
+        async def scenario():
+            # Submitted back to back, q1-q3 are all queued before the
+            # collector runs, so they share the one over-budget window.
+            batcher = MicroBatcher(Session().execute_many, max_batch=8, window_budget_ms=150.0)
+            async with batcher:
+                tickets = [await batcher.submit(load_request_line(line)) for line in lines]
+                results = [await ticket.result() for ticket in tickets]
+            return results, batch_stats(batcher.metrics, max_batch=8)
+
+        results, stats = run(scenario())
+        answers = {result.id: json.loads(dump_result_line(result)) for result in results}
         assert answers["q1"]["ok"] and answers["q3"]["ok"]
         assert answers["q2"]["error"]["type"] == "Timeout"
         assert "window budget" in answers["q2"]["error"]["message"]
+        assert stats["windows"]["count"] == 1
         assert stats["windows"]["over_budget"] == 1
         assert stats["windows"]["budget_timeouts"] == 1
         assert stats["windows"]["budget_retried"] == 3
@@ -374,7 +385,7 @@ class TestWindowBudget:
             _req_line(3, "implies", "A = A*C"),
         ]
         config = ServiceConfig(
-            window_budget_ms=5_000.0, fault_plan=plan.to_json(), max_wait_ms=30.0, max_batch=8
+            window_budget_ms=5_000.0, fault_plan=plan.to_json(), max_batch=8
         )
         out, stats = run(serve_stream("\n".join(lines), config))
         answers = {json.loads(line)["id"]: json.loads(line) for line in out}

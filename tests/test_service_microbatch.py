@@ -2,8 +2,11 @@
 
 Everything here drives :class:`~repro.service.microbatch.MicroBatcher`
 directly (no sockets) with controllable window executors, so the three
-window-close triggers (size, timer, drain), both overload policies and the
-latency accounting are each pinned deterministically.
+window-close triggers (size, idle, drain), both overload policies and the
+latency accounting are each pinned deterministically.  A window never waits
+for traffic: ``submit`` does not yield while the queue has room, so requests
+submitted back to back are all queued before the collector next runs, and
+they share one window.
 """
 
 import asyncio
@@ -53,8 +56,9 @@ def run(coro):
 class TestWindowTriggers:
     def test_size_trigger_closes_without_waiting(self):
         async def scenario():
-            # The timer is effectively infinite: only the size bound can close.
-            async with MicroBatcher(_echo_executor, max_wait_ms=60_000, max_batch=3) as mb:
+            # All three are queued before the collector runs: the window
+            # reaches the size bound before it can find the backlog empty.
+            async with MicroBatcher(_echo_executor, max_batch=3) as mb:
                 tickets = [await mb.submit(_request(i)) for i in range(3)]
                 results = await asyncio.wait_for(
                     asyncio.gather(*(t.result() for t in tickets)), timeout=5
@@ -67,9 +71,9 @@ class TestWindowTriggers:
         assert stats.value("windows.closed_by.size") == 1
         assert stats.value("windows.max_size") == 3
 
-    def test_timer_trigger_closes_partial_window(self):
+    def test_idle_trigger_closes_partial_window(self):
         async def scenario():
-            async with MicroBatcher(_echo_executor, max_wait_ms=30, max_batch=100) as mb:
+            async with MicroBatcher(_echo_executor, max_batch=100) as mb:
                 tickets = [await mb.submit(_request(i)) for i in range(2)]
                 results = await asyncio.wait_for(
                     asyncio.gather(*(t.result() for t in tickets)), timeout=5
@@ -78,7 +82,8 @@ class TestWindowTriggers:
 
         results, stats = run(scenario())
         assert all(r.ok for r in results)
-        assert stats.value("windows.closed_by.timer") == 1
+        assert stats.value("windows.count") == 1
+        assert stats.value("windows.closed_by.idle") == 1
         assert stats.value("windows.max_size") == 2
 
     def test_backlog_coalesces_into_one_window(self):
@@ -86,7 +91,7 @@ class TestWindowTriggers:
         executor = GatedExecutor()
 
         async def scenario():
-            async with MicroBatcher(executor, max_wait_ms=0, max_batch=10) as mb:
+            async with MicroBatcher(executor, max_batch=10) as mb:
                 first = await mb.submit(_request(0))
                 # Wait until the collector owns the first window (queue empty).
                 while mb.metrics.value("windows.count") < 1:
@@ -110,7 +115,7 @@ class TestOverload:
 
         async def scenario():
             async with MicroBatcher(
-                executor, max_wait_ms=0, max_batch=1, queue_limit=2, overload="shed"
+                executor, max_batch=1, queue_limit=2, overload="shed"
             ) as mb:
                 first = await mb.submit(_request(0))
                 while mb.metrics.value("windows.count") < 1:  # collector holds q0, queue empty again
@@ -140,7 +145,7 @@ class TestOverload:
 
         async def scenario():
             async with MicroBatcher(
-                executor, max_wait_ms=0, max_batch=1, queue_limit=1, overload="block"
+                executor, max_batch=1, queue_limit=1, overload="block"
             ) as mb:
                 first = await mb.submit(_request(0))
                 while mb.metrics.value("windows.count") < 1:
@@ -162,14 +167,16 @@ class TestOverload:
 class TestDrain:
     def test_drain_answers_everything_admitted(self):
         async def scenario():
-            mb = MicroBatcher(_echo_executor, max_wait_ms=60_000, max_batch=100)
+            mb = MicroBatcher(_echo_executor, max_batch=100)
             await mb.start()
             tickets = [await mb.submit(_request(i)) for i in range(5)]
-            # The window would wait a minute; drain must flush it now.
-            await asyncio.wait_for(mb.drain(), timeout=5)
+            # Awaited directly, drain() queues its sentinel behind the backlog
+            # before the collector runs, so one window holds all five and the
+            # sentinel closes it.
+            await mb.drain()
             return [ticket.future.result() for ticket in tickets], mb.metrics
 
-        results, stats = run(scenario())
+        results, stats = run(asyncio.wait_for(scenario(), timeout=5))
         assert [r.id for r in results] == [f"q{i}" for i in range(5)]
         assert stats.value("windows.closed_by.drain") == 1
 
@@ -210,7 +217,7 @@ class TestFaults:
             raise RuntimeError("window executor exploded")
 
         async def scenario():
-            async with MicroBatcher(broken, max_wait_ms=0, max_batch=4) as mb:
+            async with MicroBatcher(broken, max_batch=4) as mb:
                 tickets = [await mb.submit(_request(i)) for i in range(2)]
                 return await asyncio.wait_for(
                     asyncio.gather(*(t.result() for t in tickets)), timeout=5
@@ -226,7 +233,7 @@ class TestFaults:
             return _echo_executor(requests)[:-1]
 
         async def scenario():
-            async with MicroBatcher(lossy, max_wait_ms=0, max_batch=4) as mb:
+            async with MicroBatcher(lossy, max_batch=4) as mb:
                 tickets = [await mb.submit(_request(i)) for i in range(3)]
                 return await asyncio.wait_for(
                     asyncio.gather(*(t.result() for t in tickets)), timeout=5
@@ -239,7 +246,6 @@ class TestFaults:
     def test_invalid_construction_is_rejected(self):
         for kwargs in (
             {"max_batch": 0},
-            {"max_wait_ms": -1},
             {"queue_limit": 0},
             {"overload": "panic"},
         ):
@@ -258,7 +264,7 @@ class TestAccounting:
 
     def test_snapshot_reports_stage_percentiles_and_occupancy(self):
         async def scenario():
-            async with MicroBatcher(_echo_executor, max_wait_ms=5, max_batch=4) as mb:
+            async with MicroBatcher(_echo_executor, max_batch=4) as mb:
                 for round_index in range(3):
                     tickets = [await mb.submit(_request(round_index * 4 + i)) for i in range(4)]
                     for ticket in tickets:
@@ -280,7 +286,7 @@ class TestAccounting:
 
     def test_mark_responded_is_idempotent(self):
         async def scenario():
-            async with MicroBatcher(_echo_executor, max_wait_ms=0, max_batch=1) as mb:
+            async with MicroBatcher(_echo_executor, max_batch=1) as mb:
                 ticket = await mb.submit(_request(0))
                 await ticket.result()
                 ticket.mark_responded()
@@ -318,7 +324,7 @@ class TestRealPipeline:
 
         async def scenario():
             session = Session()
-            async with MicroBatcher(session.execute_many, max_wait_ms=5, max_batch=8) as mb:
+            async with MicroBatcher(session.execute_many, max_batch=8) as mb:
                 tickets = [await mb.submit(request) for request in requests]
                 return [await ticket.result() for ticket in tickets]
 

@@ -8,11 +8,14 @@ The serving contract, pinned over real sockets:
   stream split round-robin (per-connection order preserved while the
   micro-batcher windows across connections);
 * control lines (``stats``/``ping``) answer in-order with latency
-  percentiles and window occupancy;
+  percentiles, window occupancy and the exact window schema;
+* a window closes on an empty backlog: a lone request on an idle server
+  rides a window of one, and requests sent from several connections while
+  a window executes coalesce into the next one;
 * undecodable lines become error results that echo the request ``id`` when
   one parsed, falling back to the connection line number;
-* graceful drain answers everything admitted even when the open window's
-  timer is nowhere near firing;
+* graceful drain answers everything admitted, including requests queued
+  behind a window that is still executing;
 * the ``shed`` overload policy answers surplus requests with well-formed
   ``Overloaded`` error results while admitted requests still succeed;
 * ``python -m repro.service serve`` announces its port, serves, and drains
@@ -101,7 +104,7 @@ async def _poll(predicate, timeout=10.0):
 
 class TestByteIdentity:
     def test_single_connection_matches_batch_pipeline(self, acceptance_stream, expected_lines):
-        config = ServiceConfig(max_wait_ms=5.0, max_batch=32)
+        config = ServiceConfig(max_batch=32)
         lines, stats = run(serve_stream(requests_to_jsonl(acceptance_stream), config))
         assert lines == expected_lines
         assert stats["requests"]["answered"] == len(acceptance_stream)
@@ -115,7 +118,7 @@ class TestByteIdentity:
         slices = [acceptance_stream[i::8] for i in range(8)]
 
         async def scenario():
-            config = ServiceConfig(max_wait_ms=10.0, max_batch=32)
+            config = ServiceConfig(max_batch=32)
             async with QueryServer(config) as server:
                 host, port = server.host, server.port
                 answers = await asyncio.gather(
@@ -137,7 +140,7 @@ class TestByteIdentity:
 
     def test_sharded_backend_serves_byte_identically(self, acceptance_stream, expected_lines):
         prefix = acceptance_stream[:60]
-        config = ServiceConfig(shards=2, max_wait_ms=10.0, max_batch=32)
+        config = ServiceConfig(shards=2, max_batch=32)
         lines, stats = run(serve_stream(requests_to_jsonl(prefix), config))
         assert lines == expected_lines[:60]
         assert stats["server"]["mode"] == "shards=2"
@@ -154,7 +157,7 @@ class TestControlLines:
         ]
 
         async def scenario():
-            async with QueryServer(ServiceConfig(max_wait_ms=5.0)) as server:
+            async with QueryServer(ServiceConfig()) as server:
                 return await _converse(server.host, server.port, lines)
 
         pong, answer, stats_line, unknown = run(scenario())
@@ -165,6 +168,8 @@ class TestControlLines:
         latency = stats["stats"]["latency_ms"]["total"]
         assert set(latency) >= {"p50", "p95", "p99", "mean", "max", "samples"}
         assert set(stats["stats"]["windows"]) >= {"count", "mean_size", "occupancy", "closed_by"}
+        assert set(stats["stats"]["windows"]["closed_by"]) == {"size", "idle", "drain"}
+        assert set(stats["stats"]["server"]["window"]) == {"max_batch", "queue_limit", "overload"}
         assert stats["stats"]["server"]["window"]["overload"] == "block"
         bad = json.loads(unknown)
         assert bad["error"]["type"] == "ServiceError"
@@ -180,7 +185,7 @@ class TestErrorResults:
         ]
 
         async def scenario():
-            async with QueryServer(ServiceConfig(max_wait_ms=5.0)) as server:
+            async with QueryServer(ServiceConfig()) as server:
                 return await _converse(server.host, server.port, lines)
 
         good, bad_request, garbage = (load_result_line(line) for line in run(scenario()))
@@ -198,7 +203,7 @@ class TestErrorResults:
         ]
 
         async def scenario():
-            async with QueryServer(ServiceConfig(max_wait_ms=5.0)) as server:
+            async with QueryServer(ServiceConfig()) as server:
                 return await _converse(server.host, server.port, lines)
 
         old1, good, old2 = (load_result_line(line) for line in run(scenario()))
@@ -209,38 +214,6 @@ class TestErrorResults:
                 "type": "ServiceError",
                 "message": f"request uses version {version}; this service speaks version 3",
             }
-
-
-class TestDrain:
-    def test_drain_answers_admitted_requests_without_waiting_for_the_window_timer(self):
-        requests = [
-            f'{{"v":3,"kind":"implies","id":"d{i}","query":"A = A * B"}}' for i in range(3)
-        ]
-
-        async def scenario():
-            # A one-minute window: only drain can close it promptly.
-            config = ServiceConfig(max_wait_ms=60_000.0, max_batch=100)
-            server = QueryServer(config)
-            host, port = await server.start()
-            reader, writer = await asyncio.open_connection(host, port)
-            writer.write(("".join(line + "\n" for line in requests)).encode("utf-8"))
-            await writer.drain()  # no EOF: the connection stays open
-            await _poll(lambda: server.metrics.value("requests.submitted") >= 3)
-            started = time.perf_counter()
-            await server.drain()
-            elapsed = time.perf_counter() - started
-            answers = [await reader.readline() for _ in requests]
-            trailer = await reader.readline()
-            writer.close()
-            return answers, trailer, elapsed, server.metrics
-
-        answers, trailer, elapsed, stats = run(scenario(), timeout=30)
-        assert elapsed < 30.0  # nowhere near the 60 s window timer
-        decoded = [load_result_line(a.decode("utf-8").strip()) for a in answers]
-        assert [r.id for r in decoded] == ["d0", "d1", "d2"]
-        assert all(r.ok for r in decoded)
-        assert trailer == b""  # the server closed the connection after draining
-        assert stats.value("windows.closed_by.drain") == 1
 
 
 class GatedSession(Session):
@@ -255,6 +228,108 @@ class GatedSession(Session):
         return super().execute_many(requests)
 
 
+class TestIdleWindows:
+    def test_lone_request_on_an_idle_server_rides_a_window_of_one(self):
+        request = '{"v":3,"kind":"implies","id":"lone","query":"A = A"}'
+
+        async def scenario():
+            async with QueryServer(ServiceConfig()) as server:
+                answers = await _converse(server.host, server.port, [request])
+                return answers, server.stats_snapshot()
+
+        (answer,), stats = run(scenario())
+        assert load_result_line(answer).ok
+        windows = stats["windows"]
+        assert (windows["count"], windows["max_size"]) == (1, 1)
+        assert windows["closed_by"] == {"size": 0, "idle": 1, "drain": 0}
+
+    def test_requests_from_several_connections_coalesce_behind_a_running_window(self):
+        connections = 4
+        per_connection = 3
+        slices = [
+            [
+                f'{{"v":3,"kind":"implies","id":"c{c}r{r}","query":"A = A * B"}}'
+                for r in range(per_connection)
+            ]
+            for c in range(connections)
+        ]
+        backlog = connections * per_connection
+        first_line = '{"v":3,"kind":"implies","id":"w1","query":"A = A"}'
+
+        async def scenario():
+            session = GatedSession()
+            server = QueryServer(ServiceConfig(max_batch=32), session=session)
+            await server.start()
+            try:
+                # The first request's window blocks on the gate ...
+                first = asyncio.ensure_future(_converse(server.host, server.port, [first_line]))
+                await _poll(lambda: server.metrics.value("windows.count") >= 1)
+                # ... while every connection's requests queue behind it.
+                others = [
+                    asyncio.ensure_future(_converse(server.host, server.port, lines))
+                    for lines in slices
+                ]
+                await _poll(lambda: server.metrics.value("requests.submitted") >= 1 + backlog)
+                session.gate.set()
+                answers = await asyncio.gather(first, *others)
+                return answers, server.stats_snapshot()
+            finally:
+                session.gate.set()
+                await server.drain()
+
+        answers, stats = run(scenario(), timeout=60)
+        assert [load_result_line(line).id for line in answers[0]] == ["w1"]
+        for lines, got in zip(slices, answers[1:]):
+            decoded = [load_result_line(line) for line in got]
+            assert [r.id for r in decoded] == [json.loads(line)["id"] for line in lines]
+            assert all(r.ok for r in decoded)
+        windows = stats["windows"]
+        assert windows["count"] == 2
+        assert windows["max_size"] == backlog
+        assert windows["closed_by"] == {"size": 0, "idle": 2, "drain": 0}
+
+
+class TestDrain:
+    def test_drain_answers_requests_admitted_behind_a_running_window(self):
+        requests = [
+            f'{{"v":3,"kind":"implies","id":"d{i}","query":"A = A * B"}}' for i in range(3)
+        ]
+
+        async def scenario():
+            session = GatedSession()
+            server = QueryServer(ServiceConfig(max_batch=100), session=session)
+            host, port = await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                # d0 rides a window that blocks on the gate ...
+                writer.write((requests[0] + "\n").encode("utf-8"))
+                await writer.drain()
+                await _poll(lambda: server.metrics.value("windows.count") >= 1)
+                # ... so d1 and d2 are admitted and still unanswered at drain.
+                writer.write(("".join(line + "\n" for line in requests[1:])).encode("utf-8"))
+                await writer.drain()  # no EOF: the connection stays open
+                await _poll(lambda: server.metrics.value("requests.submitted") >= 3)
+                draining = asyncio.ensure_future(server.drain())
+                # The drain sentinel queues behind d1 and d2 before the gate opens.
+                await _poll(lambda: server._batcher._queue.qsize() == 3)
+                session.gate.set()
+                await draining
+                answers = [await reader.readline() for _ in requests]
+                trailer = await reader.readline()
+                writer.close()
+                return answers, trailer, server.metrics
+            finally:
+                session.gate.set()
+                await server.drain()
+
+        answers, trailer, stats = run(scenario(), timeout=30)
+        decoded = [load_result_line(a.decode("utf-8").strip()) for a in answers]
+        assert [r.id for r in decoded] == ["d0", "d1", "d2"]
+        assert all(r.ok for r in decoded)
+        assert trailer == b""  # the server closed the connection after draining
+        assert stats.value("windows.closed_by.drain") == 1
+
+
 class TestOverloadShed:
     def test_surplus_requests_are_shed_with_well_formed_errors(self):
         requests = [
@@ -263,9 +338,7 @@ class TestOverloadShed:
 
         async def scenario():
             session = GatedSession()
-            config = ServiceConfig(
-                max_wait_ms=0.0, max_batch=1, queue_limit=1, overload="shed"
-            )
+            config = ServiceConfig(max_batch=1, queue_limit=1, overload="shed")
             server = QueryServer(config, session=session)
             host, port = await server.start()
             try:

@@ -368,7 +368,7 @@ class TestDeployment:
         warm = Session()
         warm.execute_many(acceptance_stream[:50])
         save_snapshot(warm, tmp_path)
-        config = ServiceConfig(max_wait_ms=5.0, max_batch=32, snapshot_dir=str(tmp_path))
+        config = ServiceConfig(max_batch=32, snapshot_dir=str(tmp_path))
         lines, stats = run(serve_stream(requests_to_jsonl(acceptance_stream), config))
         assert lines == expected_lines
         # Satellite: the session's cache diagnostics ride the stats snapshot.
@@ -379,7 +379,7 @@ class TestDeployment:
         assert drained.cache_info()["misses"] == 0
 
     def test_save_on_drain_creates_the_snapshot_when_none_existed(self, tmp_path):
-        config = ServiceConfig(max_wait_ms=5.0, snapshot_dir=str(tmp_path))
+        config = ServiceConfig(snapshot_dir=str(tmp_path))
         stream = _mixed_stream(20, seed=61)
         run(serve_stream(requests_to_jsonl(stream), config))
         assert snapshot_path(tmp_path).exists()
@@ -392,7 +392,7 @@ class TestDeployment:
         request_lines = requests_to_jsonl(stream).strip().split("\n")
 
         async def scenario():
-            config = ServiceConfig(max_wait_ms=5.0, snapshot_dir=str(tmp_path))
+            config = ServiceConfig(snapshot_dir=str(tmp_path))
             async with QueryServer(config) as server:
                 reader, writer = await asyncio.open_connection(server.host, server.port)
                 payload = "".join(
@@ -418,7 +418,7 @@ class TestDeployment:
 
     def test_control_snapshot_without_a_directory_answers_an_error(self):
         async def scenario():
-            async with QueryServer(ServiceConfig(max_wait_ms=5.0)) as server:
+            async with QueryServer(ServiceConfig()) as server:
                 reader, writer = await asyncio.open_connection(server.host, server.port)
                 writer.write(b'{"control":"snapshot"}\n')
                 await writer.drain()

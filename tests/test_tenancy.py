@@ -421,7 +421,7 @@ class TestServerTenancyStats:
             # the session's result cache instead of its window's batch closure.
             # Controls go on a second connection *after* every request is
             # answered — a control line snapshots stats the moment it is read.
-            async with QueryServer(ServiceConfig(max_wait_ms=5.0, max_batch=1)) as server:
+            async with QueryServer(ServiceConfig(max_batch=1)) as server:
                 await _converse(server.host, server.port, lines)
                 return await _converse(
                     server.host, server.port, ['{"control":"stats"}', '{"control":"health"}']
