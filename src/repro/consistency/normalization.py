@@ -19,21 +19,27 @@ universe:
    ``E``: with ``σ`` mapping each fresh attribute to the subexpression it
    names (and every original attribute to itself), ``A ≤_{E∪E'} B`` iff
    ``σ(A) ≤_E σ(B)``.  The step therefore asks ALG over ``E`` alone — one
-   row read per attribute on an :class:`~repro.implication.alg.ImplicationEngine`
-   whose index already holds every ``σ(A)`` as a vertex — and never closes
-   ``E ∪ E'``.  A caller holding a warm engine over ``E`` passes it in.
+   ``up``-row read per attribute, as a mask, on an
+   :class:`~repro.implication.alg.ImplicationEngine` whose index already
+   holds every ``σ(A)`` as a vertex — and never closes ``E ∪ E'``.  A caller
+   holding a warm engine over ``E`` passes it in.
 
-The result is an :class:`NormalizedDependencies` value carrying the FPD part
-``F`` (as FDs, ready for the chase) and the surviving sum PDs.  Lemma 12.1
-then says a weak instance satisfying ``F`` can be repaired into one
-satisfying everything, so the chase on ``F`` alone decides consistency.
+The pipeline works on integers: the extended universe is numbered once, by
+sorted name, and every FD is emitted as an ``(lhs_mask, rhs_mask)`` pair,
+deduplicated and grouped by left-hand side in first-appearance order — a
+:class:`~repro.relational.chase_engine.CodedFds`, the form the chase engine
+indexes.  The result is an :class:`NormalizedDependencies` value carrying
+that FPD part ``F`` and the surviving sum PDs; its FD objects and closure
+pairs are views built on first read.  Lemma 12.1 then says a weak instance
+satisfying ``F`` can be repaired into one satisfying everything, so the
+chase on ``F`` alone decides consistency.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.dependencies.pd import PartitionDependency, PartitionDependencyLike, as_partition_dependency
@@ -41,6 +47,7 @@ from repro.errors import ConsistencyError
 from repro.expressions.ast import Attr, PartitionExpression, Product, Sum
 from repro.implication.alg import ImplicationEngine
 from repro.relational.attributes import Attribute, AttributeSet
+from repro.relational.chase_engine import CodedFds, bit_positions
 from repro.relational.functional_dependencies import FunctionalDependency
 
 
@@ -61,7 +68,6 @@ class SumConstraint:
         return f"{self.c} <= {self.a} + {self.b}"
 
 
-@dataclass
 class NormalizedDependencies:
     """The output of the Theorem 12 normalization pipeline.
 
@@ -70,13 +76,31 @@ class NormalizedDependencies:
     ``fresh_attributes`` are the attribute names invented by binarization;
     ``attribute_closure_pairs`` are all the ``A ≤ B`` consequences added by
     the closure step (kept for inspection and for the EXPERIMENTS write-up).
+
+    ``F`` is held int-coded, as :attr:`coded_fds` over the sorted extended
+    universe (the form the chase engine indexes), and the closure pairs as
+    one row mask per name; ``fds`` and ``attribute_closure_pairs`` are
+    name-level views built on first read.  Restored artifacts arrive the
+    other way round, and the coded form is then built on first read.
     """
 
-    original: list[PartitionDependency]
-    fds: list[FunctionalDependency] = field(default_factory=list)
-    sum_constraints: list[SumConstraint] = field(default_factory=list)
-    fresh_attributes: list[Attribute] = field(default_factory=list)
-    attribute_closure_pairs: list[tuple[Attribute, Attribute]] = field(default_factory=list)
+    def __init__(
+        self,
+        original: Sequence[PartitionDependency],
+        sum_constraints: Sequence[SumConstraint],
+        fresh_attributes: Sequence[Attribute],
+        coded_fds: Optional[CodedFds] = None,
+        closure_rows: Optional[Sequence[int]] = None,
+        fds: Optional[Sequence[FunctionalDependency]] = None,
+        attribute_closure_pairs: Optional[Sequence[tuple[Attribute, Attribute]]] = None,
+    ) -> None:
+        self.original = list(original)
+        self.sum_constraints = list(sum_constraints)
+        self.fresh_attributes = list(fresh_attributes)
+        self._coded_fds = coded_fds
+        self._closure_rows = closure_rows
+        self._fds = None if fds is None else list(fds)
+        self._closure_pairs = None if attribute_closure_pairs is None else list(attribute_closure_pairs)
 
     @classmethod
     def from_artifacts(
@@ -102,11 +126,37 @@ class NormalizedDependencies:
                 raise ValueError(f"sum-constraint artifact {constraint!r} is not a SumConstraint")
         return cls(
             original=[as_partition_dependency(pd) for pd in original],
-            fds=list(fds),
-            sum_constraints=list(sum_constraints),
-            fresh_attributes=list(fresh_attributes),
+            sum_constraints=sum_constraints,
+            fresh_attributes=fresh_attributes,
+            fds=fds,
             attribute_closure_pairs=[(a, b) for a, b in attribute_closure_pairs],
         )
+
+    @property
+    def coded_fds(self) -> CodedFds:
+        """``F`` int-coded: ``(lhs_mask, rhs_mask)`` pairs grouped by left-hand side."""
+        if self._coded_fds is None:
+            self._coded_fds = CodedFds.from_fds(self._fds)
+        return self._coded_fds
+
+    @property
+    def fds(self) -> list[FunctionalDependency]:
+        """``F`` as FD objects, in emission order."""
+        if self._fds is None:
+            self._fds = self._coded_fds.fds()
+        return self._fds
+
+    @property
+    def attribute_closure_pairs(self) -> list[tuple[Attribute, Attribute]]:
+        """The closure step's ``A ≤ B`` pairs, in row-major order of the sorted universe."""
+        if self._closure_pairs is None:
+            names = self._coded_fds.names
+            self._closure_pairs = [
+                (names[i], names[j])
+                for i, row in enumerate(self._closure_rows)
+                for j in bit_positions(row)
+            ]
+        return self._closure_pairs
 
     @property
     def universe(self) -> AttributeSet:
@@ -114,8 +164,7 @@ class NormalizedDependencies:
         attrs: set[Attribute] = set(self.fresh_attributes)
         for pd in self.original:
             attrs |= set(pd.attributes)
-        for fd in self.fds:
-            attrs |= set(fd.attributes)
+        attrs.update(self.coded_fds.names)
         for constraint in self.sum_constraints:
             attrs |= {constraint.a, constraint.b, constraint.c}
         return AttributeSet(attrs)
@@ -208,16 +257,17 @@ def normalize_dependencies(
     universe: set[Attribute] = set(fresh)
     for pd in pds:
         universe |= set(pd.attributes)
+    # The sorted names are the bit positions of every mask below.
     names = sorted(universe)
-    # One AttributeSet per name, shared by every unary FD below.
-    single = {name: AttributeSet([name]) for name in names}
+    bit = {name: 1 << i for i, name in enumerate(names)}
 
-    # Step 2: re-express everything as FPDs (i.e. FDs) plus sum constraints.
-    fds: list[FunctionalDependency] = []
+    # Step 2: re-express everything as FPDs (i.e. FDs, as mask pairs) plus
+    # sum constraints.
+    fds: list[tuple[int, int]] = []
     sum_constraints: list[SumConstraint] = []
     for left, right in aliases:
-        fds.append(FunctionalDependency(single[left], single[right]))
-        fds.append(FunctionalDependency(single[right], single[left]))
+        fds.append((bit[left], bit[right]))
+        fds.append((bit[right], bit[left]))
     # σ: each fresh attribute -> the (hash-consed) subexpression of E it names.
     # Equations come children first, so operands are always resolved already.
     sigma: dict[Attribute, PartitionExpression] = {}
@@ -226,41 +276,42 @@ def normalize_dependencies(
         right = sigma[b] if b in sigma else Attr(b)
         if op == "*":
             # C = A·B  ⇔  C ≤ A·B  and  A·B ≤ C.
-            fds.append(FunctionalDependency(single[c], [a, b]))
-            fds.append(FunctionalDependency([a, b], single[c]))
+            fds.append((bit[c], bit[a] | bit[b]))
+            fds.append((bit[a] | bit[b], bit[c]))
             sigma[c] = Product(left, right)
         else:
             # C = A+B  ⇔  A ≤ C, B ≤ C and C ≤ A+B.
-            fds.append(FunctionalDependency(single[a], single[c]))
-            fds.append(FunctionalDependency(single[b], single[c]))
+            fds.append((bit[a], bit[c]))
+            fds.append((bit[b], bit[c]))
             sum_constraints.append(SumConstraint(c, a, b))
             sigma[c] = Sum(left, right)
 
-    # Step 3: A ≤_{E∪E'} B iff σ(A) ≤_E σ(B), read off E's rows in the
-    # row-major order of the sorted universe.
+    # Step 3: A ≤_{E∪E'} B iff σ(A) ≤_E σ(B).  Row i of E's answer is the
+    # mask of the names above names[i] — read in row-major order.
     images = [sigma[name] if name in sigma else Attr(name) for name in names]
-    closure_pairs = [(names[i], names[j]) for i, j in engine.leq_pairs(images)]
-    for a, b in closure_pairs:
-        fds.append(FunctionalDependency(single[a], single[b]))
+    closure_rows = engine.leq_masks(images)
+    for i, row in enumerate(closure_rows):
+        fds.extend((1 << i, 1 << j) for j in bit_positions(row))
 
     # Prune subsumed sum constraints: with A ≤ B, C ≤ A+B reduces to C ≤ B
     # (resp. C ≤ A when B ≤ A), an FD the closure pairs above already hold.
-    order = set(closure_pairs)
+    position = {name: i for i, name in enumerate(names)}
     surviving = [
         constraint
         for constraint in sum_constraints
-        if (constraint.a, constraint.b) not in order and (constraint.b, constraint.a) not in order
+        if not closure_rows[position[constraint.a]] & bit[constraint.b]
+        and not closure_rows[position[constraint.b]] & bit[constraint.a]
     ]
 
     # Deduplicate FDs while preserving order, then drop trivial ones (X -> X).
-    unique_fds = [fd for fd in dict.fromkeys(fds) if not fd.is_trivial()]
+    unique_fds = [(lhs, rhs) for lhs, rhs in dict.fromkeys(fds) if rhs & ~lhs]
 
     return NormalizedDependencies(
         original=pds,
-        fds=unique_fds,
         sum_constraints=surviving,
-        fresh_attributes=list(fresh),
-        attribute_closure_pairs=closure_pairs,
+        fresh_attributes=fresh,
+        coded_fds=CodedFds(names, unique_fds),
+        closure_rows=closure_rows,
     )
 
 

@@ -11,12 +11,14 @@ The pipeline, following §6.2:
    (:mod:`repro.consistency.normalization`); the closure step asks ALG over
    ``E`` itself, on a caller's warm engine when one is at hand;
 2. by Lemma 12.1, ``d`` has a weak instance satisfying ``E⁺`` iff it has one
-   satisfying ``F`` alone, so run Honeyman's chase on ``(d, F)``.  A column
-   of ``d`` that happens to share its name with one of the fresh attributes
-   invented in step 1 is renamed for the chase, since ``E`` says nothing
-   about it;
-3. report the verdict; on success also construct a witness interpretation
-   ``I(w)`` from the chased weak instance (per Theorem 7's proof).
+   satisfying ``F`` alone, so run Honeyman's chase on ``(d, F)`` — on the
+   int-coded :class:`~repro.relational.chase_engine.ChaseEngine`, built from
+   step 1's coded ``F``.  A column of ``d`` that happens to share its name
+   with one of the fresh attributes invented in step 1 is renamed for the
+   chase, since ``E`` says nothing about it;
+3. report the verdict and, on success, the chased weak instance; the
+   witness interpretation ``I(w)`` (per Theorem 7's proof) is constructed
+   from it when first read.
 
 The witness of step 3 satisfies ``F`` but not necessarily the pruned sum
 constraints (Lemma 12.1 repairs those with an infinite sequence of tuple
@@ -32,10 +34,12 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 from repro.consistency.normalization import NormalizedDependencies, SumConstraint, normalize_dependencies
 from repro.dependencies.pd import PartitionDependencyLike, as_partition_dependency
+from repro.errors import ConsistencyError
 from repro.partitions.canonical import canonical_interpretation
 from repro.partitions.interpretation import PartitionInterpretation
 from repro.relational.attributes import Attribute, AttributeSet
@@ -45,7 +49,7 @@ from repro.relational.functional_dependencies import closure
 from repro.relational.relations import Relation
 from repro.relational.schema import RelationScheme
 from repro.relational.tuples import Row
-from repro.relational.weak_instance import WeakInstanceResult, weak_instance_consistency
+from repro.relational.weak_instance import WeakInstanceResult, chase_weak_instance
 
 
 @dataclass(frozen=True)
@@ -55,7 +59,8 @@ class PdConsistencyResult:
     ``consistent`` — the verdict (polynomial-time, exact);
     ``normalized`` — the normalization artifacts (FD set ``F``, sum constraints, closure pairs);
     ``weak_instance`` — a weak instance for ``d`` satisfying ``F`` (when consistent);
-    ``interpretation`` — ``I(w)`` for that weak instance (satisfies ``d`` and ``F``).
+    ``interpretation`` — ``I(w)`` for that weak instance (satisfies ``d`` and ``F``),
+    built on first read.
 
     A fresh attribute of ``F`` that shares its name with a column of ``d``
     appears in ``weak_instance`` under a primed name (``Z1'``), so every
@@ -65,8 +70,13 @@ class PdConsistencyResult:
     consistent: bool
     normalized: NormalizedDependencies
     weak_instance: Optional[Relation]
-    interpretation: Optional[PartitionInterpretation]
     chase: WeakInstanceResult
+
+    @cached_property
+    def interpretation(self) -> Optional[PartitionInterpretation]:
+        if not self.weak_instance:
+            return None
+        return canonical_interpretation(self.weak_instance)
 
 
 def pd_consistency(
@@ -84,16 +94,24 @@ def pd_consistency(
     step off an ALG engine over ``E`` — a warm one if the caller passes it)
     can pass ``normalized`` to skip re-normalizing; a prebuilt ``engine``
     (from :func:`pd_chase_engine`) additionally skips the chase engine's own
-    FD preprocessing.  :func:`pd_consistency_many` wires both up for a batch
-    of databases.  Database columns named like a fresh attribute of ``F``
-    are renamed for the chase (see :class:`PdConsistencyResult`).
+    FD preprocessing.  An engine built from ``normalized.coded_fds`` is
+    accepted by identity; any other must chase the same FD set, or
+    :class:`~repro.errors.ConsistencyError` is raised.
+    :func:`pd_consistency_many` wires both up for a batch of databases.
+    Database columns named like a fresh attribute of ``F`` are renamed for
+    the chase (see :class:`PdConsistencyResult`).
     """
     if normalized is None:
         normalized = normalize_dependencies([as_partition_dependency(pd) for pd in dependencies])
     if engine is None:
-        engine = ChaseEngine(normalized.fds)
+        engine = ChaseEngine(normalized.coded_fds)
+    elif engine.coded is not normalized.coded_fds and set(engine.fds) != set(normalized.fds):
+        raise ConsistencyError(
+            "the prebuilt chase engine was constructed from a different FD set "
+            "than the normalized one being tested"
+        )
     database, renaming = _rename_fresh_collisions(database, normalized)
-    chase_result = weak_instance_consistency(database, normalized.fds, engine=engine)
+    chase_result = chase_weak_instance(database, engine)
     if renaming and chase_result.consistent:
         chase_result = replace(chase_result, witness=_swap_back(chase_result.witness, renaming))
     return _result_from_chase(normalized, chase_result)
@@ -140,13 +158,8 @@ def _swap_back(witness: Relation, renaming: dict[Attribute, Attribute]) -> Relat
 def _result_from_chase(
     normalized: NormalizedDependencies, chase_result: WeakInstanceResult
 ) -> PdConsistencyResult:
-    """Assemble the Theorem 12 result (witness + interpretation) from a chase outcome."""
-    if not chase_result.consistent:
-        return PdConsistencyResult(False, normalized, None, None, chase_result)
-    witness = chase_result.witness
-    assert witness is not None
-    interpretation = canonical_interpretation(witness) if len(witness) else None
-    return PdConsistencyResult(True, normalized, witness, interpretation, chase_result)
+    """Assemble the Theorem 12 result from a chase outcome (``I(w)`` is built on first read)."""
+    return PdConsistencyResult(chase_result.consistent, normalized, chase_result.witness, chase_result)
 
 
 def pd_consistency_many(
@@ -164,7 +177,7 @@ def pd_consistency_many(
     """
     if normalized is None:
         normalized = normalize_dependencies([as_partition_dependency(pd) for pd in dependencies])
-    engine = ChaseEngine(normalized.fds)
+    engine = ChaseEngine(normalized.coded_fds)
     return [
         pd_consistency(database, dependencies, engine=engine, normalized=normalized)
         for database in databases
@@ -190,7 +203,7 @@ def pd_chase_engine(
     """
     if normalized is None:
         normalized = normalize_dependencies([as_partition_dependency(pd) for pd in dependencies])
-    return ChaseEngine(normalized.fds)
+    return ChaseEngine(normalized.coded_fds)
 
 
 # -- the Lemma 12.1 repair step -------------------------------------------------------------

@@ -46,7 +46,7 @@ from repro.expressions.ast import (
     Sum,
     as_expression,
 )
-from repro.implication.index import ImplicationIndex
+from repro.implication.index import ImplicationIndex, _bits
 
 
 def _vertex_set(
@@ -332,22 +332,27 @@ class ImplicationEngine:
         relation = self._ensure([p, q])
         return relation.has(relation.index[p], relation.index[q])
 
-    def leq_pairs(self, expressions: Iterable[ExpressionLike]) -> list[tuple[int, int]]:
-        """Position pairs ``(i, j)``, ``i ≠ j``, with ``expressions[i] ≤_E expressions[j]``.
+    def leq_masks(self, expressions: Iterable[ExpressionLike]) -> list[int]:
+        """Per position ``i``, the mask of positions ``j ≠ i`` with ``expressions[i] ≤_E expressions[j]``.
 
-        Row-major order.  Delegates to :meth:`ImplicationIndex.leq_pairs`
-        (one row read per expression); naive engines run the ``leq`` loop.
+        Delegates to :meth:`ImplicationIndex.leq_masks` (one row read per
+        expression); naive engines run the ``leq`` loop.
         """
         exprs = [as_expression(e) for e in expressions]
         if self._index is not None:
-            return self._index.leq_pairs(exprs)
+            return self._index.leq_masks(exprs)
         self.prepare(exprs)
         return [
-            (i, j)
+            sum(1 << j for j, right in enumerate(exprs) if i != j and self.leq(left, right))
             for i, left in enumerate(exprs)
-            for j, right in enumerate(exprs)
-            if i != j and self.leq(left, right)
         ]
+
+    def leq_pairs(self, expressions: Iterable[ExpressionLike]) -> list[tuple[int, int]]:
+        """Position pairs ``(i, j)``, ``i ≠ j``, with ``expressions[i] ≤_E expressions[j]``.
+
+        Row-major order: :meth:`leq_masks`, spelled out.
+        """
+        return [(i, j) for i, row in enumerate(self.leq_masks(expressions)) for j in _bits(row)]
 
     def class_id(self, expression: ExpressionLike) -> Optional[int]:
         """The ``=_E`` congruence-class id of an expression, or ``None`` on naive engines.

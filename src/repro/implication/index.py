@@ -184,27 +184,35 @@ class ImplicationIndex:
         self._drain()
         return bool(self._up[p] >> q & 1)
 
-    def leq_pairs(self, expressions: Sequence[ExpressionLike]) -> list[tuple[int, int]]:
-        """Position pairs ``(i, j)``, ``i ≠ j``, with ``expressions[i] ≤_E expressions[j]``.
+    def leq_masks(self, expressions: Sequence[ExpressionLike]) -> list[int]:
+        """Per position ``i``, the mask of positions ``j ≠ i`` with ``expressions[i] ≤_E expressions[j]``.
 
-        Pairs come in row-major order.  Each expression costs one ``up``-row
-        read, masked down to the vertices of the list, instead of one
-        :meth:`leq` per pair.  Repeated expressions share a vertex, so each
-        copy lies below the other.  Unregistered expressions are registered
-        first, as :meth:`leq` does.
+        Each expression costs one ``up``-row read, masked down to the vertices
+        of the list and spread onto the positions holding them.  Repeated
+        expressions share a vertex, so each copy lies below the other.
+        Unregistered expressions are registered first, as :meth:`leq` does.
         """
         vids = [self._register(as_expression(raw)) for raw in expressions]
         self._drain()
-        positions: dict[int, list[int]] = {}
+        spread: dict[int, int] = {}
         for position, vid in enumerate(vids):
-            positions.setdefault(vid, []).append(position)
-        mask = sum(1 << vid for vid in positions)
+            spread[vid] = spread.get(vid, 0) | 1 << position
+        mask = sum(1 << vid for vid in spread)
         up = self._up
-        pairs: list[tuple[int, int]] = []
+        rows = []
         for i, vid in enumerate(vids):
-            above = sorted(j for target in _bits(up[vid] & mask) for j in positions[target])
-            pairs.extend((i, j) for j in above if j != i)
-        return pairs
+            row = 0
+            for target in _bits(up[vid] & mask):
+                row |= spread[target]
+            rows.append(row & ~(1 << i))
+        return rows
+
+    def leq_pairs(self, expressions: Sequence[ExpressionLike]) -> list[tuple[int, int]]:
+        """Position pairs ``(i, j)``, ``i ≠ j``, with ``expressions[i] ≤_E expressions[j]``.
+
+        Pairs come in row-major order: :meth:`leq_masks`, spelled out.
+        """
+        return [(i, j) for i, row in enumerate(self.leq_masks(expressions)) for j in _bits(row)]
 
     def has_arc(self, left: ExpressionLike, right: ExpressionLike) -> bool:
         """``left ≤_E right`` for already-registered expressions (no new vertices).

@@ -9,7 +9,6 @@ Honeyman's weak-instance consistency test.
 from repro.relational.attributes import Attribute, AttributeSet, Symbol, as_attribute_set
 from repro.relational.chase import (
     ChaseResult,
-    MergeListener,
     Tableau,
     TableauValue,
     chase_database,
@@ -18,6 +17,7 @@ from repro.relational.chase import (
 )
 from repro.relational.chase_engine import (
     ChaseEngine,
+    CodedFds,
     chase_database_indexed,
     chase_fds_indexed,
     chase_many,
@@ -68,12 +68,12 @@ __all__ = [
     "theorem5_mvd",
     "Tableau",
     "TableauValue",
-    "MergeListener",
     "ChaseResult",
     "chase_fds",
     "chase_database",
     "representative_instance",
     "ChaseEngine",
+    "CodedFds",
     "chase_fds_indexed",
     "chase_database_indexed",
     "chase_many",

@@ -25,7 +25,7 @@ its results are reproducible across runs.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -81,11 +81,6 @@ class TableauValue:
         return (0 if self.is_constant else 1, len(self.label), self.label)
 
 
-#: Signature of a merge-event listener: ``(winner_root, loser_root)`` after a
-#: successful union that actually merged two distinct classes.
-MergeListener = Callable[[TableauValue, TableauValue], None]
-
-
 class _UnionFind:
     """Union-find over tableau values with constant-aware representative election.
 
@@ -93,23 +88,14 @@ class _UnionFind:
     (ties between nulls break on :meth:`TableauValue.election_key`, so the
     elected representative does not depend on merge order); merging two
     classes that contain *different* constants is the hard failure the chase
-    reports.  Every effective merge is reported to the registered listeners
-    — path compression in :meth:`find` never changes a class, so it never
-    fires an event.
+    reports.
     """
 
     def __init__(self) -> None:
         self._parent: dict[TableauValue, TableauValue] = {}
-        self._listeners: list[MergeListener] = []
 
     def add(self, value: TableauValue) -> None:
         self._parent.setdefault(value, value)
-
-    def add_listener(self, listener: MergeListener) -> None:
-        self._listeners.append(listener)
-
-    def remove_listener(self, listener: MergeListener) -> None:
-        self._listeners.remove(listener)
 
     def find(self, value: TableauValue) -> TableauValue:
         parent = self._parent
@@ -131,8 +117,6 @@ class _UnionFind:
 
         Returns ``True`` on success and ``False`` when both classes already
         contain distinct constants (an FD violation that cannot be repaired).
-        On an effective merge, listeners are notified with the surviving and
-        the absorbed root, in registration order.
         """
         root_a, root_b = self.find(first), self.find(second)
         if root_a == root_b:
@@ -143,8 +127,6 @@ class _UnionFind:
             root_a, root_b = root_b, root_a
         # root_a wins the election (constant if any); point root_b at it.
         self._parent[root_b] = root_a
-        for listener in self._listeners:
-            listener(root_a, root_b)
         return True
 
 
@@ -212,23 +194,6 @@ class Tableau:
         """Equate two values; False signals an unrepairable constant clash."""
         return self._uf.union(first, second)
 
-    def add_merge_listener(self, listener: MergeListener) -> None:
-        """Subscribe to merge events.
-
-        ``listener(winner, loser)`` is invoked after every *effective* merge:
-        ``loser`` was a class representative and its whole class now resolves
-        to ``winner``.  No event fires for a no-op equate (values already in
-        one class) or for path compression (which never changes a class).
-        Incremental indexes over the tableau — the chase engine's key maps —
-        subscribe here so that only rows whose representatives actually
-        changed are re-keyed.
-        """
-        self._uf.add_listener(listener)
-
-    def remove_merge_listener(self, listener: MergeListener) -> None:
-        """Unsubscribe a listener previously added with :meth:`add_merge_listener`."""
-        self._uf.remove_listener(listener)
-
     def rows_as_values(self) -> list[dict[Attribute, TableauValue]]:
         """Snapshot of all rows with representatives resolved."""
         return [
@@ -250,7 +215,6 @@ class Tableau:
         return Relation(scheme, rows)
 
 
-@dataclass(frozen=True)
 class ChaseResult:
     """Outcome of chasing a tableau with a set of FDs.
 
@@ -258,12 +222,36 @@ class ChaseResult:
     constants; in that case ``violation`` names the FD responsible.
     ``tableau`` is the chased tableau (final state in either case) and
     ``steps`` counts the number of successful equate operations performed.
+    :meth:`to_relation` renders the chased tableau as a relation.
     """
 
-    consistent: bool
-    tableau: Tableau
-    steps: int
-    violation: Optional[FunctionalDependency] = None
+    __slots__ = ("consistent", "steps", "violation", "_tableau")
+
+    def __init__(
+        self,
+        consistent: bool,
+        tableau: Optional[Tableau],
+        steps: int,
+        violation: Optional[FunctionalDependency] = None,
+    ) -> None:
+        self.consistent = consistent
+        self.steps = steps
+        self.violation = violation
+        self._tableau = tableau
+
+    @property
+    def tableau(self) -> Tableau:
+        return self._tableau
+
+    def to_relation(self, name: str = "chased") -> Relation:
+        """The chased tableau as a relation (see :meth:`Tableau.to_relation`)."""
+        return self.tableau.to_relation(name)
+
+    def __repr__(self) -> str:
+        return (
+            f"ChaseResult(consistent={self.consistent}, steps={self.steps}, "
+            f"violation={self.violation})"
+        )
 
 
 def representative_instance(database: Database, universe: Optional[AttributeSet] = None) -> Tableau:

@@ -105,7 +105,7 @@ class Relation:
 
     def sorted_rows(self) -> list[Row]:
         """The rows in a deterministic (sorted) order, for display and hashing-free iteration."""
-        return sorted(self._rows, key=lambda row: row.values_on(self.attributes))
+        return sorted(self._rows, key=Row.sort_key)
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self.sorted_rows())

@@ -113,6 +113,10 @@ class Row(Mapping[Attribute, Symbol]):
             raise SchemaError(f"tuple has no attributes {sorted(missing)}")
         return tuple(self._cells[a] for a in target)
 
+    def sort_key(self) -> tuple[Symbol, ...]:
+        """All symbols in sorted attribute order: :meth:`values_on` over the row's own attributes."""
+        return tuple(self._cells.values())
+
     def agrees_with(self, other: "Row", attributes: Union[str, AttributeSet]) -> bool:
         """True iff this tuple and ``other`` coincide on every attribute in ``attributes``."""
         target = as_attribute_set(attributes)

@@ -12,6 +12,11 @@ distinct constants.  Moreover the chased tableau itself (with nulls rendered
 as fresh symbols) *is* a weak instance satisfying Σ whenever the test
 succeeds, which is exactly the constructive content the paper's Theorems 6
 and 7 rely on.
+
+The chase runs on the int-coded
+:class:`~repro.relational.chase_engine.ChaseEngine`, which renders the
+witness straight from its int tableau; the object chase of
+:mod:`repro.relational.chase` stays as the cross-check oracle.
 """
 
 from __future__ import annotations
@@ -73,15 +78,15 @@ def weak_instance_consistency(
     """Honeyman's test: is ``database`` consistent with ``fds`` under the weak-instance assumption?
 
     Runs the FD chase on the representative instance — via the indexed,
-    delta-driven :class:`~repro.relational.chase_engine.ChaseEngine` (the
-    naive :func:`~repro.relational.chase.chase_fds` produces the identical
-    tableau and survives as a cross-check oracle).  Callers issuing many
-    tests against one FD set can pass a prebuilt ``engine`` to amortize the
-    FD preprocessing; it must have been built from the same dependencies as
-    ``fds`` (a mismatch raises, rather than silently chasing with the
+    delta-driven, int-coded :class:`~repro.relational.chase_engine.ChaseEngine`
+    (the naive :func:`~repro.relational.chase.chase_fds` produces the
+    identical tableau and survives as a cross-check oracle).  Callers issuing
+    many tests against one FD set can pass a prebuilt ``engine`` to amortize
+    the FD preprocessing; it must have been built from the same dependencies
+    as ``fds`` (a mismatch raises, rather than silently chasing with the
     engine's set and reporting the verdict against the other).  On success
-    the chased tableau is materialized into an actual weak instance
-    satisfying the FDs and returned as the witness.
+    the chased instance is rendered as an actual weak instance satisfying the
+    FDs and returned as the witness.
     """
     if engine is None:
         engine = ChaseEngine(fds)
@@ -90,11 +95,22 @@ def weak_instance_consistency(
             "the prebuilt chase engine was constructed from a different FD set "
             "than the one being tested"
         )
+    return chase_weak_instance(database, engine, witness_name)
+
+
+def chase_weak_instance(
+    database: Database, engine: ChaseEngine, witness_name: str = "weak_instance"
+) -> WeakInstanceResult:
+    """Honeyman's test with ``engine``'s own FD set — the body of :func:`weak_instance_consistency`.
+
+    Callers that built ``engine`` from their own artifact (Theorem 12's
+    :func:`~repro.consistency.pd_consistency.pd_consistency`) call this
+    directly, skipping the FD-set comparison.
+    """
     result = engine.chase_database(database)
     if not result.consistent:
         return WeakInstanceResult(False, None, result)
-    witness = result.tableau.to_relation(witness_name)
-    return WeakInstanceResult(True, witness, result)
+    return WeakInstanceResult(True, result.to_relation(witness_name), result)
 
 
 def is_consistent_with_fds(database: Database, fds: Sequence[FunctionalDependency]) -> bool:

@@ -135,7 +135,7 @@ class DependencyContext:
     @property
     def chase_engine(self) -> ChaseEngine:
         if self._chase_engine is None:
-            self._chase_engine = ChaseEngine(self.normalized.fds)
+            self._chase_engine = ChaseEngine(self.normalized.coded_fds)
         return self._chase_engine
 
     def peek_engine(self) -> Optional[ImplicationEngine]:

@@ -386,7 +386,7 @@ def _restore_context(context_cls, dependencies, index_payload, normalized_payloa
     normalized = chase_engine = None
     if normalized_payload is not None:
         normalized = _decode_normalized(normalized_payload, dependencies)
-        chase_engine = ChaseEngine(normalized.fds)
+        chase_engine = ChaseEngine(normalized.coded_fds)
     if engine is None and normalized is None:
         return context_cls(dependencies)
     return context_cls.from_artifacts(

@@ -5,12 +5,18 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.expressions.ast import Attr, PartitionExpression, Product, Sum
 from repro.partitions.partition import Partition
 from repro.relational.relations import Relation
 from repro.relational.tuples import Row
+
+# CI runs the suite with ``--hypothesis-profile=ci``: no per-example deadline
+# (shared runners stall unpredictably) and a reproduction blob printed with
+# every falsifying example, so a failure on any matrix Python can be replayed.
+settings.register_profile("ci", deadline=None, print_blob=True)
 
 # ---------------------------------------------------------------------------
 # Plain fixtures

@@ -1,9 +1,9 @@
-"""Tests for the indexed chase engine and the tableau merge-event hook.
+"""Tests for the indexed, int-coded chase engine.
 
 The naive :func:`chase_fds` is kept as the oracle (the
 ``alg_closure_naive``/``alg_closure`` pattern): the engine must produce
-byte-identical chased tableaux on randomized workloads, and the merge-event
-hook must report exactly the class merges — never path compression.
+byte-identical chased tableaux on randomized workloads, and representative
+election must be the order the engine codes as "smaller id wins".
 """
 
 import random
@@ -33,68 +33,16 @@ from repro.workloads.random_dependencies import random_fd_set, random_pd_set
 from repro.workloads.random_relations import chained_consistent_database, random_database
 
 
-class TestMergeEventHook:
-    def test_equate_fires_merge_event(self):
-        tableau = Tableau("AB")
-        i = tableau.add_row({"A": "a"})
-        events = []
-        tableau.add_merge_listener(lambda winner, loser: events.append((winner, loser)))
-        null = tableau.value(i, "B")
-        constant = tableau.value(i, "A")
-        assert tableau.equate(null, constant)
-        assert events == [(constant, null)]
-
-    def test_no_event_for_noop_equate(self):
-        tableau = Tableau("A")
-        i = tableau.add_row({"A": "a"})
-        events = []
-        tableau.add_merge_listener(lambda winner, loser: events.append((winner, loser)))
-        value = tableau.value(i, "A")
-        assert tableau.equate(value, value)
-        assert events == []
-
-    def test_no_event_for_failed_equate(self):
-        tableau = Tableau("A")
-        events = []
-        tableau.add_merge_listener(lambda winner, loser: events.append((winner, loser)))
-        assert not tableau.equate(TableauValue.constant("a"), TableauValue.constant("b"))
-        assert events == []
-
-    def test_no_event_from_path_compression(self):
-        # Build a chain n1 <- n2 <- n3 by merging, then clear the log: a find
-        # on the deep element compresses the path but must not fire events.
-        tableau = Tableau("ABC")
-        i = tableau.add_row({})
-        a, b, c = (tableau.value(i, x) for x in "ABC")
-        events = []
-        tableau.add_merge_listener(lambda winner, loser: events.append((winner, loser)))
-        tableau.equate(b, c)
-        tableau.equate(a, b)
-        merge_count = len(events)
-        assert merge_count == 2
-        assert tableau.value(i, "C") == tableau.value(i, "A")  # find + compression
-        assert len(events) == merge_count
-
-    def test_removed_listener_stops_firing(self):
-        tableau = Tableau("AB")
-        i = tableau.add_row({"A": "a"})
-        events = []
-        listener = lambda winner, loser: events.append((winner, loser))  # noqa: E731
-        tableau.add_merge_listener(listener)
-        tableau.remove_merge_listener(listener)
-        tableau.equate(tableau.value(i, "B"), tableau.value(i, "A"))
-        assert events == []
+class TestRepresentativeElection:
+    """The election order the int engine codes as "smaller id wins"."""
 
     def test_constant_always_wins_election(self):
         tableau = Tableau("AB")
         i = tableau.add_row({"B": "b"})
         null = tableau.value(i, "A")
         constant = tableau.value(i, "B")
-        events = []
-        tableau.add_merge_listener(lambda winner, loser: events.append((winner, loser)))
         # Argument order must not matter: the constant is elected either way.
         assert tableau.equate(constant, null)
-        assert events == [(constant, null)]
         assert tableau.value(i, "A") == constant
 
     def test_null_election_is_order_independent(self):
@@ -110,7 +58,7 @@ class TestMergeEventHook:
 
 
 class TestEngineMatchesNaiveOracle:
-    """Regression for the merge-hook/delta machinery: engine == naive, always."""
+    """Regression for the delta machinery: engine == naive, always."""
 
     def test_randomized_cross_check(self):
         for seed in range(60):
