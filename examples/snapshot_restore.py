@@ -4,7 +4,9 @@ The full snapshot lifecycle on one small workload:
 
 1. warm a :class:`~repro.service.session.Session` — the ALG implication
    closure, the Theorem 12 normalization artifacts and the result cache all
-   materialize as a mixed stream is answered;
+   materialize as a mixed stream is answered.  A snapshot holds Γ, the
+   implication index and the result cache; the normalization is a function
+   of Γ, so a restored session rebuilds it on its first weak-instance read;
 2. export the warm state with :meth:`Session.export_snapshot` — one
    canonical, versioned, digest-protected JSON document;
 3. simulate a process restart by restoring into a *fresh* session with

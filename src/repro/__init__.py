@@ -32,8 +32,8 @@ Quickstart::
     relation_satisfies_pd(r, "A = A*B")        # FD-style constraint
     pd_implies(["A = A*B", "B = B*C"], "A = A*C")   # implication via ALG
 
-See ``examples/`` for complete programs and ``DESIGN.md`` / ``EXPERIMENTS.md``
-for the reproduction map.
+See ``examples/`` for complete programs and ``README.md`` for the
+reproduction map.
 """
 
 from repro.consistency import (

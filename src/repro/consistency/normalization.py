@@ -75,13 +75,12 @@ class NormalizedDependencies:
     universe; ``sum_constraints`` are the surviving ``C ≤ A+B`` constraints;
     ``fresh_attributes`` are the attribute names invented by binarization;
     ``attribute_closure_pairs`` are all the ``A ≤ B`` consequences added by
-    the closure step (kept for inspection and for the EXPERIMENTS write-up).
+    the closure step (kept for inspection).
 
     ``F`` is held int-coded, as :attr:`coded_fds` over the sorted extended
     universe (the form the chase engine indexes), and the closure pairs as
     one row mask per name; ``fds`` and ``attribute_closure_pairs`` are
-    name-level views built on first read.  Restored artifacts arrive the
-    other way round, and the coded form is then built on first read.
+    name-level views of them, built on first read.
     """
 
     def __init__(
@@ -89,68 +88,29 @@ class NormalizedDependencies:
         original: Sequence[PartitionDependency],
         sum_constraints: Sequence[SumConstraint],
         fresh_attributes: Sequence[Attribute],
-        coded_fds: Optional[CodedFds] = None,
-        closure_rows: Optional[Sequence[int]] = None,
-        fds: Optional[Sequence[FunctionalDependency]] = None,
-        attribute_closure_pairs: Optional[Sequence[tuple[Attribute, Attribute]]] = None,
+        coded_fds: CodedFds,
+        closure_rows: Sequence[int],
     ) -> None:
         self.original = list(original)
         self.sum_constraints = list(sum_constraints)
         self.fresh_attributes = list(fresh_attributes)
-        self._coded_fds = coded_fds
+        self.coded_fds = coded_fds
         self._closure_rows = closure_rows
-        self._fds = None if fds is None else list(fds)
-        self._closure_pairs = None if attribute_closure_pairs is None else list(attribute_closure_pairs)
-
-    @classmethod
-    def from_artifacts(
-        cls,
-        original: Sequence[PartitionDependencyLike],
-        fds: Sequence[FunctionalDependency],
-        sum_constraints: Sequence[SumConstraint],
-        fresh_attributes: Sequence[Attribute],
-        attribute_closure_pairs: Sequence[tuple[Attribute, Attribute]],
-    ) -> "NormalizedDependencies":
-        """Rebuild a pipeline output from stored artifacts (the snapshot restore path).
-
-        No normalization runs: the caller asserts the artifacts came from
-        :func:`normalize_dependencies` over ``original``.  Shapes are still
-        checked — a restored artifact that is not an FD/constraint at all
-        raises :class:`ValueError` before it can poison a chase.
-        """
-        for fd in fds:
-            if not isinstance(fd, FunctionalDependency):
-                raise ValueError(f"normalized FD artifact {fd!r} is not a FunctionalDependency")
-        for constraint in sum_constraints:
-            if not isinstance(constraint, SumConstraint):
-                raise ValueError(f"sum-constraint artifact {constraint!r} is not a SumConstraint")
-        return cls(
-            original=[as_partition_dependency(pd) for pd in original],
-            sum_constraints=sum_constraints,
-            fresh_attributes=fresh_attributes,
-            fds=fds,
-            attribute_closure_pairs=[(a, b) for a, b in attribute_closure_pairs],
-        )
-
-    @property
-    def coded_fds(self) -> CodedFds:
-        """``F`` int-coded: ``(lhs_mask, rhs_mask)`` pairs grouped by left-hand side."""
-        if self._coded_fds is None:
-            self._coded_fds = CodedFds.from_fds(self._fds)
-        return self._coded_fds
+        self._fds: Optional[list[FunctionalDependency]] = None
+        self._closure_pairs: Optional[list[tuple[Attribute, Attribute]]] = None
 
     @property
     def fds(self) -> list[FunctionalDependency]:
         """``F`` as FD objects, in emission order."""
         if self._fds is None:
-            self._fds = self._coded_fds.fds()
+            self._fds = self.coded_fds.fds()
         return self._fds
 
     @property
     def attribute_closure_pairs(self) -> list[tuple[Attribute, Attribute]]:
         """The closure step's ``A ≤ B`` pairs, in row-major order of the sorted universe."""
         if self._closure_pairs is None:
-            names = self._coded_fds.names
+            names = self.coded_fds.names
             self._closure_pairs = [
                 (names[i], names[j])
                 for i, row in enumerate(self._closure_rows)

@@ -42,7 +42,7 @@ from repro.dependencies.pd import PartitionDependencyLike, as_partition_dependen
 from repro.errors import ConsistencyError
 from repro.partitions.canonical import canonical_interpretation
 from repro.partitions.interpretation import PartitionInterpretation
-from repro.relational.attributes import Attribute, AttributeSet
+from repro.relational.attributes import Attribute
 from repro.relational.chase_engine import ChaseEngine
 from repro.relational.database import Database
 from repro.relational.functional_dependencies import closure
@@ -288,19 +288,6 @@ def repair_sum_constraints_once(
             added += 1
     scheme = RelationScheme(witness.name, universe)
     return Relation(scheme, rows), added
-
-
-def extend_database_to_universe(database: Database, universe: AttributeSet) -> Database:
-    """Unchanged database; provided for symmetry with callers that track the extended universe.
-
-    The chase machinery pads tuples with fresh nulls for the attributes the
-    relation schemes do not mention, so the database itself never needs to be
-    rewritten; this helper simply validates that the requested universe
-    contains the database's own attributes.
-    """
-    if not database.universe <= universe:
-        raise ValueError("the extended universe must contain every database attribute")
-    return database
 
 
 def consistency_with_explicit_weak_instance(

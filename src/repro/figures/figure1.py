@@ -17,7 +17,7 @@ The figure exhibits, over attributes ``A, B, C`` with common population
 
 The constraint column of the printed figure also shows a second, partly
 illegible item in the source text we reproduce from; only the verifiable
-constraint ``A = A·B`` is included here (see EXPERIMENTS.md, entry FIG1).
+constraint ``A = A·B`` is included here.
 
 :func:`build` returns all of these as one :class:`Figure1` value;
 :func:`report` renders the same checks the caption makes, as text.

@@ -195,8 +195,7 @@ def closure_sequence(
 ) -> list[AttributeSet]:
     """The increasing sequence of attribute sets visited by the closure fixpoint.
 
-    Useful for teaching examples and for the EXPERIMENTS write-up; the last
-    element is ``X⁺``.
+    Useful for teaching examples; the last element is ``X⁺``.
     """
     current = as_attribute_set(attributes)
     fd_list = list(fds)

@@ -40,7 +40,7 @@ can import it without pulling in any service machinery.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 __all__ = ["KernelProfile", "active", "profile", "COUNTER_NAMES"]
 
@@ -138,7 +138,3 @@ class _ProfileScope:
 def profile() -> _ProfileScope:
     """Open a profiling scope; ``with profile() as prof: ...``."""
     return _ProfileScope()
-
-
-def _iter_scopes() -> Iterator[KernelProfile]:  # pragma: no cover - debugging aid
-    yield from getattr(_LOCAL, "scopes", ())

@@ -38,8 +38,8 @@ request surface:
   the ``{"control": "metrics"}`` line and ``--metrics-dir`` dumps, and the
   per-work-unit kernel cost log fed by :mod:`repro.profiling` counters;
 * :mod:`repro.service.snapshot` — durable Γ snapshots: a versioned,
-  digest-protected codec for a warm session's implication-index fixpoint,
-  normalization artifacts and result cache, enabling zero-warmup restores
+  digest-protected codec for a warm session's Γ, implication-index
+  fixpoint and result cache, enabling zero-warmup restores
   of sessions, shard workers and servers (``--snapshot-dir``); it reads
   exactly :data:`SNAPSHOT_VERSION` and refuses any other.
 

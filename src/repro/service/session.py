@@ -105,7 +105,10 @@ class DependencyContext:
     resumes the engine's closure delta-wise and drops only the chase-side
     artifacts.  Normalization reads its closure step off ``engine``, so
     building ``normalized`` forces the engine, and re-normalizing after a
-    write costs a binarization plus row reads on the resumed index.
+    write costs a binarization plus row reads on the resumed index.  The
+    normalization is a function of Γ and the index, so a snapshot stores
+    only the engine (:meth:`from_engine`); a restored context re-derives
+    the chase-side artifacts on its first weak-instance read.
     """
 
     __slots__ = ("_dependencies", "_engine", "_normalized", "_chase_engine")
@@ -147,15 +150,6 @@ class DependencyContext:
         """
         return self._engine
 
-    def peek_normalized(self) -> Optional[NormalizedDependencies]:
-        """The normalization artifacts if already built, without forcing them.
-
-        The snapshot codec uses this so snapshotting never *computes*
-        anything: a session that has not run a weak-instance query yet
-        snapshots ``normalized: null`` and the restore stays lazy too.
-        """
-        return self._normalized
-
     def extend(self, dependencies: Sequence[PartitionDependency]) -> None:
         """Grow Γ in place; the ALG engine resumes, the chase artifacts rebuild."""
         self._dependencies = self._dependencies + tuple(dependencies)
@@ -169,23 +163,12 @@ class DependencyContext:
         self.engine  # noqa: B018 - property access builds the engine
 
     @classmethod
-    def from_artifacts(
-        cls,
-        dependencies: Sequence[PartitionDependency],
-        engine: ImplicationEngine,
-        normalized: Optional[NormalizedDependencies] = None,
-        chase_engine: Optional[ChaseEngine] = None,
+    def from_engine(
+        cls, dependencies: Sequence[PartitionDependency], engine: ImplicationEngine
     ) -> "DependencyContext":
-        """A context over pre-built artifacts (the snapshot restore path).
-
-        The lazy properties then simply *find* the artifacts instead of
-        computing them; anything passed as ``None`` stays lazy exactly as in
-        a freshly constructed context.
-        """
+        """A context over a pre-built engine (the snapshot restore path)."""
         context = cls(dependencies)
         context._engine = engine
-        context._normalized = normalized
-        context._chase_engine = chase_engine
         return context
 
 
@@ -226,10 +209,9 @@ class Session:
         """This session's warm Γ state as one canonical snapshot document.
 
         See :mod:`repro.service.snapshot` for the format.  The export never
-        computes anything new — it captures the implication index fixpoint,
-        whatever normalization artifacts exist, and the result cache as they
-        stand — so it is cheap enough to run on a live server's worker
-        thread between micro-batch windows.
+        computes anything new — it captures Γ, the implication index
+        fixpoint and the result cache as they stand — so it is cheap enough
+        to run on a live server's worker thread between micro-batch windows.
         """
         from repro.service.snapshot import dump_snapshot
 

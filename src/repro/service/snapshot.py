@@ -3,12 +3,15 @@
 Everything a warm :class:`~repro.service.session.Session` has learned about
 its base Γ — the :class:`~repro.implication.index.ImplicationIndex` arc
 relation and congruence classes, the interned expression table
-slice backing them, the Theorem 12 normalization output (and hence the
-chase-engine preprocessing), and the LRU result cache — dies with the
-process.  This module serializes those artifacts into one declarative,
-versioned, digest-protected JSON document so a restarted server, a freshly
-forked shard worker, or another machine can *restore* the warm state instead
-of re-paying the Γ closure.
+slice backing them, and the LRU result cache — dies with the process.  This
+module serializes Γ, each tenant's index and the result cache into one
+declarative, versioned, digest-protected JSON document so a restarted
+server, a freshly forked shard worker, or another machine can *restore* the
+warm state instead of re-paying the Γ closure.
+
+The Theorem 12 normalization is *not* stored: it is a function of Γ alone,
+and its closure step reads the restored index.  A restored tenant rebuilds
+it on its first weak-instance read, so no stored copy can disagree with Γ.
 
 The codec follows the same discipline as :mod:`repro.service.wire`:
 
@@ -42,12 +45,9 @@ import os
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from repro.consistency.normalization import NormalizedDependencies, SumConstraint
 from repro.errors import ServiceError
 from repro.implication.alg import ImplicationEngine
 from repro.implication.index import ImplicationIndex
-from repro.relational.chase_engine import ChaseEngine
-from repro.relational.functional_dependencies import FunctionalDependency
 from repro.service.wire import (
     _check_version,
     _require,
@@ -57,17 +57,18 @@ from repro.service.wire import (
     decode_pd,
     decode_result,
     encode_expression,
-    encode_fd,
     encode_pd,
     encode_result,
 )
 
 #: Snapshot format version; bump on any incompatible payload change.  The
 #: only version :func:`decode_snapshot` accepts.  The top-level
-#: ``generation``/``dependencies``/``index``/``normalized`` fields describe
-#: the *default* tenant, each ``tenants`` entry a named one in the same
-#: shape, and result entries are ``[key, uses_gamma, tenant, result]``.
-SNAPSHOT_VERSION = 2
+#: ``generation``/``dependencies``/``index`` fields describe the *default*
+#: tenant, each ``tenants`` entry a named one in the same shape, and result
+#: entries are ``[key, uses_gamma, tenant, result]``.  A snapshot holds Γ,
+#: each tenant's index and the result cache; the Theorem 12 normalization is
+#: re-derived from Γ and the index on the first weak-instance read.
+SNAPSHOT_VERSION = 3
 
 #: The ``kind`` tag of a snapshot document (guards against feeding the codec
 #: some other canonical-JSON artifact).
@@ -96,18 +97,8 @@ def _encode_index(index: ImplicationIndex) -> dict:
     }
 
 
-def _encode_normalized(normalized: NormalizedDependencies) -> dict:
-    """The Theorem 12 normalization artifacts (``original`` travels as the session Γ)."""
-    return {
-        "fds": [encode_fd(fd) for fd in normalized.fds],
-        "sum_constraints": [[c.c, c.a, c.b] for c in normalized.sum_constraints],
-        "fresh_attributes": list(normalized.fresh_attributes),
-        "closure_pairs": [[a, b] for a, b in normalized.attribute_closure_pairs],
-    }
-
-
 def _encode_tenant(context, generation: int) -> dict:
-    """One named tenant's keyspace entry; unforced artifacts stay ``null``.
+    """One named tenant's keyspace entry; an unforced index stays ``null``.
 
     The export-never-computes rule holds per tenant: a tenant that has run
     neither an implication query nor a weak-instance read yet snapshots
@@ -116,13 +107,10 @@ def _encode_tenant(context, generation: int) -> dict:
     because normalization reads its closure step off it.
     """
     engine = context.peek_engine()
-    index = engine.index if engine is not None else None
-    normalized = context.peek_normalized()
     return {
         "generation": generation,
         "dependencies": [encode_pd(pd) for pd in context.dependencies],
-        "index": None if index is None else _encode_index(index),
-        "normalized": None if normalized is None else _encode_normalized(normalized),
+        "index": None if engine is None else _encode_index(engine.index),
     }
 
 
@@ -139,9 +127,6 @@ def encode_snapshot(session) -> dict:
         "generation": state["generation"],
         "dependencies": [encode_pd(pd) for pd in context.dependencies],
         "index": _encode_index(engine.index),
-        "normalized": (
-            None if context.peek_normalized() is None else _encode_normalized(context.peek_normalized())
-        ),
         "tenants": [
             [name, _encode_tenant(tenant_context, tenant_generation)]
             for name, tenant_context, tenant_generation in sorted(
@@ -173,7 +158,7 @@ def _require_list(payload: dict, key: str, context: str) -> list:
 
 
 def _check_tenant_state(state: dict, context: str, lazy: bool) -> None:
-    """Validate one tenant's ``generation``/``dependencies``/``index``/``normalized``.
+    """Validate one tenant's ``generation``/``dependencies``/``index``.
 
     The default tenant (the document's top level) and every ``tenants`` entry
     share this shape; only a named tenant (``lazy``) may snapshot ``index: null``.
@@ -189,10 +174,6 @@ def _check_tenant_state(state: dict, context: str, lazy: bool) -> None:
         for entry in index["arcs"]:
             if not isinstance(entry, list) or len(entry) != 2 or not isinstance(entry[1], list):
                 raise ServiceError(f"{context} index arc entry {entry!r} is not a [root, targets] pair")
-    normalized = _require(state, "normalized", context)
-    if normalized is not None:
-        for field in ("fds", "sum_constraints", "fresh_attributes", "closure_pairs"):
-            _require_list(normalized, field, context + " normalization")
 
 
 def decode_snapshot(text: Union[str, bytes]) -> dict:
@@ -242,18 +223,6 @@ def decode_snapshot(text: Union[str, bytes]) -> dict:
     return payload
 
 
-def snapshot_generation(snapshot: Union[str, bytes, dict]) -> int:
-    """The Γ generation a snapshot captures (verifying the document if given as text)."""
-    payload = snapshot if isinstance(snapshot, dict) else decode_snapshot(snapshot)
-    return payload["generation"]
-
-
-def snapshot_dependencies(snapshot: Union[str, bytes, dict]) -> tuple:
-    """The base Γ a snapshot captures, re-interned (verifies text input)."""
-    payload = snapshot if isinstance(snapshot, dict) else decode_snapshot(snapshot)
-    return tuple(decode_pd(text) for text in payload["dependencies"])
-
-
 def snapshot_results(snapshot: Union[str, bytes, dict]) -> list:
     """A snapshot's result-cache entries, least recent first (verifies text input).
 
@@ -270,37 +239,6 @@ def snapshot_results(snapshot: Union[str, bytes, dict]) -> list:
             raise ServiceError("snapshot result cache contains an error result (never cached)")
         results.append((key, (bool(uses_gamma), tenant, result)))
     return results
-
-
-def _decode_normalized(payload: dict, dependencies) -> NormalizedDependencies:
-    constraints = []
-    for entry in payload["sum_constraints"]:
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise ServiceError(f"snapshot sum constraint {entry!r} is not a [c, a, b] triple")
-        constraints.append(SumConstraint(entry[0], entry[1], entry[2]))
-    fds = []
-    for item in payload["fds"]:
-        lhs = _require(item, "lhs", "snapshot FD")
-        rhs = _require(item, "rhs", "snapshot FD")
-        try:
-            fds.append(FunctionalDependency(lhs, rhs))
-        except Exception as exc:
-            raise ServiceError(f"cannot restore normalized FD {item!r}: {exc}") from None
-    pairs = []
-    for pair in payload["closure_pairs"]:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ServiceError(f"snapshot closure pair {pair!r} is not an [a, b] pair")
-        pairs.append((pair[0], pair[1]))
-    try:
-        return NormalizedDependencies.from_artifacts(
-            original=list(dependencies),
-            fds=fds,
-            sum_constraints=constraints,
-            fresh_attributes=list(payload["fresh_attributes"]),
-            attribute_closure_pairs=pairs,
-        )
-    except ValueError as exc:
-        raise ServiceError(f"cannot restore normalization artifacts: {exc}") from None
 
 
 def restore_session(
@@ -339,21 +277,14 @@ def restore_session(
                 f"{payload['dependencies']!r} but {expected!r} was configured"
             )
 
-    base = _restore_context(
-        DependencyContext, dependencies, payload["index"], payload["normalized"]
-    )
+    base = _restore_context(DependencyContext, dependencies, payload["index"])
     tenants = []
     for name, tenant_state in payload["tenants"]:
         tenant_dependencies = tuple(decode_pd(text) for text in tenant_state["dependencies"])
         tenants.append(
             (
                 name,
-                _restore_context(
-                    DependencyContext,
-                    tenant_dependencies,
-                    tenant_state["index"],
-                    tenant_state["normalized"],
-                ),
+                _restore_context(DependencyContext, tenant_dependencies, tenant_state["index"]),
                 tenant_state["generation"],
             )
         )
@@ -366,32 +297,22 @@ def restore_session(
     )
 
 
-def _restore_context(context_cls, dependencies, index_payload, normalized_payload):
-    """A :class:`DependencyContext` over whatever artifacts the payload carries.
+def _restore_context(context_cls, dependencies, index_payload):
+    """A :class:`DependencyContext` over the stored index, if the payload carries one.
 
-    ``index: null`` (a lazy tenant) restores a plain lazy context; anything
-    present re-enters through the parser and the hash-consed AST.
+    ``index: null`` (a lazy tenant) restores a plain lazy context; a stored
+    index re-enters through the parser and the hash-consed AST.  The
+    normalization and chase engine stay lazy either way.
     """
-    engine = None
-    if index_payload is not None:
-        expressions = [decode_expression(text) for text in index_payload["expressions"]]
-        arcs = {source: targets for source, targets in index_payload["arcs"]}
-        try:
-            index = ImplicationIndex.from_state(
-                dependencies, expressions, index_payload["parent"], arcs
-            )
-        except (ValueError, TypeError) as exc:
-            raise ServiceError(f"cannot restore implication index: {exc}") from None
-        engine = ImplicationEngine.from_index(index)
-    normalized = chase_engine = None
-    if normalized_payload is not None:
-        normalized = _decode_normalized(normalized_payload, dependencies)
-        chase_engine = ChaseEngine(normalized.coded_fds)
-    if engine is None and normalized is None:
+    if index_payload is None:
         return context_cls(dependencies)
-    return context_cls.from_artifacts(
-        dependencies, engine=engine, normalized=normalized, chase_engine=chase_engine
-    )
+    expressions = [decode_expression(text) for text in index_payload["expressions"]]
+    arcs = {source: targets for source, targets in index_payload["arcs"]}
+    try:
+        index = ImplicationIndex.from_state(dependencies, expressions, index_payload["parent"], arcs)
+    except (ValueError, TypeError) as exc:
+        raise ServiceError(f"cannot restore implication index: {exc}") from None
+    return context_cls.from_engine(dependencies, ImplicationEngine.from_index(index))
 
 
 # -- file lifecycle ---------------------------------------------------------------

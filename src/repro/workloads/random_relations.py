@@ -10,7 +10,6 @@ tuple pairs, which is what stresses FD/PD satisfaction and the chase).
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
 from typing import Union
 
 from repro.relational.attributes import AttributeSet
@@ -197,8 +196,3 @@ def chained_consistent_database(
         fds.append(FunctionalDependency([attributes[k]], [attributes[k + 1]]))
         fds.append(FunctionalDependency([attributes[k + 1]], [attributes[k]]))
     return Database(relations), fds
-
-
-def symbols_of(relation: Relation) -> Sequence[str]:
-    """All symbols of a relation in sorted order (handy for building variations)."""
-    return sorted(relation.active_domain())

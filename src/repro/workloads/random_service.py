@@ -67,19 +67,6 @@ def poisson_arrival_times(
     return times
 
 
-def open_loop_service_workload(
-    count: int, rate: float, seed: RandomLike = 0, **request_kwargs
-) -> list[tuple[float, "QueryRequest"]]:
-    """A seeded open-loop stream: ``(arrival_seconds, request)`` pairs.
-
-    Requests come from :func:`random_service_requests` (``request_kwargs``
-    forwarded), arrivals from :func:`poisson_arrival_times`; both draw from
-    one generator so a single seed pins the whole workload.
-    """
-    rng = _rng(seed)
-    requests = random_service_requests(count, seed=rng, **request_kwargs)
-    return list(zip(poisson_arrival_times(count, rate, seed=rng), requests))
-
 #: Default mixture; weights need not sum to anything in particular.
 DEFAULT_KIND_WEIGHTS = {
     "implies": 5,

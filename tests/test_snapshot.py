@@ -26,6 +26,8 @@ import pytest
 from repro import profiling
 from repro.dependencies.pd import PartitionDependency
 from repro.errors import ServiceError
+from repro.relational.database import Database
+from repro.relational.relations import Relation
 from repro.service.config import ServiceConfig
 from repro.service.executor import ShardExecutor
 from repro.service.planner import execute_plan
@@ -132,11 +134,11 @@ class TestCodecRoundTrip:
         assert len(payload["digest"]) == 64
 
     def test_cold_session_snapshots_lazily(self):
-        # A session that never ran a weak-instance query has no normalization
-        # artifacts; the snapshot must not compute them just to serialize.
+        # The snapshot computes nothing just to serialize, and it never
+        # carries the Theorem 12 normalization (re-derived from Γ on restore).
         session = Session(["A = A*B"])
         payload = decode_snapshot(dump_snapshot(session))
-        assert payload["normalized"] is None
+        assert "normalized" not in payload
         assert payload["results"] == []
 
 
@@ -152,10 +154,11 @@ class TestCodecRejections:
         with pytest.raises(ServiceError, match="digest mismatch"):
             decode_snapshot(flipped)
 
-    @pytest.mark.parametrize("version", [SNAPSHOT_VERSION + 1, 1, True])
+    @pytest.mark.parametrize("version", [SNAPSHOT_VERSION + 1, 2, 1, True])
     def test_version_skew_is_refused(self, version):
-        # One snapshot version: a newer document, a version-1 one and a
-        # boolean "v" (``True == 1``) are all refused before any shape check.
+        # One snapshot version: a newer document, a version-2 or version-1
+        # one and a boolean "v" (``True == 1``) are all refused before any
+        # shape check.
         text = dump_snapshot(_warm_session(5))
         skewed = _resealed(text, lambda p: p.__setitem__("v", version))
         with pytest.raises(
@@ -300,6 +303,45 @@ class TestRestoredSessionEquivalence:
         info = restored.cache_info()
         assert info["hits"] == len(stream)
         assert info["misses"] == 0
+
+    def test_stored_normalization_artifacts_cannot_poison_a_restore(self):
+        # A = A*B is the FD A -> B, which R(A,B) = {(a,b1),(a,b2)} violates.
+        # A snapshot resealed with an empty F must not turn the verdict: the
+        # restored session re-derives the normalization from Γ.
+        warm = Session(["A = A*B"])
+        database = Database([Relation.from_strings("R", "AB", ["a.b1", "a.b2"])])
+        verdict = warm.consistent(database)
+        assert not verdict.consistent
+
+        def poison(payload):
+            payload["normalized"] = {
+                "fds": [],
+                "sum_constraints": [],
+                "fresh_attributes": [],
+                "closure_pairs": [],
+            }
+
+        text = _resealed(dump_snapshot(warm), poison)
+        # No result cache, so the restored session answers from Γ itself.
+        restored = restore_session(text, result_cache_size=0)
+        answer = restored.consistent(database)
+        assert not answer.cached
+        assert answer.consistent == verdict.consistent
+
+    def test_restored_context_normalizes_off_the_restored_index(self):
+        # The normalization a restored tenant rebuilds equals the warm one,
+        # and reading its closure step registers no vertex in the index.
+        warm = _warm_session(13)
+        restored = restore_session(dump_snapshot(warm))
+        request = QueryRequest(kind="implies", query=warm.dependencies[0])
+        context = restored.context_for(request)
+        vertices = context.peek_engine().index.vertex_count
+        rebuilt, original = context.normalized, warm.context_for(request).normalized
+        assert context.peek_engine().index.vertex_count == vertices
+        assert rebuilt.coded_fds.names == original.coded_fds.names
+        assert rebuilt.fds == original.fds
+        assert rebuilt.sum_constraints == original.sum_constraints
+        assert rebuilt.attribute_closure_pairs == original.attribute_closure_pairs
 
     def test_restored_session_grows_like_a_warm_one(self):
         theory = random_pd_set(4, 2, seed=41, max_complexity=2)

@@ -11,6 +11,12 @@ identity.  The current index must restore that document and re-export it
 byte for byte, and a fresh session fed the same stream must export the same
 bytes: the snapshot format is a contract, not an artifact of one
 implementation.
+
+A version-3 snapshot holds Γ, each tenant's index and the result cache.
+The Theorem 12 normalization is not part of the contract: it is rebuilt
+from Γ on the first weak-instance read.  The document was derived from the
+version-2 export by dropping its ``normalized`` section, setting ``v`` to 3
+and recomputing the digest; its index and result bytes are unchanged.
 """
 
 from pathlib import Path
