@@ -15,8 +15,7 @@ case, so a production deployment bounds each query instead of trusting it:
    :func:`~repro.deadline.deadline_scope` around any kernel call.
 
 The slow query is simulated with the deterministic fault-injection harness
-(:mod:`repro.service.faults`) — the same seeded plans the chaos tests and the
-CI fault smoke job use.
+(:mod:`repro.service.faults`) — the same seeded plans the chaos tests use.
 
 Run with ``python examples/deadline_timeout.py`` (needs ``src`` on the path,
 e.g. ``PYTHONPATH=src``).

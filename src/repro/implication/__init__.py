@@ -20,7 +20,7 @@ from repro.implication.fd_implication import (
     fd_implies_via_pds,
     is_superkey,
 )
-from repro.implication.index import ImplicationIndex, implication_index
+from repro.implication.index import ImplicationIndex
 from repro.implication.identities import (
     clear_identity_cache,
     identically_equal,
@@ -47,7 +47,6 @@ from repro.implication.word_problems import (
 __all__ = [
     "ImplicationEngine",
     "ImplicationIndex",
-    "implication_index",
     "alg_closure",
     "alg_closure_naive",
     "pd_leq",

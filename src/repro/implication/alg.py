@@ -31,7 +31,6 @@ pool are cheap — the Theorem 12 consistency test needs exactly that).
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from typing import Optional
 
 from repro.dependencies.pd import (
     PartitionDependency,
@@ -46,7 +45,7 @@ from repro.expressions.ast import (
     Sum,
     as_expression,
 )
-from repro.implication.index import ImplicationIndex, _bits
+from repro.implication.index import ImplicationIndex
 
 
 def _vertex_set(
@@ -244,35 +243,21 @@ def alg_closure_naive(
 class ImplicationEngine:
     """Decides ``E ⊨ e = e'`` queries against a growing set of PDs.
 
-    The default engine is a facade over the persistent
-    :class:`~repro.implication.index.ImplicationIndex`: a query mentioning a
-    new expression extends the vertex set and *resumes* rule propagation
-    delta-wise instead of recomputing the closure, so long query streams
-    against one PD set cost little more than one closure overall.
-
-    With ``naive=True`` the engine instead rebuilds the closure from scratch
-    with :func:`alg_closure_naive` whenever the vertex set grows — the
-    behaviour of the paper's literal pseudo-code, kept as a cross-check
-    oracle and benchmark baseline.
+    A facade over the persistent
+    :class:`~repro.implication.index.ImplicationIndex`, which holds the one
+    copy of ``E``: a query mentioning a new expression extends the vertex set
+    and *resumes* rule propagation delta-wise instead of recomputing the
+    closure, so long query streams against one PD set cost little more than
+    one closure overall.  The paper's literal pseudo-code survives as
+    :func:`alg_closure_naive`, the oracle the tests compare against.
     """
 
     def __init__(
         self,
         dependencies: Iterable[PartitionDependencyLike] = (),
         query_expressions: Iterable[ExpressionLike] = (),
-        naive: bool = False,
     ) -> None:
-        self._dependencies = [as_partition_dependency(pd) for pd in dependencies]
-        self._naive = naive
-        if naive:
-            self._index: Optional[ImplicationIndex] = None
-            self._known: set[PartitionExpression] = set()
-            self._relation: Optional[_ArcRelation] = None
-            self._pending: list[PartitionExpression] = [
-                as_expression(e) for e in query_expressions
-            ]
-        else:
-            self._index = ImplicationIndex(self._dependencies, query_expressions)
+        self._index = ImplicationIndex(dependencies, query_expressions)
 
     @classmethod
     def from_index(cls, index: ImplicationIndex) -> "ImplicationEngine":
@@ -283,86 +268,53 @@ class ImplicationEngine:
         :mod:`repro.service.snapshot`.
         """
         engine = cls.__new__(cls)
-        engine._dependencies = list(index.dependencies)
-        engine._naive = False
         engine._index = index
         return engine
 
     @property
     def dependencies(self) -> list[PartitionDependency]:
-        """The PD set ``E`` this engine reasons over."""
-        return list(self._dependencies)
+        """The PD set ``E`` this engine reasons over (the index's own)."""
+        return self._index.dependencies
 
     @property
-    def index(self) -> Optional[ImplicationIndex]:
-        """The underlying incremental index (``None`` for a naive engine)."""
+    def index(self) -> ImplicationIndex:
+        """The underlying incremental index."""
         return self._index
-
-    def _ensure(self, expressions: Sequence[PartitionExpression]) -> _ArcRelation:
-        missing = [e for e in expressions if e not in self._known]
-        if self._relation is None or missing:
-            self._pending.extend(missing)
-            self._relation = alg_closure_naive(self._dependencies, self._pending)
-            self._known = set(self._relation.vertices)
-        return self._relation
 
     def add_dependencies(self, dependencies: Iterable[PartitionDependencyLike]) -> None:
         """Extend ``E`` in place; the incremental index resumes propagation."""
-        added = [as_partition_dependency(pd) for pd in dependencies]
-        self._dependencies.extend(added)
-        if self._index is not None:
-            self._index.add_dependencies(added)
-        else:
-            self._relation = None  # force a recompute on the next query
+        self._index.add_dependencies(dependencies)
 
     def prepare(self, expressions: Iterable[ExpressionLike]) -> None:
         """Register query expressions ahead of time (one propagation for the batch)."""
-        exprs = [as_expression(e) for e in expressions]
-        if self._index is not None:
-            self._index.add_expressions(exprs)
-        else:
-            self._ensure(exprs)
+        self._index.add_expressions(expressions)
 
     def leq(self, left: ExpressionLike, right: ExpressionLike) -> bool:
         """``left ≤_E right``: the PD ``left = left·right`` is implied by ``E``."""
-        p = as_expression(left)
-        q = as_expression(right)
-        if self._index is not None:
-            return self._index.leq(p, q)
-        relation = self._ensure([p, q])
-        return relation.has(relation.index[p], relation.index[q])
+        return self._index.leq(left, right)
 
     def leq_masks(self, expressions: Iterable[ExpressionLike]) -> list[int]:
         """Per position ``i``, the mask of positions ``j ≠ i`` with ``expressions[i] ≤_E expressions[j]``.
 
         Delegates to :meth:`ImplicationIndex.leq_masks` (one row read per
-        expression); naive engines run the ``leq`` loop.
+        expression).
         """
-        exprs = [as_expression(e) for e in expressions]
-        if self._index is not None:
-            return self._index.leq_masks(exprs)
-        self.prepare(exprs)
-        return [
-            sum(1 << j for j, right in enumerate(exprs) if i != j and self.leq(left, right))
-            for i, left in enumerate(exprs)
-        ]
+        return self._index.leq_masks(list(expressions))
 
     def leq_pairs(self, expressions: Iterable[ExpressionLike]) -> list[tuple[int, int]]:
         """Position pairs ``(i, j)``, ``i ≠ j``, with ``expressions[i] ≤_E expressions[j]``.
 
         Row-major order: :meth:`leq_masks`, spelled out.
         """
-        return [(i, j) for i, row in enumerate(self.leq_masks(expressions)) for j in _bits(row)]
+        return self._index.leq_pairs(list(expressions))
 
-    def class_id(self, expression: ExpressionLike) -> Optional[int]:
-        """The ``=_E`` congruence-class id of an expression, or ``None`` on naive engines.
+    def class_id(self, expression: ExpressionLike) -> int:
+        """The ``=_E`` congruence-class id of an expression.
 
         Delegates to :meth:`ImplicationIndex.class_id`; the quotient pipeline
         collapses expression pools by grouping on these ids instead of
         pairwise ``leq`` probes.
         """
-        if self._index is None:
-            return None
         return self._index.class_id(expression)
 
     def implies(self, dependency: PartitionDependencyLike) -> bool:
@@ -393,34 +345,30 @@ def pd_leq(
     dependencies: Iterable[PartitionDependencyLike],
     left: ExpressionLike,
     right: ExpressionLike,
-    naive: bool = False,
 ) -> bool:
     """``left ≤_E right`` for a one-shot query."""
-    return ImplicationEngine(dependencies, naive=naive).leq(left, right)
+    return ImplicationEngine(dependencies).leq(left, right)
 
 
 def pd_implies(
     dependencies: Iterable[PartitionDependencyLike],
     dependency: PartitionDependencyLike,
-    naive: bool = False,
 ) -> bool:
     """``E ⊨ δ`` for a one-shot query (Theorem 9's polynomial-time implication test)."""
-    return ImplicationEngine(dependencies, naive=naive).implies(dependency)
+    return ImplicationEngine(dependencies).implies(dependency)
 
 
 def pd_implies_all(
     dependencies: Iterable[PartitionDependencyLike],
     queries: Iterable[PartitionDependencyLike],
-    naive: bool = False,
 ) -> bool:
     """``E ⊨ δ`` for every δ in ``queries`` (single closure computation)."""
-    return ImplicationEngine(dependencies, naive=naive).implies_all(queries)
+    return ImplicationEngine(dependencies).implies_all(queries)
 
 
 def pd_equivalent(
     first: Iterable[PartitionDependencyLike],
     second: Iterable[PartitionDependencyLike],
-    naive: bool = False,
 ) -> bool:
     """True iff the two PD sets imply each other.
 
@@ -434,13 +382,11 @@ def pd_equivalent(
     forward = ImplicationEngine(
         first_list,
         query_expressions=[side for pd in second_list for side in (pd.left, pd.right)],
-        naive=naive,
     )
     if not forward.implies_all(second_list):
         return False
     backward = ImplicationEngine(
         second_list,
         query_expressions=[side for pd in first_list for side in (pd.left, pd.right)],
-        naive=naive,
     )
     return backward.implies_all(first_list)

@@ -607,10 +607,3 @@ class ImplicationIndex:
                 if reach & ~down[vid]:
                     self._add_down(vid, reach)
 
-
-def implication_index(
-    dependencies: Iterable[PartitionDependencyLike] = (),
-    expressions: Iterable[ExpressionLike] = (),
-) -> ImplicationIndex:
-    """Convenience constructor mirroring :func:`repro.implication.alg.alg_closure`."""
-    return ImplicationIndex(dependencies, expressions)

@@ -51,10 +51,10 @@ def lattice_word_problems(
 ) -> list[bool]:
     """Batch uniform word problems: many query equations against one theory ``E``.
 
-    ``E`` is closed once, by ``engine`` — a warm, index-backed engine over
-    exactly ``equations`` (a service tenant's; a naive engine or one over a
-    different PD set raises :class:`ValueError`) — or, without it, by one
-    fresh :class:`~repro.implication.alg.ImplicationEngine`.  Each query is
+    ``E`` is closed once, by ``engine`` — a warm engine over exactly
+    ``equations`` (a service tenant's; one over a different PD set raises
+    :class:`ValueError`) — or, without it, by one fresh
+    :class:`~repro.implication.alg.ImplicationEngine`.  Each query is
     then answered in its own
     :meth:`~repro.implication.index.ImplicationIndex.overlay`, which
     registers the query's subexpressions, reads the verdict and rolls the
@@ -70,10 +70,8 @@ def lattice_word_problems(
     pds = [as_partition_dependency(eq) for eq in equations]
     if engine is None:
         engine = ImplicationEngine(pds)
-    elif engine.index is None or set(engine.dependencies) != set(pds):
-        raise ValueError(
-            "lattice_word_problems needs an index-backed engine over exactly the given equations"
-        )
+    elif set(engine.dependencies) != set(pds):
+        raise ValueError("lattice_word_problems needs an engine over exactly the given equations")
     index = engine.index
     verdicts: list[bool] = []
     for query in queries:

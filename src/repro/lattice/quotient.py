@@ -77,7 +77,6 @@ class QuotientFragment:
     def _index_by_class(self) -> dict[int, int]:
         """Congruence-class id → representative index, on the fragment's own engine."""
         index = self._engine.index
-        assert index is not None
         return {index.class_id(rep): i for i, rep in enumerate(self.representatives)}
 
     def index_of(self, expression: PartitionExpression, engine: Optional[ImplicationEngine] = None) -> int:
@@ -126,12 +125,6 @@ def quotient_fragment(
             )
         engine.prepare(pool)
     index = engine.index
-    if index is None:
-        # Naive oracle engines carry no congruence classes; use the preserved
-        # pairwise collapse (identical output, the tests rely on it).
-        from repro.lattice.oracle import quotient_fragment_pairwise
-
-        return quotient_fragment_pairwise(pds, pool, engine=engine)
     by_class: dict[int, PartitionExpression] = {}
     for candidate in sorted(pool, key=lambda e: (e.size(), str(e))):
         by_class.setdefault(index.class_id(candidate), candidate)
@@ -208,7 +201,6 @@ def finite_counterexample(
     # Collapse the pool into =_E classes first (this is the expensive step).
     fragment = quotient_fragment(pds, pool, engine=engine)
     index = engine.index
-    assert index is not None
 
     # L_H: classes of finite products of pool classes, plus the class of
     # A1+...+An.  The closure runs as a worklist over the growing element

@@ -151,12 +151,20 @@ class DependencyContext:
         return self._engine
 
     def extend(self, dependencies: Sequence[PartitionDependency]) -> None:
-        """Grow Γ in place; the ALG engine resumes, the chase artifacts rebuild."""
-        self._dependencies = self._dependencies + tuple(dependencies)
-        if self._engine is not None:
-            self._engine.add_dependencies(dependencies)
+        """Grow Γ in place; the ALG engine resumes, the chase artifacts rebuild.
+
+        Γ is read back from the engine, also when a deadline stops its growth
+        part-way, so Γ is always the PD set the index has committed.
+        """
         self._normalized = None
         self._chase_engine = None
+        if self._engine is None:
+            self._dependencies += tuple(dependencies)
+            return
+        try:
+            self._engine.add_dependencies(dependencies)
+        finally:
+            self._dependencies = tuple(self._engine.dependencies)
 
     def warm_up(self) -> None:
         """Force the implication engine into existence (worker warm-up hook)."""
@@ -338,9 +346,15 @@ class Session:
         if not added:
             return
         state = self._tenant_state(tenant)
-        state.context.extend(added)
-        state.generation += 1
-        self._results.invalidate_tenant(tenant)
+        before = len(state.context.dependencies)
+        try:
+            state.context.extend(added)
+        finally:
+            # A write stopped part-way may still have grown Γ; its cached
+            # results are stale either way.
+            if len(state.context.dependencies) != before:
+                state.generation += 1
+                self._results.invalidate_tenant(tenant)
 
     def context_for(self, request: QueryRequest) -> DependencyContext:
         """The dependency context a request runs against (tenant Γ or its own).

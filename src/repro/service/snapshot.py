@@ -119,8 +119,6 @@ def encode_snapshot(session) -> dict:
     state = session._snapshot_state()
     context = state["context"]
     engine = context.engine
-    if engine.index is None:  # pragma: no cover - sessions never run naive engines
-        raise ServiceError("cannot snapshot a session running on a naive engine")
     payload: dict[str, Any] = {
         "v": SNAPSHOT_VERSION,
         "kind": SNAPSHOT_KIND,

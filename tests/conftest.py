@@ -8,7 +8,9 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from repro.expressions.ast import Attr, PartitionExpression, Product, Sum
+from repro.dependencies.pd import as_partition_dependency
+from repro.expressions.ast import Attr, PartitionExpression, Product, Sum, as_expression
+from repro.implication.alg import alg_closure_naive
 from repro.partitions.partition import Partition
 from repro.relational.relations import Relation
 from repro.relational.tuples import Row
@@ -40,6 +42,27 @@ def figure1_relation() -> Relation:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260617)
+
+
+# ---------------------------------------------------------------------------
+# Oracle stand-ins
+# ---------------------------------------------------------------------------
+
+
+class NaiveClosureEngine:
+    """What ``normalize_dependencies`` reads off an engine, answered by the paper's literal ALG."""
+
+    def __init__(self, dependencies) -> None:
+        self.dependencies = [as_partition_dependency(pd) for pd in dependencies]
+
+    def leq_masks(self, expressions) -> list[int]:
+        exprs = [as_expression(e) for e in expressions]
+        closure = alg_closure_naive(self.dependencies, exprs)
+        vids = [closure.index[e] for e in exprs]
+        return [
+            sum(1 << j for j, q in enumerate(vids) if i != j and closure.has(p, q))
+            for i, p in enumerate(vids)
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from repro.relational.database import Database
 from repro.relational.functional_dependencies import parse_fd_set
 from repro.relational.relations import Relation
 from repro.sat.nae3sat import nae_backtracking
-from repro.service.api import counterexample_request
+from repro.service.api import consistent_request, counterexample_request, implies_request
 from repro.service.session import Session
 from repro.workloads.random_formulas import random_3cnf
 
@@ -153,6 +153,45 @@ class TestKernelHooks:
             index.add_expressions(queries)
             assert index.leq("A*B", "A*(B+C)")
             assert index.as_expression_pairs() == oracle, allowed
+
+    def test_interrupted_write_keeps_gamma_index_and_cache_in_step(self, monkeypatch):
+        # A write stopped at any poll leaves the tenant's Γ equal to the PD
+        # set the index committed, bumps the generation iff Γ grew, and the
+        # warm session answers as a fresh one over that Γ (no stale cache).
+        database = Database([Relation.from_strings("R", "ABC", ["a.b.c1", "a.b.c2"])])
+        reads = [consistent_request(database), implies_request("A = A*C")]
+
+        def write(allowed):
+            session = Session(["A = A*B"])
+            warm = [session.execute(read) for read in reads]
+            polls = []
+
+            def poll():
+                polls.append(None)
+                if allowed is not None and len(polls) > allowed:
+                    raise DeadlineExceeded(None, "test budget")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(index_module, "check_deadline", poll)
+                try:
+                    with deadline_scope(60_000.0):
+                        session.add_dependencies(["B = B*C"])
+                except DeadlineExceeded:
+                    pass
+            return session, warm, len(polls)
+
+        _, _, total = write(None)
+        assert total > 3
+        for allowed in range(total + 1):
+            session, warm, _ = write(allowed)
+            context = session.context_for(reads[1])
+            gamma = context.dependencies
+            assert gamma == tuple(context.engine.dependencies), allowed
+            assert (session.generation == 1) == (len(gamma) == 2), allowed
+            fresh = Session(gamma)
+            answers = [session.execute(read) for read in reads]
+            assert answers == [fresh.execute(read) for read in reads], allowed
+            assert (answers == warm) == (len(gamma) == 1), allowed
 
     def test_counterexample_request_times_out_inside_the_index(self):
         # The Theorem 8 pool here has 1055 expressions; collapsing it runs

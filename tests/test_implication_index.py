@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.deadline import deadline_scope
 from repro.dependencies.pd import PartitionDependency
 from repro.errors import DeadlineExceeded
+from repro.expressions.ast import as_expression
 from repro.implication.alg import (
     ImplicationEngine,
     alg_closure,
@@ -24,7 +25,7 @@ from repro.implication.alg import (
     pd_equivalent,
     pd_implies,
 )
-from repro.implication.index import ImplicationIndex, implication_index
+from repro.implication.index import ImplicationIndex
 from repro.implication.word_problems import lattice_word_problems
 from repro.workloads.random_dependencies import random_pd_set
 from repro.workloads.random_expressions import random_expression
@@ -115,7 +116,7 @@ class TestOracleAgreement:
         ]
         assert forward_answers == backward_answers[::-1]
 
-    def test_incremental_engine_matches_naive_engine(self):
+    def test_incremental_engine_matches_the_naive_closure(self):
         rng = random.Random(505)
         for trial in range(10):
             pds, _ = _random_case(rng, max_pds=3, max_complexity=2)
@@ -126,10 +127,12 @@ class TestOracleAgreement:
                 )
                 for _ in range(5)
             ]
-            fast = ImplicationEngine(pds)
-            slow = ImplicationEngine(pds, naive=True)
+            engine = ImplicationEngine(pds)
             for query in queries:
-                assert fast.implies(query) == slow.implies(query), (trial, str(query))
+                closure = alg_closure_naive(pds, [query.left, query.right])
+                left, right = closure.index[query.left], closure.index[query.right]
+                expected = closure.has(left, right) and closure.has(right, left)
+                assert engine.implies(query) == expected, (trial, str(query))
 
 
 class TestLeqPairs:
@@ -160,12 +163,18 @@ class TestLeqPairs:
         assert index.leq_pairs(["A", "B", "C"]) == [(0, 1)]
         assert index.knows("C")
 
-    def test_naive_engine_runs_the_leq_loop(self):
+    def test_engine_pairs_match_the_naive_closure(self):
         pds = ["A = A*(B + C)", "B = B*C"]
         pool = ["A", "B", "C", "B + C", "A"]
-        assert ImplicationEngine(pds, naive=True).leq_pairs(pool) == ImplicationEngine(
-            pds
-        ).leq_pairs(pool)
+        closure = alg_closure_naive(pds, pool)
+        vids = [closure.index[as_expression(e)] for e in pool]
+        expected = [
+            (i, j)
+            for i, p in enumerate(vids)
+            for j, q in enumerate(vids)
+            if i != j and closure.has(p, q)
+        ]
+        assert ImplicationEngine(pds).leq_pairs(pool) == expected
 
 
 class TestCongruenceClasses:
@@ -267,14 +276,16 @@ class TestServiceSurface:
             PartitionDependency.parse("B = B*C"),
         ]
 
-    def test_naive_engine_add_dependencies_recomputes(self):
-        engine = ImplicationEngine(["A = A*B"], naive=True)
+    def test_grown_engine_matches_the_naive_closure(self):
+        engine = ImplicationEngine(["A = A*B"])
         assert not engine.leq("A", "C")
         engine.add_dependencies(["B = B*C"])
         assert engine.leq("A", "C")
+        closure = alg_closure_naive(engine.dependencies, engine.index.vertices())
+        assert engine.index.as_expression_pairs() == closure.as_expression_pairs()
 
     def test_convenience_constructor(self):
-        index = implication_index(["A = A*B"], ["C"])
+        index = ImplicationIndex(["A = A*B"], ["C"])
         assert index.has_arc("A", "B")
         assert index.knows("C")
 
@@ -296,7 +307,6 @@ class TestServiceSurface:
         first = ["C = A + B"]
         second = ["C = C*(A+B)", "A = A*C", "B = B*C"]
         assert pd_equivalent(first, second)
-        assert pd_equivalent(first, second, naive=True)
         assert not pd_equivalent(first, ["A = B"])
 
 
@@ -424,10 +434,28 @@ class TestOverlay:
         assert lattice_word_problems(gamma, queries, engine=engine) == expected
         assert engine.index.export_state() == before
 
-    def test_a_naive_engine_is_refused(self):
-        gamma = ["A = A*B"]
+    def test_an_engine_refused_a_write_keeps_its_theory(self):
+        # E grows only where the index commits it: a write refused inside an
+        # overlay leaves the engine over E, and every engine-contract check
+        # then refuses it for E ∪ {δ} instead of answering over E.
+        from repro.consistency.normalization import normalize_dependencies
+        from repro.errors import LatticeError
+        from repro.expressions.ast import attrs
+        from repro.lattice.quotient import quotient_fragment
+
+        engine = ImplicationEngine(["A = A*B"])
+        with pytest.raises(RuntimeError):
+            with engine.index.overlay():
+                engine.add_dependencies(["B = B*C"])
+        assert engine.dependencies == engine.index.dependencies
+        grown = ["A = A*B", "B = B*C"]
         with pytest.raises(ValueError):
-            lattice_word_problems(gamma, ["A = A*B"], engine=ImplicationEngine(gamma, naive=True))
+            lattice_word_problems(grown, ["A = A*C"], engine=engine)
+        a, c = attrs("A", "C")
+        with pytest.raises(LatticeError):
+            quotient_fragment(grown, [a, a * c], engine=engine)
+        with pytest.raises(ValueError, match="different PD set"):
+            normalize_dependencies(grown, engine=engine)
 
     def test_an_engine_over_another_theory_is_refused(self):
         engine = ImplicationEngine(["A = A*B"])

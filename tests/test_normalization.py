@@ -23,6 +23,8 @@ from repro.workloads.random_dependencies import random_pd
 from repro.workloads.random_expressions import random_expression
 from repro.workloads.random_relations import attribute_names
 
+from tests.conftest import NaiveClosureEngine
+
 
 class TestBinarize:
     def test_fpd_stays_small(self):
@@ -198,9 +200,9 @@ class TestClosureReadOffTheIndex:
         normalize_dependencies(pds, engine=engine)
         assert engine.index.vertex_count == before
 
-    def test_naive_engine_gives_the_same_artifacts(self):
+    def test_naive_closure_gives_the_same_artifacts(self):
         pds = [as_partition_dependency(pd) for pd in ["C = A + B", "A = A*(B + D)"]]
-        naive = ImplicationEngine(pds, naive=True)
+        naive = NaiveClosureEngine(pds)
         assert _artifacts(normalize_dependencies(pds, engine=naive)) == _artifacts(
             normalize_dependencies(pds)
         )

@@ -19,11 +19,12 @@ import pytest
 from repro.consistency.normalization import normalize_dependencies
 from repro.consistency.pd_consistency import pd_chase_engine, pd_consistency
 from repro.errors import ConsistencyError
-from repro.implication.alg import ImplicationEngine
 from repro.relational.chase_engine import ChaseEngine, CodedFds
 from repro.relational.database import Database
 from repro.relational.relations import Relation
 from repro.workloads.random_dependencies import random_pd_set
+
+from tests.conftest import NaiveClosureEngine
 
 # The package re-exports the function under the module's name, so reach the module itself.
 pd_consistency_module = importlib.import_module("repro.consistency.pd_consistency")
@@ -37,7 +38,7 @@ def _normalization_digest(naive: bool) -> str:
         pds = random_pd_set(
             rng.randint(2, 6), rng.randint(1, 6), seed=seed, max_complexity=rng.randint(1, 4)
         )
-        engine = ImplicationEngine(pds, naive=True) if naive else None
+        engine = NaiveClosureEngine(pds) if naive else None
         normalized = normalize_dependencies(pds, engine=engine)
         lines = [str(seed)]
         lines += [
