@@ -32,6 +32,8 @@ from repro.workloads.random_dependencies import random_pd_set
 from repro.workloads.random_expressions import random_expression
 from repro.workloads.random_implication import random_implication_workload
 
+from tests.conftest import index_state
+
 ATTRIBUTES = ["A", "B", "C", "D"]
 
 
@@ -105,7 +107,7 @@ def test_alg_query_stream(benchmark, variant, query_count, rng_seed):
         run = lambda: _decide_incremental(theory, queries)  # noqa: E731
     elif variant == "overlay":
         warm = ImplicationEngine(theory)
-        state = warm.index.export_state()
+        state = index_state(warm.index)
         run = lambda: lattice_word_problems(theory, queries, engine=warm)  # noqa: E731
     else:
         run = lambda: _decide_scratch(theory, queries, alg_closure)  # noqa: E731
@@ -113,7 +115,7 @@ def test_alg_query_stream(benchmark, variant, query_count, rng_seed):
     verdicts = benchmark(run)
     assert verdicts == _decide_scratch(theory, queries, alg_closure)
     if variant == "overlay":
-        assert warm.index.export_state() == state  # the rounds left no trace
+        assert index_state(warm.index) == state  # the rounds left no trace
 
 
 @pytest.mark.benchmark(group="EXP-ALG query stream: naive fixpoint baseline")

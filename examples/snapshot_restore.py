@@ -4,9 +4,9 @@ The full snapshot lifecycle on one small workload:
 
 1. warm a :class:`~repro.service.session.Session` — the ALG implication
    closure, the Theorem 12 normalization artifacts and the result cache all
-   materialize as a mixed stream is answered.  A snapshot holds Γ, the
-   implication index and the result cache; the normalization is a function
-   of Γ, so a restored session rebuilds it on its first weak-instance read;
+   materialize as a mixed stream is answered.  A snapshot holds Γ, its
+   generation and the result cache only; the index and the normalization
+   are functions of Γ, so a restored session rebuilds them from Γ;
 2. export the warm state with :meth:`Session.export_snapshot` — one
    canonical, versioned, digest-protected JSON document;
 3. simulate a process restart by restoring into a *fresh* session with
@@ -45,16 +45,13 @@ def main() -> None:
     payload = decode_snapshot(snapshot)
     print(f"  snapshot: {len(snapshot)} bytes, version {payload['v']},")
     print(f"  digest {payload['digest'][:16]}…, generation {payload['generation']},")
-    print(
-        f"  {len(payload['index']['expressions'])} index vertices, "
-        f"{len(payload['results'])} cached results"
-    )
+    print(f"  {len(payload['dependencies'])} PDs in Γ, {len(payload['results'])} cached results")
 
     print("\n== 3. 'Restart': restore into a fresh process-equivalent session ==")
     started = time.perf_counter()
     restored = restore_session(snapshot, expected_generation=warm.generation)
     restore_seconds = time.perf_counter() - started
-    print(f"  restored in {restore_seconds * 1000:.1f} ms (zero-warmup boot)")
+    print(f"  restored in {restore_seconds * 1000:.1f} ms (Γ's index rebuilt, cache shipped)")
 
     print("\n== 4. Re-answer the same stream ==")
     started = time.perf_counter()

@@ -259,18 +259,6 @@ class ImplicationEngine:
     ) -> None:
         self._index = ImplicationIndex(dependencies, query_expressions)
 
-    @classmethod
-    def from_index(cls, index: ImplicationIndex) -> "ImplicationEngine":
-        """Wrap an existing (e.g. snapshot-restored) index without recomputation.
-
-        The engine adopts the index's dependency set; nothing is propagated —
-        the index is already closed.  This is the restore path of
-        :mod:`repro.service.snapshot`.
-        """
-        engine = cls.__new__(cls)
-        engine._index = index
-        return engine
-
     @property
     def dependencies(self) -> list[PartitionDependency]:
         """The PD set ``E`` this engine reasons over (the index's own)."""

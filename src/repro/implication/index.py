@@ -109,12 +109,7 @@ class ImplicationIndex:
         dependencies: Iterable[PartitionDependencyLike] = (),
         expressions: Iterable[ExpressionLike] = (),
     ) -> None:
-        self._init_empty([])
-        self.add_dependencies(dependencies)
-        self.add_expressions(expressions)
-
-    def _init_empty(self, dependencies: list[PartitionDependency]) -> None:
-        self._dependencies = dependencies
+        self._dependencies: list[PartitionDependency] = []
         self._vertex: dict[PartitionExpression, int] = {}
         self._exprs: list[PartitionExpression] = []
         self._up: list[int] = []
@@ -127,6 +122,8 @@ class ImplicationIndex:
         self._new_up: dict[int, int] = {}
         self._new_down: dict[int, int] = {}
         self._overlays = 0  # open overlay blocks; E cannot grow inside one
+        self.add_dependencies(dependencies)
+        self.add_expressions(expressions)
 
     # -- public surface ---------------------------------------------------------
 
@@ -297,8 +294,8 @@ class ImplicationIndex:
         :meth:`leq`, :meth:`equivalent`, ...) except that ``E`` cannot grow.
         On exit — normal, :class:`~repro.errors.DeadlineExceeded` or any other
         exception — every vertex registered inside is forgotten: the relation
-        is the pre-entry fixpoint again, :meth:`export_state` compares equal,
-        and class ids taken before the block stay valid.  Entry closes any
+        is the pre-entry fixpoint again (same vertices, same arcs), and class
+        ids taken before the block stay valid.  Entry closes any
         propagation left queued by an interrupted call first.
         """
         self._drain()
@@ -340,95 +337,6 @@ class ImplicationIndex:
         self._down = [row & mask for row in self._down[:count]]
         self._operands = operands
 
-    # -- snapshot support -------------------------------------------------------
-
-    def export_state(self) -> dict:
-        """The closed arc relation as plain, restore-ready Python structures.
-
-        Everything derived (the rows of non-root vertices, the operand
-        indexes, the empty delta queues) is omitted — :meth:`from_state`
-        rebuilds it — so the state is minimal and canonical: expressions in
-        vertex-id order, each vertex's class root, and arcs as sorted target
-        roots per class root.  Exporting twice (or exporting a restored
-        index) yields equal structures, which is what gives the service's
-        snapshot codec its encode→decode→encode byte-identity.
-        """
-        self._drain()  # exported state must be a fixpoint, never mid-propagation
-        roots = self._roots()
-        mask = sum(1 << root for root in roots)
-        return {
-            "expressions": list(self._exprs),
-            "dependencies": list(self._dependencies),
-            "parent": [self._root(vid) for vid in range(len(self._exprs))],
-            "arcs": {root: _bits(self._up[root] & mask) for root in roots},
-        }
-
-    @classmethod
-    def from_state(
-        cls,
-        dependencies: Iterable[PartitionDependencyLike],
-        expressions: Iterable[PartitionExpression],
-        parent: Iterable[int],
-        arcs: dict[int, Iterable[int]],
-    ) -> "ImplicationIndex":
-        """Rebuild an index from :meth:`export_state` output without re-propagating.
-
-        The stored relation is already the ALG fixpoint, so no rules fire:
-        the vertices are re-registered in their original order (re-interning
-        each expression), the class-level arcs are expanded into member rows,
-        and the operand indexes are reconstructed.  Malformed state raises
-        :class:`ValueError` — the service codec wraps that into its own error
-        type.  That includes arcs that contradict ``parent``: a class root
-        without its self-arc, or two roots with arcs both ways (their classes
-        would have been one).
-        """
-        index = cls.__new__(cls)
-        index._init_empty([as_partition_dependency(pd) for pd in dependencies])
-
-        for vid, node in enumerate(expressions):
-            if node in index._vertex:
-                raise ValueError(f"duplicate vertex expression at id {vid}")
-            if not isinstance(node, Attr):
-                left = index._vertex.get(node.left)  # type: ignore[attr-defined]
-                right = index._vertex.get(node.right)  # type: ignore[attr-defined]
-                if left is None or right is None:
-                    raise ValueError(
-                        f"vertex {vid} appears before its operands (state is not children-first)"
-                    )
-                index._index_operands(vid, node, left, right)
-            index._vertex[node] = vid
-            index._exprs.append(node)
-
-        count = len(index._exprs)
-        roots = list(parent)
-        if len(roots) != count:
-            raise ValueError(f"parent array has {len(roots)} entries for {count} vertices")
-        for vid, root in enumerate(roots):
-            if not isinstance(root, int) or not 0 <= root <= vid or roots[root] != root:
-                raise ValueError(f"vertex {vid} has invalid class root {root!r}")
-        members: dict[int, int] = {}
-        for vid, root in enumerate(roots):
-            members[root] = members.get(root, 0) | 1 << vid
-
-        up = dict.fromkeys(members, 0)
-        down = dict.fromkeys(members, 0)
-        for source, targets in arcs.items():
-            if source not in members:
-                raise ValueError(f"arc source {source!r} is not a class representative")
-            for target in targets:
-                if target not in members:
-                    raise ValueError(f"arc target {target!r} is not a class representative")
-                up[source] |= members[target]
-                down[target] |= members[source]
-        for root, member_mask in members.items():
-            if not up[root] >> root & 1:
-                raise ValueError(f"class root {root} has no self-arc")
-            if up[root] & down[root] != member_mask:
-                raise ValueError(f"class root {root} has arcs both ways with another class root")
-        index._up = [up[root] for root in roots]
-        index._down = [down[root] for root in roots]
-        return index
-
     # -- vertex registration ----------------------------------------------------
 
     def _register(self, expression: PartitionExpression) -> int:
@@ -450,14 +358,6 @@ class ImplicationIndex:
                     stack.append((node.left, False))  # type: ignore[attr-defined]
                     stack.append((node.right, False))  # type: ignore[attr-defined]
         return self._vertex[expression]
-
-    def _index_operands(self, vid: int, node: PartitionExpression, left: int, right: int) -> None:
-        """Record composite ``vid`` under each of its operands, with the other operand."""
-        self._operands |= 1 << left | 1 << right
-        table = self._products_of if isinstance(node, Product) else self._sums_of
-        table.setdefault(left, []).append((vid, right))
-        if right != left:
-            table.setdefault(right, []).append((vid, left))
 
     def _create_vertex(self, node: PartitionExpression) -> None:
         """Add one vertex whose operands are already registered, with rule catch-up.
@@ -481,10 +381,15 @@ class ImplicationIndex:
 
         left = self._vertex[node.left]  # type: ignore[attr-defined]
         right = self._vertex[node.right]  # type: ignore[attr-defined]
-        self._index_operands(vid, node, left, right)
+        product = isinstance(node, Product)
+        # Record the composite under each operand, with the other operand.
+        self._operands |= 1 << left | 1 << right
+        table = self._products_of if product else self._sums_of
+        table.setdefault(left, []).append((vid, right))
+        if right != left:
+            table.setdefault(right, []).append((vid, left))
         up, down = self._up, self._down
         bit = 1 << vid
-        product = isinstance(node, Product)
         # Rules 3 and 2: p*q ≤ s when p ≤ s or q ≤ s; p+q ≤ s when both are.
         targets = up[left] | up[right] if product else up[left] & up[right]
         up[vid] = targets

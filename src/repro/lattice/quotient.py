@@ -79,21 +79,14 @@ class QuotientFragment:
         index = self._engine.index
         return {index.class_id(rep): i for i, rep in enumerate(self.representatives)}
 
-    def index_of(self, expression: PartitionExpression, engine: Optional[ImplicationEngine] = None) -> int:
+    def index_of(self, expression: PartitionExpression) -> int:
         """The index of the class containing ``expression`` (−1 if not represented).
 
-        On the fragment's own engine this is one ``class_id`` probe and a
-        dictionary hit; registering the query expression cannot disturb the
-        cached table because adding vertices never merges existing classes.
-        A caller-supplied ``engine`` (which may collapse classes differently
-        if its ``E`` grew) falls back to pairwise ``leq`` checks.
+        One ``class_id`` probe on the fragment's own engine and a dictionary
+        hit; registering the query expression cannot disturb the cached
+        table because adding vertices never merges existing classes.
         """
-        if engine is None:
-            return self._index_by_class.get(self._engine.index.class_id(expression), -1)
-        for index, representative in enumerate(self.representatives):
-            if engine.leq(representative, expression) and engine.leq(expression, representative):
-                return index
-        return -1
+        return self._index_by_class.get(self._engine.index.class_id(expression), -1)
 
     def leq(self, i: int, j: int) -> bool:
         """Order between two classes by index."""

@@ -35,7 +35,8 @@ with and without telemetry (see :mod:`repro.service.telemetry`).
 
 ``--snapshot-dir DIR`` (either mode) makes the boot *zero-warmup*: when
 ``DIR/session.snapshot.json`` exists the session (or every shard worker) is
-restored from it instead of replaying the Γ closure, and a fresh snapshot is
+restored from it — Γ and its generation, with the result cache that answers
+the captured requests without kernel work — and a fresh snapshot is
 saved after the stream (file mode, in-process backend) or on drain (serve
 mode).  A live server can also be snapshotted with the
 ``{"control": "snapshot"}`` line.  See :mod:`repro.service.snapshot`.

@@ -105,10 +105,10 @@ class DependencyContext:
     resumes the engine's closure delta-wise and drops only the chase-side
     artifacts.  Normalization reads its closure step off ``engine``, so
     building ``normalized`` forces the engine, and re-normalizing after a
-    write costs a binarization plus row reads on the resumed index.  The
-    normalization is a function of Γ and the index, so a snapshot stores
-    only the engine (:meth:`from_engine`); a restored context re-derives
-    the chase-side artifacts on its first weak-instance read.
+    write costs a binarization plus row reads on the resumed index.  Every
+    artifact is a function of Γ, so a snapshot stores only Γ, and a restored
+    context is a plain ``DependencyContext(Γ)`` that re-derives each
+    artifact on first use.
     """
 
     __slots__ = ("_dependencies", "_engine", "_normalized", "_chase_engine")
@@ -141,15 +141,6 @@ class DependencyContext:
             self._chase_engine = ChaseEngine(self.normalized.coded_fds)
         return self._chase_engine
 
-    def peek_engine(self) -> Optional[ImplicationEngine]:
-        """The implication engine if already built, without forcing it.
-
-        The snapshot codec exports non-default tenants lazily: a tenant that
-        never ran an implication query snapshots ``index: null`` and stays
-        lazy through the restore.
-        """
-        return self._engine
-
     def extend(self, dependencies: Sequence[PartitionDependency]) -> None:
         """Grow Γ in place; the ALG engine resumes, the chase artifacts rebuild.
 
@@ -169,15 +160,6 @@ class DependencyContext:
     def warm_up(self) -> None:
         """Force the implication engine into existence (worker warm-up hook)."""
         self.engine  # noqa: B018 - property access builds the engine
-
-    @classmethod
-    def from_engine(
-        cls, dependencies: Sequence[PartitionDependency], engine: ImplicationEngine
-    ) -> "DependencyContext":
-        """A context over a pre-built engine (the snapshot restore path)."""
-        context = cls(dependencies)
-        context._engine = engine
-        return context
 
 
 class TenantState:
@@ -217,9 +199,9 @@ class Session:
         """This session's warm Γ state as one canonical snapshot document.
 
         See :mod:`repro.service.snapshot` for the format.  The export never
-        computes anything new — it captures Γ, the implication index
-        fixpoint and the result cache as they stand — so it is cheap enough
-        to run on a live server's worker thread between micro-batch windows.
+        computes anything new — it captures each tenant's Γ and generation
+        and the result cache as they stand — so it is cheap enough to run on
+        a live server's worker thread between micro-batch windows.
         """
         from repro.service.snapshot import dump_snapshot
 
@@ -233,11 +215,15 @@ class Session:
         expected_generation: Optional[int] = None,
         expected_dependencies=None,
     ) -> "Session":
-        """A warm session rebuilt from :meth:`export_snapshot` output.
+        """A session rebuilt from :meth:`export_snapshot` output.
 
-        Expressions and results re-enter through the wire codecs (and hence
-        the hash-consed AST), so the restored session answers byte-identically
-        to the warm one it was captured from.  ``expected_generation`` /
+        Γ and results re-enter through the wire codecs (and hence the
+        hash-consed AST).  Each tenant's index is re-derived from its Γ as
+        in :meth:`__init__` (the default tenant's at once, a named tenant's
+        on its first read), so the restored session answers
+        byte-identically to the one it was captured from, and the shipped
+        result cache answers its captured requests without kernel work.
+        ``expected_generation`` /
         ``expected_dependencies`` refuse stale or mismatched snapshots with a
         :class:`~repro.errors.ServiceError`.
         """
@@ -253,17 +239,17 @@ class Session:
     def _snapshot_state(self) -> dict:
         """The raw material the snapshot codec serializes (internal).
 
-        ``generation``/``context`` describe the *default* tenant (which is
-        what pre-tenancy snapshot consumers — the executor's warm-boot check,
-        the CLI staleness guard — care about); ``tenants`` carries every
-        named tenant's keyspace entry.
+        ``generation``/``dependencies`` describe the *default* tenant (which
+        is what pre-tenancy snapshot consumers — the executor's warm-boot
+        check, the CLI staleness guard — care about); ``tenants`` carries
+        every named tenant's ``(name, Γ, generation)``.
         """
         default = self._tenants[None]
         return {
             "generation": default.generation,
-            "context": default.context,
+            "dependencies": default.context.dependencies,
             "tenants": [
-                (name, state.context, state.generation)
+                (name, state.context.dependencies, state.generation)
                 for name, state in self._tenants.items()
                 if name is not None
             ],
@@ -273,28 +259,25 @@ class Session:
     @classmethod
     def _from_restored(
         cls,
-        base: DependencyContext,
+        dependencies: Sequence[PartitionDependency],
         generation: int,
         results: Sequence[tuple[str, Entry]],
         result_cache_size: int,
-        tenants: Sequence[tuple[str, DependencyContext, int]] = (),
+        tenants: Sequence[tuple[str, Sequence[PartitionDependency], int]] = (),
     ) -> "Session":
-        """Assemble a session around restored artifacts (internal; codec-only).
+        """A session over restored Γs, generations and cache entries (codec-only).
 
-        Hit/miss counters restart at zero — they are per-process diagnostics,
+        The default tenant is built and warmed by :meth:`__init__`; named
+        tenants get lazy contexts, as :meth:`_tenant_state` creates them.
+        Hit/miss counters start at zero — they are per-process diagnostics,
         not Γ state — and cache entries beyond the configured capacity are
         dropped from the cold (least recent) end.
         """
-        session = cls.__new__(cls)
-        session._tenants = OrderedDict()
-        session._tenants[None] = TenantState(base, generation)
-        for name, context, tenant_generation in tenants:
-            session._tenants[name] = TenantState(context, tenant_generation)
+        session = cls(dependencies, result_cache_size=0)
+        session._tenants[None].generation = generation
+        for name, tenant_dependencies, tenant_generation in tenants:
+            session._tenants[name] = TenantState(DependencyContext(tenant_dependencies), tenant_generation)
         session._results = ResultCache(result_cache_size, results)
-        session._foreign = OrderedDict()
-        session._context_hits = 0
-        session._context_misses = 0
-        session._context_evictions = 0
         return session
 
     # -- Γ management ----------------------------------------------------------

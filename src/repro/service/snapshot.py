@@ -1,32 +1,34 @@
 """Durable Γ snapshots: the versioned codec behind zero-warmup restores.
 
-Everything a warm :class:`~repro.service.session.Session` has learned about
-its base Γ — the :class:`~repro.implication.index.ImplicationIndex` arc
-relation and congruence classes, the interned expression table
-slice backing them, and the LRU result cache — dies with the process.  This
-module serializes Γ, each tenant's index and the result cache into one
-declarative, versioned, digest-protected JSON document so a restarted
-server, a freshly forked shard worker, or another machine can *restore* the
-warm state instead of re-paying the Γ closure.
+Everything a warm :class:`~repro.service.session.Session` has learned —
+each tenant's :class:`~repro.implication.index.ImplicationIndex`, its
+Theorem 12 normalization and the LRU result cache — dies with the process.
+This module serializes each tenant's Γ and generation and the result cache
+into one declarative, versioned, digest-protected JSON document so a
+restarted server, a freshly forked shard worker, or another machine can
+*restore* the session and answer its captured requests from the cache.
 
-The Theorem 12 normalization is *not* stored: it is a function of Γ alone,
-and its closure step reads the restored index.  A restored tenant rebuilds
-it on its first weak-instance read, so no stored copy can disagree with Γ.
+Nothing derived from Γ is stored.  The ALG closure over Γ is fixed by Γ and
+its subexpressions (Lemma 9.2, Theorem 9), so a restore rebuilds each index
+from Γ the way :class:`~repro.service.session.Session` itself does: the
+default tenant's at once, a named tenant's on its first read.  The
+normalization follows on the first weak-instance read.  No stored copy can
+disagree with Γ, because there is none.
 
 The codec follows the same discipline as :mod:`repro.service.wire`:
 
 * **Canonical bytes** — the snapshot text is :func:`~repro.service.wire.canonical_dumps`
-  of a payload whose every list is emitted in a deterministic order
-  (expressions in vertex-id order, arcs sorted per class representative,
-  cache entries in LRU order), so ``encode → decode → encode`` is
-  byte-identical and snapshots of equal sessions compare with ``==``.
+  of a payload whose every list is emitted in a deterministic order (Γ in
+  insertion order, tenants by name, cache entries in LRU order), so
+  ``encode → decode → encode`` is byte-identical and snapshots of equal
+  sessions compare with ``==``.
 * **Explicit version** — the payload carries ``{"v": SNAPSHOT_VERSION}`` and
   decoding requires it (missing or mismatched versions raise
   :class:`~repro.errors.ServiceError`, never a silent default).
 * **Content digest** — ``digest`` is the SHA-256 of the canonical payload
   minus the digest field itself; any corruption or truncation of the stored
   text is refused before a single artifact is rebuilt.
-* **Re-interning restore** — expressions re-enter through the parser and the
+* **Re-interning restore** — Γ re-enters through the parser and the
   hash-consed AST, results through :func:`~repro.service.wire.decode_result`,
   so a restored session is *indistinguishable* from a recomputed one: the
   randomized cross-checks in ``tests/test_snapshot.py`` pin restored and
@@ -46,29 +48,25 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from repro.errors import ServiceError
-from repro.implication.alg import ImplicationEngine
-from repro.implication.index import ImplicationIndex
 from repro.service.wire import (
     _check_version,
     _require,
     canonical_dumps,
     canonical_loads,
-    decode_expression,
     decode_pd,
     decode_result,
-    encode_expression,
     encode_pd,
     encode_result,
 )
 
 #: Snapshot format version; bump on any incompatible payload change.  The
 #: only version :func:`decode_snapshot` accepts.  The top-level
-#: ``generation``/``dependencies``/``index`` fields describe the *default*
-#: tenant, each ``tenants`` entry a named one in the same shape, and result
-#: entries are ``[key, uses_gamma, tenant, result]``.  A snapshot holds Γ,
-#: each tenant's index and the result cache; the Theorem 12 normalization is
-#: re-derived from Γ and the index on the first weak-instance read.
-SNAPSHOT_VERSION = 3
+#: ``generation``/``dependencies`` fields describe the *default* tenant, each
+#: ``tenants`` entry a named one in the same shape, and result entries are
+#: ``[key, uses_gamma, tenant, result]``.  A snapshot holds each tenant's Γ
+#: and generation and the result cache only; every index and normalization
+#: is re-derived from Γ after the restore.
+SNAPSHOT_VERSION = 4
 
 #: The ``kind`` tag of a snapshot document (guards against feeding the codec
 #: some other canonical-JSON artifact).
@@ -87,49 +85,21 @@ def _digest(payload: dict) -> str:
 # -- encoding ---------------------------------------------------------------------
 
 
-def _encode_index(index: ImplicationIndex) -> dict:
-    """The implication index's fixpoint state as a canonical wire payload."""
-    state = index.export_state()
-    return {
-        "expressions": [encode_expression(e) for e in state["expressions"]],
-        "parent": state["parent"],
-        "arcs": [[root, targets] for root, targets in sorted(state["arcs"].items())],
-    }
-
-
-def _encode_tenant(context, generation: int) -> dict:
-    """One named tenant's keyspace entry; an unforced index stays ``null``.
-
-    The export-never-computes rule holds per tenant: a tenant that has run
-    neither an implication query nor a weak-instance read yet snapshots
-    ``index: null`` (and restores lazy), unlike the default tenant whose
-    engine always exists.  A weak-instance read forces the index as well,
-    because normalization reads its closure step off it.
-    """
-    engine = context.peek_engine()
-    return {
-        "generation": generation,
-        "dependencies": [encode_pd(pd) for pd in context.dependencies],
-        "index": None if engine is None else _encode_index(engine.index),
-    }
+def _encode_tenant(dependencies, generation: int) -> dict:
+    """One tenant's keyspace entry: its generation and Γ."""
+    return {"generation": generation, "dependencies": [encode_pd(pd) for pd in dependencies]}
 
 
 def encode_snapshot(session) -> dict:
-    """A warm session's tenant keyspace as a canonical, digest-stamped payload dict."""
+    """A session's tenant keyspace as a canonical, digest-stamped payload dict."""
     state = session._snapshot_state()
-    context = state["context"]
-    engine = context.engine
     payload: dict[str, Any] = {
         "v": SNAPSHOT_VERSION,
         "kind": SNAPSHOT_KIND,
-        "generation": state["generation"],
-        "dependencies": [encode_pd(pd) for pd in context.dependencies],
-        "index": _encode_index(engine.index),
+        **_encode_tenant(state["dependencies"], state["generation"]),
         "tenants": [
-            [name, _encode_tenant(tenant_context, tenant_generation)]
-            for name, tenant_context, tenant_generation in sorted(
-                state["tenants"], key=lambda entry: entry[0]
-            )
+            [name, _encode_tenant(dependencies, generation)]
+            for name, dependencies, generation in sorted(state["tenants"], key=lambda entry: entry[0])
         ],
         "results": [
             [key, uses_gamma, tenant, encode_result(result)]
@@ -155,23 +125,16 @@ def _require_list(payload: dict, key: str, context: str) -> list:
     return value
 
 
-def _check_tenant_state(state: dict, context: str, lazy: bool) -> None:
-    """Validate one tenant's ``generation``/``dependencies``/``index``.
+def _check_tenant_state(state: dict, context: str) -> None:
+    """Validate one tenant's ``generation``/``dependencies``.
 
     The default tenant (the document's top level) and every ``tenants`` entry
-    share this shape; only a named tenant (``lazy``) may snapshot ``index: null``.
+    share this shape.
     """
     generation = _require(state, "generation", context)
     if isinstance(generation, bool) or not isinstance(generation, int) or generation < 0:
         raise ServiceError(f"{context} generation must be a non-negative integer, got {generation!r}")
     _require_list(state, "dependencies", context)
-    index = _require(state, "index", context)
-    if index is not None or not lazy:
-        for field in ("expressions", "parent", "arcs"):
-            _require_list(index, field, context + " index")
-        for entry in index["arcs"]:
-            if not isinstance(entry, list) or len(entry) != 2 or not isinstance(entry[1], list):
-                raise ServiceError(f"{context} index arc entry {entry!r} is not a [root, targets] pair")
 
 
 def decode_snapshot(text: Union[str, bytes]) -> dict:
@@ -198,7 +161,7 @@ def decode_snapshot(text: Union[str, bytes]) -> dict:
             "snapshot digest mismatch: the stored text is corrupted "
             f"(stored {str(stored)[:16]}…, computed {actual[:16]}…)"
         )
-    _check_tenant_state(payload, "snapshot", lazy=False)
+    _check_tenant_state(payload, "snapshot")
     for entry in _require_list(payload, "tenants", "snapshot"):
         if (
             not isinstance(entry, list)
@@ -208,7 +171,7 @@ def decode_snapshot(text: Union[str, bytes]) -> dict:
             or not isinstance(entry[1], dict)
         ):
             raise ServiceError(f"snapshot tenant entry must be a [name, state] pair, got {entry!r}")
-        _check_tenant_state(entry[1], f"snapshot tenant {entry[0]!r}", lazy=True)
+        _check_tenant_state(entry[1], f"snapshot tenant {entry[0]!r}")
     for entry in _require_list(payload, "results", "snapshot"):
         if not isinstance(entry, list) or len(entry) != 4 or not isinstance(entry[0], str):
             raise ServiceError(
@@ -245,19 +208,20 @@ def restore_session(
     expected_generation: Optional[int] = None,
     expected_dependencies=None,
 ):
-    """Rebuild a warm :class:`~repro.service.session.Session` from a snapshot.
+    """Rebuild a :class:`~repro.service.session.Session` from a snapshot.
 
     ``snapshot`` is the canonical text (or an already-verified payload dict).
-    Every expression re-enters through the parser — and hence the hash-consed
-    AST — so the restored index is built over *this* process's interned
-    nodes, exactly as if the closure had been recomputed here.
+    Every PD re-enters through the parser — and hence the hash-consed AST —
+    and each tenant gets a plain context over its Γ, built exactly as a new
+    session builds one: the default tenant's index is closed here, a named
+    tenant's on its first read.
 
     ``expected_generation`` refuses a stale snapshot of an older Γ;
     ``expected_dependencies`` (any iterable of PDs) refuses a snapshot whose
     base Γ differs from the one the caller configured.  A cache-less session
     (``result_cache_size=0``, a shard worker's) decodes no result entries.
     """
-    from repro.service.session import DependencyContext, Session
+    from repro.service.session import Session
 
     payload = snapshot if isinstance(snapshot, dict) else decode_snapshot(snapshot)
     generation = payload["generation"]
@@ -275,42 +239,17 @@ def restore_session(
                 f"{payload['dependencies']!r} but {expected!r} was configured"
             )
 
-    base = _restore_context(DependencyContext, dependencies, payload["index"])
-    tenants = []
-    for name, tenant_state in payload["tenants"]:
-        tenant_dependencies = tuple(decode_pd(text) for text in tenant_state["dependencies"])
-        tenants.append(
-            (
-                name,
-                _restore_context(DependencyContext, tenant_dependencies, tenant_state["index"]),
-                tenant_state["generation"],
-            )
-        )
+    tenants = [
+        (name, tuple(decode_pd(text) for text in state["dependencies"]), state["generation"])
+        for name, state in payload["tenants"]
+    ]
     return Session._from_restored(
-        base,
+        dependencies,
         generation=generation,
         results=snapshot_results(payload) if result_cache_size > 0 else [],
         result_cache_size=result_cache_size,
         tenants=tenants,
     )
-
-
-def _restore_context(context_cls, dependencies, index_payload):
-    """A :class:`DependencyContext` over the stored index, if the payload carries one.
-
-    ``index: null`` (a lazy tenant) restores a plain lazy context; a stored
-    index re-enters through the parser and the hash-consed AST.  The
-    normalization and chase engine stay lazy either way.
-    """
-    if index_payload is None:
-        return context_cls(dependencies)
-    expressions = [decode_expression(text) for text in index_payload["expressions"]]
-    arcs = {source: targets for source, targets in index_payload["arcs"]}
-    try:
-        index = ImplicationIndex.from_state(dependencies, expressions, index_payload["parent"], arcs)
-    except (ValueError, TypeError) as exc:
-        raise ServiceError(f"cannot restore implication index: {exc}") from None
-    return context_cls.from_engine(dependencies, ImplicationEngine.from_index(index))
 
 
 # -- file lifecycle ---------------------------------------------------------------

@@ -28,9 +28,9 @@ replaces it with an explicit supervision loop:
   kernel that never reaches a check point is reclaimed by SIGKILL and the
   request is answered with a typed ``Timeout`` error result.
 
-Restarted workers are re-warmed exactly like fresh ones — from the shipped
-snapshot when the executor has one (the
-:mod:`~repro.service.snapshot` zero-warmup path), else by replaying Γ — and
+Restarted workers are re-warmed exactly like fresh ones — over the shipped
+snapshot's Γ when the executor has one (see :mod:`~repro.service.snapshot`),
+else over the executor's Γ — and
 every restart, crash and escalation step is counted into the pool's
 :class:`~repro.service.telemetry.MetricsRegistry` (restart latency on the
 ``supervisor.restart_ms`` series);

@@ -49,6 +49,15 @@ def rng() -> random.Random:
 # ---------------------------------------------------------------------------
 
 
+def index_state(index):
+    """What an :class:`ImplicationIndex` has committed: E, its vertices in id order, its arcs.
+
+    The vertex order and the full arc relation fix every class root and
+    class-level arc as well, so equal states mean indistinguishable indexes.
+    """
+    return list(index.dependencies), index.vertices(), index.as_expression_pairs()
+
+
 class NaiveClosureEngine:
     """What ``normalize_dependencies`` reads off an engine, answered by the paper's literal ALG."""
 

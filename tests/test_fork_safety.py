@@ -132,9 +132,9 @@ class TestSpawnChildren:
 def _restored_child_report(snapshot_text: str, encoded_requests: list) -> dict:
     """Runs inside a worker: restore a session from snapshot text, answer a stream.
 
-    Restoring *inside* the child is the sharp case: every snapshot expression
+    Restoring *inside* the child is the sharp case: every snapshot PD
     re-interns through the parser against the child's (rebuilt, post-fork)
-    weak tables, and the restored index must agree with them.
+    weak tables, and the index rebuilt from Γ must agree with them.
     """
     from repro.service.snapshot import restore_session
     from repro.service.wire import dump_result_line, load_request_line

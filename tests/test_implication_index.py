@@ -31,7 +31,7 @@ from repro.workloads.random_dependencies import random_pd_set
 from repro.workloads.random_expressions import random_expression
 from repro.workloads.random_implication import random_implication_workload
 
-from tests.conftest import expressions
+from tests.conftest import expressions, index_state
 
 UNIVERSE = ["A", "B", "C"]
 
@@ -218,12 +218,6 @@ class TestCongruenceClasses:
                     if (expression, other) in pairs and (other, expression) in pairs
                 ]
                 assert index.class_id(expression) == min(mutual), (trial, str(expression))
-            state = index.export_state()
-            restored = ImplicationIndex.from_state(
-                state["dependencies"], state["expressions"], state["parent"], state["arcs"]
-            )
-            assert restored.export_state() == state
-            assert restored.as_expression_pairs() == pairs
 
     def test_derived_equivalence_is_collapsed(self):
         # A*B =_E B*A is forced by commutativity inside ALG's rules once both
@@ -314,10 +308,10 @@ _PAIRS = st.tuples(expressions(max_depth=2), expressions(max_depth=2))
 
 
 def _overlay_case(pairs, pool):
-    """Γ from expression pairs, a warm index over Γ and the pool, and its state."""
+    """Γ from expression pairs, a warm engine over Γ and the pool, and its index's state."""
     gamma = [PartitionDependency(left, right) for left, right in pairs]
-    index = ImplicationIndex(gamma, pool)
-    return gamma, index, index.export_state()
+    engine = ImplicationEngine(gamma, pool)
+    return gamma, engine, index_state(engine.index)
 
 
 class TestOverlay:
@@ -330,21 +324,21 @@ class TestOverlay:
     )
     @settings(max_examples=60, deadline=None)
     def test_overlay_answers_match_the_oracle_and_roll_back(self, raw_gamma, pool, queries):
-        gamma, index, before = _overlay_case(raw_gamma, pool)
+        gamma, engine, before = _overlay_case(raw_gamma, pool)
+        index = engine.index
         sides = [side for pair in queries for side in pair]
         with index.overlay():
             index.add_expressions(sides)
             oracle = alg_closure(gamma, list(pool) + sides)
             assert index.as_expression_pairs() == oracle.as_expression_pairs()
             _assert_classes_maximal(index)
-        assert index.export_state() == before
+        assert index_state(index) == before
         # The batch entry point answers in an overlay too, as a fresh engine would.
         arcs = oracle.as_expression_pairs()
         expected = [(left, right) in arcs and (right, left) in arcs for left, right in queries]
-        engine = ImplicationEngine.from_index(index)
         assert lattice_word_problems(gamma, queries, engine=engine) == expected
         assert lattice_word_problems(gamma, queries) == expected
-        assert index.export_state() == before
+        assert index_state(index) == before
 
     @given(
         st.lists(_PAIRS, max_size=3),
@@ -353,7 +347,8 @@ class TestOverlay:
     )
     @settings(max_examples=60, deadline=None)
     def test_class_ids_taken_before_an_overlay_stay_valid(self, raw_gamma, pool, extra):
-        _, index, before = _overlay_case(raw_gamma, pool)
+        _, engine, before = _overlay_case(raw_gamma, pool)
+        index = engine.index
         ids = [index.class_id(expression) for expression in pool]
         classes = index.classes()
         with index.overlay():
@@ -361,7 +356,7 @@ class TestOverlay:
             assert [index.class_id(expression) for expression in pool] == ids
         assert [index.class_id(expression) for expression in pool] == ids
         assert index.classes() == classes
-        assert index.export_state() == before
+        assert index_state(index) == before
 
     @given(
         st.lists(_PAIRS, max_size=3),
@@ -373,7 +368,8 @@ class TestOverlay:
     def test_deadline_mid_overlay_leaves_the_state_and_later_answers_exact(
         self, raw_gamma, pool, extra, polls
     ):
-        gamma, index, before = _overlay_case(raw_gamma, pool)
+        gamma, engine, before = _overlay_case(raw_gamma, pool)
+        index = engine.index
         # A scope that expires after ``polls`` budget checks: the overlay is
         # interrupted at every reachable point, mid-registration or mid-drain.
         with deadline_scope(60_000) as scope:
@@ -389,7 +385,7 @@ class TestOverlay:
                         index.add_expressions(extra)
                 except DeadlineExceeded as exc:
                     assert exc.scope is scope
-        assert index.export_state() == before
+        assert index_state(index) == before
         # The rolled-back index keeps answering exactly, inside and outside overlays.
         with index.overlay():
             index.add_expressions(extra)
@@ -400,24 +396,24 @@ class TestOverlay:
 
     def test_an_expired_scope_interrupts_the_overlay_and_rolls_it_back(self):
         gamma = ["A = A*B", "B = B*C"]
-        index = ImplicationIndex(gamma, ["A*C"])
-        before = index.export_state()
+        engine = ImplicationEngine(gamma, ["A*C"])
+        index = engine.index
+        before = index_state(index)
         with pytest.raises(DeadlineExceeded):
             with deadline_scope(0):
                 with index.overlay():
                     index.add_expressions(["(A+D)*(C+E)"])
-        assert index.export_state() == before
-        engine = ImplicationEngine.from_index(index)
+        assert index_state(index) == before
         assert lattice_word_problems(gamma, ["A = A*C", "C = C*A"], engine=engine) == [True, False]
-        assert index.export_state() == before
+        assert index_state(index) == before
 
     def test_gamma_cannot_grow_inside_an_overlay(self):
         index = ImplicationIndex(["A = A*B"])
-        before = index.export_state()
+        before = index_state(index)
         with pytest.raises(RuntimeError):
             with index.overlay():
                 index.add_dependencies(["B = B*C"])
-        assert index.export_state() == before
+        assert index_state(index) == before
         index.add_dependencies(["B = B*C"])  # outside an overlay E grows as usual
         assert index.has_arc("A", "C")
 
@@ -429,10 +425,10 @@ class TestOverlay:
             for _ in range(19)
         ]
         engine = ImplicationEngine(gamma)
-        before = engine.index.export_state()
+        before = index_state(engine.index)
         expected = [pd_implies(gamma, query) for query in queries]
         assert lattice_word_problems(gamma, queries, engine=engine) == expected
-        assert engine.index.export_state() == before
+        assert index_state(engine.index) == before
 
     def test_an_engine_refused_a_write_keeps_its_theory(self):
         # E grows only where the index commits it: a write refused inside an
@@ -459,7 +455,7 @@ class TestOverlay:
 
     def test_an_engine_over_another_theory_is_refused(self):
         engine = ImplicationEngine(["A = A*B"])
-        before = engine.index.export_state()
+        before = index_state(engine.index)
         with pytest.raises(ValueError):
             lattice_word_problems(["B = B*C"], ["A = A*B"], engine=engine)
-        assert engine.index.export_state() == before
+        assert index_state(engine.index) == before

@@ -26,6 +26,8 @@ from repro.service.session import Session
 from repro.service.wire import QueryRequest, dump_result_line
 from repro.workloads.random_service import random_service_requests
 
+from tests.conftest import index_state
+
 
 def _pd(text: str) -> PartitionDependency:
     return PartitionDependency.parse(text)
@@ -301,7 +303,7 @@ class TestWarmIndexOverlay:
         for tenant in self.GAMMAS:
             probe = QueryRequest(kind="implies", tenant=tenant, query=_pd("A = A"))
             index = session.context_for(probe).engine.index
-            states[tenant] = (index.vertex_count, index.export_state())
+            states[tenant] = (index.vertex_count, index_state(index))
         return states
 
     def test_window_builds_no_engine_and_leaves_each_index_unchanged(self):

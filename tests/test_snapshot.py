@@ -19,12 +19,12 @@ The contract under test, layer by layer:
 """
 
 import asyncio
+import dataclasses
 import json
 
 import pytest
 
 from repro import profiling
-from repro.dependencies.pd import PartitionDependency
 from repro.errors import ServiceError
 from repro.relational.database import Database
 from repro.relational.relations import Relation
@@ -135,10 +135,11 @@ class TestCodecRoundTrip:
 
     def test_cold_session_snapshots_lazily(self):
         # The snapshot computes nothing just to serialize, and it never
-        # carries the Theorem 12 normalization (re-derived from Γ on restore).
+        # carries an ALG index or the Theorem 12 normalization (both are
+        # re-derived from Γ on restore).
         session = Session(["A = A*B"])
         payload = decode_snapshot(dump_snapshot(session))
-        assert "normalized" not in payload
+        assert "index" not in payload and "normalized" not in payload
         assert payload["results"] == []
 
 
@@ -154,11 +155,11 @@ class TestCodecRejections:
         with pytest.raises(ServiceError, match="digest mismatch"):
             decode_snapshot(flipped)
 
-    @pytest.mark.parametrize("version", [SNAPSHOT_VERSION + 1, 2, 1, True])
+    @pytest.mark.parametrize("version", [SNAPSHOT_VERSION + 1, 3, 2, 1, True])
     def test_version_skew_is_refused(self, version):
-        # One snapshot version: a newer document, a version-2 or version-1
-        # one and a boolean "v" (``True == 1``) are all refused before any
-        # shape check.
+        # One snapshot version: a newer document, a version-3, -2 or -1 one
+        # and a boolean "v" (``True == 1``) are all refused before any shape
+        # check.
         text = dump_snapshot(_warm_session(5))
         skewed = _resealed(text, lambda p: p.__setitem__("v", version))
         with pytest.raises(
@@ -185,58 +186,17 @@ class TestCodecRejections:
         with pytest.raises(ServiceError, match="JSON object"):
             decode_snapshot("[1, 2, 3]")
 
-    def test_structurally_damaged_index_is_refused(self):
-        # Honest digest, dishonest class roots: a root pointing forward.
-        text = dump_snapshot(_warm_session(6))
-
-        def corrupt(payload):
-            parent = payload["index"]["parent"]
-            if len(parent) >= 2:
-                parent[0] = len(parent) - 1
-
-        with pytest.raises(ServiceError, match="implication index"):
-            restore_session(_resealed(text, corrupt))
-
-    def test_root_without_its_self_arc_is_refused(self):
-        # Restoring it would answer leq(e, e) = False for the root's members.
-        text = dump_snapshot(_warm_session(6))
-
-        def corrupt(payload):
-            root, targets = payload["index"]["arcs"][0]
-            targets.remove(root)
-
-        with pytest.raises(ServiceError, match="no self-arc"):
-            restore_session(_resealed(text, corrupt))
-
-    def test_roots_with_arcs_both_ways_are_refused(self):
-        # Two roots that reach each other are one class; parent says two,
-        # so equivalent would be False while leq held both ways.
-        text = dump_snapshot(_warm_session(6))
-
-        def corrupt(payload):
-            arcs = payload["index"]["arcs"]
-            (first, first_targets), (second, second_targets) = arcs[0], arcs[1]
-            first_targets.append(second)
-            second_targets.append(first)
-
-        with pytest.raises(ServiceError, match="arcs both ways"):
-            restore_session(_resealed(text, corrupt))
-
     def test_a_named_tenant_passes_the_default_tenant_shape_check(self):
-        # One validator for every tenant: a torn arc entry in a named
-        # tenant's index is refused at decode, not met as a crash in restore.
+        # One validator for every tenant: a negative generation in a named
+        # tenant's entry is refused at decode, not met as a crash in restore.
         session = Session(random_pd_set(4, 3, seed=6, max_complexity=2))
         session.add_dependencies(["C = C*D"], tenant="acme")
-        session.execute(
-            QueryRequest(kind="implies", tenant="acme", query=PartitionDependency.parse("C = C*D"))
-        )
         text = dump_snapshot(session)
 
         def corrupt(payload):
-            arcs = payload["tenants"][0][1]["index"]["arcs"]
-            arcs[0] = arcs[0][:1]
+            payload["tenants"][0][1]["generation"] = -1
 
-        with pytest.raises(ServiceError, match="snapshot tenant 'acme' index arc entry"):
+        with pytest.raises(ServiceError, match="snapshot tenant 'acme' generation must be a non-negative"):
             decode_snapshot(_resealed(text, corrupt))
 
 
@@ -330,14 +290,15 @@ class TestRestoredSessionEquivalence:
 
     def test_restored_context_normalizes_off_the_restored_index(self):
         # The normalization a restored tenant rebuilds equals the warm one,
-        # and reading its closure step registers no vertex in the index.
+        # and reading its closure step registers no vertex in the index the
+        # restore rebuilt from Γ.
         warm = _warm_session(13)
         restored = restore_session(dump_snapshot(warm))
         request = QueryRequest(kind="implies", query=warm.dependencies[0])
         context = restored.context_for(request)
-        vertices = context.peek_engine().index.vertex_count
+        vertices = context.engine.index.vertex_count
         rebuilt, original = context.normalized, warm.context_for(request).normalized
-        assert context.peek_engine().index.vertex_count == vertices
+        assert context.engine.index.vertex_count == vertices
         assert rebuilt.coded_fds.names == original.coded_fds.names
         assert rebuilt.fds == original.fds
         assert rebuilt.sum_constraints == original.sum_constraints
@@ -371,6 +332,76 @@ class TestRestoredSessionEquivalence:
         assert restored.cache_info()["size"] == 0
         assert decode_snapshot(dump_snapshot(restored))["results"] == []
         assert not any(result.cached for result in restored.execute_many(stream))
+
+
+def test_a_stored_index_cannot_poison_a_restore():
+    # An ``index`` section in the shape version 3 stored, for
+    # Γ = {A = A*B, C = C*D} with one forged arc, root A -> C.  A restore
+    # derives the index from Γ, so the section is ignored and A ≤ C stays
+    # unprovable.
+    warm = Session(["A = A*B", "C = C*D"])
+    assert not warm.implies("A = A*C").implied
+
+    def forge(payload):
+        payload["index"] = {
+            "expressions": ["A", "B", "A * B", "C", "D", "C * D"],
+            "parent": [0, 1, 0, 3, 4, 3],
+            "arcs": [[0, [0, 1, 3]], [1, [1]], [3, [3, 4]], [4, [4]]],
+        }
+
+    # No result cache, so the restored session answers from Γ itself.
+    restored = restore_session(_resealed(dump_snapshot(warm), forge), result_cache_size=0)
+    answer = restored.implies("A = A*C")
+    assert not answer.cached
+    assert not answer.implied
+
+
+def test_each_restored_tenant_index_agrees_with_the_warm_one():
+    # Every tenant's rebuilt index holds exactly its Γ and decides ≤ as the
+    # warm index does on every vertex the warm one registered, query
+    # subexpressions included.
+    warm = Session(random_pd_set(4, 3, seed=61, max_complexity=2))
+    warm.add_dependencies(random_pd_set(4, 2, seed=62, max_complexity=2), tenant="acme")
+    warm.add_dependencies(random_pd_set(4, 2, seed=63, max_complexity=2), tenant="globex")
+    for offset, tenant in enumerate((None, "acme", "globex")):
+        for request in _mixed_stream(20, seed=64 + offset, embed=False):
+            warm.execute(dataclasses.replace(request, tenant=tenant))
+    restored = restore_session(dump_snapshot(warm), result_cache_size=0)
+    for tenant in (None, "acme", "globex"):
+        probe = QueryRequest(kind="implies", query=warm.dependencies_for(tenant)[0], tenant=tenant)
+        warm_index = warm.context_for(probe).engine.index
+        restored_index = restored.context_for(probe).engine.index
+        assert list(restored_index.dependencies) == warm.dependencies_for(tenant)
+        vertices = warm_index.vertices()
+        assert len(vertices) > restored_index.vertex_count
+        for left in vertices:
+            for right in vertices:
+                assert restored_index.leq(left, right) == warm_index.leq(left, right)
+
+
+def test_named_tenants_rebuild_their_index_on_first_read(monkeypatch):
+    # A restore closes only the default tenant's Γ; a named tenant's index is
+    # built by its first read and reused by the next.
+    import repro.service.session as session_module
+
+    built = []
+
+    class CountingEngine(session_module.ImplicationEngine):
+        def __init__(self, dependencies, *args, **kwargs):
+            built.append([str(pd) for pd in dependencies])
+            super().__init__(dependencies, *args, **kwargs)
+
+    warm = Session(["A = A*B"])
+    warm.add_dependencies(["C = C*D"], tenant="acme")
+    warm.add_dependencies(["D = D*E"], tenant="globex")
+    text = dump_snapshot(warm)
+    monkeypatch.setattr(session_module, "ImplicationEngine", CountingEngine)
+    restored = restore_session(text, result_cache_size=0)
+    default, acme = ([str(pd) for pd in warm.dependencies_for(tenant)] for tenant in (None, "acme"))
+    assert built == [default]
+    assert restored.implies("C = C*D", tenant="acme").implied
+    assert not restored.implies("A = A*C", tenant="acme").implied
+    assert built == [default, acme]
 
 
 class TestShardedRestore:

@@ -1,29 +1,26 @@
-"""A committed snapshot pins the implication index's state format across versions.
+"""A committed snapshot pins the snapshot format across implementations.
 
-``data/pinned_session.snapshot.json`` was exported by an earlier
-implementation of :class:`~repro.implication.index.ImplicationIndex` (the
-union-find arc worklist) from the session :func:`pinned_session` builds.  Its
-``add_dependencies`` calls merge congruence classes (``A = A*B`` with
-``B = B*A`` collapses ``A`` and ``B``, ``C = C*D`` with ``D = D*C`` collapses
-``C`` and ``D``),
-so the stored class roots and class-level arcs are not just the per-vertex
-identity.  The current index must restore that document and re-export it
-byte for byte, and a fresh session fed the same stream must export the same
-bytes: the snapshot format is a contract, not an artifact of one
-implementation.
+``data/pinned_session.snapshot.json`` was exported from the session
+:func:`pinned_session` builds.  Its ``add_dependencies`` calls merge
+congruence classes (``A = A*B`` with ``B = B*A`` collapses ``A`` and ``B``,
+``C = C*D`` with ``D = D*C`` collapses ``C`` and ``D``), so the index a
+restore rebuilds from Γ is not just the per-vertex identity.  The current
+code must restore that document and re-export it byte for byte, and a fresh
+session fed the same stream must export the same bytes: the snapshot format
+is a contract, not an artifact of one implementation.
 
-A version-3 snapshot holds Γ, each tenant's index and the result cache.
-The Theorem 12 normalization is not part of the contract: it is rebuilt
-from Γ on the first weak-instance read.  The document was derived from the
-version-2 export by dropping its ``normalized`` section, setting ``v`` to 3
-and recomputing the digest; its index and result bytes are unchanged.
+A version-4 snapshot holds each tenant's Γ and generation and the result
+cache.  Neither the ALG index nor the Theorem 12 normalization is part of
+the contract: both are rebuilt from Γ.  The document was derived from the
+version-3 export by dropping its ``index`` section, setting ``v`` to 4 and
+recomputing the digest; its Γ and result bytes are unchanged.
 """
 
 from pathlib import Path
 
 from repro.service.session import Session
 from repro.service.snapshot import dump_snapshot, restore_session
-from repro.service.wire import canonical_loads
+from repro.service.wire import QueryRequest
 from repro.workloads.random_service import random_service_requests
 
 PINNED = Path(__file__).parent / "data" / "pinned_session.snapshot.json"
@@ -63,8 +60,8 @@ def test_pinned_snapshot_restores_and_reexports_byte_for_byte():
     text = PINNED.read_text(encoding="utf-8")
     restored = restore_session(text)
     assert dump_snapshot(restored) == text
-    parent = canonical_loads(text)["index"]["parent"]
-    assert sum(root != vid for vid, root in enumerate(parent)) >= 2  # merged classes
+    index = restored.context_for(QueryRequest(kind="implies", query=restored.dependencies[0])).engine.index
+    assert index.vertex_count - index.class_count >= 2  # merged classes
     assert restored.equivalent("A", "B").equivalent and restored.equivalent("C", "D").equivalent
 
 
