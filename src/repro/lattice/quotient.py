@@ -96,6 +96,15 @@ class QuotientFragment:
         return len(self.representatives)
 
 
+def _engine_over(pds: Sequence[PartitionDependency], engine: Optional[ImplicationEngine]) -> ImplicationEngine:
+    """``engine`` if it reasons over exactly the PD *set* ``pds``, a fresh engine if it is ``None``."""
+    if engine is None:
+        return ImplicationEngine(pds)
+    if set(engine.dependencies) != set(pds):
+        raise LatticeError("the shared engine must reason over exactly the PD set of the construction")
+    return engine
+
+
 def quotient_fragment(
     dependencies: Iterable[PartitionDependencyLike],
     pool: Sequence[PartitionExpression],
@@ -106,17 +115,13 @@ def quotient_fragment(
     A caller constructing several quotient artifacts over the same ``E`` (as
     :func:`finite_counterexample` does) can pass a shared incremental
     ``engine``; it must reason over exactly the same PD *set* (order and
-    multiplicity of the dependencies do not matter).
+    multiplicity of the dependencies do not matter), else :class:`LatticeError`
+    is raised.  The pool is registered on it; to leave it unchanged, call
+    inside an :meth:`~repro.implication.index.ImplicationIndex.overlay`.
     """
     pds = tuple(as_partition_dependency(pd) for pd in dependencies)
-    if engine is None:
-        engine = ImplicationEngine(pds, query_expressions=pool)
-    else:
-        if set(engine.dependencies) != set(pds):
-            raise LatticeError(
-                "the shared engine must reason over exactly the PD set being quotiented"
-            )
-        engine.prepare(pool)
+    engine = _engine_over(pds, engine)
+    engine.prepare(pool)
     index = engine.index
     by_class: dict[int, PartitionExpression] = {}
     for candidate in sorted(pool, key=lambda e: (e.size(), str(e))):
@@ -171,19 +176,21 @@ def finite_counterexample(
     dependencies: Iterable[PartitionDependencyLike],
     query: PartitionDependencyLike,
     max_pool: int = 4000,
+    engine: Optional[ImplicationEngine] = None,
 ) -> Optional[FiniteLattice]:
     """The finite lattice ``L_H`` witnessing ``E ⊭ e = e'`` (or ``None`` when ``E ⊨ e = e'``).
 
     The returned lattice has the attributes of ``E`` and the query as
     constants, satisfies every PD of ``E``, and violates the query — the
     constructive content of the equivalence (b) ⇔ (c) in Theorem 8.
+    ``engine`` has the contract of :func:`quotient_fragment`'s.
     """
     pds = [as_partition_dependency(pd) for pd in dependencies]
     target = as_partition_dependency(query)
     # One incremental engine is shared by the whole construction: the
     # implication check, the pool collapse and the product-closure loop all
     # extend the same closure instead of rebuilding it.
-    engine = ImplicationEngine(pds)
+    engine = _engine_over(pds, engine)
     if engine.implies(target):
         return None
 

@@ -11,9 +11,10 @@ request surface:
   its ``"X <= Y"`` PD text — FDs, relations/databases, requests, results);
   the service speaks exactly :data:`WIRE_VERSION` and refuses any other;
 * :mod:`repro.service.session` — :class:`Session`, the uniform
-  ``QueryRequest → QueryResult`` surface owning one shared implication
-  index, the Theorem 12 normalization cache, and a result cache
-  invalidated precisely when Γ grows;
+  ``QueryRequest → QueryResult`` surface owning one implication index per
+  Γ (every read answers in an overlay on it and leaves it unchanged), the
+  Theorem 12 normalization cache, and a result cache invalidated precisely
+  when Γ grows;
 * :mod:`repro.service.planner` — the batch planner that regroups a mixed
   stream by kind and dependency set and routes each group into the amortized
   batch APIs;
@@ -38,10 +39,10 @@ request surface:
   the ``{"control": "metrics"}`` line and ``--metrics-dir`` dumps, and the
   per-work-unit kernel cost log fed by :mod:`repro.profiling` counters;
 * :mod:`repro.service.snapshot` — durable Γ snapshots: a versioned,
-  digest-protected codec for a warm session's Γ, implication-index
-  fixpoint and result cache, enabling zero-warmup restores
-  of sessions, shard workers and servers (``--snapshot-dir``); it reads
-  exactly :data:`SNAPSHOT_VERSION` and refuses any other.
+  digest-protected codec for a warm session's Γs, generations and result
+  cache (each index is rebuilt from its Γ), restoring sessions, shard
+  workers and servers (``--snapshot-dir``) with their cached answers; it
+  reads exactly :data:`SNAPSHOT_VERSION` and refuses any other.
 
 Minimal use::
 

@@ -13,7 +13,8 @@ recovers the batch shape the kernels already serve:
   grows with the group, and every query's subexpressions leave the index
   again, so Γ writes keep resuming over an index of Γ's own size;
 * ``consistent``/``weak_instance`` requests over one Γ share the session's
-  normalization artifacts and preprocessed chase engine — the
+  normalization artifacts and preprocessed chase engine (built by the
+  group's first request) — the
   :func:`repro.consistency.pd_consistency.pd_consistency_many` /
   :func:`repro.relational.chase_engine.chase_many` route, with only the
   per-database chase left as marginal work;
@@ -192,9 +193,6 @@ def execute_plan(session: Session, requests: Sequence[QueryRequest]) -> list[Que
                     requests=len(pending),
                     query_size=_batch_query_size(requests, pending),
                 ):
-                    _warm_batch(
-                        session, requests[pending[0]], batch, [requests[i] for i in pending]
-                    )
                     _execute_each(session, requests, results, pending, keys)
         for index, first in duplicates:
             prior = results[first]
@@ -221,20 +219,6 @@ def _gamma_size(session: Session, request: QueryRequest) -> int:
 
 def _batch_query_size(requests: Sequence[QueryRequest], indices: Sequence[int]) -> int:
     return sum(telemetry.request_query_size(requests[index]) for index in indices)
-
-
-def _warm_batch(
-    session: Session, representative: QueryRequest, batch: Batch, pending: Sequence[QueryRequest]
-) -> None:
-    """Pay the group's shared setup once, before the per-request loop."""
-    context = session.context_for(representative)
-    if batch.kind == "consistent" and batch.method == "weak_instance":
-        # Normalization + chase-engine preprocessing once per Γ (the
-        # pd_consistency_many shape); each pending query then only chases.
-        context.chase_engine  # noqa: B018 - property access builds both artifacts
-    elif batch.kind == "quotient":
-        pools = [e for request in pending for e in request.pool]
-        context.engine.prepare(pools)
 
 
 def _execute_implication_batch(
@@ -296,8 +280,8 @@ def _execute_each(
     """Evaluate each pending request and store it (errors are reported per line).
 
     The planner's probe already counted each request's miss, so this never
-    probes the cache a second time.  It is the per-request loop of the warmed
-    groups and the fallback of a failed grouped kernel.
+    probes the cache a second time.  It is the per-request loop of the
+    ungrouped kinds and the fallback of a failed grouped kernel.
     """
     for index in pending:
         result = session.execute(requests[index], use_cache=False)

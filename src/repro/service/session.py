@@ -10,8 +10,9 @@ session owns:
 
 * one persistent :class:`~repro.implication.index.ImplicationIndex` (wrapped
   in an :class:`~repro.implication.alg.ImplicationEngine`), shared by every
-  implication, equivalence and quotient query of that tenant — each query
-  only extends the incremental closure instead of recomputing it;
+  ALG read of that tenant — each read answers inside one
+  :meth:`~repro.implication.index.ImplicationIndex.overlay`, so only Γ
+  writes (and the normalization below) grow the index;
 * the Theorem 12 **normalization cache**: the
   :class:`~repro.consistency.normalization.NormalizedDependencies` artifacts
   and the preprocessed :class:`~repro.relational.chase_engine.ChaseEngine`
@@ -99,7 +100,8 @@ def _telemetry():
 class DependencyContext:
     """Per-Γ artifacts, built lazily and shared by every query over that Γ.
 
-    ``engine`` is the incremental ALG engine (the shared implication index);
+    ``engine`` is the incremental ALG engine (the shared implication index,
+    which reads use only inside overlays);
     ``normalized``/``chase_engine`` are the Theorem 12 step-1 artifacts.
     Each is constructed on first use and cached until :meth:`extend`, which
     resumes the engine's closure delta-wise and drops only the chase-side
@@ -157,10 +159,6 @@ class DependencyContext:
         finally:
             self._dependencies = tuple(self._engine.dependencies)
 
-    def warm_up(self) -> None:
-        """Force the implication engine into existence (worker warm-up hook)."""
-        self.engine  # noqa: B018 - property access builds the engine
-
 
 class TenantState:
     """One tenant's keyspace entry: its Γ context and cache-invalidation marker."""
@@ -182,7 +180,7 @@ class Session:
     ) -> None:
         base = tuple(as_partition_dependency(pd) for pd in dependencies)
         context = DependencyContext(base)
-        context.warm_up()
+        context.engine  # noqa: B018 - property access builds the default tenant's index
         # tenant key (None = default) -> TenantState; the default tenant
         # always exists, others are created on first use.
         self._tenants: "OrderedDict[Optional[str], TenantState]" = OrderedDict()
@@ -566,42 +564,39 @@ class Session:
 
     def _value_for(self, request: QueryRequest) -> dict:
         kind = request.kind
-        if kind == "implies":
-            engine = self.context_for(request).engine
-            return {"implied": engine.implies(request.query)}
-        if kind == "equivalent":
-            engine = self.context_for(request).engine
-            equal = engine.implies(PartitionDependency(request.left, request.right))
-            return {"equivalent": equal}
         if kind == "fd_implies":
             return {"implied": fd_implies_via_pds(request.fds, request.target)}
+        context = self.context_for(request)
         if kind == "consistent":
-            return self._consistency_value(request)
-        if kind == "quotient":
-            context = self.context_for(request)
-            fragment = quotient_fragment(
-                context.dependencies, request.pool, engine=context.engine
-            )
-            return {
-                "classes": [to_infix(r) for r in fragment.representatives],
-                "order": sorted([i, j] for (i, j) in fragment.order),
-            }
-        if kind == "counterexample":
-            context = self.context_for(request)
-            lattice = finite_counterexample(
-                context.dependencies, request.query, max_pool=request.max_pool
-            )
-            if lattice is None:
-                return {"implied": True, "size": None, "constants": []}
-            return {
-                "implied": False,
-                "size": len(lattice),
-                "constants": sorted(lattice.constants),
-            }
+            return self._consistency_value(request, context)
+        # Every ALG read answers on the context's one index, in an overlay that
+        # forgets its vertices on any exit (Lemma 9.2: same verdicts as a fresh engine).
+        engine = context.engine
+        with engine.index.overlay():
+            if kind == "implies":
+                return {"implied": engine.implies(request.query)}
+            if kind == "equivalent":
+                return {"equivalent": engine.index.equivalent(request.left, request.right)}
+            if kind == "quotient":
+                fragment = quotient_fragment(context.dependencies, request.pool, engine=engine)
+                return {
+                    "classes": [to_infix(r) for r in fragment.representatives],
+                    "order": sorted([i, j] for (i, j) in fragment.order),
+                }
+            if kind == "counterexample":
+                lattice = finite_counterexample(
+                    context.dependencies, request.query, max_pool=request.max_pool, engine=engine
+                )
+                if lattice is None:
+                    return {"implied": True, "size": None, "constants": []}
+                return {
+                    "implied": False,
+                    "size": len(lattice),
+                    "constants": sorted(lattice.constants),
+                }
         raise ServiceError(f"unknown request kind {kind!r}")  # unreachable after validate
 
-    def _consistency_value(self, request: QueryRequest) -> dict:
-        context = self.context_for(request)
+    def _consistency_value(self, request: QueryRequest, context: DependencyContext) -> dict:
         if request.method == "weak_instance":
             outcome = pd_consistency(
                 request.database,

@@ -16,9 +16,16 @@ from repro.relational.database import Database
 from repro.relational.functional_dependencies import parse_fd_set
 from repro.relational.relations import Relation
 from repro.sat.nae3sat import nae_backtracking
-from repro.service.api import consistent_request, counterexample_request, implies_request
+from repro.service.api import (
+    consistent_request,
+    counterexample_request,
+    equivalent_request,
+    implies_request,
+    quotient_request,
+)
 from repro.service.session import Session
 from repro.workloads.random_formulas import random_3cnf
+from tests.conftest import index_state
 
 
 class TestScopeSemantics:
@@ -192,6 +199,50 @@ class TestKernelHooks:
             answers = [session.execute(read) for read in reads]
             assert answers == [fresh.execute(read) for read in reads], allowed
             assert (answers == warm) == (len(gamma) == 1), allowed
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            implies_request("(A+C)*D = D*(C+A*B)", deadline_ms=60_000),
+            equivalent_request("A*(C+D)", "A*C+A*D", deadline_ms=60_000),
+            quotient_request(["A", "C+D", "A*C", "B+C*D", "A*(B+C)"], deadline_ms=60_000),
+            counterexample_request("C = C*A", deadline_ms=60_000),
+        ],
+        ids=lambda read: read.kind,
+    )
+    def test_interrupted_read_leaves_the_index_unchanged(self, monkeypatch, read):
+        # A read stopped at any poll of the tenant's index leaves the index
+        # exactly as it found it (no partial vertices), and the same session
+        # then answers the read as a fresh one does.
+        gamma = ["A = A*B", "B = B*C"]
+        session = Session(gamma, result_cache_size=0)
+        index = session.context_for(read).engine.index
+        before = index_state(index)
+
+        def interrupted(reader, allowed):
+            polls = []
+
+            def poll():
+                polls.append(None)
+                if allowed is not None and len(polls) > allowed:
+                    raise DeadlineExceeded(None, "test budget")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(index_module, "check_deadline", poll)
+                try:
+                    reader.execute(read)
+                except DeadlineExceeded:
+                    pass
+            return len(polls)
+
+        total = interrupted(Session(gamma, result_cache_size=0), None)
+        assert total > 3
+        for allowed in range(total):
+            assert interrupted(session, allowed) == allowed + 1  # the last poll raised
+            assert index_state(index) == before, allowed
+        answer = session.execute(read)
+        assert answer.ok and answer == Session(gamma).execute(read)
+        assert index_state(index) == before
 
     def test_counterexample_request_times_out_inside_the_index(self):
         # The Theorem 8 pool here has 1055 expressions; collapsing it runs

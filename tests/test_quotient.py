@@ -48,6 +48,11 @@ class TestQuotientFragment:
         assert forward.order == backward.order
         with pytest.raises(LatticeError):
             quotient_fragment(pds, pool, engine=ImplicationEngine(["A = A*C"]))
+        own = finite_counterexample(pds, "C = C*A")
+        shared = finite_counterexample(pds, "C = C*A", engine=ImplicationEngine(list(reversed(pds))))
+        assert (len(shared), shared.constants) == (len(own), own.constants)
+        with pytest.raises(LatticeError):
+            finite_counterexample(pds, "C = C*A", engine=ImplicationEngine(["A = A*C"]))
 
 
 class TestFiniteCounterexample:

@@ -280,21 +280,44 @@ class TestWarmIndexOverlay:
         return session
 
     def _window(self) -> list[QueryRequest]:
+        """Every ALG read kind per tenant, implication groups first, then the per-request lanes."""
         requests = []
+        pools = [["A", "B", "C", "A*B", "A*C", "B+C", "(A+B)*C"], ["D", "A+B", "C*D", "C", "E+D"]]
         for tenant in self.GAMMAS:
-            for i, text in enumerate(["A = A*C", "C = C*A", "D = D*(A+B)", "(A+C)*D = D*(C+E)"]):
-                requests.append(
-                    QueryRequest(kind="implies", id=f"{tenant}-i{i}", tenant=tenant, query=_pd(text))
-                )
-            for i, (left, right) in enumerate([("A*C", "A"), ("D", "A+B"), ("C+E", "E+C*D")]):
+            for deadline_ms, lane in ((None, ""), (60_000, "d")):
+                for i, text in enumerate(["A = A*C", "C = C*A", "D = D*(A+B)", "(A+C)*D = D*(C+E)"]):
+                    requests.append(
+                        QueryRequest(
+                            kind="implies",
+                            id=f"{tenant}-{lane}i{i}",
+                            tenant=tenant,
+                            query=_pd(text),
+                            deadline_ms=deadline_ms,
+                        )
+                    )
+                for i, (left, right) in enumerate([("A*C", "A"), ("D", "A+B"), ("C+E", "E+C*D")]):
+                    requests.append(
+                        QueryRequest(
+                            kind="equivalent",
+                            id=f"{tenant}-{lane}e{i}",
+                            tenant=tenant,
+                            left=parse_expression(left),
+                            right=parse_expression(right),
+                            deadline_ms=deadline_ms,
+                        )
+                    )
+            for i, pool in enumerate(pools):
                 requests.append(
                     QueryRequest(
-                        kind="equivalent",
-                        id=f"{tenant}-e{i}",
+                        kind="quotient",
+                        id=f"{tenant}-q{i}",
                         tenant=tenant,
-                        left=parse_expression(left),
-                        right=parse_expression(right),
+                        pool=tuple(parse_expression(text) for text in pool),
                     )
+                )
+            for i, text in enumerate(["C = C*A", "A = A*C", "D = D*C"]):
+                requests.append(
+                    QueryRequest(kind="counterexample", id=f"{tenant}-c{i}", tenant=tenant, query=_pd(text))
                 )
         return requests
 
