@@ -32,6 +32,12 @@ query throws away almost all of the work.
   is exactly ``v``'s class.  Its lowest set bit — the smallest member id,
   mirroring the chase engine's representative election — is the class id.
   Nothing is merged or re-keyed: classes are read off the rows.
+* **Class probes** — :meth:`~ImplicationIndex.product_class` answers which
+  class ``p*q`` would join without registering it.  The operand rows are
+  closed, so the composite's old origins are ``down[p] & down[q]`` and its
+  old targets are ``up[p] | up[q]`` closed under rule 4 (the one rule that
+  starts new arcs at the composite), and Lemma 9.2 keeps every old row fixed.
+  The Theorem 8 closure registers only the products that found new classes.
 
 The fixpoint is the one the from-scratch closure computes, which
 ``tests/test_implication_index.py`` verifies against both
@@ -220,6 +226,50 @@ class ImplicationIndex:
         q = self._vertex[as_expression(right)]
         self._drain()
         return bool(self._up[p] >> q & 1)
+
+    def product_class(self, left: ExpressionLike, right: ExpressionLike) -> int:
+        """The class id ``left*right`` would get if registered, or −1 if it would found a new class.
+
+        Read-only: the composite is not registered, and the answer is the one
+        :meth:`class_id` would give after registering it.  Raises
+        :class:`KeyError` when either operand was never registered, like
+        :meth:`has_arc`.
+
+        Let ``p`` and ``q`` be the operands, drained, and ``n`` the composite.
+        Registering ``n`` leaves every old row as it was (Lemma 9.2), so
+        ``n``'s class id is the root of any old vertex ``s`` with
+        ``s ≤_E n ≤_E s``, and ``n`` itself when there is none.  The operand
+        rows are closed, so both sides of that test are read off them:
+
+        * the old origins of ``n`` are exactly ``down[p] & down[q]`` (rule 4),
+          the AND :meth:`_create_vertex` takes: rules 2, 3 and 7 derive an
+          origin of ``n`` only from origins already in that set;
+        * the old targets of ``n`` start as ``up[p] | up[q]`` (rule 3), the OR
+          :meth:`_create_vertex` takes, and the old rows keep that set closed
+          under rule 7.  One rule still starts arcs at ``n``: rule 4 with
+          ``n`` as the origin, ``n ≤ a*b`` for an old product whose operands
+          are both targets already (this is how ``A*B`` reaches ``B*A``).  The
+          loop below adds those products and their ``up`` rows until nothing
+          is gained or the targets meet the origins.
+        """
+        p = self._vertex[as_expression(left)]
+        q = self._vertex[as_expression(right)]
+        self._drain()
+        up, products_of = self._up, self._products_of
+        origins = self._down[p] & self._down[q]
+        targets = fresh = up[p] | up[q]
+        while not targets & origins:
+            gained = 0
+            for target in _bits(fresh & self._operands):
+                for composite, other in products_of.get(target, ()):
+                    if targets >> other & 1:
+                        gained |= up[composite]
+            fresh = gained & ~targets
+            if not fresh:
+                return -1
+            targets |= fresh
+        both = targets & origins
+        return self._root((both & -both).bit_length() - 1)
 
     def equivalent(self, left: ExpressionLike, right: ExpressionLike) -> bool:
         """``left =_E right``: the two expressions are in the same congruence class."""

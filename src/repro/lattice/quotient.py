@@ -31,6 +31,12 @@ class-id equality, so
   class ids — a product either hits a known class (dict hit) or founds a new
   element — replacing the linear canonicalization scan over all elements
   (preserved as :func:`repro.lattice.oracle.finite_counterexample_oracle`).
+  The product's class is read off its operands' rows first
+  (:meth:`~repro.implication.index.ImplicationIndex.product_class`: by
+  Lemma 9.2 the composite's old origins are ``down[p] & down[q]`` and its old
+  targets ``up[p] | up[q]`` closed under rule 4), so only products that do
+  not land on a known element are registered, and the lattice order is one
+  :meth:`~repro.implication.index.ImplicationIndex.leq_masks` read.
 """
 
 from __future__ import annotations
@@ -206,7 +212,10 @@ def finite_counterexample(
     # A1+...+An.  The closure runs as a worklist over the growing element
     # list, keyed on congruence-class ids: each unordered pair is examined
     # once, and a product is either a dict hit on a known class or founds a
-    # new element (and new pairs).  Class ids are stable here because only
+    # new element (and new pairs).  The product's class is first read off
+    # its operands' rows (``product_class``, Lemma 9.2), so a product that
+    # lands on a known element is never registered; only the others go
+    # through ``canonical``.  Class ids are stable here because only
     # expressions — never dependencies — are added past this point.
     elements: list[PartitionExpression] = list(fragment.representatives)
     engine.prepare([top_expression])
@@ -232,7 +241,8 @@ def finite_counterexample(
         check_deadline()  # the closure is super-polynomial; honor query budgets
         current = elements[position]
         for other in elements[:position]:
-            canonical(Product(other, current))
+            if index.product_class(other, current) not in element_by_class:
+                canonical(Product(other, current))
         position += 1
     canonical(top_expression)
 
@@ -240,8 +250,12 @@ def finite_counterexample(
     for attribute in attributes:
         constants[attribute] = canonical(attr(attribute))
 
-    def leq(x: PartitionExpression, y: PartitionExpression) -> bool:
-        return engine.leq(x, y)
+    # The elements are distinct classes, so one row read orders them all.
+    masks = index.leq_masks(elements)
+    position_of = {expression: i for i, expression in enumerate(elements)}
 
-    lattice = FiniteLattice.from_partial_order(elements, leq, constants=constants)
-    return lattice
+    def leq(x: PartitionExpression, y: PartitionExpression) -> bool:
+        i, j = position_of[x], position_of[y]
+        return i == j or bool(masks[i] >> j & 1)
+
+    return FiniteLattice.from_partial_order(elements, leq, constants=constants)

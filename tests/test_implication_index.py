@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.deadline import deadline_scope
 from repro.dependencies.pd import PartitionDependency
 from repro.errors import DeadlineExceeded
-from repro.expressions.ast import as_expression
+from repro.expressions.ast import Product, as_expression
 from repro.implication.alg import (
     ImplicationEngine,
     alg_closure,
@@ -243,6 +243,17 @@ class TestCongruenceClasses:
 
 
 class TestServiceSurface:
+    def test_product_class_reads_without_registering(self):
+        index = ImplicationIndex([], ["B*A", "C"])
+        before = index_state(index)
+        # A*B is equal to B*A, yet neither operand lies below the other: the
+        # class is reached only through rule 4 with A*B as the origin.
+        assert index.product_class("A", "B") == index.class_id("B*A")
+        assert index.product_class("A", "C") == -1
+        with pytest.raises(KeyError):
+            index.product_class("A", "D")
+        assert index_state(index) == before
+
     def test_knows_and_has_arc_do_not_mutate(self):
         index = ImplicationIndex(["A = A*B"])
         count = index.vertex_count
@@ -339,6 +350,27 @@ class TestOverlay:
         assert lattice_word_problems(gamma, queries, engine=engine) == expected
         assert lattice_word_problems(gamma, queries) == expected
         assert index_state(index) == before
+
+    @given(
+        st.lists(_PAIRS, max_size=3),
+        st.lists(expressions(max_depth=2), min_size=1, max_size=4),
+        st.lists(st.tuples(st.integers(min_value=0), st.integers(min_value=0)), min_size=1, max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_product_class_is_the_class_the_registered_product_gets(self, raw_gamma, pool, picks):
+        _, engine, before = _overlay_case(raw_gamma, pool)
+        index = engine.index
+        vertices = index.vertices()
+        count = len(vertices)
+        for i, j in picks:
+            left, right = vertices[i % count], vertices[j % count]
+            probe = index.product_class(left, right)
+            assert index_state(index) == before
+            with index.overlay():
+                registered = index.class_id(Product(left, right))
+            # An old class id is the probe's answer; a new vertex that is its
+            # own class root (the only id ≥ count) is -1.
+            assert probe == (registered if registered < count else -1)
 
     @given(
         st.lists(_PAIRS, max_size=3),

@@ -36,6 +36,8 @@ from repro.lattice.quotient import finite_counterexample, quotient_fragment
 from repro.workloads.random_dependencies import random_pd_set
 from repro.workloads.random_expressions import random_expression
 
+from tests.conftest import index_state
+
 SEEDS = range(8)
 
 
@@ -209,9 +211,20 @@ class TestQuotientPipelineMatchesOracle:
         query = random_pd_set(3, 1, seed=seed + 77, max_complexity=2 if seed == 0 else 1)[0]
         kernel_lattice = finite_counterexample(pds, query)
         oracle_lattice = finite_counterexample_oracle(pds, query)
-        assert (kernel_lattice is None) == (oracle_lattice is None)
+        # The session's path: a shared engine that has answered another
+        # query, read inside an overlay on its index.
+        engine = ImplicationEngine(pds)
+        engine.implies(random_pd_set(3, 1, seed=seed + 99, max_complexity=2)[0])
+        before = index_state(engine.index)
+        with engine.index.overlay():
+            shared_lattice = finite_counterexample(pds, query, engine=engine)
+        assert index_state(engine.index) == before
+        assert (kernel_lattice is None) == (oracle_lattice is None) == (shared_lattice is None)
         if kernel_lattice is None:
             return
+        assert shared_lattice.elements == kernel_lattice.elements
+        assert shared_lattice.constants == kernel_lattice.constants
+        assert are_isomorphic(shared_lattice, oracle_lattice)
         assert len(kernel_lattice) == len(oracle_lattice)
         assert kernel_lattice.satisfies_all(pds)
         assert not kernel_lattice.satisfies(query)
