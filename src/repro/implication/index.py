@@ -10,7 +10,7 @@ query throws away almost all of the work.
 
 :class:`ImplicationIndex` keeps the closed relation alive between calls:
 
-* **Rows** — vertex ``v`` owns two Python ints: bit ``j`` of ``up[v]`` means
+* **Rows** — row ``v`` owns two Python ints: bit ``j`` of ``up[v]`` means
   ``v ≤_E j`` and bit ``j`` of ``down[v]`` means ``j ≤_E v``.  The two are
   mirrors of one arc set, so ``leq`` is a single bit test and every ALG rule
   is a row OR or AND.
@@ -29,22 +29,36 @@ query throws away almost all of the work.
   adding the two equation arcs and propagating their consequences.
 * **Congruence classes** — vertices provably Γ-equivalent (arcs both ways,
   i.e. ``p ≤_E q`` and ``q ≤_E p``) form one class, and ``up[v] & down[v]``
-  is exactly ``v``'s class.  Its lowest set bit — the smallest member id,
-  mirroring the chase engine's representative election — is the class id.
+  is exactly ``v``'s class.  Its lowest set bit — the smallest member row,
+  which holds the class's earliest-registered expression, mirroring the chase
+  engine's representative election — is the class id.
   Nothing is merged or re-keyed: classes are read off the rows.
 * **Class probes** — :meth:`~ImplicationIndex.product_class` answers which
   class ``p*q`` would join without registering it.  The operand rows are
   closed, so the composite's old origins are ``down[p] & down[q]`` and its
   old targets are ``up[p] | up[q]`` closed under rule 4 (the one rule that
   starts new arcs at the composite), and Lemma 9.2 keeps every old row fixed.
-  The Theorem 8 closure registers only the products that found new classes.
+  Sums have the dual probe: targets exactly ``up[p] & up[q]``, origins
+  ``down[p] | down[q]`` closed under rule 2.
+* **Hash-consing** — each composite is probed as it is registered, after its
+  operands and a drain.  One that lands on a class the index already holds
+  becomes an *alias*: its expression maps to that class's row and no row is
+  created.  Only a composite that founds a new class gets a row, built over
+  its operands' rows.  The rows stay subexpression-closed (a row's operands
+  are rows), so ALG stays exact over them (Theorem 9), and a row built over
+  an alias stands for an expression ``=_E`` to its own by congruence.
+  ``=_E`` is monotone in ``E``, so an alias stays valid as
+  :meth:`~ImplicationIndex.add_dependencies` grows ``E``.  Ids are row ids;
+  :meth:`~ImplicationIndex.vertices`, :meth:`~ImplicationIndex.classes` and
+  :meth:`~ImplicationIndex.as_expression_pairs` enumerate every registered
+  expression through the alias map.
 
 The fixpoint is the one the from-scratch closure computes, which
 ``tests/test_implication_index.py`` verifies against both
 :func:`~repro.implication.alg.alg_closure` and
 :func:`~repro.implication.alg.alg_closure_naive` on randomized interleavings.
-Propagation polls :func:`~repro.deadline.check_deadline` once per vertex
-created and once per delta-row pop; a budget that expires mid-propagation
+Propagation polls :func:`~repro.deadline.check_deadline` once per expression
+registered and once per delta-row pop; a budget that expires mid-propagation
 leaves the remaining deltas queued, and the next call resumes from them.
 
 Outside an overlay the index never forgets: dependencies and vertices can
@@ -52,11 +66,12 @@ only be added, which is exactly the monotone shape of ALG (rules only ever
 insert arcs).  Read-only query streams use :meth:`ImplicationIndex.overlay`
 instead: the block registers and answers its queries on the warm relation,
 and on exit (normal or by any exception, a deadline included) every vertex it
-added is forgotten.  The rollback is exact because ALG over a larger vertex
-set is conservative over a smaller one (Lemma 9.2: ``p ≤_E q`` iff
-``(p, q) ∈ Γ`` for *any* ``V`` containing both), so the old vertices' rows
-only ever gained bits at the new positions: truncating the vertex lists and
-masking each old row back to the old width restores the pre-entry fixpoint.
+added is forgotten, aliases included.  The rollback is exact because ALG over a
+larger vertex set is conservative over a smaller one (Lemma 9.2: ``p ≤_E q``
+iff ``(p, q) ∈ Γ`` for *any* ``V`` containing both), so the old rows only
+ever gained bits at the new positions: popping the new expressions,
+truncating the row lists and masking each old row back to the old width
+restores the pre-entry fixpoint.
 """
 
 from __future__ import annotations
@@ -116,8 +131,10 @@ class ImplicationIndex:
         expressions: Iterable[ExpressionLike] = (),
     ) -> None:
         self._dependencies: list[PartitionDependency] = []
+        # Every registered expression -> its row id, in registration order
+        # (an alias maps to the row of the class it landed on).
         self._vertex: dict[PartitionExpression, int] = {}
-        self._exprs: list[PartitionExpression] = []
+        self._exprs: list[PartitionExpression] = []  # row id -> the expression that founded it
         self._up: list[int] = []
         self._down: list[int] = []
         # Operand vertex id -> (composite id, the composite's other operand id).
@@ -140,7 +157,12 @@ class ImplicationIndex:
 
     @property
     def vertex_count(self) -> int:
-        """Number of registered subexpressions (vertices of ``Γ``)."""
+        """Number of registered subexpressions (vertices of ``Γ``), aliases included."""
+        return len(self._vertex)
+
+    @property
+    def row_count(self) -> int:
+        """Number of rows: registered expressions that founded a class when registered."""
         return len(self._exprs)
 
     @property
@@ -237,8 +259,8 @@ class ImplicationIndex:
 
         Let ``p`` and ``q`` be the operands, drained, and ``n`` the composite.
         Registering ``n`` leaves every old row as it was (Lemma 9.2), so
-        ``n``'s class id is the root of any old vertex ``s`` with
-        ``s ≤_E n ≤_E s``, and ``n`` itself when there is none.  The operand
+        ``n``'s class id is the root of any old row ``s`` with
+        ``s ≤_E n ≤_E s``, and a new row when there is none.  The operand
         rows are closed, so both sides of that test are read off them:
 
         * the old origins of ``n`` are exactly ``down[p] & down[q]`` (rule 4),
@@ -248,28 +270,14 @@ class ImplicationIndex:
           :meth:`_create_vertex` takes, and the old rows keep that set closed
           under rule 7.  One rule still starts arcs at ``n``: rule 4 with
           ``n`` as the origin, ``n ≤ a*b`` for an old product whose operands
-          are both targets already (this is how ``A*B`` reaches ``B*A``).  The
-          loop below adds those products and their ``up`` rows until nothing
-          is gained or the targets meet the origins.
+          are both targets already (this is how ``A*B`` reaches ``B*A``).
+          :meth:`_probe` adds those products and their ``up`` rows until
+          nothing is gained or the targets meet the origins.
         """
         p = self._vertex[as_expression(left)]
         q = self._vertex[as_expression(right)]
         self._drain()
-        up, products_of = self._up, self._products_of
-        origins = self._down[p] & self._down[q]
-        targets = fresh = up[p] | up[q]
-        while not targets & origins:
-            gained = 0
-            for target in _bits(fresh & self._operands):
-                for composite, other in products_of.get(target, ()):
-                    if targets >> other & 1:
-                        gained |= up[composite]
-            fresh = gained & ~targets
-            if not fresh:
-                return -1
-            targets |= fresh
-        both = targets & origins
-        return self._root((both & -both).bit_length() - 1)
+        return self._product_class(p, q)
 
     def equivalent(self, left: ExpressionLike, right: ExpressionLike) -> bool:
         """``left =_E right``: the two expressions are in the same congruence class."""
@@ -279,31 +287,36 @@ class ImplicationIndex:
         return bool(self._up[p] >> q & self._down[p] >> q & 1)
 
     def congruence_classes(self) -> list[list[PartitionExpression]]:
-        """The current classes of Γ-equivalent vertices, in vertex order."""
+        """The current classes of Γ-equivalent expressions, in class-id order."""
         return list(self.classes().values())
 
     def class_id(self, expression: ExpressionLike) -> int:
         """The congruence-class id of an expression (registering it if necessary).
 
         Two expressions share a class id iff they are provably ``=_E``
-        (mutual Γ-arcs).  Ids are stable as long as only *expressions* are
-        added: registering a new vertex cannot merge existing classes (ALG
-        restricted to a larger ``V`` is conservative over the old one), so a
-        snapshot of class ids stays valid across ``add_expressions`` /
-        ``leq`` calls.  :meth:`add_dependencies` can merge classes and
-        thereby retire ids — take fresh snapshots after growing ``E``.
+        (mutual Γ-arcs).  The id is the class's smallest row id, whose row
+        holds the class's earliest-registered expression; it is a row id, not
+        a position in :meth:`vertices` (an alias has no row).  Ids are stable
+        as long as only *expressions* are added: registering a new expression
+        cannot merge existing classes (ALG restricted to a larger ``V`` is
+        conservative over the old one), so a snapshot of class ids stays
+        valid across ``add_expressions`` / ``leq`` calls.
+        :meth:`add_dependencies` can merge classes and thereby retire ids —
+        take fresh snapshots after growing ``E``.
         """
         vid = self._register(as_expression(expression))
         self._drain()
         return self._root(vid)
 
     def classes(self) -> dict[int, list[PartitionExpression]]:
-        """The current classes keyed by class id (member expressions in vertex order)."""
+        """The current classes keyed by class id (member expressions in registration order)."""
         self._drain()
+        roots = [self._root(vid) for vid in range(len(self._exprs))]
         groups: dict[int, list[PartitionExpression]] = {}
-        for vid, expression in enumerate(self._exprs):
-            groups.setdefault(self._root(vid), []).append(expression)
-        return groups  # a root is its class's first member, so keys ascend
+        for expression, vid in self._vertex.items():
+            groups.setdefault(roots[vid], []).append(expression)
+        # A root is registered before any alias to its class, so keys ascend.
+        return groups
 
     def class_leq(self, left_class: int, right_class: int) -> bool:
         """``≤_E`` between two congruence classes by *current* class id (read-only).
@@ -319,8 +332,11 @@ class ImplicationIndex:
         return self._exprs[self.class_id(expression)]
 
     def vertices(self) -> list[PartitionExpression]:
-        """All registered subexpressions, in registration order."""
-        return list(self._exprs)
+        """All registered subexpressions in registration order, aliases included.
+
+        A position in this list is not a row id: an alias has no row of its own.
+        """
+        return list(self._vertex)
 
     def as_expression_pairs(self) -> set[tuple[PartitionExpression, PartitionExpression]]:
         """The full arc relation expanded back to expression pairs.
@@ -329,11 +345,15 @@ class ImplicationIndex:
         exactly (the cross-check oracles rely on this).
         """
         self._drain()
-        exprs = self._exprs
+        members: list[list[PartitionExpression]] = [[] for _ in self._exprs]
+        for expression, vid in self._vertex.items():
+            members[vid].append(expression)
         return {
-            (source, exprs[target])
-            for source, row in zip(exprs, self._up)
-            for target in _bits(row)
+            (source, target)
+            for sources, row in zip(members, self._up)
+            for column in _bits(row)
+            for source in sources
+            for target in members[column]
         }
 
     @contextlib.contextmanager
@@ -349,38 +369,39 @@ class ImplicationIndex:
         propagation left queued by an interrupted call first.
         """
         self._drain()
-        count, operands = len(self._exprs), self._operands
+        count, registered, operands = len(self._exprs), len(self._vertex), self._operands
         self._overlays += 1
         try:
             yield self
         finally:
             self._overlays -= 1
-            self._rollback(count, operands)
+            self._rollback(count, registered, operands)
 
-    def _rollback(self, count: int, operands: int) -> None:
-        """Forget every vertex with id ``≥ count`` (the :meth:`overlay` exit).
+    def _rollback(self, count: int, registered: int, operands: int) -> None:
+        """Forget the expressions past the first ``registered`` and the rows ``≥ count`` (:meth:`overlay` exit).
 
-        New composites are unindexed newest first, so each one's operand-table
-        entries are the last in their lists.  An old row can only have gained
-        bits at new positions (Lemma 9.2), so masking it restores it; queued
-        deltas are then stale and dropped.
+        Expressions are popped newest first, so each new composite row is
+        unindexed while its operand-table entries are the last in their lists.
+        An alias, to an old row or to a new one, owns no entries and is just
+        popped.  An old row can only have gained bits at new positions
+        (Lemma 9.2), so masking it restores it; queued deltas are then stale
+        and dropped.
         """
         self._new_up.clear()
         self._new_down.clear()
         exprs, vertex = self._exprs, self._vertex
-        if len(exprs) == count:
-            return
-        for vid in range(len(exprs) - 1, count - 1, -1):
-            node = exprs[vid]
-            del vertex[node]
-            if isinstance(node, Attr):
-                continue
+        while len(vertex) > registered:
+            node, vid = vertex.popitem()
+            if exprs[vid] is not node or isinstance(node, Attr):
+                continue  # an alias, or a row with no operands
             table = self._products_of if isinstance(node, Product) else self._sums_of
             for operand in {vertex[node.left], vertex[node.right]}:  # type: ignore[attr-defined]
                 entries = table[operand]
                 entries.pop()
                 if not entries:
                     del table[operand]
+        if len(exprs) == count:
+            return
         del exprs[count:]
         mask = (1 << count) - 1
         self._up = [row & mask for row in self._up[:count]]
@@ -390,27 +411,91 @@ class ImplicationIndex:
     # -- vertex registration ----------------------------------------------------
 
     def _register(self, expression: PartitionExpression) -> int:
-        """Intern ``expression`` and all its subexpressions as vertices (children first)."""
-        vid = self._vertex.get(expression)
+        """Intern ``expression`` and all its subexpressions (children first), hash-consed modulo ``=_E``.
+
+        Each composite is probed on its drained operands' rows: one that lands
+        on a known class becomes an alias of that class's row, and only one
+        that founds a new class gets a row of its own.
+        """
+        vertex = self._vertex
+        vid = vertex.get(expression)
         if vid is not None:
             return vid
         stack: list[tuple[PartitionExpression, bool]] = [(expression, False)]
         while stack:
             node, expanded = stack.pop()
-            if node in self._vertex:
+            if node in vertex:
                 continue
             if expanded:
-                check_deadline()  # one budget check per vertex created
-                self._create_vertex(node)
+                check_deadline()  # one budget check per expression registered
+                if isinstance(node, Attr):
+                    self._create_vertex(node)
+                    continue
+                p = vertex[node.left]  # type: ignore[attr-defined]
+                q = vertex[node.right]  # type: ignore[attr-defined]
+                self._drain()
+                known = self._product_class(p, q) if isinstance(node, Product) else self._sum_class(p, q)
+                if known < 0:
+                    self._create_vertex(node)
+                else:
+                    vertex[node] = known
             else:
                 stack.append((node, True))
                 if not isinstance(node, Attr):
                     stack.append((node.left, False))  # type: ignore[attr-defined]
                     stack.append((node.right, False))  # type: ignore[attr-defined]
-        return self._vertex[expression]
+        return vertex[expression]
+
+    def _product_class(self, p: int, q: int) -> int:
+        """:meth:`product_class` on drained operand rows ``p`` and ``q``."""
+        up, down = self._up, self._down
+        return self._probe(down[p] & down[q], up[p] | up[q], up, self._products_of)
+
+    def _sum_class(self, p: int, q: int) -> int:
+        """The class id ``p+q`` would get if registered over drained rows ``p`` and ``q``, or −1.
+
+        The dual of :meth:`product_class`.  Registering ``n = p+q`` leaves
+        every old row as it was (Lemma 9.2), and the operand rows are closed:
+
+        * the old targets of ``n`` are exactly ``up[p] & up[q]`` (rule 2),
+          the AND :meth:`_create_vertex` takes: rules 4, 5 and 7 derive a
+          target of ``n`` only from targets already in that set;
+        * the old origins of ``n`` start as ``down[p] | down[q]`` (rule 5),
+          the OR :meth:`_create_vertex` takes, and the old rows keep that set
+          closed under rule 7 (and so under rule 3).  One rule still ends arcs
+          at ``n``: rule 2 with ``n`` as the target, ``a+b ≤ n`` for an old
+          sum whose operands are both origins already.  :meth:`_probe` adds
+          those sums and their ``down`` rows until nothing is gained or the
+          origins meet the targets.
+        """
+        up, down = self._up, self._down
+        return self._probe(up[p] & up[q], down[p] | down[q], down, self._sums_of)
+
+    def _probe(
+        self, fixed: int, grown: int, rows: list[int], table: dict[int, list[tuple[int, int]]]
+    ) -> int:
+        """The root of an old row in both ``fixed`` and the closure of ``grown``, or −1.
+
+        ``grown`` is closed under the composites of ``table``: a composite
+        whose two operands are both in it joins it with its whole row from
+        ``rows``.  The loop stops as soon as the two sets meet.
+        """
+        fresh = grown
+        while not grown & fixed:
+            gained = 0
+            for member in _bits(fresh & self._operands):
+                for composite, other in table.get(member, ()):
+                    if grown >> other & 1:
+                        gained |= rows[composite]
+            fresh = gained & ~grown
+            if not fresh:
+                return -1
+            grown |= fresh
+        both = grown & fixed
+        return self._root((both & -both).bit_length() - 1)
 
     def _create_vertex(self, node: PartitionExpression) -> None:
-        """Add one vertex whose operands are already registered, with rule catch-up.
+        """Add one row for an expression whose operands are already registered, with rule catch-up.
 
         A composite's rows are one OR and one AND of its operands' rows.
         These catch-up arcs are not queued as deltas: transitivity through

@@ -35,8 +35,9 @@ class-id equality, so
   (:meth:`~repro.implication.index.ImplicationIndex.product_class`: by
   Lemma 9.2 the composite's old origins are ``down[p] & down[q]`` and its old
   targets ``up[p] | up[q]`` closed under rule 4), so only products that do
-  not land on a known element are registered, and the lattice order is one
-  :meth:`~repro.implication.index.ImplicationIndex.leq_masks` read.
+  not land on a known element are built and registered, and the lattice
+  order is one :meth:`~repro.implication.index.ImplicationIndex.leq_masks`
+  read.
 """
 
 from __future__ import annotations
@@ -213,8 +214,10 @@ def finite_counterexample(
     # list, keyed on congruence-class ids: each unordered pair is examined
     # once, and a product is either a dict hit on a known class or founds a
     # new element (and new pairs).  The product's class is first read off
-    # its operands' rows (``product_class``, Lemma 9.2), so a product that
-    # lands on a known element is never registered; only the others go
+    # its operands' rows (``product_class``, Lemma 9.2): registration would
+    # alias a product on a known class without a new row anyway, but the
+    # pre-probe skips building and hashing ``Product(other, current)`` for
+    # the products that land on a known element; only the others go
     # through ``canonical``.  Class ids are stable here because only
     # expressions — never dependencies — are added past this point.
     elements: list[PartitionExpression] = list(fragment.representatives)

@@ -19,6 +19,9 @@ from repro.relational.tuples import Row
 # (shared runners stall unpredictably) and a reproduction blob printed with
 # every falsifying example, so a failure on any matrix Python can be replayed.
 settings.register_profile("ci", deadline=None, print_blob=True)
+# ``--hypothesis-profile=thorough`` gives the randomized ALG index properties
+# (alias and overlay rollback paths above all) more interleavings than tier-1.
+settings.register_profile("thorough", max_examples=500, deadline=None, print_blob=True)
 
 # ---------------------------------------------------------------------------
 # Plain fixtures
@@ -50,10 +53,11 @@ def rng() -> random.Random:
 
 
 def index_state(index):
-    """What an :class:`ImplicationIndex` has committed: E, its vertices in id order, its arcs.
+    """What an :class:`ImplicationIndex` has committed: E, its vertices, its arcs.
 
-    The vertex order and the full arc relation fix every class root and
-    class-level arc as well, so equal states mean indistinguishable indexes.
+    The vertices come in registration order, aliases included.  The vertex
+    order and the full arc relation fix every class root and class-level arc
+    as well, so equal states mean indistinguishable indexes.
     """
     return list(index.dependencies), index.vertices(), index.as_expression_pairs()
 

@@ -100,7 +100,7 @@ class TestAgreementWithOtherDeciders:
             assert fast.as_expression_pairs() == slow.as_expression_pairs()
 
     @given(expressions(max_depth=2), expressions(max_depth=2))
-    @settings(max_examples=50, deadline=None)
+    @settings(deadline=None)
     def test_leq_with_empty_e_is_free_lattice_order(self, left, right):
         assert pd_leq([], left, right) == identically_leq(left, right)
 
