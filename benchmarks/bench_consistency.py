@@ -2,7 +2,8 @@
 
 The series sweeps the database size (relations × tuples) with a fixed mixed
 PD set (FPDs plus one sum PD) and measures the full Theorem 12 pipeline:
-normalization (binarize, close with ALG, prune) plus the Honeyman chase.
+normalization (name the composite classes and close with one ALG read,
+prune) plus the Honeyman chase.
 The expected shape is smooth polynomial growth — in contrast to the
 exponential EXP-T11 series on comparable input sizes.
 

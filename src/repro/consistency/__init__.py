@@ -9,8 +9,6 @@ from repro.consistency.cad import (
 from repro.consistency.normalization import (
     NormalizedDependencies,
     SumConstraint,
-    binarize,
-    functional_part,
     normalize_dependencies,
     validate_only_fpds,
 )
@@ -41,9 +39,7 @@ from repro.consistency.weak_instance_fd import (
 __all__ = [
     "NormalizedDependencies",
     "SumConstraint",
-    "binarize",
     "normalize_dependencies",
-    "functional_part",
     "validate_only_fpds",
     "PdConsistencyResult",
     "pd_consistency",

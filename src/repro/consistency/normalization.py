@@ -4,10 +4,12 @@ The polynomial consistency test first massages the PD set ``E`` into an
 equivalent (for weak-instance existence) set over a possibly larger attribute
 universe:
 
-1. **Binarization** (``E → E'``): repeatedly replace ``X = Y·Z`` / ``X = Y+Z``
-   with ``X = C``, ``Y = A``, ``Z = B`` and ``C = A·B`` / ``C = A+B`` where
-   ``A, B, C`` are fresh attribute names, until every PD relates single
-   attributes.
+1. **Naming** (``E → E'``): every attribute names itself and every ``=_E``
+   class of composite subexpressions gets one fresh attribute ``Z<n>``;
+   ``E'`` holds ``C = A·B`` / ``C = A+B`` for each distinct composite over
+   the names of it and its operands, and ``X = Y`` for each PD whose sides
+   are named apart.  (§6.2 names each composite *occurrence*;
+   :func:`normalize_dependencies` argues that both give the same chase.)
 2. **Re-expression**: ``C = A·B`` becomes the FPDs ``C ≤ A·B`` and
    ``A·B ≤ C``; ``C = A+B`` becomes ``A ≤ C``, ``B ≤ C`` and the *sum PD*
    ``C ≤ A+B`` (the only non-functional survivor).
@@ -15,14 +17,15 @@ universe:
    attributes of the extended universe, and drop any sum PD ``C ≤ A+B`` for
    which ``A ≤ B`` or ``B ≤ A`` is already a consequence (it is then
    subsumed by ``C ≤ B`` resp. ``C ≤ A``).  The fresh attributes only name
-   subexpressions of ``E``, so ``E ∪ E'`` is a definitional extension of
-   ``E``: with ``σ`` mapping each fresh attribute to the subexpression it
-   names (and every original attribute to itself), ``A ≤_{E∪E'} B`` iff
-   ``σ(A) ≤_E σ(B)``.  The step therefore asks ALG over ``E`` alone — one
-   ``up``-row read per attribute, as a mask, on an
+   classes of subexpressions of ``E``, so ``E ∪ E'`` is a definitional
+   extension of ``E``: with ``σ`` mapping each fresh attribute to a member
+   of the class it names (and every original attribute to itself),
+   ``A ≤_{E∪E'} B`` iff ``σ(A) ≤_E σ(B)``.  One ``leq_masks`` read over
+   ``E``'s distinct subexpressions — one ``up``-row read each, on an
    :class:`~repro.implication.alg.ImplicationEngine` whose index already
-   holds every ``σ(A)`` as a vertex — and never closes ``E ∪ E'``.  A caller
-   holding a warm engine over ``E`` passes it in.
+   holds every one as a vertex — therefore answers both the naming of step 1
+   and this step, and ``E ∪ E'`` is never closed.  A caller holding a warm
+   engine over ``E`` passes it in.
 
 The pipeline works on integers: the extended universe is numbered once, by
 sorted name, and every FD is emitted as an ``(lhs_mask, rhs_mask)`` pair,
@@ -38,7 +41,7 @@ chase on ``F`` alone decides consistency.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -73,7 +76,7 @@ class NormalizedDependencies:
 
     ``fds`` is the FPD part ``F`` of ``E⁺`` rendered as FDs over the extended
     universe; ``sum_constraints`` are the surviving ``C ≤ A+B`` constraints;
-    ``fresh_attributes`` are the attribute names invented by binarization;
+    ``fresh_attributes`` are the names invented, one per ``=_E`` class of composites;
     ``attribute_closure_pairs`` are all the ``A ≤ B`` consequences added by
     the closure step (kept for inspection).
 
@@ -130,68 +133,21 @@ class NormalizedDependencies:
         return AttributeSet(attrs)
 
 
-class _FreshAttributeFactory:
-    """Generates fresh attribute names not colliding with a reserved set."""
+def _subexpressions(pds: Sequence[PartitionDependency]) -> list[PartitionExpression]:
+    """The distinct subexpressions of ``pds``' sides, children first, in first-appearance order."""
+    order: dict[PartitionExpression, None] = {}
 
-    def __init__(self, reserved: Iterable[Attribute], prefix: str = "Z") -> None:
-        self._reserved = set(reserved)
-        self._prefix = prefix
-        self._counter = itertools.count(1)
+    def visit(node: PartitionExpression) -> None:
+        if node not in order:
+            if not isinstance(node, Attr):
+                visit(node.left)  # type: ignore[attr-defined]
+                visit(node.right)  # type: ignore[attr-defined]
+            order[node] = None
 
-    def new(self) -> Attribute:
-        while True:
-            candidate = f"{self._prefix}{next(self._counter)}"
-            if candidate not in self._reserved:
-                self._reserved.add(candidate)
-                return candidate
-
-
-def _binarize_expression(
-    expression: PartitionExpression,
-    factory: _FreshAttributeFactory,
-    equations: list[tuple[str, str, str, str]],
-    aliases: list[tuple[Attribute, Attribute]],
-) -> Attribute:
-    """Reduce an expression to a single attribute, recording binary equations.
-
-    ``equations`` collects tuples ``(op, C, A, B)`` meaning ``C = A op B``;
-    ``aliases`` collects attribute equalities introduced when a PD's side is
-    already a single attribute.
-    """
-    if isinstance(expression, Attr):
-        return expression.name
-    left = _binarize_expression(expression.left, factory, equations, aliases)  # type: ignore[attr-defined]
-    right = _binarize_expression(expression.right, factory, equations, aliases)  # type: ignore[attr-defined]
-    fresh = factory.new()
-    op = "*" if isinstance(expression, Product) else "+"
-    equations.append((op, fresh, left, right))
-    return fresh
-
-
-def binarize(
-    dependencies: Sequence[PartitionDependencyLike],
-) -> tuple[list[tuple[str, str, str, str]], list[tuple[Attribute, Attribute]], list[Attribute]]:
-    """Step 1: replace ``E`` by binary equations over an extended attribute universe.
-
-    Returns ``(equations, aliases, fresh_attributes)`` where ``equations`` are
-    ``(op, C, A, B)`` tuples (``C = A op B``) and ``aliases`` are pairs of
-    attributes constrained to be equal (arising from PDs whose two sides both
-    collapse to single attributes).
-    """
-    pds = [as_partition_dependency(pd) for pd in dependencies]
-    reserved: set[Attribute] = set()
     for pd in pds:
-        reserved |= set(pd.attributes)
-    factory = _FreshAttributeFactory(reserved)
-    equations: list[tuple[str, str, str, str]] = []
-    aliases: list[tuple[Attribute, Attribute]] = []
-    for pd in pds:
-        left = _binarize_expression(pd.left, factory, equations, aliases)
-        right = _binarize_expression(pd.right, factory, equations, aliases)
-        if left != right:
-            aliases.append((left, right))
-    fresh = sorted(factory._reserved - reserved)
-    return equations, aliases, fresh
+        visit(pd.left)
+        visit(pd.right)
+    return list(order)
 
 
 def normalize_dependencies(
@@ -200,11 +156,40 @@ def normalize_dependencies(
 ) -> NormalizedDependencies:
     """Run the full §6.2 normalization pipeline on a PD set.
 
-    ``engine`` answers the closure step's ``≤_E`` questions; it must reason
+    ``engine`` answers the ``≤_E`` questions of steps 1 and 3; it must reason
     over exactly ``dependencies`` (a mismatch raises :class:`ValueError`).
     Passing a warm one — a session's index, kept alive across writes —
     makes the step a handful of row reads.  Without it an engine over ``E``
     is built here.
+
+    One ``leq_masks`` read over ``E``'s distinct subexpressions answers
+    both the naming and the closure.  Each attribute names itself; each
+    ``=_E`` class of composites gets one fresh name, shared by every member
+    (two composites are in one class iff each row holds the other).  The
+    result is the per-occurrence binarization of §6.2 with equal columns
+    merged, and gives the same chase:
+
+    * every emitted equation is ``E``-valid.  Read each name ``N`` as
+      ``σ(N)``, any member of its class.  ``C = A op B`` for a composite
+      ``l op r`` of class ``C`` then reads ``σ(C) =_E σ(A) op σ(B)``, since
+      ``σ(A) =_E l`` and ``σ(B) =_E r``, and a PD's side equation is that
+      PD.  So ``E ∪ E′`` is a definitional extension of ``E``, and the
+      closure rows are ``E``'s own rows mapped onto names;
+    * the occurrences merged into one name were FD-equivalent columns of the
+      old ``F``: their images are ``=_E``, so its closure pairs gave FDs both
+      ways between them.  Each old FD maps onto a new one and back, and
+      fresh columns hold only nulls (a database column named like one is
+      renamed for the chase).  A column determined both ways by another
+      neither clashes nor splits rows, so the chase verdict and the number
+      of distinct witness rows are unchanged;
+    * ``F`` mentions the same attributes of ``E`` as before, so the chase
+      has the same columns besides the fresh ones.  An attribute is in an FD
+      iff it is an operand of a composite (its equation names it), a PD
+      side whose other side has another name, or a closure partner of
+      another name; a side or partner that was an occurrence name is now a
+      class name, fresh, so never the attribute itself.  Hence ``A*A = A``
+      still gives ``Z ↔ A`` and keeps ``A`` a chase column, and only an
+      attribute that occurs just in PDs ``A = A`` is in no FD, as before.
     """
     pds = [as_partition_dependency(pd) for pd in dependencies]
     if engine is None:
@@ -213,54 +198,70 @@ def normalize_dependencies(
         raise ValueError(
             "the implication engine was built over a different PD set than the one being normalized"
         )
-    equations, aliases, fresh = binarize(pds)
-    universe: set[Attribute] = set(fresh)
-    for pd in pds:
-        universe |= set(pd.attributes)
+    expressions = _subexpressions(pds)
+    position = {expression: i for i, expression in enumerate(expressions)}
+    rows = engine.leq_masks(expressions)
+
+    # Step 1: name each position.  A composite takes the name of the first
+    # earlier composite of its class, else a fresh ``Z<n>`` clear of E's attributes.
+    reserved = {expression.name for expression in expressions if isinstance(expression, Attr)}
+    fresh = (f"Z{n}" for n in itertools.count(1) if f"Z{n}" not in reserved)
+    name_of: list[Attribute] = []
+    founder: dict[Attribute, int] = {}  # name -> the first position it names
+    composites = 0
+    for i, expression in enumerate(expressions):
+        if isinstance(expression, Attr):
+            name = expression.name
+        else:
+            known = [name_of[k] for k in bit_positions(rows[i] & composites) if rows[k] >> i & 1]
+            name = known[0] if known else next(fresh)
+            composites |= 1 << i
+        name_of.append(name)
+        founder.setdefault(name, i)
     # The sorted names are the bit positions of every mask below.
-    names = sorted(universe)
-    bit = {name: 1 << i for i, name in enumerate(names)}
+    names = sorted(founder)
+    rank = {name: i for i, name in enumerate(names)}
+    name_bit = [1 << rank[name] for name in name_of]
 
     # Step 2: re-express everything as FPDs (i.e. FDs, as mask pairs) plus
     # sum constraints.
     fds: list[tuple[int, int]] = []
     sum_constraints: list[SumConstraint] = []
-    for left, right in aliases:
-        fds.append((bit[left], bit[right]))
-        fds.append((bit[right], bit[left]))
-    # σ: each fresh attribute -> the (hash-consed) subexpression of E it names.
-    # Equations come children first, so operands are always resolved already.
-    sigma: dict[Attribute, PartitionExpression] = {}
-    for op, c, a, b in equations:
-        left = sigma[a] if a in sigma else Attr(a)
-        right = sigma[b] if b in sigma else Attr(b)
-        if op == "*":
+    for pd in pds:
+        left, right = name_bit[position[pd.left]], name_bit[position[pd.right]]
+        if left != right:
+            fds += [(left, right), (right, left)]
+    for i, expression in enumerate(expressions):
+        if isinstance(expression, Attr):
+            continue
+        a, b = position[expression.left], position[expression.right]  # type: ignore[attr-defined]
+        c = name_bit[i]
+        if isinstance(expression, Product):
             # C = A·B  ⇔  C ≤ A·B  and  A·B ≤ C.
-            fds.append((bit[c], bit[a] | bit[b]))
-            fds.append((bit[a] | bit[b], bit[c]))
-            sigma[c] = Product(left, right)
+            fds += [(c, name_bit[a] | name_bit[b]), (name_bit[a] | name_bit[b], c)]
         else:
             # C = A+B  ⇔  A ≤ C, B ≤ C and C ≤ A+B.
-            fds.append((bit[a], bit[c]))
-            fds.append((bit[b], bit[c]))
-            sum_constraints.append(SumConstraint(c, a, b))
-            sigma[c] = Sum(left, right)
+            fds += [(name_bit[a], c), (name_bit[b], c)]
+            sum_constraints.append(SumConstraint(name_of[i], name_of[a], name_of[b]))
 
-    # Step 3: A ≤_{E∪E'} B iff σ(A) ≤_E σ(B).  Row i of E's answer is the
-    # mask of the names above names[i] — read in row-major order.
-    images = [sigma[name] if name in sigma else Attr(name) for name in names]
-    closure_rows = engine.leq_masks(images)
+    # Step 3: A ≤_{E∪E'} B iff σ(A) ≤_E σ(B), so row i is the founder's row
+    # mapped onto names, less names[i] itself — read in row-major order.
+    closure_rows = []
+    for i, name in enumerate(names):
+        row = 0
+        for j in bit_positions(rows[founder[name]]):
+            row |= name_bit[j]
+        closure_rows.append(row & ~(1 << i))
     for i, row in enumerate(closure_rows):
         fds.extend((1 << i, 1 << j) for j in bit_positions(row))
 
     # Prune subsumed sum constraints: with A ≤ B, C ≤ A+B reduces to C ≤ B
     # (resp. C ≤ A when B ≤ A), an FD the closure pairs above already hold.
-    position = {name: i for i, name in enumerate(names)}
     surviving = [
         constraint
-        for constraint in sum_constraints
-        if not closure_rows[position[constraint.a]] & bit[constraint.b]
-        and not closure_rows[position[constraint.b]] & bit[constraint.a]
+        for constraint in dict.fromkeys(sum_constraints)
+        if not closure_rows[rank[constraint.a]] >> rank[constraint.b] & 1
+        and not closure_rows[rank[constraint.b]] >> rank[constraint.a] & 1
     ]
 
     # Deduplicate FDs while preserving order, then drop trivial ones (X -> X).
@@ -269,15 +270,10 @@ def normalize_dependencies(
     return NormalizedDependencies(
         original=pds,
         sum_constraints=surviving,
-        fresh_attributes=fresh,
+        fresh_attributes=sorted(set(names) - reserved),
         coded_fds=CodedFds(names, unique_fds),
         closure_rows=closure_rows,
     )
-
-
-def functional_part(dependencies: Sequence[PartitionDependencyLike]) -> list[FunctionalDependency]:
-    """Convenience: just the FD set ``F`` produced by the normalization."""
-    return normalize_dependencies(dependencies).fds
 
 
 def validate_only_fpds(dependencies: Sequence[PartitionDependencyLike]) -> list[FunctionalDependency]:

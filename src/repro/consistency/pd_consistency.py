@@ -6,10 +6,12 @@ equivalently (Theorem 7) whether ``d`` has a weak instance satisfying ``E``.
 
 The pipeline, following §6.2:
 
-1. normalize ``E`` (binarize, re-express, close, prune) into an FD set ``F``
-   over an extended universe plus surviving sum constraints ``C ≤ A+B``
-   (:mod:`repro.consistency.normalization`); the closure step asks ALG over
-   ``E`` itself, on a caller's warm engine when one is at hand;
+1. normalize ``E`` (name, re-express, close, prune) into an FD set ``F``
+   over an extended universe — ``E``'s attributes plus one fresh attribute
+   per ``=_E`` class of its composite subexpressions — and surviving sum
+   constraints ``C ≤ A+B`` (:mod:`repro.consistency.normalization`); one
+   ``leq_masks`` read over ``E``'s subexpressions, on a caller's warm ALG
+   engine when one is at hand, gives both the classes and the closure;
 2. by Lemma 12.1, ``d`` has a weak instance satisfying ``E⁺`` iff it has one
    satisfying ``F`` alone, so run Honeyman's chase on ``(d, F)`` — on the
    int-coded :class:`~repro.relational.chase_engine.ChaseEngine`, built from
@@ -169,10 +171,11 @@ def pd_consistency_many(
 ) -> list[PdConsistencyResult]:
     """Theorem 12 over a batch of databases sharing one PD set.
 
-    Normalization (step 1 — binarize, re-express, read the closure off one
-    ALG engine over ``E``, prune) and the chase-engine preprocessing both
-    depend only on ``E``, so the batch pays them once instead of once per
-    database; only the chase itself (step 2) runs per database.  Results
+    Normalization (step 1 — name ``E``'s composite classes and read the
+    closure off one ALG engine over ``E``, re-express, prune) and the
+    chase-engine preprocessing both depend only on ``E``, so the batch pays
+    them once instead of once per database; only the chase itself (step 2)
+    runs per database.  Results
     match per-database :func:`pd_consistency` exactly.
     """
     if normalized is None:

@@ -105,9 +105,10 @@ class DependencyContext:
     ``normalized``/``chase_engine`` are the Theorem 12 step-1 artifacts.
     Each is constructed on first use and cached until :meth:`extend`, which
     resumes the engine's closure delta-wise and drops only the chase-side
-    artifacts.  Normalization reads its closure step off ``engine``, so
-    building ``normalized`` forces the engine, and re-normalizing after a
-    write costs a binarization plus row reads on the resumed index.  Every
+    artifacts.  Normalization reads Γ's composite classes and its closure
+    step off ``engine``, so building ``normalized`` forces the engine, and
+    re-normalizing after a write costs one row read per distinct
+    subexpression of Γ on the resumed index plus the FD emission.  Every
     artifact is a function of Γ, so a snapshot stores only Γ, and a restored
     context is a plain ``DependencyContext(Γ)`` that re-derives each
     artifact on first use.

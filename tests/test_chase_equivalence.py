@@ -31,7 +31,7 @@ from repro.relational.weak_instance import is_weak_instance
 from repro.workloads.random_dependencies import random_pd_set
 
 #: Column names: the letters random PD sets use plus the first fresh names
-#: binarization invents, so databases collide with ``F``'s fresh attributes.
+#: normalization invents, so databases collide with ``F``'s fresh attributes.
 POOL = ["A", "B", "C", "D", "Z1", "Z2"]
 SYMBOLS = ["a", "b", "c"]
 

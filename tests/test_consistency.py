@@ -105,7 +105,7 @@ class TestTheorem12PdConsistency:
         assert is_pd_consistent(consistent_database, [])
 
     def test_database_column_named_like_a_fresh_attribute_is_unconstrained(self):
-        # Binarizing A = B*C invents Z1; the database's own Z1 column must not
+        # Normalizing A = B*C invents Z1; the database's own Z1 column must not
         # be read as that fresh attribute (E says nothing about it).
         def database(column):
             rows = [{"A": "a", column: "x"}, {"A": "a", column: "y"}]

@@ -2,7 +2,7 @@
 
 Normalization emits ``F`` int-coded; its name-level views (``fds``,
 ``attribute_closure_pairs``) and the surviving sum constraints are pinned to
-a digest of the pipeline that built FD objects directly.  ``pd_consistency``
+a digest, which the index-read and the naive-ALG closures must both give.  ``pd_consistency``
 accepts an engine built from the caller's own coded ``F`` without comparing
 FD sets, still rejects an engine over another set, and builds the witness
 interpretation only when it is read.
@@ -50,14 +50,14 @@ def _normalization_digest(naive: bool) -> str:
     return digest.hexdigest()
 
 
-#: Computed with the name-level normalization, which built the FD objects and
-#: closure pairs directly; the int-coded pipeline must reproduce it exactly.
-PINNED_NORMALIZATION_DIGEST = "bb1fcaafbb188eb0b585bc93121b4fe5218c79ac30c1a99d6ef5ce4aa4794957"
+#: Computed over the class-named universe (one fresh name per ``=_E`` class of
+#: composites); both closure engines must reproduce it exactly.
+PINNED_NORMALIZATION_DIGEST = "002a42b69a55cf397cea25f20d6dab347e14be75443fa9e384a71eaa2c762d2f"
 
 
 class TestNormalizationViewsPinned:
     @pytest.mark.parametrize("naive", [False, True], ids=["index", "naive"])
-    def test_views_match_the_name_level_pipeline(self, naive):
+    def test_views_match_the_pinned_digest(self, naive):
         assert _normalization_digest(naive) == PINNED_NORMALIZATION_DIGEST
 
 
