@@ -3,8 +3,8 @@
 Walks the four layers of ``repro.service`` on one small workload:
 
 1. a stateful :class:`~repro.service.session.Session` answering uniform
-   ``QueryRequest → QueryResult`` calls over a growing Γ (watch the result
-   cache invalidate when Γ grows);
+   ``QueryRequest → QueryResult`` calls over a growing Γ (watch the cached
+   answers stop answering when Γ grows);
 2. the wire codecs — the exact JSONL a deployment would ship;
 3. the batch planner regrouping a mixed stream;
 4. the multiprocess shard executor producing byte-identical results.
@@ -34,7 +34,7 @@ def main() -> None:
 
     novel = QueryRequest(kind="implies", id="n", query=PartitionDependency.parse("A = A*D"))
     print("  A = A*D implied? ", session.execute(novel).value)
-    session.add_dependencies(["C = C*D"])  # Γ grows: base-Γ cache entries evicted
+    session.add_dependencies(["C = C*D"])  # Γ grows: base-Γ cache entries go stale
     after = session.execute(novel)
     print("  ... after adding C = C*D:", after.value, f"(cached={after.cached})")
 

@@ -24,7 +24,8 @@ input order):
   shard's work warms the cache for every later caller.  It is the sharded
   backend's only cache: the parent sees every request, so a repeat never
   reaches a worker, and the workers' sessions keep none.  A configured
-  snapshot's result entries seed it at construction.
+  snapshot's result entries seed it at construction; with no Γ write path,
+  its stamps are the snapshot's generations, so a stale entry never answers.
 * **Plan-aware units** — the parent plans the stream first
   (:func:`repro.service.planner.plan`) and deals the shared tier's misses
   as *batch-aligned work units* instead of raw requests round-robin.
@@ -66,7 +67,7 @@ from typing import Optional
 from repro.dependencies.pd import PartitionDependencyLike, as_partition_dependency
 from repro.errors import ServiceError
 from repro.service.planner import plan
-from repro.service.result_cache import ResultCache, gamma_dependent
+from repro.service.result_cache import ResultCache, cache_stamp
 from repro.service.supervisor import SupervisedPool, WorkItem, WorkUnit
 from repro.service.telemetry import MetricsRegistry
 from repro.service.wire import (
@@ -103,6 +104,7 @@ class ShardExecutor:
         self.metrics = MetricsRegistry() if metrics is None else metrics
         self._dependencies = [as_partition_dependency(pd) for pd in dependencies]
         warm_results: list = []
+        generations: dict[Optional[str], int] = {}  # fixed at boot: no Γ write path
         if snapshot is not None:
             # Validate once in the parent — a corrupt or mismatched snapshot
             # should fail loudly at construction, not inside every worker.
@@ -121,6 +123,9 @@ class ShardExecutor:
             else:
                 self._dependencies = [decode_pd(text) for text in payload["dependencies"]]
             warm_results = snapshot_results(payload)
+            tenants = [(None, payload), *payload["tenants"]]  # the top level is the default tenant
+            generations = {name: state["generation"] for name, state in tenants}
+        self._generation_of = lambda tenant: generations.get(tenant, 0)
         # The shared result tier (off with shared_cache_size=0: a sharded
         # backend then caches nothing).
         self._shared_cache = ResultCache(shared_cache_size, warm_results)
@@ -169,10 +174,6 @@ class ShardExecutor:
         """The shared result tier's counters."""
         return self._shared_cache.info()
 
-    def invalidate_tenant(self, tenant: Optional[str] = None) -> int:
-        """Drop a tenant's base-Γ entries from the shared tier (Γ-growth hook)."""
-        return self._shared_cache.invalidate_tenant(tenant)
-
     # -- sharding --------------------------------------------------------------
 
     def _work_units(self, requests: Sequence[QueryRequest], misses: set[int]) -> list[list[int]]:
@@ -219,7 +220,8 @@ class ShardExecutor:
         if self._shared_cache.enabled:
             for i, request in enumerate(requests):
                 keys[i] = request_cache_key(request)
-                out[i] = self._shared_cache.lookup(keys[i], request.id, request.tenant)
+                stamp = cache_stamp(request, self._generation_of)
+                out[i] = self._shared_cache.lookup(keys[i], request.id, request.tenant, stamp)
         misses = [i for i, result in enumerate(out) if result is None]
         units = [
             WorkUnit(
@@ -261,5 +263,4 @@ class ShardExecutor:
         published.
         """
         for i in misses:
-            request = requests[i]
-            self._shared_cache.store(keys[i], out[i], request.tenant, gamma_dependent(request))
+            self._shared_cache.store(keys[i], out[i], cache_stamp(requests[i], self._generation_of))

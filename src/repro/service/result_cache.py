@@ -15,10 +15,11 @@ exactly one :class:`ResultCache`:
 
 Results are stored with ``id=None`` (the caller's id is re-stamped on hit)
 and error results are never cached, so a hit is byte-identical to
-recomputing.  Entries answered against a tenant's base Γ are marked, and
-:meth:`ResultCache.invalidate_tenant` drops exactly those when that tenant's
-Γ grows.  Hit/miss counters, total and per tenant (under the registry's
-tenant-label cap), live in the cache's own
+recomputing.  Each entry carries the :func:`cache_stamp` of the Γ it
+answered; a lookup under another stamp misses and drops it, so a Γ write
+touches no entry (stale ones count towards ``size`` until a lookup or an
+eviction reaches them).  Hit/miss counters, total and per tenant (under the
+registry's tenant-label cap), live in the cache's own
 :class:`~repro.service.telemetry.MetricsRegistry` and feed the stats
 surface.  Every operation takes a lock: the shared tier is reached from the
 micro-batcher's worker thread and from control lines alike.
@@ -28,27 +29,28 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import replace
 from typing import Optional
 
 from repro.service.telemetry import MetricsRegistry
 from repro.service.wire import QueryRequest, QueryResult
 
-__all__ = ["ResultCache", "gamma_dependent"]
+__all__ = ["ResultCache", "cache_stamp"]
 
-# key -> (uses_tenant_gamma, tenant, result-without-caller-id)
-Entry = tuple[bool, Optional[str], QueryResult]
+# key -> (stamp, result-without-caller-id)
+Entry = tuple[int, QueryResult]
 
 
-def gamma_dependent(request: QueryRequest) -> bool:
-    """Whether a request's answer depends on its tenant's base Γ.
+def cache_stamp(request: QueryRequest, generation_of: Callable[[Optional[str]], int]) -> int:
+    """The tenant's Γ generation for a request that reads its tenant's base Γ, else ``-1``.
 
-    Requests carrying their own dependency set do not, and neither does
-    ``fd_implies``, which reasons over its own Σ — their entries survive
-    :meth:`ResultCache.invalidate_tenant`.
+    Requests carrying their own dependency set read no tenant Γ, and neither
+    does ``fd_implies``, which reasons over its own Σ.
     """
-    return request.dependencies is None and request.kind != "fd_implies"
+    if request.dependencies is None and request.kind != "fd_implies":
+        return generation_of(request.tenant)
+    return -1
 
 
 class ResultCache:
@@ -74,48 +76,36 @@ class ResultCache:
         return self._maxsize > 0
 
     def lookup(
-        self, key: str, request_id: Optional[str], tenant: Optional[str] = None
+        self, key: str, request_id: Optional[str], tenant: Optional[str] = None, stamp: int = -1
     ) -> Optional[QueryResult]:
-        """The cached result re-stamped with the caller's id, or ``None``."""
+        """The cached result re-stamped with the caller's id, or ``None``.
+
+        An entry under another stamp is a miss and is dropped, so its
+        recomputed answer re-enters at the most recent end.
+        """
         if not self._maxsize:
             return None
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
-                self._entries.move_to_end(key)
-                self.metrics.inc_tenant("hits", tenant)
-                return replace(entry[2], id=request_id, cached=True)
+                if entry[0] == stamp:
+                    self._entries.move_to_end(key)
+                    self.metrics.inc_tenant("hits", tenant)
+                    return replace(entry[1], id=request_id, cached=True)
+                del self._entries[key]
             self.metrics.inc_tenant("misses", tenant)
             return None
 
-    def store(
-        self,
-        key: str,
-        result: QueryResult,
-        tenant: Optional[str] = None,
-        uses_tenant_gamma: bool = False,
-    ) -> None:
+    def store(self, key: str, result: QueryResult, stamp: int = -1) -> None:
         """Insert a computed result (error results are never cached)."""
         if not self._maxsize or not result.ok:
             return
         with self._lock:
-            self._entries[key] = (uses_tenant_gamma, tenant, replace(result, id=None, cached=False))
+            self._entries[key] = (stamp, replace(result, id=None, cached=False))
             self.metrics.inc("stores")
             while len(self._entries) > self._maxsize:
                 self._entries.popitem(last=False)
                 self.metrics.inc("evictions")
-
-    def invalidate_tenant(self, tenant: Optional[str]) -> int:
-        """Drop the tenant's base-Γ entries (its Γ grew); returns the count dropped."""
-        with self._lock:
-            keep = OrderedDict(
-                (key, entry)
-                for key, entry in self._entries.items()
-                if not (entry[0] and entry[1] == tenant)
-            )
-            dropped = len(self._entries) - len(keep)
-            self._entries = keep
-            return dropped
 
     def entries(self) -> list[tuple[str, Entry]]:
         """Every entry, least recent first (what a snapshot captures)."""

@@ -2,11 +2,10 @@
 
 A :class:`Session` is the in-process front door of the query service.  It
 is **multi-tenant**: requests carry an optional ``tenant`` field, and the
-session keeps one :class:`TenantState` per tenant — the tenant's own PD set
-Γ, generation counter, and lazily built per-Γ artifacts
-(:class:`DependencyContext`).  Requests without a tenant run under the
-*default* tenant, the session's own Γ.  Per tenant the
-session owns:
+session keeps one :class:`DependencyContext` per tenant — the tenant's own
+PD set Γ, its generation counter, and the lazily built per-Γ artifacts.
+Requests without a tenant run under the *default* tenant, the session's own
+Γ.  Per tenant the session owns:
 
 * one persistent :class:`~repro.implication.index.ImplicationIndex` (wrapped
   in an :class:`~repro.implication.alg.ImplicationEngine`), shared by every
@@ -23,11 +22,10 @@ session owns:
   :class:`~repro.service.result_cache.ResultCache` (the class every cache
   tier uses) keyed on the canonical wire bytes of each request
   (:func:`repro.service.wire.request_cache_key`, which embeds the tenant —
-  tenants can never share or poison each other's slots).  Invalidation is
-  *scoped to the growing tenant*: :meth:`add_dependencies` bumps that
-  tenant's generation and evicts exactly the entries that were answered
-  against that tenant's Γ — every other tenant's entries, and results for
-  requests that carried their *own* dependency set, are unaffected.
+  tenants can never share or poison each other's slots).  Entries answered
+  against the tenant's Γ carry its generation, which :meth:`add_dependencies`
+  bumps without touching an entry: the stale ones miss and age out, and
+  every other entry stays live.
 
 Hash-consed expression ASTs remain **shared globally across tenants** (the
 intern table is process-wide), so a million tenants asking about the same
@@ -58,7 +56,7 @@ from repro.implication.alg import ImplicationEngine
 from repro.implication.fd_implication import fd_implies_via_pds
 from repro.lattice.quotient import finite_counterexample, quotient_fragment
 from repro.relational.chase_engine import ChaseEngine
-from repro.service.result_cache import Entry, ResultCache, gamma_dependent
+from repro.service.result_cache import Entry, ResultCache, cache_stamp
 from repro.service.wire import (
     QueryRequest,
     QueryResult,
@@ -109,15 +107,16 @@ class DependencyContext:
     step off ``engine``, so building ``normalized`` forces the engine, and
     re-normalizing after a write costs one row read per distinct
     subexpression of Γ on the resumed index plus the FD emission.  Every
-    artifact is a function of Γ, so a snapshot stores only Γ, and a restored
-    context is a plain ``DependencyContext(Γ)`` that re-derives each
-    artifact on first use.
+    artifact is a function of Γ, so a snapshot stores only Γ and
+    ``generation`` (the count of writes that changed Γ, every cached answer's
+    stamp), and a restored context re-derives each artifact on first use.
     """
 
-    __slots__ = ("_dependencies", "_engine", "_normalized", "_chase_engine")
+    __slots__ = ("_dependencies", "_engine", "_normalized", "_chase_engine", "generation")
 
-    def __init__(self, dependencies: Sequence[PartitionDependency]) -> None:
+    def __init__(self, dependencies: Sequence[PartitionDependency], generation: int = 0) -> None:
         self._dependencies: tuple[PartitionDependency, ...] = tuple(dependencies)
+        self.generation = generation
         self._engine: Optional[ImplicationEngine] = None
         self._normalized: Optional[NormalizedDependencies] = None
         self._chase_engine: Optional[ChaseEngine] = None
@@ -148,27 +147,22 @@ class DependencyContext:
         """Grow Γ in place; the ALG engine resumes, the chase artifacts rebuild.
 
         Γ is read back from the engine, also when a deadline stops its growth
-        part-way, so Γ is always the PD set the index has committed.
+        part-way, so Γ is always the PD set the index has committed; a write
+        that changed Γ, stopped or not, bumps ``generation``.
         """
         self._normalized = None
         self._chase_engine = None
-        if self._engine is None:
-            self._dependencies += tuple(dependencies)
-            return
+        before = len(self._dependencies)
         try:
-            self._engine.add_dependencies(dependencies)
+            if self._engine is None:
+                self._dependencies += tuple(dependencies)
+            else:
+                self._engine.add_dependencies(dependencies)
         finally:
-            self._dependencies = tuple(self._engine.dependencies)
-
-
-class TenantState:
-    """One tenant's keyspace entry: its Γ context and cache-invalidation marker."""
-
-    __slots__ = ("context", "generation")
-
-    def __init__(self, context: DependencyContext, generation: int = 0) -> None:
-        self.context = context
-        self.generation = generation
+            if self._engine is not None:
+                self._dependencies = tuple(self._engine.dependencies)
+            if len(self._dependencies) != before:
+                self.generation += 1
 
 
 class Session:
@@ -182,10 +176,10 @@ class Session:
         base = tuple(as_partition_dependency(pd) for pd in dependencies)
         context = DependencyContext(base)
         context.engine  # noqa: B018 - property access builds the default tenant's index
-        # tenant key (None = default) -> TenantState; the default tenant
+        # tenant key (None = default) -> its Γ context; the default tenant
         # always exists, others are created on first use.
-        self._tenants: "OrderedDict[Optional[str], TenantState]" = OrderedDict()
-        self._tenants[None] = TenantState(context)
+        self._tenants: "OrderedDict[Optional[str], DependencyContext]" = OrderedDict()
+        self._tenants[None] = context
         self._results = ResultCache(result_cache_size)
         self._foreign: "OrderedDict[tuple[str, ...], DependencyContext]" = OrderedDict()
         self._context_hits = 0
@@ -246,10 +240,10 @@ class Session:
         default = self._tenants[None]
         return {
             "generation": default.generation,
-            "dependencies": default.context.dependencies,
+            "dependencies": default.dependencies,
             "tenants": [
-                (name, state.context.dependencies, state.generation)
-                for name, state in self._tenants.items()
+                (name, context.dependencies, context.generation)
+                for name, context in self._tenants.items()
                 if name is not None
             ],
             "results": self._results.entries(),
@@ -275,24 +269,23 @@ class Session:
         session = cls(dependencies, result_cache_size=0)
         session._tenants[None].generation = generation
         for name, tenant_dependencies, tenant_generation in tenants:
-            session._tenants[name] = TenantState(DependencyContext(tenant_dependencies), tenant_generation)
+            session._tenants[name] = DependencyContext(tenant_dependencies, tenant_generation)
         session._results = ResultCache(result_cache_size, results)
         return session
 
     # -- Γ management ----------------------------------------------------------
 
-    def _tenant_state(self, tenant: Optional[str]) -> TenantState:
-        """The tenant's keyspace entry, created on first use (empty Γ)."""
-        state = self._tenants.get(tenant)
-        if state is None:
-            state = TenantState(DependencyContext(()))
-            self._tenants[tenant] = state
-        return state
+    def _tenant_state(self, tenant: Optional[str]) -> DependencyContext:
+        """The tenant's Γ context, created on first use (empty Γ)."""
+        context = self._tenants.get(tenant)
+        if context is None:
+            context = self._tenants[tenant] = DependencyContext(())
+        return context
 
     @property
     def dependencies(self) -> list[PartitionDependency]:
         """The default tenant's base PD set Γ."""
-        return list(self._tenants[None].context.dependencies)
+        return list(self._tenants[None].dependencies)
 
     @property
     def generation(self) -> int:
@@ -301,13 +294,13 @@ class Session:
 
     def dependencies_for(self, tenant: Optional[str]) -> list[PartitionDependency]:
         """A tenant's base PD set Γ (empty for tenants never seen)."""
-        state = self._tenants.get(tenant)
-        return list(state.context.dependencies) if state is not None else []
+        context = self._tenants.get(tenant)
+        return list(context.dependencies) if context is not None else []
 
     def generation_for(self, tenant: Optional[str]) -> int:
-        """A tenant's cache-invalidation generation (0 for tenants never seen)."""
-        state = self._tenants.get(tenant)
-        return state.generation if state is not None else 0
+        """A tenant's Γ generation, its cache stamp (0 for tenants never seen)."""
+        context = self._tenants.get(tenant)
+        return context.generation if context is not None else 0
 
     def tenant_names(self) -> list[Optional[str]]:
         """Every tenant key with a keyspace entry (``None`` = default, first)."""
@@ -318,36 +311,27 @@ class Session:
         dependencies: Iterable[PartitionDependencyLike],
         tenant: Optional[str] = None,
     ) -> None:
-        """Grow one tenant's Γ and invalidate exactly that tenant's Γ-results.
+        """Grow one tenant's Γ, which bumps its generation when Γ changed.
 
-        Entries answered against the *growing tenant's* base Γ are evicted;
-        every other tenant's entries — and entries for requests that carried
-        their own explicit dependency set — survive untouched.
+        No cache entry is touched: the entries answered against the old Γ
+        carry the old generation, so they miss from now on.  Every other
+        tenant's entries — and entries for requests that carried their own
+        explicit dependency set — stay live.
         """
         added = [as_partition_dependency(pd) for pd in dependencies]
-        if not added:
-            return
-        state = self._tenant_state(tenant)
-        before = len(state.context.dependencies)
-        try:
-            state.context.extend(added)
-        finally:
-            # A write stopped part-way may still have grown Γ; its cached
-            # results are stale either way.
-            if len(state.context.dependencies) != before:
-                state.generation += 1
-                self._results.invalidate_tenant(tenant)
+        if added:
+            self._tenant_state(tenant).extend(added)
 
     def context_for(self, request: QueryRequest) -> DependencyContext:
         """The dependency context a request runs against (tenant Γ or its own).
 
         Requests without an explicit ``dependencies`` field run against their
-        tenant's base Γ (the tenant keyspace entry is created on demand —
-        tenant states are cheap and never evicted).  Requests *with* explicit
+        tenant's base Γ (the tenant's context is created on demand — tenant
+        contexts are cheap and never evicted).  Requests *with* explicit
         dependencies share a bounded LRU of per-Γ contexts across tenants.
         """
         if request.dependencies is None:
-            return self._tenant_state(request.tenant).context
+            return self._tenant_state(request.tenant)
         key = dependencies_key(request.dependencies)
         context = self._foreign.get(key)
         if context is not None:
@@ -401,7 +385,9 @@ class Session:
             return None
         if key is None:
             key = request_cache_key(request)
-        return self._results.lookup(key, request.id, request.tenant)
+        return self._results.lookup(
+            key, request.id, request.tenant, cache_stamp(request, self.generation_for)
+        )
 
     def cache_store(
         self, request: QueryRequest, result: QueryResult, key: Optional[str] = None
@@ -411,7 +397,7 @@ class Session:
             return
         if key is None:
             key = request_cache_key(request)
-        self._results.store(key, result, request.tenant, gamma_dependent(request))
+        self._results.store(key, result, cache_stamp(request, self.generation_for))
 
     def execute_many(self, requests: Sequence[QueryRequest], batch: bool = True) -> list[QueryResult]:
         """Answer a request stream; with ``batch=True`` the planner groups it first."""
@@ -498,10 +484,10 @@ class Session:
 
         The result cache's :meth:`~repro.service.result_cache.ResultCache.info`
         (``hits``/``misses``/``stores``/``evictions``/``size``/``maxsize`` and
-        ``per_tenant`` traffic sorted by tenant label) plus ``generation``
+        ``per_tenant`` traffic sorted by tenant label; ``size`` counts stale
+        entries until a lookup or an eviction drops them) plus ``generation``
         (the default tenant's), ``foreign_contexts``, ``tenants`` (keyspace
-        entries) and ``contexts``, the foreign-context LRU's
-        hit/miss/eviction counters.
+        entries) and ``contexts``, the foreign-context LRU's counters.
         """
         return {
             **self._results.info(),

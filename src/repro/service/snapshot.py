@@ -37,7 +37,8 @@ The codec follows the same discipline as :mod:`repro.service.wire`:
 Snapshots are keyed by the session **generation counter**: restoring with
 ``expected_generation`` refuses a stale snapshot of an older Γ, and
 ``expected_dependencies`` refuses a snapshot whose Γ is not the one the
-caller configured — the invalidation story the session's cache already uses.
+caller configured.  Only a result entry stamped ``-1`` or with its tenant's
+generation answers, so stale entries an export keeps age out after a restore.
 """
 
 from __future__ import annotations
@@ -63,10 +64,11 @@ from repro.service.wire import (
 #: only version :func:`decode_snapshot` accepts.  The top-level
 #: ``generation``/``dependencies`` fields describe the *default* tenant, each
 #: ``tenants`` entry a named one in the same shape, and result entries are
-#: ``[key, uses_gamma, tenant, result]``.  A snapshot holds each tenant's Γ
-#: and generation and the result cache only; every index and normalization
-#: is re-derived from Γ after the restore.
-SNAPSHOT_VERSION = 4
+#: ``[key, stamp, result]`` (the stamp: the generation of the tenant Γ the
+#: result answered, ``-1`` if none).  A snapshot holds each tenant's Γ and
+#: generation and the result cache only; every index and normalization is
+#: re-derived from Γ after the restore.
+SNAPSHOT_VERSION = 5
 
 #: The ``kind`` tag of a snapshot document (guards against feeding the codec
 #: some other canonical-JSON artifact).
@@ -101,10 +103,7 @@ def encode_snapshot(session) -> dict:
             [name, _encode_tenant(dependencies, generation)]
             for name, dependencies, generation in sorted(state["tenants"], key=lambda entry: entry[0])
         ],
-        "results": [
-            [key, uses_gamma, tenant, encode_result(result)]
-            for key, (uses_gamma, tenant, result) in state["results"]
-        ],
+        "results": [[key, stamp, encode_result(result)] for key, (stamp, result) in state["results"]],
     }
     payload["digest"] = _digest(payload)
     return payload
@@ -173,13 +172,14 @@ def decode_snapshot(text: Union[str, bytes]) -> dict:
             raise ServiceError(f"snapshot tenant entry must be a [name, state] pair, got {entry!r}")
         _check_tenant_state(entry[1], f"snapshot tenant {entry[0]!r}")
     for entry in _require_list(payload, "results", "snapshot"):
-        if not isinstance(entry, list) or len(entry) != 4 or not isinstance(entry[0], str):
+        if not isinstance(entry, list) or len(entry) != 3 or not isinstance(entry[0], str):
             raise ServiceError(
-                f"snapshot result entry must be a [key, uses_gamma, tenant, result] quadruple, got {entry!r}"
+                f"snapshot result entry must be a [key, stamp, result] triple, got {entry!r}"
             )
-        if entry[2] is not None and (not isinstance(entry[2], str) or not entry[2]):
+        stamp = entry[1]
+        if isinstance(stamp, bool) or not isinstance(stamp, int) or stamp < -1:
             raise ServiceError(
-                f"snapshot result entry tenant must be null or a non-empty string, got {entry[2]!r}"
+                f"snapshot result entry stamp must be an integer of at least -1, got {stamp!r}"
             )
     return payload
 
@@ -187,18 +187,18 @@ def decode_snapshot(text: Union[str, bytes]) -> dict:
 def snapshot_results(snapshot: Union[str, bytes, dict]) -> list:
     """A snapshot's result-cache entries, least recent first (verifies text input).
 
-    Each entry is ``(key, (uses_gamma, tenant, result))``, the shape
+    Each entry is ``(key, (stamp, result))``, the shape
     :class:`~repro.service.result_cache.ResultCache` is seeded with: a
     restored session seeds its own cache from them, a sharded executor its
     parent-side shared tier.
     """
     payload = snapshot if isinstance(snapshot, dict) else decode_snapshot(snapshot)
     results = []
-    for key, uses_gamma, tenant, result_payload in payload["results"]:
+    for key, stamp, result_payload in payload["results"]:
         result = decode_result(result_payload)
         if not result.ok:
             raise ServiceError("snapshot result cache contains an error result (never cached)")
-        results.append((key, (bool(uses_gamma), tenant, result)))
+        results.append((key, (stamp, result)))
     return results
 
 

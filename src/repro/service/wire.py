@@ -34,7 +34,8 @@ under) and ``trace`` (a caller-supplied trace id — metadata only, excluded
 from cache keys and absent from results) are part of the current version.
 Malformed payloads raise :class:`~repro.errors.ServiceError` — never
 ``KeyError``/``TypeError`` — so the CLI can turn them into structured error
-results.
+results, and so does an expression with more than
+:data:`MAX_EXPRESSION_OPERATORS` operators.
 
 Expressions travel as their minimal-parenthesis infix rendering
 (:func:`repro.expressions.printer.to_infix`), which the parser inverts
@@ -76,6 +77,12 @@ REQUEST_KINDS = (
 
 #: Consistency methods (Theorem 12 weak-instance test; Theorem 11 CAD search).
 CONSISTENT_METHODS = ("weak_instance", "cad")
+
+#: The most operators one decoded expression may carry, a bound on outside
+#: input: the printer behind every cache and Γ key recurses three frames per
+#: nesting level, so a flat ``A*B*…`` chain at this bound stays inside the
+#: default recursion limit on every service path, and a far longer one would not.
+MAX_EXPRESSION_OPERATORS = 200
 
 
 def canonical_dumps(payload: Any) -> str:
@@ -136,14 +143,24 @@ def encode_expression(expression: PartitionExpression) -> str:
     return to_infix(expression)
 
 
+def _check_operators(*expressions: PartitionExpression) -> None:
+    operators = max(expression.complexity() for expression in expressions)
+    if operators > MAX_EXPRESSION_OPERATORS:
+        raise ServiceError(
+            f"an expression of {operators} operators exceeds the limit of {MAX_EXPRESSION_OPERATORS}"
+        )
+
+
 def decode_expression(text: Any) -> PartitionExpression:
     """Parse an expression string, re-interning through the hash-consed AST."""
     if not isinstance(text, str):
         raise ServiceError(f"expression payload must be a string, got {text!r}")
     try:
-        return parse_expression(text)
+        expression = parse_expression(text)
     except Exception as exc:
         raise ServiceError(f"cannot decode expression {text!r}: {exc}") from None
+    _check_operators(expression)
+    return expression
 
 
 def encode_pd(pd: PartitionDependency) -> str:
@@ -161,9 +178,11 @@ def decode_pd(text: Any) -> PartitionDependency:
     if not isinstance(text, str):
         raise ServiceError(f"PD payload must be a string, got {text!r}")
     try:
-        return PartitionDependency.parse(text)
+        pd = PartitionDependency.parse(text)
     except Exception as exc:
         raise ServiceError(f"cannot decode PD {text!r}: {exc}") from None
+    _check_operators(pd.left, pd.right)
+    return pd
 
 
 def encode_fd(fd: FunctionalDependency) -> dict:

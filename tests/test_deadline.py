@@ -23,7 +23,7 @@ from repro.service.api import (
     implies_request,
     quotient_request,
 )
-from repro.service.session import Session
+from repro.service.session import DependencyContext, Session
 from repro.workloads.random_formulas import random_3cnf
 from tests.conftest import index_state
 
@@ -199,6 +199,38 @@ class TestKernelHooks:
             answers = [session.execute(read) for read in reads]
             assert answers == [fresh.execute(read) for read in reads], allowed
             assert (answers == warm) == (len(gamma) == 1), allowed
+
+    def test_a_stopped_write_that_grew_gamma_bumps_the_context_generation(self, monkeypatch):
+        # The context owns the cache stamp: a write stopped at any poll bumps
+        # its generation exactly when the committed Γ changed.
+        def write(allowed):
+            context = DependencyContext(Session(["A = A*B"]).dependencies)
+            context.engine  # noqa: B018 - a warm index, so the write resumes it
+            polls = []
+
+            def poll():
+                polls.append(None)
+                if allowed is not None and len(polls) > allowed:
+                    raise DeadlineExceeded(None, "test budget")
+
+            stopped = False
+            with monkeypatch.context() as patch:
+                patch.setattr(index_module, "check_deadline", poll)
+                try:
+                    with deadline_scope(60_000.0):
+                        context.extend(Session(["B = B*C", "C = C*D"]).dependencies)
+                except DeadlineExceeded:
+                    stopped = True
+            return context, stopped, len(polls)
+
+        _, _, total = write(None)
+        stopped_after_growth = 0
+        for allowed in range(total + 1):
+            context, stopped, _ = write(allowed)
+            grew = len(context.dependencies) > 1
+            assert context.generation == (1 if grew else 0), allowed
+            stopped_after_growth += stopped and grew
+        assert stopped_after_growth > 0
 
     @pytest.mark.parametrize(
         "read",

@@ -19,7 +19,13 @@ from repro.service.cli import serve_lines
 from repro.service.config import ServiceConfig
 from repro.service.planner import execute_plan, naive_dispatch
 from repro.service.session import Session
-from repro.service.wire import canonical_dumps, dump_result_line, load_result_line, requests_to_jsonl
+from repro.service.wire import (
+    MAX_EXPRESSION_OPERATORS,
+    canonical_dumps,
+    dump_result_line,
+    load_result_line,
+    requests_to_jsonl,
+)
 from repro.workloads.random_service import random_service_requests
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -144,6 +150,54 @@ class TestServeLines:
         out, stats = serve_lines(sent)
         assert out == shown
         assert stats["invalid"] == 1  # the version-2 line, answered in place
+
+
+def _deep_line(shape: str, operators: int) -> str:
+    """A request line whose Γ or query side holds a flat chain of ``operators`` operators."""
+    chain = "A*" + "*".join(["B"] * operators)
+    database = {"relations": [{"name": "R", "attributes": ["A", "B"], "rows": [["1", "2"]]}]}
+    payload = {
+        "gamma_implies": {"kind": "implies", "dependencies": [f"A = {chain}"], "query": "A = A*B"},
+        "gamma_consistent": {"kind": "consistent", "dependencies": [f"A = {chain}"], "database": database},
+        "query_implies": {"kind": "implies", "query": f"A = {chain}"},
+        "query_equivalent": {"kind": "equivalent", "left": chain, "right": "A*B"},
+        "query_quotient": {"kind": "quotient", "pool": [chain, "A", "B"]},
+    }[shape]
+    return json.dumps({"v": 3, "id": "deep", **payload})
+
+
+class TestExpressionBound:
+    """A flat ``A*B*…`` chain decodes in a loop, but the printer behind every
+    cache and Γ key recurses on it: past the wire's operator bound a line is
+    refused at decode, in place, and its neighbours are still answered."""
+
+    SHAPES = ["gamma_implies", "gamma_consistent", "query_implies", "query_equivalent", "query_quotient"]
+    GOOD = [
+        '{"v":3,"kind":"implies","id":"g1","query":"A = A*B"}',
+        '{"v":3,"kind":"implies","id":"g2","query":"B = B*A"}',
+    ]
+
+    def _serve(self, line):
+        out, stats = serve_lines([self.GOOD[0], line, self.GOOD[1]])
+        answers = [load_result_line(text) for text in out]
+        assert [answer.id for answer in answers] == ["g1", "deep", "g2"]
+        assert answers[0].ok and answers[2].ok
+        return answers[1], stats
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_chain_at_the_bound_is_answered(self, shape):
+        answer, stats = self._serve(_deep_line(shape, MAX_EXPRESSION_OPERATORS))
+        assert answer.ok, answer.error
+        assert stats["invalid"] == 0
+
+    @pytest.mark.parametrize("operators", [MAX_EXPRESSION_OPERATORS + 1, 3_000])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_chain_past_the_bound_is_refused_in_place(self, shape, operators):
+        answer, stats = self._serve(_deep_line(shape, operators))
+        assert not answer.ok and answer.kind == "invalid"
+        assert answer.error["type"] == "ServiceError"
+        assert f"{operators} operators" in answer.error["message"]
+        assert stats["invalid"] == 1
 
 
 class TestCliSurface:

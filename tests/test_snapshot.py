@@ -155,11 +155,11 @@ class TestCodecRejections:
         with pytest.raises(ServiceError, match="digest mismatch"):
             decode_snapshot(flipped)
 
-    @pytest.mark.parametrize("version", [SNAPSHOT_VERSION + 1, 3, 2, 1, True])
+    @pytest.mark.parametrize("version", [SNAPSHOT_VERSION + 1, 4, 3, 2, 1, True])
     def test_version_skew_is_refused(self, version):
-        # One snapshot version: a newer document, a version-3, -2 or -1 one
-        # and a boolean "v" (``True == 1``) are all refused before any shape
-        # check.
+        # One snapshot version: a newer document, a version-4, -3, -2 or -1
+        # one and a boolean "v" (``True == 1``) are all refused before any
+        # shape check.
         text = dump_snapshot(_warm_session(5))
         skewed = _resealed(text, lambda p: p.__setitem__("v", version))
         with pytest.raises(
@@ -198,6 +198,20 @@ class TestCodecRejections:
 
         with pytest.raises(ServiceError, match="snapshot tenant 'acme' generation must be a non-negative"):
             decode_snapshot(_resealed(text, corrupt))
+
+
+    @pytest.mark.parametrize(
+        ("mutate", "reason"),
+        [
+            (lambda entry: entry.insert(2, None), r"\[key, stamp, result\] triple"),  # a v4 entry
+            (lambda entry: entry.__setitem__(1, True), "stamp must be an integer"),
+            (lambda entry: entry.__setitem__(1, -2), "stamp must be an integer"),
+        ],
+    )
+    def test_result_entries_need_an_integer_stamp(self, mutate, reason):
+        text = dump_snapshot(_warm_session(5))
+        with pytest.raises(ServiceError, match=reason):
+            decode_snapshot(_resealed(text, lambda p: mutate(p["results"][0])))
 
 
 class TestRestoreValidation:

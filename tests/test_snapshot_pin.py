@@ -9,11 +9,16 @@ code must restore that document and re-export it byte for byte, and a fresh
 session fed the same stream must export the same bytes: the snapshot format
 is a contract, not an artifact of one implementation.
 
-A version-4 snapshot holds each tenant's Γ and generation and the result
-cache.  Neither the ALG index nor the Theorem 12 normalization is part of
-the contract: both are rebuilt from Γ.  The document was derived from the
-version-3 export by dropping its ``index`` section, setting ``v`` to 4 and
-recomputing the digest; its Γ and result bytes are unchanged.
+A version-5 snapshot holds each tenant's Γ and generation and the result
+cache, each entry stamped with the generation it was answered against
+(``-1`` when it read no tenant Γ).  Neither the ALG index nor the Theorem 12
+normalization is part of the contract: both are rebuilt from Γ.  The
+document was re-exported from :func:`pinned_session` when entries gained
+their stamps.  Its Γs and generations are those of the version-4 document
+before it, and its live entries (stamp ``-1`` or the tenant's generation)
+are that document's entries, in the same order and with the same key and
+result bytes.  The other entries answered Γs that later writes replaced:
+a restore keeps them, and no lookup can reach them.
 """
 
 from pathlib import Path

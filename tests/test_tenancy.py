@@ -6,11 +6,13 @@ The tenancy invariants PR 9 pins:
   without one runs under the default tenant;
 * ``tenant`` stays inside :func:`request_cache_key`, so no cache tier can
   serve one tenant's answer to another;
-* per-tenant Γ is isolated — growing tenant A's theory invalidates only A's
-  Γ-dependent result entries (pinned by ``cache_info`` counters, not vibes);
+* per-tenant Γ is isolated — growing tenant A's theory bumps only A's
+  generation, so only A's Γ-dependent result entries stop answering (pinned
+  by ``cache_info`` counters, not vibes);
 * snapshots round-trip the whole tenant keyspace byte-identically;
-* the :class:`ResultCache` every tier uses behaves: LRU accounting,
-  tenant-scoped invalidation, per-tenant counters that add up to the totals;
+* the :class:`ResultCache` every tier uses behaves: LRU accounting, stale
+  stamps that miss and drop their entry, per-tenant counters that add up to
+  the totals;
 * the 2-shard executor answers repeats parent-side, byte-identical to the
   cacheless path: on a Zipf multi-tenant stream its shared tier answers most
   requests, and a transient worker crash changes no answer;
@@ -29,7 +31,7 @@ from repro.service.executor import ShardExecutor
 from repro.service.faults import Fault, FaultPlan
 from repro.service.planner import naive_dispatch
 from repro.service.result_cache import ResultCache as SharedResultCache
-from repro.service.result_cache import gamma_dependent
+from repro.service.result_cache import cache_stamp
 from repro.service import session as session_module
 from repro.service.server import QueryServer
 from repro.service.session import Session
@@ -199,7 +201,7 @@ class TestSharedResultCache:
 
     def test_hits_restamp_the_caller_id(self):
         cache = SharedResultCache(maxsize=4)
-        cache.store("k", self._result(), tenant="acme")
+        cache.store("k", self._result())
         hit = cache.lookup("k", "q42", tenant="acme")
         assert hit is not None and hit.id == "q42" and hit.cached
         assert cache.lookup("other", None) is None
@@ -220,15 +222,18 @@ class TestSharedResultCache:
         cache.store("k", QueryResult(kind="implies", ok=False, error={"type": "X", "message": "m"}))
         assert len(cache) == 0
 
-    def test_invalidate_tenant_scopes_to_gamma_dependent_entries(self):
+    def test_a_stale_stamp_misses_drops_the_entry_and_the_fresh_store_is_most_recent(self):
         cache = SharedResultCache(maxsize=8)
-        cache.store("a1", self._result(), tenant="acme", uses_tenant_gamma=True)
-        cache.store("a2", self._result(), tenant="acme", uses_tenant_gamma=False)
-        cache.store("g1", self._result(), tenant="globex", uses_tenant_gamma=True)
-        assert cache.invalidate_tenant("acme") == 1
-        assert cache.lookup("a1", None, tenant="acme") is None
-        assert cache.lookup("a2", None, tenant="acme") is not None
-        assert cache.lookup("g1", None, tenant="globex") is not None
+        cache.store("stale", self._result(False), stamp=0)
+        cache.store("other", self._result(), stamp=0)
+        assert cache.lookup("stale", None, tenant="acme", stamp=1) is None
+        assert [key for key, _ in cache.entries()] == ["other"]
+        assert cache.info()["per_tenant"]["acme"] == {"hits": 0, "misses": 1}
+        cache.store("stale", self._result(True), stamp=1)
+        assert cache.entries() == [("other", (0, self._result())), ("stale", (1, self._result(True)))]
+        assert cache.lookup("stale", None, stamp=1).value == {"implied": True}
+        # The stamp must match exactly: an answer from a later Γ never serves an earlier one.
+        assert cache.lookup("stale", None, stamp=0) is None
 
     def test_size_zero_disables_the_tier(self):
         cache = SharedResultCache(maxsize=0)
@@ -237,19 +242,27 @@ class TestSharedResultCache:
         assert len(cache) == 0 and cache.lookup("k", None) is None
 
     def test_seed_entries_keep_the_most_recent_maxsize(self):
-        seed = [(key, (False, None, self._result())) for key in ("a", "b", "c")]
+        seed = [(key, (-1, self._result())) for key in ("a", "b", "c")]
         cache = SharedResultCache(maxsize=2, entries=seed)
         assert [key for key, _ in cache.entries()] == ["b", "c"]
         assert cache.lookup("a", None) is None and cache.lookup("c", "q1").id == "q1"
         assert len(SharedResultCache(maxsize=0, entries=seed)) == 0
 
-    def test_only_base_gamma_requests_are_gamma_dependent(self):
-        assert gamma_dependent(_implies("A = A*B"))
-        assert gamma_dependent(_implies("A = A*B", tenant="acme"))
-        assert not gamma_dependent(
-            QueryRequest(kind="implies", dependencies=(_pd("A = A*B"),), query=_pd("A = A*B"))
-        )
-        assert not gamma_dependent(QueryRequest(kind="fd_implies", fds=(), target=None))
+    @pytest.mark.parametrize(
+        ("request_", "stamp"),
+        [
+            (_implies("A = A*B"), 7),  # the default tenant's generation
+            (_implies("A = A*B", tenant="acme"), 3),
+            (_implies("A = A*B", tenant="globex"), 0),  # a tenant never written
+            (QueryRequest(kind="implies", dependencies=(_pd("A = A*B"),), query=_pd("A = A*B")), -1),
+            (QueryRequest(kind="implies", tenant="acme", dependencies=(), query=_pd("A = A*B")), -1),
+            (QueryRequest(kind="fd_implies", fds=(), target=None), -1),
+            (QueryRequest(kind="fd_implies", tenant="acme", fds=(), target=None), -1),
+        ],
+    )
+    def test_cache_stamps(self, request_, stamp):
+        generations = {None: 7, "acme": 3}
+        assert cache_stamp(request_, lambda tenant: generations.get(tenant, 0)) == stamp
 
 
 def _assert_per_tenant_adds_up(info):
@@ -279,7 +292,7 @@ class TestPerTenantCountersAddUp:
         result = QueryResult(kind="implies", ok=True, value={"implied": True})
         cache.lookup(request_cache_key(unnamed), None, tenant=None)
         cache.lookup(request_cache_key(named), None, tenant="default")
-        cache.store(request_cache_key(named), result, tenant="default")
+        cache.store(request_cache_key(named), result)
         cache.lookup(request_cache_key(named), None, tenant="default")
         for tenant in ("zeta", "alpha"):
             cache.lookup(request_cache_key(_implies("A = A*B", tenant=tenant)), None, tenant=tenant)
@@ -337,13 +350,30 @@ class TestExecutorSharedCache:
         assert info["hits"] == len(stream)
         assert set(info["per_tenant"]) == {f"t{i}" for i in range(5)}
 
-    def test_invalidate_tenant_reaches_the_shared_tier(self, stream):
-        with ShardExecutor(shards=2, shared_cache_size=64) as executor:
-            first = _answer_lines(executor, stream)
-            assert executor.invalidate_tenant("t0") == 1
-            # The dropped tenant recomputes; answers are still byte-identical.
-            assert _answer_lines(executor, stream) == first
-            assert executor.shared_cache_info()["size"] == 5  # t0 re-published
+    def test_a_snapshot_after_a_write_answers_only_its_live_entries(self):
+        # The snapshot is taken after acme's write, while the cache still
+        # holds acme's stale entry, so the shared tier is seeded with it.
+        reads = [
+            _implies("A = A*C", tenant="acme", id="a"),
+            _implies("A = A*C", tenant="globex", id="g"),
+            QueryRequest(kind="implies", tenant="acme", dependencies=(_pd("A = A*B"),), query=_pd("A = A*B")),
+        ]
+        session = Session([])
+        session.execute_many(reads)
+        session.add_dependencies(["A = A*C"], tenant="acme")
+        snapshot = session.export_snapshot()
+        assert len(json.loads(snapshot)["results"]) == 3
+        uncached = Session([], result_cache_size=0)
+        uncached.add_dependencies(["A = A*C"], tenant="acme")
+        expected = [dump_result_line(r) for r in uncached.execute_many(reads)]
+        with ShardExecutor(shards=2, snapshot=snapshot) as executor:
+            assert _answer_lines(executor, reads) == expected
+            info = executor.shared_cache_info()
+            dispatched = supervision_stats(executor.metrics)["units_dispatched"]
+        assert json.loads(expected[0])["value"] == {"implied": True}  # acme's grown Γ
+        assert (info["hits"], info["misses"]) == (2, 1)
+        assert info["per_tenant"]["acme"] == {"hits": 1, "misses": 1}
+        assert dispatched == 1  # only the stale entry was recomputed
 
 
 class TestZipfMultiTenantStream:
