@@ -7,7 +7,8 @@ to an untraced one.  This walk covers the whole surface:
 1. kernel profiling counters, ticked on the deadline-check sites inside a
    ``profiling.profile()`` scope;
 2. a traced file-mode stream: per-request span trees (root → plan / execute
-   / respond), the per-work-unit cost log, and the ``--metrics-dir`` dump;
+   / respond, each child inside its root on one timeline), the per-work-unit
+   cost log, and the ``--metrics-dir`` dump;
 3. the unified metrics registry export (canonical JSON);
 4. byte-identity of the traced run against an untraced one.
 
@@ -58,8 +59,12 @@ def main() -> None:
     root = roots[0]
     children = [s for s in spans if s.get("parent") == root["span"]]
     print(f"  one tree: root {root['span']} ({root['attrs']['kind']}, ok={root['attrs']['ok']})")
+    root_end = root["start_ms"] + root["duration_ms"]
     for child in sorted(children, key=lambda s: s["start_ms"]):
         print(f"    └─ {child['name']:<9} {child['duration_ms']:.3f} ms")
+        # one timeline: each child lies inside its root (stamps are rounded to 1 µs)
+        assert root["start_ms"] - 0.002 <= child["start_ms"]
+        assert child["start_ms"] + child["duration_ms"] <= root_end + 0.002
 
     print(f"\n  {len(cost)} work-unit cost records; the busiest:")
     busiest = max(cost, key=lambda r: sum(r["kernel"].values()))

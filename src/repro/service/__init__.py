@@ -85,7 +85,6 @@ from repro.service.supervisor import SupervisedPool, WorkItem, WorkUnit
 from repro.service.telemetry import (
     CostLog,
     MetricsRegistry,
-    Span,
     Tracer,
     metrics_export,
     new_trace_id,
@@ -174,7 +173,6 @@ __all__ = [
     "install_fault_plan",
     "installed_plan",
     "clear_fault_plan",
-    "Span",
     "Tracer",
     "MetricsRegistry",
     "CostLog",

@@ -37,7 +37,7 @@ from repro.errors import QueryFailedError, QueryTimeoutError, ServiceError
 from repro.expressions.ast import PartitionExpression
 from repro.expressions.parser import parse_expression
 from repro.relational.database import Database
-from repro.service.wire import QueryRequest, QueryResult, decode_database
+from repro.service.wire import QueryRequest, QueryResult, check_operators, decode_database
 
 ExpressionLike = Union[PartitionExpression, str]
 DatabaseLike = Union[Database, dict]
@@ -61,20 +61,25 @@ __all__ = [
 
 
 def as_expression(value: ExpressionLike) -> PartitionExpression:
-    """An expression object from either an AST node or the wire's infix syntax."""
+    """An expression object from either an AST node or the wire's infix syntax,
+    held to the wire's operator bound."""
+    expression = value
     if isinstance(value, str):
         try:
-            return parse_expression(value)
+            expression = parse_expression(value)
         except Exception as exc:
             raise ServiceError(f"cannot parse expression {value!r}: {exc}") from None
-    return value
+    check_operators(expression)
+    return expression
 
 
 def _as_pd(value: PartitionDependencyLike) -> PartitionDependency:
     try:
-        return as_partition_dependency(value)
+        pd = as_partition_dependency(value)
     except Exception as exc:
         raise ServiceError(f"cannot parse dependency {value!r}: {exc}") from None
+    check_operators(pd.left, pd.right)
+    return pd
 
 
 def _as_dependencies(

@@ -103,14 +103,14 @@ def serve_lines(
             positions.append(position)
 
     config.install_hooks()
-    if telemetry.enabled():
+    traced = telemetry.enabled()
+    if traced:
         # Stamp a trace id on every decoded request (preserving any the wire
         # carried).  With telemetry off the original requests are reused
         # untouched — the traced and untraced paths must not diverge on
         # anything but the trace ids themselves.
-        requests = [telemetry.ensure_trace(request) for request in requests]
+        requests = [telemetry.begin_request(request) for request in requests]
 
-    admitted_at = time.time()
     started = time.perf_counter()
     # make_backend() restores from --snapshot-dir when a snapshot exists, so
     # a warm previous run makes this one boot without replaying Γ.
@@ -120,24 +120,23 @@ def serve_lines(
     finally:
         if isinstance(backend, ShardExecutor):
             backend.close()
-    elapsed = time.perf_counter() - started
-    executed_at = time.time()
+    executed_at = time.perf_counter()
+    elapsed = executed_at - started
 
     if len(results) != len(requests):  # loud, not misaligned
         raise ServiceError(f"backend answered {len(results)} of {len(requests)} decoded requests")
     for position, result in zip(positions, results):
         out[position] = dump_result_line(result)
-    if telemetry.enabled():
-        # One retrospective root span (plan/execute/respond children) per
-        # decoded request — file mode has no micro-batch ticket to cut the
-        # stages from, so the whole-stream dispatch timestamps stand in.
-        responded_at = time.time()
+    if traced:
+        # One span tree per decoded request — file mode has no micro-batch
+        # ticket, so the whole-stream dispatch stamps delimit every stage.
+        responded_at = time.perf_counter()
         for request, result in zip(requests, results):
-            telemetry.record_request_tree(
+            telemetry.record_request(
                 request,
                 result,
-                admitted_at=admitted_at,
-                planned_at=admitted_at,
+                enqueued_at=started,
+                planned_at=started,
                 executed_at=executed_at,
                 responded_at=responded_at,
             )

@@ -3,7 +3,7 @@
 :class:`ServiceConfig` is the single dataclass every entry point consumes:
 
 * the **batch CLI** (``python -m repro.service FILE``) reads ``dependencies``,
-  ``shards`` and the cache sizes;
+  ``shards`` and the result-cache size;
 * the **async server** (``python -m repro.service serve``) additionally reads
   the micro-batch window size bound (``max_batch``), the admission-queue
   depth (``queue_limit``), the ``overload`` policy and the listen address;
@@ -52,8 +52,8 @@ class ServiceConfig:
     """Every tunable of the query service, in one validated place.
 
     ``shards == 1`` means in-process dispatch.  ``result_cache_size`` sizes
-    the in-process session's result cache; ``shared_cache_size`` sizes the
-    sharded executor's parent-side tier, a sharded backend's only cache.
+    the backend's one result cache: the in-process session's, or the sharded
+    executor's parent-side tier.
     ``max_batch`` bounds the micro-batch window's size (a window also closes
     as soon as the backlog is empty, so it has no time bound);
     ``queue_limit`` bounds admission; ``port = 0`` asks the OS for an
@@ -71,10 +71,8 @@ class ServiceConfig:
     stats: bool = False
     snapshot_dir: Optional[str] = None
     window_budget_ms: Optional[float] = None
-    unit_timeout_ms: Optional[float] = None
     breaker_threshold: int = 4
     fault_plan: Optional[str] = None
-    shared_cache_size: int = 4096
     trace: bool = False
     metrics_dir: Optional[str] = None
 
@@ -97,15 +95,9 @@ class ServiceConfig:
             raise ServiceError(
                 f"window_budget_ms must be positive, got {self.window_budget_ms}"
             )
-        if self.unit_timeout_ms is not None and self.unit_timeout_ms <= 0:
-            raise ServiceError(f"unit_timeout_ms must be positive, got {self.unit_timeout_ms}")
         if self.breaker_threshold < 0:
             raise ServiceError(
                 f"breaker_threshold must be >= 0 (0 disables), got {self.breaker_threshold}"
-            )
-        if self.shared_cache_size < 0:
-            raise ServiceError(
-                f"shared_cache_size must be >= 0 (0 disables), got {self.shared_cache_size}"
             )
         if self.fault_plan is not None:
             from repro.service.faults import FaultPlan
@@ -164,8 +156,7 @@ class ServiceConfig:
             dependencies=self.dependencies,
             snapshot=self.read_boot_snapshot(),
             fault_plan=self.fault_plan,
-            unit_timeout_ms=self.unit_timeout_ms,
-            shared_cache_size=self.shared_cache_size,
+            result_cache_size=self.result_cache_size,
             metrics=metrics,
         )
 
@@ -218,29 +209,11 @@ def add_config_arguments(parser: argparse.ArgumentParser, serve: bool = False) -
         type=int,
         default=defaults.result_cache_size,
         help=(
-            f"in-process session result-cache entries (0 disables; default {defaults.result_cache_size}); "
-            "sharded workers keep none, see --shared-cache-size"
+            "result-cache entries: the in-process session's, or with --shards N the "
+            f"parent-side shared tier's (0 disables; default {defaults.result_cache_size})"
         ),
     )
     parser.add_argument("--stats", action="store_true", help="print a summary line to stderr")
-    parser.add_argument(
-        "--unit-timeout-ms",
-        type=float,
-        default=None,
-        help=(
-            "hard wall-clock limit per sharded work unit in milliseconds "
-            "(default: none; deadline-carrying units always get max deadline + grace)"
-        ),
-    )
-    parser.add_argument(
-        "--shared-cache-size",
-        type=int,
-        default=defaults.shared_cache_size,
-        help=(
-            "parent-side shared result-cache entries for sharded dispatch, its only "
-            f"cache (0 disables it; default {defaults.shared_cache_size})"
-        ),
-    )
     parser.add_argument(
         "--fault-plan",
         default=None,
@@ -341,10 +314,8 @@ def config_from_args(args: argparse.Namespace) -> ServiceConfig:
         stats=args.stats,
         snapshot_dir=getattr(args, "snapshot_dir", None),
         window_budget_ms=getattr(args, "window_budget_ms", None),
-        unit_timeout_ms=getattr(args, "unit_timeout_ms", None),
         breaker_threshold=getattr(args, "breaker_threshold", ServiceConfig.breaker_threshold),
         fault_plan=getattr(args, "fault_plan", None),
-        shared_cache_size=getattr(args, "shared_cache_size", ServiceConfig.shared_cache_size),
         trace=getattr(args, "trace", False),
         metrics_dir=getattr(args, "metrics_dir", None),
     )

@@ -94,8 +94,7 @@ class ShardExecutor:
         start_method: Optional[str] = None,
         snapshot: Optional[str] = None,
         fault_plan: Optional[str] = None,
-        unit_timeout_ms: Optional[float] = None,
-        shared_cache_size: int = 4096,
+        result_cache_size: int = 1024,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if shards < 1:
@@ -126,12 +125,11 @@ class ShardExecutor:
             tenants = [(None, payload), *payload["tenants"]]  # the top level is the default tenant
             generations = {name: state["generation"] for name, state in tenants}
         self._generation_of = lambda tenant: generations.get(tenant, 0)
-        # The shared result tier (off with shared_cache_size=0: a sharded
+        # The shared result tier (off with result_cache_size=0: a sharded
         # backend then caches nothing).
-        self._shared_cache = ResultCache(shared_cache_size, warm_results)
+        self._shared_cache = ResultCache(result_cache_size, warm_results)
         self._snapshot = snapshot
         self._fault_plan = fault_plan
-        self._unit_timeout_ms = unit_timeout_ms
         if start_method is None:
             available = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in available else "spawn"
@@ -148,7 +146,6 @@ class ShardExecutor:
                 snapshot=self._snapshot,
                 start_method=self._start_method,
                 fault_plan_json=self._fault_plan,
-                unit_timeout_ms=self._unit_timeout_ms,
                 metrics=self.metrics,
             )
         return self._pool

@@ -32,7 +32,10 @@ stacks do — continuous batching with a bounded window:
   back).  The batcher counts requests, windows and per-stage latencies into
   its :class:`~repro.service.telemetry.MetricsRegistry`, and
   :func:`batch_stats` reads p50/p95/p99 latency per stage plus window
-  occupancy (mean/max window size, close reasons) back from it.
+  occupancy (mean/max window size, close reasons) back from it.  With
+  telemetry on, :meth:`Ticket.mark_responded` also hands those stamps to
+  :func:`~repro.service.telemetry.record_request`, which cuts the request's
+  root span and its ``plan``/``execute``/``respond`` children from them.
 
 The batcher is transport-agnostic: :mod:`repro.service.server` feeds it from
 sockets, tests feed it directly.  Graceful drain
@@ -49,6 +52,7 @@ from typing import Any, Callable, Optional
 
 from repro.deadline import deadline_scope
 from repro.errors import DeadlineExceeded, ServiceError
+from repro.service import telemetry
 from repro.service.telemetry import MetricsRegistry, summarize
 from repro.service.wire import QueryRequest, QueryResult
 
@@ -103,11 +107,25 @@ class Ticket:
         return await self.future
 
     def mark_responded(self) -> None:
-        """Stamp the respond time and feed this ticket's stage latencies to the registry."""
+        """Stamp the respond time, feed this ticket's stage latencies to the
+        registry and, when telemetry is on, record the request's span tree."""
         if self.responded_at is not None:
             return
         self.responded_at = time.perf_counter()
         record_latencies(self._metrics, self)
+        if telemetry.enabled():
+            telemetry.record_request(
+                self.request,
+                self.future.result(),
+                enqueued_at=self.enqueued_at,
+                planned_at=self.planned_at,
+                executed_at=self.executed_at,
+                responded_at=self.responded_at,
+                window_closed_at=self.window_closed_at,
+                window_size=self.window_size,
+                window_reason=self.window_reason,
+                shed=self.shed,
+            )
 
 
 def record_latencies(metrics: MetricsRegistry, ticket: Ticket) -> None:

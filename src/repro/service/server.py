@@ -34,9 +34,10 @@ Shape of the thing:
   is evaluated at its turn in the connection's order, once every earlier
   line has its answer, so its counts cover the requests sent before it;
 * **observability** — with ``--trace`` or ``--metrics-dir`` the server mints
-  a trace id per request at decode (or propagates the wire ``trace`` field),
-  opens a root span, and emits ``plan``/``execute``/``respond`` children
-  retrospectively from the ticket's stage stamps when the answer is written;
+  a trace id per request at decode (or propagates the wire ``trace`` field);
+  once the answer is written, the ticket records the request's root span and
+  its ``plan``/``execute``/``respond`` children from its stage stamps (a
+  line refused by a draining batcher records its root alone).
   ``--metrics-dir`` additionally dumps spans, cost records and the metrics
   document to JSONL files every second (and once at drain);
 * **graceful degradation** — with a sharded backend, repeated worker crashes
@@ -62,6 +63,7 @@ pool is created eagerly at :meth:`start`, before any serving thread exists).
 from __future__ import annotations
 
 import asyncio
+import time
 from typing import Optional
 
 from repro.errors import ServiceError
@@ -414,22 +416,25 @@ class QueryServer:
         except ServiceError as exc:
             await pending.put(dump_result_line(error_result_for_line(payload, line_number, exc)))
             return
-        root_span = None
-        if telemetry.enabled():
-            # Mint (or propagate) the trace id at decode and open the root
-            # span; the writer loop closes it after the socket write.
-            request, root_span = telemetry.begin_request(request)
+        traced = telemetry.enabled()
+        if traced:
+            # Mint (or propagate) the trace id at decode; the ticket records
+            # the request's spans once its answer is written.
+            request = telemetry.begin_request(request)
+            decoded_at = time.perf_counter()
         try:
             ticket = await self._batcher.submit(request)  # blocks under backpressure
         except ServiceError as exc:
             # Lost the race with drain: the line was read but cannot be
             # admitted — still answer it, the stream contract holds.
-            if root_span is not None:
-                root_span.event("rejected")
-                root_span.end()
-            await pending.put(dump_result_line(error_result_for_line(payload, line_number, exc)))
+            refusal = error_result_for_line(payload, line_number, exc)
+            if traced:
+                telemetry.record_request(
+                    request, refusal, enqueued_at=decoded_at, responded_at=time.perf_counter(), rejected=True
+                )
+            await pending.put(dump_result_line(refusal))
             return
-        await pending.put(ticket if root_span is None else (ticket, root_span))
+        await pending.put(ticket)
 
     async def _control_line(self, payload: dict) -> str:
         op = payload.get("control")
@@ -512,14 +517,8 @@ class QueryServer:
             item = await pending.get()
             if item is _END:
                 return
-            span = None
-            if isinstance(item, tuple):
-                ticket, span = item
-            else:
-                ticket = item if isinstance(item, Ticket) else None
-            result = await ticket.result() if ticket is not None else None
-            if ticket is not None:
-                line = dump_result_line(result)
+            if isinstance(item, Ticket):
+                line = dump_result_line(await item.result())
             elif isinstance(item, dict):
                 line = await self._control_line(item)
             else:
@@ -531,12 +530,8 @@ class QueryServer:
                 # Client gone: keep consuming slots so admitted tickets are
                 # still awaited (and counted), but nothing more is written.
                 continue
-            if ticket is not None:
-                ticket.mark_responded()
-                if span is not None:
-                    # Retrospective children (plan/execute/respond) are cut
-                    # from the ticket's stamps now that they are all set.
-                    telemetry.finish_request(span, ticket, result)
+            if isinstance(item, Ticket):
+                item.mark_responded()  # stage latencies and, when traced, the span tree
 
 
 async def serve_stream(

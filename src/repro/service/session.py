@@ -40,6 +40,7 @@ counters (:meth:`Session.cache_info`).
 
 from __future__ import annotations
 
+import time
 from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from typing import Optional
@@ -507,18 +508,18 @@ class Session:
 
     def _evaluate(self, request: QueryRequest) -> QueryResult:
         telemetry = _telemetry()
-        if not telemetry.enabled():
+        if not telemetry.enabled() or request.trace is None:
             return self._evaluate_inner(request)
-        span = telemetry.evaluate_span(request)
+        start = time.perf_counter()
+        result = None
         with profiling.profile() as prof:
             try:
                 result = self._evaluate_inner(request)
-            except BaseException:
-                # An enclosing budget (window) expired mid-evaluate; close the
-                # span before handing the exception to its owner.
-                telemetry.finish_evaluate(span, None, prof)
-                raise
-        telemetry.finish_evaluate(span, result, prof)
+            finally:
+                # An enclosing budget (window) may expire mid-evaluate: the
+                # span is recorded, without an outcome, before its owner
+                # sees the exception.
+                telemetry.record_evaluate(request, result, start, prof)
         return result
 
     def _evaluate_inner(self, request: QueryRequest) -> QueryResult:

@@ -241,7 +241,6 @@ class SupervisedPool:
         snapshot: Optional[str] = None,
         start_method: str = "fork",
         fault_plan_json: Optional[str] = None,
-        unit_timeout_ms: Optional[float] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if workers < 1:
@@ -250,7 +249,6 @@ class SupervisedPool:
         self._encoded_dependencies = list(encoded_dependencies)
         self._snapshot = snapshot
         self._fault_plan_json = fault_plan_json
-        self._unit_timeout_ms = unit_timeout_ms
         self.metrics = MetricsRegistry() if metrics is None else metrics
         self._workers = [self._spawn(index, 0) for index in range(workers)]
 
@@ -322,15 +320,6 @@ class SupervisedPool:
                 pass
         self._workers = []
 
-    @property
-    def worker_count(self) -> int:
-        return len(self._workers)
-
-    @property
-    def incarnations(self) -> list[int]:
-        """Current incarnation per worker slot (restart provenance)."""
-        return [worker.incarnation for worker in self._workers]
-
     # -- the supervision loop --------------------------------------------------
 
     def run_units(self, units: list[WorkUnit]) -> dict[int, str]:
@@ -381,10 +370,7 @@ class SupervisedPool:
         queue: deque,
     ) -> None:
         budgets = [item.deadline_ms for item in unit.items if item.deadline_ms is not None]
-        if budgets:
-            budget_ms: Optional[float] = max(budgets) + DEADLINE_GRACE_MS
-        else:
-            budget_ms = self._unit_timeout_ms
+        budget_ms = max(budgets) + DEADLINE_GRACE_MS if budgets else None
         worker.unit = unit
         worker.unit_seq = seq
         worker.budget_ms = budget_ms
@@ -427,11 +413,7 @@ class SupervisedPool:
             [item.trace for item in unit.items],
             worker=worker.index,
             items=len(unit.items),
-            wall_ms=(
-                (time.perf_counter() - worker.dispatched_at) * 1000.0
-                if worker.dispatched_at is not None
-                else 0.0
-            ),
+            dispatched_at=worker.dispatched_at,
             attempt=unit.attempts_left,
         )
         worker.unit = None
@@ -558,17 +540,13 @@ class SupervisedPool:
             )
         )
 
-    def _timeout_line(self, item: WorkItem, budget_ms: Optional[float]) -> str:
-        if item.deadline_ms is not None:
-            message = (
-                f"deadline of {item.deadline_ms} ms exceeded; the shard worker was "
-                f"hard-killed after {budget_ms:g} ms wall clock"
-            )
-        else:
-            message = (
-                f"unit wall-clock limit of {budget_ms:g} ms exceeded; "
-                "the shard worker was hard-killed"
-            )
+    def _timeout_line(self, item: WorkItem, budget_ms: float) -> str:
+        """The typed ``Timeout`` answer of a hard-killed singleton (only a
+        deadline-carrying unit has a wall clock to blow)."""
+        message = (
+            f"deadline of {item.deadline_ms} ms exceeded; the shard worker was "
+            f"hard-killed after {budget_ms:g} ms wall clock"
+        )
         return dump_result_line(
             QueryResult(
                 kind=item.kind,

@@ -10,16 +10,21 @@ is off.
 
 Three coordinated pieces:
 
-**Trace spans** (:class:`Tracer`, :class:`Span`).  A trace id is minted at
-decode (or propagated from the request's optional wire-v3 ``trace`` field).
+**Trace spans** (:class:`Tracer`).  A trace id is minted at decode (or
+propagated from the request's optional wire-v3 ``trace`` field).  A span is
+recorded whole, once it is over: :meth:`Tracer.record` takes its name, its
+``perf_counter`` start and end stamps, its parent and its attrs and events.
 The *root span id is derived from the trace id* (``<trace>.r``), so any
 layer that knows only ``request.trace`` — the session evaluating in a worker
-process, the supervisor annotating an escalation — can parent spans to the
-request's root without extra plumbing.  Completed spans buffer in a bounded
-deque; traced worker processes drain theirs into the supervisor reply's
-``info`` dict (``{"spans": [...], "cost": [...]}``, empty when untraced) and
-the parent adopts them, so one request's tree is whole even when its work
-crossed process boundaries.
+process, the supervisor recording an escalation — can parent spans to the
+request's root without extra plumbing.  :func:`record_request` cuts a
+request's root and its ``plan``/``execute``/``respond`` children from the
+life-cycle stamps its serving mode already keeps: a micro-batch ticket's in
+the server, the whole-stream dispatch stamps in the file CLI.  Recorded
+spans buffer in a bounded deque; traced worker processes drain theirs into
+the supervisor reply's ``info`` dict (``{"spans": [...], "cost": [...]}``,
+empty when untraced) and the parent adopts them, so one request's tree is
+whole even when its work crossed process boundaries.
 
 **Metrics registry** (:class:`MetricsRegistry`).  Counters, gauges, and
 series (bucket counts plus recent samples) under flat dotted names.  A
@@ -30,8 +35,9 @@ so each count is kept in one place.
 
 **Cost log** (:class:`CostLog`).  Every executed work unit appends one
 ``(kind, method, |Γ|, request count, query size, kernel counters, wall
-time)`` record — the calibration feed the ROADMAP's capacity-aware adaptive
-planner will learn per-group cost models from.
+time)`` record.  It answers which work units cost what and why: the kernel
+counters say where a slow unit spent its time (closure pops, chase steps,
+backtrack nodes), and ``|Γ|`` and the query size say what it was given.
 
 The opt-in pieces are process-global on purpose (one service process, one
 telemetry sink; their counters go to the registry :func:`configure` was last
@@ -58,7 +64,6 @@ from repro import profiling
 from repro.service.wire import QueryRequest, QueryResult, canonical_dumps
 
 __all__ = [
-    "Span",
     "Tracer",
     "MetricsRegistry",
     "CostLog",
@@ -72,10 +77,8 @@ __all__ = [
     "root_span_id",
     "ensure_trace",
     "begin_request",
-    "finish_request",
-    "record_request_tree",
-    "evaluate_span",
-    "finish_evaluate",
+    "record_request",
+    "record_evaluate",
     "work_unit",
     "record_escalation",
     "drain_for_reply",
@@ -108,76 +111,13 @@ OTHER_TENANTS = "~other"
 # ---------------------------------------------------------------------------
 
 
-class Span:
-    """One timed operation in a trace tree.
+class Tracer:
+    """Mints span ids and buffers recorded spans (bounded, oldest dropped).
 
-    Times are captured on ``time.perf_counter()`` and converted to wall-clock
-    milliseconds at export through the tracer's anchor, so spans recorded in
+    Stamps are ``time.perf_counter()`` values, converted to wall-clock
+    milliseconds on record through the tracer's anchor, so spans recorded in
     different processes on one machine land on a shared timeline.
     """
-
-    __slots__ = ("trace_id", "span_id", "parent_id", "name", "start", "attrs", "events", "_tracer")
-
-    def __init__(
-        self,
-        tracer: "Tracer",
-        name: str,
-        trace_id: str,
-        span_id: str,
-        parent_id: Optional[str],
-        start: Optional[float] = None,
-        attrs: Optional[dict] = None,
-    ) -> None:
-        self._tracer = tracer
-        self.name = name
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.start = time.perf_counter() if start is None else start
-        self.attrs: Dict[str, Any] = dict(attrs) if attrs else {}
-        self.events: List[dict] = []
-
-    def annotate(self, key: str, value: Any) -> "Span":
-        self.attrs[key] = value
-        return self
-
-    def event(self, name: str, at: Optional[float] = None, **attrs: Any) -> "Span":
-        entry: Dict[str, Any] = {"name": name, "at": time.perf_counter() if at is None else at}
-        if attrs:
-            entry.update(attrs)
-        self.events.append(entry)
-        return self
-
-    def end(self, at: Optional[float] = None) -> None:
-        """Close the span and hand it to the tracer's buffer."""
-        finish = time.perf_counter() if at is None else at
-        self._tracer._record(self, finish)
-
-
-class _NullSpan:
-    """The disabled-path span: every method is a no-op returning ``self``."""
-
-    __slots__ = ()
-
-    trace_id = None
-    span_id = None
-    parent_id = None
-
-    def annotate(self, key: str, value: Any) -> "_NullSpan":
-        return self
-
-    def event(self, name: str, at: Optional[float] = None, **attrs: Any) -> "_NullSpan":
-        return self
-
-    def end(self, at: Optional[float] = None) -> None:
-        return None
-
-
-NULL_SPAN = _NullSpan()
-
-
-class Tracer:
-    """Mints span ids and buffers completed spans (bounded, oldest dropped)."""
 
     def __init__(self, limit: int = SPAN_BUFFER_LIMIT) -> None:
         self._spans: deque = deque(maxlen=limit)
@@ -185,7 +125,6 @@ class Tracer:
         self._prefix = f"{os.getpid():x}"
         # wall(perf_t) = anchor + perf_t: one wall-clock timeline per machine.
         self._anchor = time.time() - time.perf_counter()
-        self.started = 0
         self.recorded = 0
         self.adopted = 0
 
@@ -193,46 +132,38 @@ class Tracer:
         """A process-unique id; the pid prefix keeps workers from colliding."""
         return f"{tag}{self._prefix}-{next(self._counter):x}"
 
-    def start_span(
+    def _wall_ms(self, perf_time: float) -> float:
+        return round((self._anchor + perf_time) * 1000.0, 3)
+
+    def record(
         self,
         name: str,
+        start: float,
+        end: float,
         *,
         trace_id: Optional[str] = None,
         span_id: Optional[str] = None,
         parent_id: Optional[str] = None,
-        start: Optional[float] = None,
         attrs: Optional[dict] = None,
-    ) -> Span:
-        self.started += 1
-        return Span(
-            self,
-            name,
-            trace_id=trace_id if trace_id is not None else self.new_id("t"),
-            span_id=span_id if span_id is not None else self.new_id("s"),
-            parent_id=parent_id,
-            start=start,
-            attrs=attrs,
-        )
+        events: Sequence[tuple] = (),
+    ) -> None:
+        """Buffer one finished span.
 
-    def _wall_ms(self, perf_time: float) -> float:
-        return round((self._anchor + perf_time) * 1000.0, 3)
-
-    def _record(self, span: Span, finish: float) -> None:
+        ``start``/``end`` and each ``(name, at)`` event stamp are
+        ``perf_counter`` values; a missing trace or span id is minted.
+        """
         payload: Dict[str, Any] = {
-            "trace": span.trace_id,
-            "span": span.span_id,
-            "parent": span.parent_id,
-            "name": span.name,
-            "start_ms": self._wall_ms(span.start),
-            "duration_ms": round(max(0.0, finish - span.start) * 1000.0, 3),
+            "trace": trace_id if trace_id is not None else self.new_id("t"),
+            "span": span_id if span_id is not None else self.new_id("s"),
+            "parent": parent_id,
+            "name": name,
+            "start_ms": self._wall_ms(start),
+            "duration_ms": round(max(0.0, end - start) * 1000.0, 3),
         }
-        if span.attrs:
-            payload["attrs"] = span.attrs
-        if span.events:
-            payload["events"] = [
-                {**{k: v for k, v in event.items() if k != "at"}, "at_ms": self._wall_ms(event["at"])}
-                for event in span.events
-            ]
+        if attrs:
+            payload["attrs"] = attrs
+        if events:
+            payload["events"] = [{"name": event, "at_ms": self._wall_ms(at)} for event, at in events]
         self._spans.append(payload)
         self.recorded += 1
 
@@ -254,7 +185,6 @@ class Tracer:
 
     def snapshot(self) -> Dict[str, int]:
         return {
-            "started": self.started,
             "recorded": self.recorded,
             "adopted": self.adopted,
             "pending": len(self._spans),
@@ -519,7 +449,7 @@ os.register_at_fork(after_in_child=_after_fork)
 
 
 # ---------------------------------------------------------------------------
-# Request-level span helpers
+# Request-level spans
 # ---------------------------------------------------------------------------
 
 
@@ -544,135 +474,98 @@ def ensure_trace(request: QueryRequest) -> QueryRequest:
     return replace(request, trace=new_trace_id())
 
 
-def begin_request(request: QueryRequest) -> tuple:
-    """Mint/propagate the trace id at decode and open the root span."""
-    request = ensure_trace(request)
-    span = _STATE.tracer.start_span(
-        "request",
-        trace_id=request.trace,
-        span_id=root_span_id(request.trace),
-        attrs={"kind": request.kind, "id": request.id, "tenant": request.tenant},
-    )
+def begin_request(request: QueryRequest) -> QueryRequest:
+    """Mint/propagate the trace id at decode and count the request as started."""
     _STATE.registry.inc("trace.requests_started")
-    return request, span
+    return ensure_trace(request)
 
 
-def _annotate_outcome(span: Any, result: Optional[QueryResult]) -> None:
+#: Error types whose spans carry an event an operator looks for.
+_OUTCOME_EVENTS = {"Timeout": "deadline_exceeded", "Overloaded": "shed", "WorkerCrashed": "worker_crashed"}
+
+
+def _add_outcome(attrs: dict, events: list, result: Optional[QueryResult], at: float) -> None:
+    """Add ``result``'s ``ok``/``error_type`` attrs to a span, and the event
+    an operator looks for on its error, stamped ``at``.  An interrupted span
+    (``result`` is ``None``) has no outcome."""
     if result is None:
         return
-    span.annotate("ok", result.ok)
-    if result.ok:
-        return
-    error_type = (result.error or {}).get("type")
+    attrs["ok"] = result.ok
+    error_type = None if result.ok else (result.error or {}).get("type")
     if error_type:
-        span.annotate("error_type", error_type)
-    if error_type == "Timeout":
-        span.event("deadline_exceeded")
-    elif error_type == "Overloaded":
-        span.event("shed")
-    elif error_type == "WorkerCrashed":
-        span.event("worker_crashed")
+        attrs["error_type"] = error_type
+    if error_type in _OUTCOME_EVENTS:
+        events.append((_OUTCOME_EVENTS[error_type], at))
 
 
-def finish_request(span: Span, ticket: Any, result: Optional[QueryResult]) -> None:
-    """Close a root span from a micro-batch ticket's lifecycle stamps.
-
-    Emits the ``plan`` / ``execute`` / ``respond`` children retrospectively —
-    the ticket's monotonic stamps already delimit them exactly, so the hot
-    path never touches the tracer.
-    """
-    state = _STATE
-    enqueued = getattr(ticket, "enqueued_at", None)
-    window_closed = getattr(ticket, "window_closed_at", None)
-    planned = getattr(ticket, "planned_at", None)
-    executed = getattr(ticket, "executed_at", None)
-    responded = getattr(ticket, "responded_at", None)
-    if getattr(ticket, "shed", False):
-        span.event("shed", at=responded)
-    window_size = getattr(ticket, "window_size", None)
-    if window_size is not None:
-        span.annotate("window_size", window_size)
-        span.annotate("window_closed_by", getattr(ticket, "window_reason", None))
-
-    def child(name: str, start: Optional[float], finish: Optional[float]) -> None:
-        if start is None or finish is None:
-            return
-        state.tracer.start_span(
-            name,
-            trace_id=span.trace_id,
-            parent_id=span.span_id,
-            start=start,
-            attrs=None,
-        ).end(at=finish)
-
-    child("plan", enqueued, planned)
-    child("execute", planned, executed)
-    child("respond", executed, responded)
-    if window_closed is not None:
-        span.event("window_closed", at=window_closed)
-    _annotate_outcome(span, result)
-    state.registry.inc("trace.requests_finished")
-    span.end(at=responded)
-
-
-def record_request_tree(
+def record_request(
     request: QueryRequest,
     result: Optional[QueryResult],
     *,
-    admitted_at: float,
-    planned_at: float,
-    executed_at: float,
+    enqueued_at: float,
     responded_at: float,
+    planned_at: Optional[float] = None,
+    executed_at: Optional[float] = None,
+    window_closed_at: Optional[float] = None,
+    window_size: Optional[int] = None,
+    window_reason: Optional[str] = None,
+    shed: bool = False,
+    rejected: bool = False,
 ) -> None:
-    """One-shot root + plan/execute/respond tree from coarse timestamps.
+    """Record a finished request's root span and its stage children.
 
-    The file CLI has no per-request tickets — the whole stream shares one
-    decode / dispatch / write timeline — so its spans are cut from the shared
-    stamps instead.
+    Every stamp is a ``perf_counter`` value the serving mode already holds:
+    a micro-batch ticket's life cycle in the server, the whole stream's
+    dispatch stamps in the file CLI.  ``plan`` runs from enqueue to plan,
+    ``execute`` from plan to results, ``respond`` from results to the write;
+    a stage missing either stamp (a shed or refused request) is left out.
     """
-    if not _STATE.enabled or request.trace is None:
+    trace = request.trace
+    if trace is None:
         return
-    state = _STATE
-    root = state.tracer.start_span(
-        "request",
-        trace_id=request.trace,
-        span_id=root_span_id(request.trace),
-        start=admitted_at,
-        attrs={"kind": request.kind, "id": request.id, "tenant": request.tenant},
-    )
-    state.registry.inc("trace.requests_started")
-    for name, start, finish in (
-        ("plan", admitted_at, planned_at),
+    root = root_span_id(trace)
+    for name, start, end in (
+        ("plan", enqueued_at, planned_at),
         ("execute", planned_at, executed_at),
         ("respond", executed_at, responded_at),
     ):
-        state.tracer.start_span(
-            name, trace_id=root.trace_id, parent_id=root.span_id, start=start
-        ).end(at=finish)
-    _annotate_outcome(root, result)
-    state.registry.inc("trace.requests_finished")
-    root.end(at=responded_at)
+        if start is not None and end is not None:
+            _STATE.tracer.record(name, start, end, trace_id=trace, parent_id=root)
+    attrs: Dict[str, Any] = {"kind": request.kind, "id": request.id, "tenant": request.tenant}
+    events: list = []
+    if shed:
+        events.append(("shed", responded_at))
+    if rejected:
+        events.append(("rejected", responded_at))
+    if window_size is not None:
+        attrs["window_size"] = window_size
+        attrs["window_closed_by"] = window_reason
+    if window_closed_at is not None:
+        events.append(("window_closed", window_closed_at))
+    _add_outcome(attrs, events, result, responded_at)
+    _STATE.tracer.record(
+        "request", enqueued_at, responded_at, trace_id=trace, span_id=root, attrs=attrs, events=events
+    )
+    _STATE.registry.inc("trace.requests_finished")
 
 
-def evaluate_span(request: QueryRequest) -> Any:
-    """A session-evaluate span parented to the request's root (or a no-op)."""
-    if not _STATE.enabled or request.trace is None:
-        return NULL_SPAN
-    return _STATE.tracer.start_span(
+def record_evaluate(
+    request: QueryRequest, result: Optional[QueryResult], start: float, prof: profiling.KernelProfile
+) -> None:
+    """Record a session ``evaluate`` span, from ``start`` to now, under the request's root."""
+    end = time.perf_counter()
+    attrs = {"kind": request.kind, "id": request.id, "kernel": prof.as_dict()}
+    events: list = []
+    _add_outcome(attrs, events, result, end)
+    _STATE.tracer.record(
         "evaluate",
+        start,
+        end,
         trace_id=request.trace,
         parent_id=root_span_id(request.trace),
-        attrs={"kind": request.kind, "id": request.id},
+        attrs=attrs,
+        events=events,
     )
-
-
-def finish_evaluate(span: Any, result: Optional[QueryResult], prof: Optional[profiling.KernelProfile]) -> None:
-    if span is NULL_SPAN:
-        return
-    if prof is not None:
-        span.annotate("kernel", prof.as_dict())
-    _annotate_outcome(span, result)
-    span.end()
 
 
 # ---------------------------------------------------------------------------
@@ -761,16 +654,16 @@ def record_escalation(trace: Optional[str], step: str, reason: str, **attrs: Any
     """
     if not _STATE.enabled:
         return
-    state = _STATE
-    span = state.tracer.start_span(
+    now = time.perf_counter()
+    _STATE.tracer.record(
         "escalation",
-        trace_id=trace if trace is not None else state.tracer.new_id("t"),
+        now,
+        now,
+        trace_id=trace,
         parent_id=root_span_id(trace) if trace is not None else None,
         attrs={"step": step, "reason": reason, **attrs},
+        events=[("deadline_exceeded", now)] if step == "timeout" else (),
     )
-    if step == "timeout":
-        span.event("deadline_exceeded")
-    span.end()
 
 
 def record_unit_dispatch(
@@ -778,25 +671,26 @@ def record_unit_dispatch(
     *,
     worker: int,
     items: int,
-    wall_ms: float,
+    dispatched_at: float,
     attempt: int,
 ) -> None:
-    """One span per supervised work-unit round trip, parented to its first
-    traced request's root (the others are listed in the attrs)."""
+    """One span per supervised work-unit round trip, from its dispatch until
+    now, parented to its first traced request's root (the others are listed
+    in the attrs)."""
     if not _STATE.enabled:
         return
-    state = _STATE
+    now = time.perf_counter()
     traced = [trace for trace in traces if trace]
     parent_trace = traced[0] if traced else None
-    span = state.tracer.start_span(
+    _STATE.tracer.record(
         "work_unit_dispatch",
-        trace_id=parent_trace if parent_trace is not None else state.tracer.new_id("t"),
+        dispatched_at,
+        now,
+        trace_id=parent_trace,
         parent_id=root_span_id(parent_trace) if parent_trace is not None else None,
-        start=time.perf_counter() - wall_ms / 1000.0,
         attrs={"worker": worker, "items": items, "attempt": attempt, "traces": traced},
     )
-    span.end()
-    state.registry.observe("unit_dispatch.wall_ms", wall_ms)
+    _STATE.registry.observe("unit_dispatch.wall_ms", (now - dispatched_at) * 1000.0)
 
 
 # ---------------------------------------------------------------------------

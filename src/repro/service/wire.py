@@ -143,7 +143,9 @@ def encode_expression(expression: PartitionExpression) -> str:
     return to_infix(expression)
 
 
-def _check_operators(*expressions: PartitionExpression) -> None:
+def check_operators(*expressions: PartitionExpression) -> None:
+    """Refuse expressions beyond :data:`MAX_EXPRESSION_OPERATORS` with a
+    :class:`~repro.errors.ServiceError` (every decoder and typed factory)."""
     operators = max(expression.complexity() for expression in expressions)
     if operators > MAX_EXPRESSION_OPERATORS:
         raise ServiceError(
@@ -159,7 +161,7 @@ def decode_expression(text: Any) -> PartitionExpression:
         expression = parse_expression(text)
     except Exception as exc:
         raise ServiceError(f"cannot decode expression {text!r}: {exc}") from None
-    _check_operators(expression)
+    check_operators(expression)
     return expression
 
 
@@ -181,7 +183,7 @@ def decode_pd(text: Any) -> PartitionDependency:
         pd = PartitionDependency.parse(text)
     except Exception as exc:
         raise ServiceError(f"cannot decode PD {text!r}: {exc}") from None
-    _check_operators(pd.left, pd.right)
+    check_operators(pd.left, pd.right)
     return pd
 
 

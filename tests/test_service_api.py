@@ -27,7 +27,7 @@ from repro.service.api import (
     quotient_request,
 )
 from repro.service.session import Session
-from repro.service.wire import QueryResult, decode_database
+from repro.service.wire import MAX_EXPRESSION_OPERATORS, QueryResult, decode_database
 
 #: One relation R[A,B] whose rows satisfy the FD A → B.
 CONSISTENT_DB = {"relations": [{"name": "R", "attributes": ["A", "B"], "rows": [["a1", "b1"], ["a2", "b2"]]}]}
@@ -71,6 +71,23 @@ class TestRequestFactories:
             equivalent_request("A + + B", "A")
         with pytest.raises(ServiceError, match="cannot parse dependency"):
             implies_request("A = = B")
+
+    def test_factories_hold_expressions_to_the_wire_operator_bound(self):
+        deep = "A" + "*B" * (MAX_EXPRESSION_OPERATORS + 1)
+        at_bound = "A" + "*B" * MAX_EXPRESSION_OPERATORS
+        assert implies_request(f"A = {at_bound}").query.right.complexity() == MAX_EXPRESSION_OPERATORS
+        with pytest.raises(ServiceError, match="exceeds the limit"):
+            implies_request(f"A = {deep}")
+        with pytest.raises(ServiceError, match="exceeds the limit"):
+            equivalent_request("A", parse_expression(deep))
+        with pytest.raises(ServiceError, match="exceeds the limit"):
+            quotient_request(["A", deep])
+        with pytest.raises(ServiceError, match="exceeds the limit"):
+            counterexample_request("A = A", dependencies=[f"A = {deep}"])
+
+    def test_session_refuses_an_unbounded_expression_with_a_service_error(self):
+        with pytest.raises(ServiceError, match="exceeds the limit"):
+            Session().implies("A = A" + "*B" * 3000)
 
 
 class TestSessionMethods:

@@ -26,6 +26,7 @@ import asyncio
 import dataclasses
 import json
 import multiprocessing
+import time
 
 import pytest
 
@@ -244,10 +245,15 @@ class TestMetricsRegistry:
 class TestTracer:
     def test_span_payload_shape(self):
         tracer = telemetry.Tracer()
-        span = tracer.start_span("request", trace_id="t1", span_id="t1.r")
-        span.annotate("kind", "implies")
-        span.event("window_closed")
-        span.end()
+        tracer.record(
+            "request",
+            1.0,
+            1.5,
+            trace_id="t1",
+            span_id="t1.r",
+            attrs={"kind": "implies"},
+            events=[("window_closed", 1.25)],
+        )
         (payload,) = tracer.drain()
         assert payload["trace"] == "t1"
         assert payload["span"] == "t1.r"
@@ -256,7 +262,7 @@ class TestTracer:
         assert payload["attrs"] == {"kind": "implies"}
         assert payload["events"][0]["name"] == "window_closed"
         assert "at_ms" in payload["events"][0]
-        assert payload["duration_ms"] >= 0
+        assert payload["duration_ms"] == 500.0
 
     def test_adopt_takes_foreign_payloads(self):
         tracer = telemetry.Tracer()
@@ -267,7 +273,7 @@ class TestTracer:
     def test_buffer_is_bounded(self):
         tracer = telemetry.Tracer(limit=4)
         for index in range(10):
-            tracer.start_span(f"s{index}").end()
+            tracer.record(f"s{index}", 0.0, 0.0)
         drained = tracer.drain()
         assert len(drained) == 4
         assert drained[-1]["name"] == "s9"
@@ -304,7 +310,7 @@ class TestWorkUnit:
 
     def test_drain_and_adopt_reply_roundtrip(self):
         telemetry.configure(trace=True)
-        telemetry.tracer().start_span("evaluate", trace_id="t1", parent_id="t1.r").end()
+        telemetry.tracer().record("evaluate", 0.0, 0.0, trace_id="t1", parent_id="t1.r")
         with telemetry.work_unit("implies") as prof:
             prof.chase_steps += 2
         payload = telemetry.drain_for_reply()
@@ -324,6 +330,40 @@ class TestWorkUnit:
 # ---------------------------------------------------------------------------
 
 
+class TestTimeline:
+    def test_file_mode_spans_nest_inside_their_roots_at_the_present(self):
+        from repro.relational.database import Database
+        from repro.relational.relations import Relation
+        from repro.service import consistent_request, quotient_request
+
+        database = Database([Relation.from_strings("R", "ABC", ["a.b.c", "a.b2.c", "a2.b.c2"])])
+        requests = [
+            consistent_request(database, dependencies=["A = A*B"], id="c1"),
+            quotient_request(["A*B", "A+B", "A*(B+C)"], dependencies=["A = A*B"], id="q1"),
+            consistent_request(database, dependencies=["C = C*A"], id="c2"),
+            quotient_request(["A", "B*C"], id="q2"),
+        ]
+        lines = requests_to_jsonl(requests).strip().split("\n")
+        telemetry.configure(trace=True)
+        before = time.time() * 1000.0
+        serve_lines(lines, config=ServiceConfig(trace=True))
+        spans = telemetry.tracer().drain()
+
+        roots = {root["trace"]: root for root in _roots(spans)}
+        assert len(roots) == len(requests)
+        assert {span["name"] for span in spans} >= {"request", "plan", "execute", "respond", "evaluate"}
+        for root in roots.values():
+            assert abs(root["start_ms"] - before) < 60_000.0
+        # every stamp is rounded to a microsecond, so nesting holds to a few
+        for span in spans:
+            root = roots[span["trace"]]
+            assert root["start_ms"] - 0.002 <= span["start_ms"]
+            assert (
+                span["start_ms"] + span["duration_ms"]
+                <= root["start_ms"] + root["duration_ms"] + 0.002
+            )
+
+
 class TestFileModeAcceptance:
     def test_traced_run_is_byte_identical_and_trace_is_complete(
         self, tmp_path, acceptance_stream, expected_lines
@@ -331,7 +371,7 @@ class TestFileModeAcceptance:
         lines = requests_to_jsonl(acceptance_stream).strip().split("\n")
         untraced, _ = serve_lines(lines, config=ServiceConfig())
         # telemetry off records nothing: no span, no cost record, no counter
-        assert telemetry.tracer().snapshot()["started"] == 0
+        assert telemetry.tracer().snapshot()["recorded"] == 0
         assert telemetry.cost_log().recorded == 0
         assert telemetry.registry().export()["counters"] == {}
         telemetry.reset()
@@ -558,7 +598,7 @@ class TestServerTelemetry:
         assert metrics["counters"]["trace.requests_started"] == len(prefix)
         assert metrics["counters"]["server.connections_served"] == 1
         assert set(metrics) == {"counters", "costlog", "gauges", "histograms", "trace"}
-        assert metrics["trace"]["started"] > 0
+        assert metrics["trace"]["recorded"] > 0
         # canonical export: the line itself re-serializes byte-identically
         assert answers[-1] == canonical_dumps({"control": "metrics", "metrics": metrics})
 
@@ -806,7 +846,7 @@ class TestOneRegistryPerServer:
         ]
         dependencies = ("A = A*B", "B = B*C")
         telemetry.configure(trace=True)
-        with ShardExecutor(shards=2, dependencies=dependencies, shared_cache_size=0) as executor:
+        with ShardExecutor(shards=2, dependencies=dependencies, result_cache_size=0) as executor:
             lines = [dump_result_line(r) for r in executor.execute_many(requests)]
         records = telemetry.cost_log().drain()
         assert sum(record["requests"] for record in records) == 2 * len(questions)

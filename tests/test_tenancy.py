@@ -335,9 +335,9 @@ class TestExecutorSharedCache:
         return [_implies("A = A*C", tenant=f"t{i % 5}", id=f"q{i}") for i in range(20)]
 
     def test_repeats_are_answered_parent_side_byte_identically(self, stream):
-        with ShardExecutor(shards=2, shared_cache_size=0) as executor:
+        with ShardExecutor(shards=2, result_cache_size=0) as executor:
             expected = _answer_lines(executor, stream)
-        with ShardExecutor(shards=2, shared_cache_size=64) as executor:
+        with ShardExecutor(shards=2, result_cache_size=64) as executor:
             first = _answer_lines(executor, stream)
             again = _answer_lines(executor, stream)
             info = executor.shared_cache_info()
