@@ -49,9 +49,10 @@ def main() -> None:
         traced, _ = serve_lines(
             lines, config=ServiceConfig(trace=True, metrics_dir=directory)
         )
-        spans = [json.loads(l) for l in (Path(directory) / "trace.jsonl").open()]
-        cost = [json.loads(l) for l in (Path(directory) / "costlog.jsonl").open()]
-        metrics = [json.loads(l) for l in (Path(directory) / "metrics.jsonl").open()]
+        spans, cost, metrics = (
+            [json.loads(l) for l in (Path(directory) / name).read_text(encoding="utf-8").splitlines()]
+            for name in ("trace.jsonl", "costlog.jsonl", "metrics.jsonl")
+        )
     telemetry.reset()
 
     roots = [s for s in spans if s["span"].endswith(".r")]

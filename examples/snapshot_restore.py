@@ -1,4 +1,4 @@
-"""Durable Γ snapshots: warm a session, export, "restart", restore, re-answer.
+"""Durable session snapshots: warm a session, export, "restart", restore, re-answer.
 
 The full snapshot lifecycle on one small workload:
 
@@ -11,11 +11,15 @@ The full snapshot lifecycle on one small workload:
    canonical, versioned, digest-protected JSON document;
 3. simulate a process restart by restoring into a *fresh* session with
    :meth:`Session.restore` (in a real deployment this is ``--snapshot-dir``
-   on boot, or a snapshot shipped to shard workers);
+   on boot, with any ``--shards``);
 4. answer the same stream again and check byte-identity — the restored
    session is indistinguishable from the warm one, and answers arrive from
    the shipped result cache without recomputing anything;
-5. watch the codec refuse a corrupted document (the digest catches it).
+5. shard the restored session over 2 worker processes: the replay is
+   answered from its cache (the executor's shared tier) with no unit
+   dispatched, and the executor's session exports a snapshot that restores
+   in process with no miss — the sharded backend saves like the other;
+6. watch the codec refuse a corrupted document (the digest catches it).
 
 Run with ``python examples/snapshot_restore.py`` (needs ``src`` on the path,
 e.g. ``PYTHONPATH=src``).
@@ -24,7 +28,13 @@ e.g. ``PYTHONPATH=src``).
 import time
 
 from repro.errors import ServiceError
-from repro.service import Session, decode_snapshot, dump_result_line, restore_session
+from repro.service import (
+    Session,
+    ShardExecutor,
+    decode_snapshot,
+    dump_result_line,
+    restore_session,
+)
 from repro.workloads.random_service import random_service_requests
 
 
@@ -63,7 +73,21 @@ def main() -> None:
         f"({restored.cache_info()['hits']} hits, {restored.cache_info()['misses']} misses)"
     )
 
-    print("\n== 5. Corruption is refused before anything is rebuilt ==")
+    print("\n== 5. Shard the restored session over 2 workers, then snapshot it ==")
+    with ShardExecutor(shards=2, session=restored) as executor:
+        sharded_lines = [dump_result_line(r) for r in executor.execute_many(stream)]
+        dispatched = executor.metrics.value("supervisor.units_dispatched")
+        exported = executor.session.export_snapshot()
+    print(f"  byte-identical: {sharded_lines == warm_lines}; units dispatched: {dispatched}")
+    assert sharded_lines == warm_lines and dispatched == 0
+    round_trip = restore_session(exported)
+    round_trip_lines = [dump_result_line(r) for r in round_trip.execute_many(stream)]
+    misses = round_trip.cache_info()["misses"]
+    identical = round_trip_lines == warm_lines
+    print(f"  its snapshot restores in process: byte-identical {identical}, {misses} misses")
+    assert identical and misses == 0
+
+    print("\n== 6. Corruption is refused before anything is rebuilt ==")
     corrupted = snapshot.replace('"generation":0', '"generation":1', 1)
     try:
         restore_session(corrupted)

@@ -19,15 +19,17 @@ request surface:
   stream by kind and dependency set and routes each group into the amortized
   batch APIs;
 * :mod:`repro.service.executor` — :class:`ShardExecutor`, the multiprocess
-  fan-out with per-worker session warm-up, wire-codec transport,
-  deterministic result ordering and a parent-side shared result tier, the
-  sharded backend's only cache;
+  fan-out over one parent-side :class:`Session` (its Γs boot every worker
+  through a snapshot; its result cache is the shared tier, the sharded
+  backend's only cache), with wire-codec transport and deterministic
+  result ordering;
 * :mod:`repro.service.result_cache` — :class:`ResultCache`, the one LRU
-  result cache class: an in-process session's cache and the executor's
-  shared tier;
+  result cache class, held by every session (the executor's shared tier
+  is its session's);
 * :mod:`repro.service.supervisor` — :class:`SupervisedPool`, the fault-
-  tolerant worker pool under the executor: liveness monitoring, warm
-  restarts, retry/split/quarantine escalation and hard deadline kills;
+  tolerant worker pool under the executor: liveness monitoring, restarts
+  from the pool's snapshot text, retry/split/quarantine escalation and hard
+  deadline kills;
 * :mod:`repro.service.faults` — :class:`FaultPlan`, the deterministic
   fault-injection harness (worker crashes, poison requests, delays, hangs,
   corrupted replies) used by the chaos tests and the CI smoke job;
@@ -40,9 +42,10 @@ request surface:
   per-work-unit kernel cost log fed by :mod:`repro.profiling` counters;
 * :mod:`repro.service.snapshot` — durable Γ snapshots: a versioned,
   digest-protected codec for a warm session's Γs, generations and result
-  cache (each index is rebuilt from its Γ), restoring sessions, shard
-  workers and servers (``--snapshot-dir``) with their cached answers; it
-  reads exactly :data:`SNAPSHOT_VERSION` and refuses any other.
+  cache (each index is rebuilt from its Γ), restoring sessions and servers
+  of either backend (``--snapshot-dir``) with their cached answers, and
+  booting every shard worker; it reads exactly :data:`SNAPSHOT_VERSION` and
+  refuses any other.
 
 Minimal use::
 

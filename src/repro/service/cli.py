@@ -33,13 +33,15 @@ spans; ``--metrics-dir DIR`` dumps spans, per-work-unit cost records and the
 metrics registry as JSONL into ``DIR``.  Result lines are byte-identical
 with and without telemetry (see :mod:`repro.service.telemetry`).
 
-``--snapshot-dir DIR`` (either mode) makes the boot *zero-warmup*: when
-``DIR/session.snapshot.json`` exists the session (or every shard worker) is
-restored from it — Γ and its generation, with the result cache that answers
-the captured requests without kernel work — and a fresh snapshot is
-saved after the stream (file mode, in-process backend) or on drain (serve
-mode).  A live server can also be snapshotted with the
-``{"control": "snapshot"}`` line.  See :mod:`repro.service.snapshot`.
+``--snapshot-dir DIR`` (either mode, any ``--shards``): when
+``DIR/session.snapshot.json`` exists the session is restored from it — each
+tenant's Γ and generation, with the result cache that answers the captured
+requests without kernel work; every index is rebuilt from Γ — and a fresh
+snapshot of the session is saved after the stream (file mode) or on drain
+(serve mode).  With ``--shards N`` the session is the executor's
+parent-side one, whose Γs boot the workers.  A live server can also be
+snapshotted with the ``{"control": "snapshot"}`` line.  See
+:mod:`repro.service.snapshot`.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from repro.service import telemetry
 from repro.service.config import ServiceConfig, add_config_arguments, config_from_args
 from repro.service.executor import ShardExecutor
 from repro.service.planner import plan_summary
-from repro.service.session import Session
 from repro.service.wire import (
     canonical_dumps,
     dump_result_line,
@@ -112,9 +113,10 @@ def serve_lines(
         requests = [telemetry.begin_request(request) for request in requests]
 
     started = time.perf_counter()
-    # make_backend() restores from --snapshot-dir when a snapshot exists, so
-    # a warm previous run makes this one boot without replaying Γ.
-    backend = config.make_backend()
+    # make_session() restores from --snapshot-dir when a snapshot exists, so
+    # a previous run's cached answers answer this one without kernel work.
+    session = config.make_session()
+    backend = config.make_backend(session=session)
     try:
         results = backend.execute_many(requests)
     finally:
@@ -152,10 +154,10 @@ def serve_lines(
     # when the caller will actually print the stats.
     if config.stats and requests and config.shards == 1:
         stats["plan"] = plan_summary(requests)
-    if config.snapshot_dir is not None and isinstance(backend, Session):
+    if config.snapshot_dir is not None:
         from repro.service.snapshot import save_snapshot
 
-        stats["snapshot"] = str(save_snapshot(backend, config.snapshot_dir))
+        stats["snapshot"] = str(save_snapshot(session, config.snapshot_dir))
     return out, stats
 
 

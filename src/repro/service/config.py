@@ -8,11 +8,13 @@
   the micro-batch window size bound (``max_batch``), the admission-queue
   depth (``queue_limit``), the ``overload`` policy and the listen address;
 * :meth:`ServiceConfig.install_hooks` arms the process-wide fault plan and
-  telemetry, and :meth:`ServiceConfig.make_backend` picks the one stream
-  backend both entry points call ``execute_many`` on — the in-process
-  :class:`~repro.service.session.Session` for ``shards == 1``, else the
-  :class:`~repro.service.executor.ShardExecutor` — so the consumers cannot
-  drift apart on defaults or on dispatch.
+  telemetry, :meth:`ServiceConfig.make_session` builds (or restores from
+  ``snapshot_dir``) the one session every backend has, and
+  :meth:`ServiceConfig.make_backend` picks the stream backend both entry
+  points call ``execute_many`` on — that
+  :class:`~repro.service.session.Session` itself for ``shards == 1``, else a
+  :class:`~repro.service.executor.ShardExecutor` sharding it — so the
+  consumers cannot drift apart on defaults, on dispatch or on snapshots.
 
 :func:`add_config_arguments` / :func:`config_from_args` translate the shared
 dataclass to and from ``argparse`` flags; both CLI modes use them, which is
@@ -52,8 +54,8 @@ class ServiceConfig:
     """Every tunable of the query service, in one validated place.
 
     ``shards == 1`` means in-process dispatch.  ``result_cache_size`` sizes
-    the backend's one result cache: the in-process session's, or the sharded
-    executor's parent-side tier.
+    the session's result cache, the backend's only one (for a sharded
+    backend it is the executor's parent-side shared tier).
     ``max_batch`` bounds the micro-batch window's size (a window also closes
     as soon as the backlog is empty, so it has no time bound);
     ``queue_limit`` bounds admission; ``port = 0`` asks the OS for an
@@ -127,9 +129,10 @@ class ServiceConfig:
         """An in-process :class:`~repro.service.session.Session` per this config.
 
         With ``snapshot_dir`` set and a snapshot on disk, the session is
-        *restored* instead of recomputed (zero-warmup boot).  A configured
-        non-empty Γ must match the snapshot's; an empty configured Γ adopts
-        the snapshot's.
+        *restored* from it (its Γs, generations and result cache; every index
+        is rebuilt from Γ) instead of built empty.  A configured non-empty Γ
+        must match the snapshot's; an empty configured Γ adopts the
+        snapshot's.  This is the only place either backend's session is made.
         """
         from repro.service.session import Session
 
@@ -142,21 +145,19 @@ class ServiceConfig:
             )
         return Session(self.dependencies, result_cache_size=self.result_cache_size)
 
-    def make_executor(self, metrics=None):
-        """A :class:`~repro.service.executor.ShardExecutor` per this config.
+    def make_executor(self, metrics=None, session=None):
+        """A :class:`~repro.service.executor.ShardExecutor` sharding ``session``.
 
-        A boot snapshot, when present, ships to every worker for zero-warmup
-        restore and seeds the shared tier with its result entries.
-        ``metrics`` is the registry its pool counts into.
+        ``session`` defaults to :meth:`make_session`'s; its Γs boot the
+        workers and its result cache is the shared tier.  ``metrics`` is the
+        registry the pool counts into.
         """
         from repro.service.executor import ShardExecutor
 
         return ShardExecutor(
             shards=self.shards,
-            dependencies=self.dependencies,
-            snapshot=self.read_boot_snapshot(),
+            session=self.make_session() if session is None else session,
             fault_plan=self.fault_plan,
-            result_cache_size=self.result_cache_size,
             metrics=metrics,
         )
 
@@ -165,15 +166,18 @@ class ServiceConfig:
         """``session`` for in-process dispatch, else ``shards=N``."""
         return "session" if self.shards == 1 else f"shards={self.shards}"
 
-    def make_backend(self, metrics=None):
-        """The stream backend: :meth:`make_session` or :meth:`make_executor`.
+    def make_backend(self, metrics=None, session=None):
+        """The stream backend over ``session`` (default: :meth:`make_session`'s).
 
-        Both answer ``execute_many(requests) -> list[QueryResult]``; the shard
-        count is the only thing that picks between them.  ``metrics`` goes
-        to the executor.  Call :meth:`install_hooks` first, so workers
-        inherit the telemetry switch.
+        The session itself for ``shards == 1``, else a :meth:`make_executor`
+        sharding it; both answer ``execute_many(requests) ->
+        list[QueryResult]``, and the shard count is the only thing that picks
+        between them.  ``metrics`` goes to the executor.  Call
+        :meth:`install_hooks` first, so workers inherit the telemetry switch.
         """
-        return self.make_session() if self.shards == 1 else self.make_executor(metrics)
+        if session is None:
+            session = self.make_session()
+        return session if self.shards == 1 else self.make_executor(metrics, session)
 
     def install_hooks(self, metrics=None) -> None:
         """Arm this process's fault plan and telemetry per this config.
@@ -223,9 +227,10 @@ def add_config_arguments(parser: argparse.ArgumentParser, serve: bool = False) -
         "--snapshot-dir",
         default=None,
         help=(
-            "directory for durable Γ snapshots: restore the session from "
-            "session.snapshot.json on boot when present, and save one on "
-            "drain (serve mode) or after the stream (file mode)"
+            "directory for durable session snapshots: restore the session (Γs, "
+            "generations and result cache; indexes are rebuilt from Γ) from "
+            "session.snapshot.json on boot when present, and save one on drain "
+            "(serve mode) or after the stream (file mode), with --shards N too"
         ),
     )
     parser.add_argument(

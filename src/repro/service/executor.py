@@ -7,25 +7,29 @@ scale means processes.  :class:`ShardExecutor` partitions a stream across
 :meth:`ShardExecutor.execute_many` (decoded requests in, results out in
 input order):
 
+* **One parent-side session** — the executor's only state is a
+  :class:`~repro.service.session.Session` (:attr:`ShardExecutor.session`):
+  its tenant keyspace is the Γs the workers answer against, and its result
+  cache is the sharded backend's only cache, the *shared tier*.  The parent
+  sees every request, so it probes that cache (``cache_lookup``) before any
+  unit is formed and fills it (``cache_store``) from every worker's reply;
+  any shard's work warms the cache for every later caller, and the workers'
+  sessions keep none.  Snapshots, restores and Γ-mismatch checks are the
+  session's own (:meth:`ServiceConfig.make_session
+  <repro.service.config.ServiceConfig.make_session>`), so the sharded
+  backend saves and restores exactly like the in-process one.
 * **Transport is the wire format** — requests cross the process boundary as
   canonical JSONL strings and results come back the same way, so the worker
   boundary exercises exactly the codecs a networked deployment would (and
   the hash-consed AST re-interns per process via the parser, never by
   pickling live objects).
-* **Per-worker session warm-up** — each worker builds one
-  :class:`~repro.service.session.Session` over the executor's base Γ (or
-  restores the configured snapshot), then answers its units through the
-  batch planner.  Workers therefore amortize exactly like the in-process
-  service; the executor adds parallelism on top.
-* **One result cache, in the parent** — the parent holds one
-  :class:`~repro.service.result_cache.ResultCache` (the class every session
-  uses too), the shared tier.  It answers repeats before any unit is formed,
-  and every worker's computed results are published back into it, so any
-  shard's work warms the cache for every later caller.  It is the sharded
-  backend's only cache: the parent sees every request, so a repeat never
-  reaches a worker, and the workers' sessions keep none.  A configured
-  snapshot's result entries seed it at construction; with no Γ write path,
-  its stamps are the snapshot's generations, so a stale entry never answers.
+* **One worker boot path** — when the pool starts, the parent session is
+  exported once as snapshot text and every worker restores a cache-less
+  session from it, rebuilding each Γ's index, then answers its units
+  through the batch planner.  Workers therefore amortize exactly like the
+  in-process service; the executor adds parallelism on top.  Workers keep
+  the Γs they booted with, so a Γ write to :attr:`~ShardExecutor.session`
+  restarts the pool before the next stream.
 * **Plan-aware units** — the parent plans the stream first
   (:func:`repro.service.planner.plan`) and deals the shared tier's misses
   as *batch-aligned work units* instead of raw requests round-robin.
@@ -37,7 +41,7 @@ input order):
   idle.
 * **Supervision, not hope** — the unit loop lives in
   :class:`~repro.service.supervisor.SupervisedPool`: a crashed worker is
-  restarted (warm, when a snapshot is configured), its unit retried, split
+  restarted from the same snapshot text, its unit retried, split
   and at worst quarantined to a single typed ``WorkerCrashed`` error line;
   budget-carrying units get a hard wall-clock kill surfacing as typed
   ``Timeout`` results.  The pool counts every supervision event into the
@@ -48,7 +52,7 @@ input order):
   single-process planner run on the same stream, regardless of worker
   scheduling (``tests/test_service_executor.py`` asserts this).
 
-The default start method is ``fork`` where available (cheap warm-up —
+The default start method is ``fork`` where available (cheap start-up —
 children inherit the parent's interned AST; safe since PR 5's
 ``os.register_at_fork`` hooks rebuild the weak intern tables and drop the
 Whitman memo in the child) with ``spawn`` as the portable fallback.  The
@@ -61,93 +65,78 @@ context manager (or call :meth:`close`, which shuts workers down
 from __future__ import annotations
 
 import multiprocessing
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from typing import Optional
 
-from repro.dependencies.pd import PartitionDependencyLike, as_partition_dependency
 from repro.errors import ServiceError
 from repro.service.planner import plan
-from repro.service.result_cache import ResultCache, cache_stamp
+from repro.service.session import Session
 from repro.service.supervisor import SupervisedPool, WorkItem, WorkUnit
 from repro.service.telemetry import MetricsRegistry
 from repro.service.wire import (
     QueryRequest,
     QueryResult,
     dump_request_line,
-    encode_pd,
     load_result_line,
     request_cache_key,
 )
 
 
 class ShardExecutor:
-    """Execute request streams across a supervised pool of warm worker processes.
+    """Execute request streams across a supervised pool of worker processes.
 
-    ``metrics`` is the registry the pool counts into (a fresh one when
-    omitted; a server passes its own).
+    ``session`` is the parent-side session the executor shards (a fresh
+    ``Session()`` when omitted): its Γs boot the workers and its result
+    cache is the shared tier.  ``metrics`` is the registry the pool counts
+    into (a fresh one when omitted; a server passes its own).
     """
 
     def __init__(
         self,
         shards: int = 2,
-        dependencies: Iterable[PartitionDependencyLike] = (),
+        session: Optional[Session] = None,
         start_method: Optional[str] = None,
-        snapshot: Optional[str] = None,
         fault_plan: Optional[str] = None,
-        result_cache_size: int = 1024,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if shards < 1:
             raise ServiceError(f"shard count must be positive, got {shards}")
         self.shards = shards
+        self.session = Session() if session is None else session
         self.metrics = MetricsRegistry() if metrics is None else metrics
-        self._dependencies = [as_partition_dependency(pd) for pd in dependencies]
-        warm_results: list = []
-        generations: dict[Optional[str], int] = {}  # fixed at boot: no Γ write path
-        if snapshot is not None:
-            # Validate once in the parent — a corrupt or mismatched snapshot
-            # should fail loudly at construction, not inside every worker.
-            from repro.service.snapshot import decode_snapshot, snapshot_results
-            from repro.service.wire import decode_pd
-
-            payload = decode_snapshot(snapshot)
-            if self._dependencies:
-                encoded = [encode_pd(pd) for pd in self._dependencies]
-                if encoded != list(payload["dependencies"]):
-                    raise ServiceError(
-                        "snapshot Γ mismatch: the snapshot captures "
-                        f"{payload['dependencies']!r} but the executor was "
-                        f"configured with {encoded!r}"
-                    )
-            else:
-                self._dependencies = [decode_pd(text) for text in payload["dependencies"]]
-            warm_results = snapshot_results(payload)
-            tenants = [(None, payload), *payload["tenants"]]  # the top level is the default tenant
-            generations = {name: state["generation"] for name, state in tenants}
-        self._generation_of = lambda tenant: generations.get(tenant, 0)
-        # The shared result tier (off with result_cache_size=0: a sharded
-        # backend then caches nothing).
-        self._shared_cache = ResultCache(result_cache_size, warm_results)
-        self._snapshot = snapshot
         self._fault_plan = fault_plan
         if start_method is None:
             available = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in available else "spawn"
         self._start_method = start_method
         self._pool: Optional[SupervisedPool] = None
+        self._booted_keyspace: dict = {}
 
     # -- lifecycle -------------------------------------------------------------
 
+    def _keyspace(self) -> dict:
+        """Each tenant's Γ generation in :attr:`session` (a Γ write bumps one)."""
+        session = self.session
+        return {tenant: session.generation_for(tenant) for tenant in session.tenant_names()}
+
     def _ensure_pool(self) -> SupervisedPool:
+        """The worker pool, booted from the session's snapshot text.
+
+        Workers answer against the Γs they booted with, so a pool whose
+        session has had a Γ write since is closed and booted again.
+        """
+        keyspace = self._keyspace()
+        if self._pool is not None and keyspace != self._booted_keyspace:
+            self.close()
         if self._pool is None:
             self._pool = SupervisedPool(
                 workers=self.shards,
-                encoded_dependencies=[encode_pd(pd) for pd in self._dependencies],
-                snapshot=self._snapshot,
+                snapshot=self.session.export_snapshot(),
                 start_method=self._start_method,
                 fault_plan_json=self._fault_plan,
                 metrics=self.metrics,
             )
+            self._booted_keyspace = keyspace
         return self._pool
 
     def close(self, timeout: float = 5.0) -> None:
@@ -166,10 +155,6 @@ class ShardExecutor:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def shared_cache_info(self) -> dict:
-        """The shared result tier's counters."""
-        return self._shared_cache.info()
 
     # -- sharding --------------------------------------------------------------
 
@@ -206,19 +191,18 @@ class ShardExecutor:
 
         The same stream contract as :meth:`Session.execute_many
         <repro.service.session.Session.execute_many>`, so callers pick a
-        backend without changing how they call it.  Shared-cache hits are
-        answered parent-side; every miss is encoded once to cross the process
-        boundary, and every worker reply line is decoded once on the way back.
+        backend without changing how they call it.  Hits in the session's
+        cache are answered parent-side; every miss is encoded once to cross
+        the process boundary, and every worker reply line is decoded once on
+        the way back.
         """
-        out: list[Optional[QueryResult]] = [None] * len(requests)
+        session = self.session
         # Shared-tier probe: answer hits parent-side, before any unit is
         # formed — a hit never crosses a process boundary at all.
-        keys: dict[int, str] = {}
-        if self._shared_cache.enabled:
-            for i, request in enumerate(requests):
-                keys[i] = request_cache_key(request)
-                stamp = cache_stamp(request, self._generation_of)
-                out[i] = self._shared_cache.lookup(keys[i], request.id, request.tenant, stamp)
+        keys = [request_cache_key(request) for request in requests]
+        out: list[Optional[QueryResult]] = [
+            session.cache_lookup(request, key=key) for request, key in zip(requests, keys)
+        ]
         misses = [i for i, result in enumerate(out) if result is None]
         units = [
             WorkUnit(
@@ -239,25 +223,11 @@ class ShardExecutor:
         if units:
             for index, line in self._ensure_pool().run_units(units).items():
                 out[index] = load_result_line(line)
-        if self._shared_cache.enabled:
-            self._publish(requests, keys, out, misses)
+        # Publish every computed miss into the shared tier, so any shard's
+        # work answers every later caller (error results are never cached).
+        for i in misses:
+            session.cache_store(requests[i], out[i], key=keys[i])
         missing = [i for i, result in enumerate(out) if result is None]
         if missing:  # pragma: no cover - reassembly invariant
             raise ServiceError(f"shard executor lost results for requests {missing[:5]}")
         return out  # type: ignore[return-value]
-
-    def _publish(
-        self,
-        requests: Sequence[QueryRequest],
-        keys: dict[int, str],
-        out: list[Optional[QueryResult]],
-        misses: list[int],
-    ) -> None:
-        """Publish computed miss results into the shared tier on reassembly.
-
-        Any shard's computation warms the cache for every future caller.
-        Error results (timeouts, quarantines, kernel failures) are never
-        published.
-        """
-        for i in misses:
-            self._shared_cache.store(keys[i], out[i], cache_stamp(requests[i], self._generation_of))

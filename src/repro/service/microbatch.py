@@ -124,7 +124,6 @@ class Ticket:
                 window_closed_at=self.window_closed_at,
                 window_size=self.window_size,
                 window_reason=self.window_reason,
-                shed=self.shed,
             )
 
 

@@ -8,10 +8,10 @@ exactly one :class:`ResultCache`:
 
 * the in-process :class:`~repro.service.session.Session` holds one — the
   session tier (a shard worker's session is built with none);
-* the :class:`~repro.service.executor.ShardExecutor` holds one in the parent
-  — the shared tier, consulted before any request is dealt to a worker and
-  fed back from every worker's reply, so any shard's computation warms the
-  cache for every later caller.
+* the :class:`~repro.service.executor.ShardExecutor`'s parent-side session
+  holds one — the shared tier, consulted before any request is dealt to a
+  worker and fed back from every worker's reply, so any shard's computation
+  warms the cache for every later caller.
 
 Results are stored with ``id=None`` (the caller's id is re-stamped on hit)
 and error results are never cached, so a hit is byte-identical to

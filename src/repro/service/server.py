@@ -25,7 +25,7 @@ Shape of the thing:
   :class:`~repro.service.telemetry.MetricsRegistry`, and three lines are
   views over it: ``{"control": "stats"}`` (per-stage p50/p95/p99 latency,
   window occupancy, cache tiers), ``{"control": "health"}`` (circuit
-  breaker, supervision counters and warm-restart latency, request totals)
+  breaker, supervision counters and restart latency, request totals)
   and ``{"control": "metrics"}`` (the registry itself, plus gauges for the
   values read at request time).  ``{"control": "ping"}`` answers
   ``{"control": "pong"}`` and ``{"control": "snapshot"}`` exports a durable
@@ -42,8 +42,9 @@ Shape of the thing:
   document to JSONL files every second (and once at drain);
 * **graceful degradation** — with a sharded backend, repeated worker crashes
   (``breaker_threshold`` of them) trip a circuit breaker: the executor is
-  closed and the server falls back to in-process execution, answering every
-  subsequent request itself rather than feeding a crash loop;
+  closed and the server falls back to in-process execution on the
+  executor's session (its cache included), answering every subsequent
+  request itself rather than feeding a crash loop;
 * **graceful drain** — :meth:`QueryServer.drain` stops accepting
   connections, stops reading new lines, then answers every request already
   admitted before shutting the batcher down: accepted requests always get
@@ -53,11 +54,14 @@ Shape of the thing:
   (:func:`~repro.service.wire.error_result_for_line`).
 
 The compute backend is :meth:`ServiceConfig.make_backend
-<repro.service.config.ServiceConfig.make_backend>`'s choice, and every window
-goes to its ``execute_many``: one in-process
-:class:`~repro.service.session.Session` by default, the multiprocess
-:class:`~repro.service.executor.ShardExecutor` for ``shards > 1`` (its worker
-pool is created eagerly at :meth:`start`, before any serving thread exists).
+<repro.service.config.ServiceConfig.make_backend>`'s choice over one session
+(the one passed to :class:`QueryServer`, else the config's), and every window
+goes to its ``execute_many``: that :class:`~repro.service.session.Session`
+in-process by default, a multiprocess
+:class:`~repro.service.executor.ShardExecutor` sharding it for ``shards > 1``
+(its worker pool is created eagerly at :meth:`start`, before any serving
+thread exists).  Either way the session is what drain and the ``snapshot``
+control line save.
 """
 
 from __future__ import annotations
@@ -120,12 +124,10 @@ class QueryServer:
         # Arm the hooks before the executor exists so forked/spawned workers
         # inherit the telemetry enablement and ship their spans back in replies.
         config.install_hooks(self.metrics)
-        if self._session is not None and config.shards == 1:
-            backend = self._session
-        else:
-            backend = config.make_backend(self.metrics)
+        backend = config.make_backend(self.metrics, self._session)
         if isinstance(backend, ShardExecutor):
             self._executor = backend
+            self._session = backend.session
             # Create the worker pool now, in the main thread, so fork happens
             # before the window worker thread exists.
             backend.__enter__()
@@ -184,8 +186,9 @@ class QueryServer:
             # spans are closed, so the dump captures the complete trace.
             self._flush_metrics()
         if self.config.snapshot_dir is not None and self._session is not None:
-            # Save-on-drain: the batcher is flushed, so the session is
-            # quiescent and the export captures everything this run learned.
+            # Save-on-drain: the batcher is flushed, so the session (the
+            # backend's, sharded or not) is quiescent and the export captures
+            # everything this run learned.
             from repro.service.snapshot import save_snapshot
 
             save_snapshot(self._session, self.config.snapshot_dir)
@@ -210,12 +213,13 @@ class QueryServer:
         crossing it *trips the breaker*: the executor is closed (gracefully —
         restarted workers are healthy, they are just being crashed faster
         than they can earn their keep) and every later window executes
-        in-process.  A tripped breaker stays tripped: flapping between
-        backends would re-pay worker warm-up on every crash burst.
+        in-process, on the executor's own session, so the shared tier's
+        answers keep answering.  A tripped breaker stays tripped: flapping
+        between backends would re-pay worker start-up on every crash burst.
         """
         executor = self._executor
         if executor is None:  # breaker already tripped
-            return self._fallback_session().execute_many(requests)
+            return self._session.execute_many(requests)
         results = executor.execute_many(requests)
         threshold = self.config.breaker_threshold
         if threshold > 0 and self.metrics.value("supervisor.crashes") >= threshold:
@@ -228,12 +232,6 @@ class QueryServer:
         self._breaker_tripped = True
         if executor is not None:
             executor.close()
-        self._fallback_session()  # build the in-process backend eagerly
-
-    def _fallback_session(self) -> Session:
-        if self._session is None:
-            self._session = self.config.make_session()
-        return self._session
 
     # -- diagnostics -----------------------------------------------------------
 
@@ -262,35 +260,28 @@ class QueryServer:
         return snapshot
 
     def _result_cache_snapshot(self) -> dict:
-        """Cache traffic by tier (shared / session) and by tenant.
+        """Cache traffic by tier and by tenant.
 
-        A sharded backend reports the executor's parent-side shared tier, its
-        only cache; the in-process backend (or the session a tripped breaker
-        fell back to) reports its session cache.  ``per_tenant`` merges the
-        tiers' tenant-resolved counters.
+        The backend's one cache is its session's: reported as the ``shared``
+        tier while a sharded executor serves in front of it, else (the
+        in-process backend, or a tripped breaker) as the ``session`` tier.
         """
 
         def _with_rate(tier: dict) -> dict:
-            total = tier.get("hits", 0) + tier.get("misses", 0)
-            tier["hit_rate"] = round(tier.get("hits", 0) / total, 6) if total else 0.0
+            total = tier["hits"] + tier["misses"]
+            tier["hit_rate"] = round(tier["hits"] / total, 6) if total else 0.0
             return tier
 
-        tiers: dict = {}
-        per_tenant: dict = {}
-        if self._executor is not None:
-            shared = self._executor.shared_cache_info()
-            per_tenant = shared.pop("per_tenant", {})
-            tiers["shared"] = _with_rate(shared)
-        if self._session is not None:
-            info = self._session.cache_info()
-            tiers["session"] = _with_rate({"hits": info["hits"], "misses": info["misses"]})
-            for tenant, traffic in info.get("per_tenant", {}).items():
-                bucket = per_tenant.setdefault(tenant, {"hits": 0, "misses": 0})
-                bucket["hits"] += traffic["hits"]
-                bucket["misses"] += traffic["misses"]
-        for traffic in per_tenant.values():
-            _with_rate(traffic)
-        return {"tiers": tiers, "per_tenant": per_tenant}
+        if self._session is None:
+            return {"tiers": {}, "per_tenant": {}}
+        info = self._session.cache_info()
+        tier = "shared" if self._executor is not None else "session"
+        return {
+            "tiers": {tier: _with_rate({"hits": info["hits"], "misses": info["misses"]})},
+            "per_tenant": {
+                tenant: _with_rate(traffic) for tenant, traffic in info["per_tenant"].items()
+            },
+        }
 
     def metrics_snapshot(self) -> dict:
         """The metrics document: this server's registry, plus gauges for the
@@ -346,7 +337,9 @@ class QueryServer:
 
     @property
     def session(self) -> Optional[Session]:
-        """The in-process session backend (``None`` when sharded)."""
+        """The backend's session: the in-process backend itself, or the one
+        the sharded executor keeps parent-side (``None`` before :meth:`start`
+        when none was given)."""
         return self._session
 
     # -- per-connection machinery ----------------------------------------------
@@ -462,7 +455,7 @@ class QueryServer:
         )
 
     async def _snapshot_control(self) -> str:
-        """Snapshot the live session to ``snapshot_dir`` without pausing service.
+        """Snapshot the live session (either backend's) to ``snapshot_dir`` without pausing service.
 
         The export runs on the batcher's window worker thread
         (:meth:`~repro.service.microbatch.MicroBatcher.run_exclusive`), so it
@@ -478,11 +471,6 @@ class QueryServer:
                 }
             )
 
-        if self._session is None:
-            return _error(
-                "the sharded backend cannot be snapshotted: workers own the warm "
-                "state; run with shards=1 (or snapshot before sharding)"
-            )
         if self.config.snapshot_dir is None:
             return _error("no snapshot directory configured; start with --snapshot-dir")
         session = self._session

@@ -1,12 +1,15 @@
-"""Durable Γ snapshots: the versioned codec behind zero-warmup restores.
+"""Durable session snapshots: each tenant's Γ and generation, and the result cache.
 
 Everything a warm :class:`~repro.service.session.Session` has learned —
 each tenant's :class:`~repro.implication.index.ImplicationIndex`, its
 Theorem 12 normalization and the LRU result cache — dies with the process.
 This module serializes each tenant's Γ and generation and the result cache
 into one declarative, versioned, digest-protected JSON document so a
-restarted server, a freshly forked shard worker, or another machine can
-*restore* the session and answer its captured requests from the cache.
+restarted server (in-process or sharded) or another machine can *restore*
+the session and answer its captured requests from the cache.  It is also
+how a shard worker boots: the executor exports its parent-side session
+once per pool, and every worker restores a cache-less session from that
+text.
 
 Nothing derived from Γ is stored.  The ALG closure over Γ is fixed by Γ and
 its subexpressions (Lemma 9.2, Theorem 9), so a restore rebuilds each index
@@ -184,15 +187,12 @@ def decode_snapshot(text: Union[str, bytes]) -> dict:
     return payload
 
 
-def snapshot_results(snapshot: Union[str, bytes, dict]) -> list:
-    """A snapshot's result-cache entries, least recent first (verifies text input).
+def _snapshot_results(payload: dict) -> list:
+    """A verified payload's result-cache entries, least recent first.
 
     Each entry is ``(key, (stamp, result))``, the shape
-    :class:`~repro.service.result_cache.ResultCache` is seeded with: a
-    restored session seeds its own cache from them, a sharded executor its
-    parent-side shared tier.
+    :class:`~repro.service.result_cache.ResultCache` is seeded with.
     """
-    payload = snapshot if isinstance(snapshot, dict) else decode_snapshot(snapshot)
     results = []
     for key, stamp, result_payload in payload["results"]:
         result = decode_result(result_payload)
@@ -246,7 +246,7 @@ def restore_session(
     return Session._from_restored(
         dependencies,
         generation=generation,
-        results=snapshot_results(payload) if result_cache_size > 0 else [],
+        results=_snapshot_results(payload) if result_cache_size > 0 else [],
         result_cache_size=result_cache_size,
         tenants=tenants,
     )

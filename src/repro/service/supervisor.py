@@ -5,11 +5,11 @@ killed mid-task (OOM, segfault, a poison request) loses the whole ``map``
 call, and there is no per-task wall-clock control at all.  This module
 replaces it with an explicit supervision loop:
 
-* each worker is a plain :class:`multiprocessing.Process` holding one warm,
-  cache-less :class:`~repro.service.session.Session` (the executor's
-  parent-side shared tier is a sharded backend's only result cache), spoken
-  to over a duplex pipe with wire-format strings (the executor's transport
-  discipline);
+* each worker is a plain :class:`multiprocessing.Process` holding one
+  cache-less :class:`~repro.service.session.Session` restored from the
+  parent session's snapshot text (the parent session's cache is a sharded
+  backend's only result cache), spoken to over a duplex pipe with
+  wire-format strings (the executor's transport discipline);
 * the parent multiplexes worker pipes *and* process sentinels through
   :func:`multiprocessing.connection.wait`, so a reply, a crash and a blown
   wall clock are all just events on one loop;
@@ -28,9 +28,9 @@ replaces it with an explicit supervision loop:
   kernel that never reaches a check point is reclaimed by SIGKILL and the
   request is answered with a typed ``Timeout`` error result.
 
-Restarted workers are re-warmed exactly like fresh ones — over the shipped
-snapshot's Γ when the executor has one (see :mod:`~repro.service.snapshot`),
-else over the executor's Γ — and
+Every worker boots one way — :func:`~repro.service.snapshot.restore_session`
+over the snapshot text the pool was given, so a restarted worker rebuilds
+exactly the Γs a fresh one does — and
 every restart, crash and escalation step is counted into the pool's
 :class:`~repro.service.telemetry.MetricsRegistry` (restart latency on the
 ``supervisor.restart_ms`` series);
@@ -54,7 +54,7 @@ from typing import Optional
 
 from repro.errors import ServiceError
 from repro.service import telemetry
-from repro.service.session import Session
+from repro.service.snapshot import restore_session
 from repro.service.telemetry import MetricsRegistry
 from repro.service.wire import (
     QueryResult,
@@ -104,6 +104,13 @@ class WorkUnit:
         return len(self.items)
 
 
+#: The counter each way of losing a unit bumps (see ``SupervisedPool._lose_unit``).
+_LOSS_COUNTERS = {
+    "crash": "supervisor.crashes",
+    "corrupt": "supervisor.corrupted",
+    "timeout": "supervisor.timeouts",
+}
+
 #: The escalation and lifecycle events the pool counts, as ``supervisor.<event>``.
 SUPERVISOR_COUNTERS = (
     "crashes",
@@ -120,7 +127,7 @@ SUPERVISOR_COUNTERS = (
 def supervision_stats(metrics: MetricsRegistry) -> dict:
     """The supervision document ``{"control": "health"}`` serves, read from a pool's registry.
 
-    Warm-restart latency — the mean and the most recent re-warm — comes from
+    Restart latency — the mean and the most recent restart — comes from
     the ``supervisor.restart_ms`` series; ``restarts_by_worker`` maps each
     restarted worker slot's string index to its restart count.
     """
@@ -137,15 +144,14 @@ def _worker_main(
     conn,
     worker_index: int,
     incarnation: int,
-    encoded_dependencies: list[str],
-    snapshot_text: Optional[str],
+    snapshot_text: str,
     fault_plan_json: Optional[str],
     telemetry_enabled: bool = False,
 ) -> None:
-    """One supervised worker: warm a session, then serve units until the sentinel.
+    """One supervised worker: restore a session, then serve units until the sentinel.
 
-    The session keeps no result cache: the parent probes its shared tier
-    before dealing a unit, so a worker only sees requests that tier missed.
+    The session keeps no result cache: the parent probes its session's cache
+    before dealing a unit, so a worker only sees requests that cache missed.
     Each unit is answered request-by-request through the worker's planner —
     an undecodable line becomes an in-place error result (the rest of the
     unit still computes), mirroring the CLI's per-line isolation.
@@ -159,14 +165,7 @@ def _worker_main(
     faults.set_worker_context(worker_index, incarnation)
     if fault_plan_json is not None:
         faults.install_fault_plan(fault_plan_json)
-    if snapshot_text is not None:
-        from repro.service.snapshot import restore_session
-
-        session = restore_session(snapshot_text, result_cache_size=0)
-    else:
-        from repro.dependencies.pd import parse_pd_set
-
-        session = Session(parse_pd_set(encoded_dependencies), result_cache_size=0)
+    session = restore_session(snapshot_text, result_cache_size=0)
     while True:
         try:
             message = conn.recv()
@@ -232,13 +231,13 @@ class SupervisedPool:
     The pool is synchronous from the caller's side — :meth:`run_units` blocks
     until every unit has a result line for every item — while internally the
     supervision loop juggles replies, crashes, restarts and wall clocks.
+    ``snapshot`` is the session snapshot text every worker restores from.
     """
 
     def __init__(
         self,
         workers: int,
-        encoded_dependencies: list[str],
-        snapshot: Optional[str] = None,
+        snapshot: str,
         start_method: str = "fork",
         fault_plan_json: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -246,7 +245,6 @@ class SupervisedPool:
         if workers < 1:
             raise ServiceError(f"worker count must be positive, got {workers}")
         self._context = multiprocessing.get_context(start_method)
-        self._encoded_dependencies = list(encoded_dependencies)
         self._snapshot = snapshot
         self._fault_plan_json = fault_plan_json
         self.metrics = MetricsRegistry() if metrics is None else metrics
@@ -262,7 +260,6 @@ class SupervisedPool:
                 child_conn,
                 index,
                 incarnation,
-                self._encoded_dependencies,
                 self._snapshot,
                 self._fault_plan_json,
                 telemetry.enabled(),
@@ -275,7 +272,7 @@ class SupervisedPool:
         return _WorkerHandle(index, incarnation, process, parent_conn)
 
     def _respawn(self, worker: _WorkerHandle) -> None:
-        """Replace a dead (or killed) worker in place, timing the re-warm."""
+        """Replace a dead (or killed) worker in place, timing the restart."""
         try:
             worker.conn.close()
         except OSError:
@@ -356,9 +353,9 @@ class SupervisedPool:
                 if worker.conn in ready:
                     self._handle_reply(worker, results, queue)
                 elif worker.process.sentinel in ready:
-                    self._handle_crash(worker, results, queue)
+                    self._lose_unit(worker, "crash", results, queue)
                 elif worker.expires_at is not None and now >= worker.expires_at:
-                    self._handle_timeout(worker, results, queue)
+                    self._lose_unit(worker, "timeout", results, queue)
         return results
 
     def _dispatch(
@@ -380,12 +377,8 @@ class SupervisedPool:
         try:
             worker.conn.send(payload)
         except (OSError, BrokenPipeError, ValueError):
-            # The worker died idle (e.g. between units); replace it and treat
-            # the dispatch as a crash of this unit.
-            self.metrics.inc("supervisor.crashes")
-            worker.unit = None
-            self._respawn(worker)
-            self._fail_unit(unit, "crash", results, queue)
+            # The worker died idle (e.g. between units): a crash of this unit.
+            self._lose_unit(worker, "crash", results, queue)
             return
         self.metrics.inc("supervisor.units_dispatched")
 
@@ -395,16 +388,13 @@ class SupervisedPool:
         try:
             message = worker.conn.recv()
         except (EOFError, OSError):
-            self._handle_crash(worker, results, queue)
+            self._lose_unit(worker, "crash", results, queue)
             return
         validated = self._validate_reply(worker, message)
         if validated is None:
             # The reply channel lied (torn write, codec bug): the worker's
-            # state is no longer trusted — replace it and escalate the unit.
-            self.metrics.inc("supervisor.corrupted")
-            worker.unit = None
-            self._respawn(worker)
-            self._fail_unit(unit, "corrupt", results, queue)
+            # state is no longer trusted.
+            self._lose_unit(worker, "corrupt", results, queue)
             return
         lines, info = validated
         results.update(lines)
@@ -419,22 +409,16 @@ class SupervisedPool:
         worker.unit = None
         worker.expires_at = None
 
-    def _handle_crash(self, worker: _WorkerHandle, results: dict[int, str], queue: deque) -> None:
-        unit = worker.unit
-        assert unit is not None
-        self.metrics.inc("supervisor.crashes")
-        worker.unit = None
-        self._respawn(worker)
-        self._fail_unit(unit, "crash", results, queue)
-
-    def _handle_timeout(self, worker: _WorkerHandle, results: dict[int, str], queue: deque) -> None:
+    def _lose_unit(self, worker: _WorkerHandle, reason: str, results: dict[int, str], queue: deque) -> None:
+        """The one loss path: ``worker`` lost its unit to ``reason`` (a key of
+        :data:`_LOSS_COUNTERS`).  Count it, replace the worker, escalate the unit."""
         unit = worker.unit
         assert unit is not None
         budget_ms = worker.budget_ms
-        self.metrics.inc("supervisor.timeouts")
+        self.metrics.inc(_LOSS_COUNTERS[reason])
         worker.unit = None
         self._respawn(worker)
-        self._fail_unit(unit, "timeout", results, queue, budget_ms=budget_ms)
+        self._fail_unit(unit, reason, results, queue, budget_ms=budget_ms)
 
     def _validate_reply(
         self, worker: _WorkerHandle, message
@@ -494,51 +478,46 @@ class SupervisedPool:
                 results[item.index] = self._timeout_line(item, budget_ms)
                 return
             # Re-run each request alone so only the slow one pays.
-            self.metrics.inc("supervisor.splits")
-            for item in unit.items:
-                telemetry.record_escalation(
-                    item.trace, "split", reason, request_id=item.request_id, unit_size=len(unit.items)
+            split_attempts = unit.attempts_left
+        else:
+            unit.attempts_left -= 1
+            if unit.attempts_left > 0:
+                self.metrics.inc("supervisor.retries")
+                for item in unit.items:
+                    telemetry.record_escalation(
+                        item.trace, "retry", reason, request_id=item.request_id, unit_size=len(unit.items)
+                    )
+                queue.appendleft(unit)
+                return
+            if len(unit.items) == 1:
+                item = unit.items[0]
+                self.metrics.inc("supervisor.quarantined")
+                telemetry.record_escalation(item.trace, "quarantine", reason, request_id=item.request_id)
+                results[item.index] = dump_result_line(
+                    QueryResult(
+                        kind=item.kind,
+                        ok=False,
+                        id=item.request_id,
+                        error={
+                            "type": "WorkerCrashed",
+                            "message": (
+                                f"request repeatedly crashed its shard worker ({reason}) "
+                                "and was quarantined"
+                            ),
+                        },
+                    )
                 )
-            for item in reversed(unit.items):
-                queue.appendleft(WorkUnit(items=(item,), attempts_left=unit.attempts_left))
-            return
-        unit.attempts_left -= 1
-        if unit.attempts_left > 0:
-            self.metrics.inc("supervisor.retries")
-            for item in unit.items:
-                telemetry.record_escalation(
-                    item.trace, "retry", reason, request_id=item.request_id, unit_size=len(unit.items)
-                )
-            queue.appendleft(unit)
-            return
-        if len(unit.items) > 1:
+                return
             # The unit killed a worker twice: isolate the culprit by retrying
             # every request as its own singleton (one attempt each).
-            self.metrics.inc("supervisor.splits")
-            for item in unit.items:
-                telemetry.record_escalation(
-                    item.trace, "split", reason, request_id=item.request_id, unit_size=len(unit.items)
-                )
-            for item in reversed(unit.items):
-                queue.appendleft(WorkUnit(items=(item,), attempts_left=1))
-            return
-        item = unit.items[0]
-        self.metrics.inc("supervisor.quarantined")
-        telemetry.record_escalation(item.trace, "quarantine", reason, request_id=item.request_id)
-        results[item.index] = dump_result_line(
-            QueryResult(
-                kind=item.kind,
-                ok=False,
-                id=item.request_id,
-                error={
-                    "type": "WorkerCrashed",
-                    "message": (
-                        f"request repeatedly crashed its shard worker ({reason}) "
-                        "and was quarantined"
-                    ),
-                },
+            split_attempts = 1
+        self.metrics.inc("supervisor.splits")
+        for item in unit.items:
+            telemetry.record_escalation(
+                item.trace, "split", reason, request_id=item.request_id, unit_size=len(unit.items)
             )
-        )
+        for item in reversed(unit.items):
+            queue.appendleft(WorkUnit(items=(item,), attempts_left=split_attempts))
 
     def _timeout_line(self, item: WorkItem, budget_ms: float) -> str:
         """The typed ``Timeout`` answer of a hard-killed singleton (only a

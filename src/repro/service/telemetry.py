@@ -509,7 +509,6 @@ def record_request(
     window_closed_at: Optional[float] = None,
     window_size: Optional[int] = None,
     window_reason: Optional[str] = None,
-    shed: bool = False,
     rejected: bool = False,
 ) -> None:
     """Record a finished request's root span and its stage children.
@@ -533,8 +532,6 @@ def record_request(
             _STATE.tracer.record(name, start, end, trace_id=trace, parent_id=root)
     attrs: Dict[str, Any] = {"kind": request.kind, "id": request.id, "tenant": request.tenant}
     events: list = []
-    if shed:
-        events.append(("shed", responded_at))
     if rejected:
         events.append(("rejected", responded_at))
     if window_size is not None:

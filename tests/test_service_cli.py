@@ -98,6 +98,22 @@ class TestEndToEnd:
         assert planner.stdout == naive == sharded.stdout
         assert planner.stdout.strip().split("\n") == expected_lines[:80]
 
+    def test_sharded_file_mode_saves_a_snapshot(self, tmp_path, acceptance_stream, expected_lines):
+        """``--shards 2 --snapshot-dir D`` saves the executor's session after
+        the stream; restored in process, it answers the stream from cache."""
+        from repro.service.snapshot import read_snapshot, restore_session, snapshot_path
+
+        request_file = tmp_path / "requests.jsonl"
+        request_file.write_text(requests_to_jsonl(acceptance_stream), encoding="utf-8")
+        directory = tmp_path / "snapshots"
+        sharded = _run_cli([str(request_file), "--shards", "2", "--snapshot-dir", str(directory)])
+        assert sharded.returncode == 0, sharded.stderr
+        assert sharded.stdout.strip().split("\n") == expected_lines
+        assert snapshot_path(directory).exists()
+        restored = restore_session(read_snapshot(directory))
+        assert [dump_result_line(r) for r in restored.execute_many(acceptance_stream)] == expected_lines
+        assert restored.cache_info()["misses"] == 0
+
     def test_every_result_decodes_and_echoes_its_request_id(self, acceptance_stream, expected_lines):
         for request, line in zip(acceptance_stream, expected_lines):
             result = load_result_line(line)

@@ -78,7 +78,7 @@ class TestShardedExecution:
         with ShardExecutor(shards=2) as executor:
             executor.execute_many(stream)
             results = executor.execute_many(renamed)
-            assert executor.shared_cache_info()["hits"] == len(stream)
+            assert executor.session.cache_info()["hits"] == len(stream)
         assert [r.id for r in results] == [r.id for r in renamed]
         assert _encoded(results) == _encoded(execute_plan(Session(), renamed))
 
@@ -97,10 +97,50 @@ class TestShardedExecution:
             QueryRequest(kind="implies", id="q0", query=_pd("A = A*C")),
             QueryRequest(kind="implies", id="q1", query=_pd("C = C*A")),
         ]
-        with ShardExecutor(shards=2, dependencies=["A = A*B", "B = B*C"]) as executor:
+        with ShardExecutor(shards=2, session=Session(["A = A*B", "B = B*C"])) as executor:
             results = executor.execute_many(requests)
         assert results[0].value == {"implied": True}
         assert results[1].value == {"implied": False}
+
+    def test_a_gamma_write_after_boot_restarts_the_pool(self):
+        """Workers keep the Γ they booted with, so a write reboots them.
+
+        Without the reboot the second stream would be answered against the
+        old Γ by the stale workers (the parent's cache stamps already miss).
+        """
+        requests = [
+            QueryRequest(kind="implies", id="q0", query=_pd("A = A*C")),
+            QueryRequest(kind="implies", id="q1", query=_pd("C = C*A")),
+        ]
+        with ShardExecutor(shards=2, session=Session(["A = A*B"])) as executor:
+            booted = executor._pool
+            assert [r.value for r in executor.execute_many(requests)] == [
+                {"implied": False},
+                {"implied": False},
+            ]
+            assert executor._pool is booted
+            executor.session.add_dependencies(["B = B*C"], tenant=None)
+            executor.session.add_dependencies(["C = C*A"], tenant="acme")
+            tenanted = [dataclasses.replace(r, tenant="acme") for r in requests]
+            results = executor.execute_many(requests + tenanted)
+            assert executor._pool is not booted
+            assert executor.metrics.value("supervisor.units_dispatched") > 0
+        reference = Session(["A = A*B", "B = B*C"])
+        reference.add_dependencies(["C = C*A"], tenant="acme")
+        assert _encoded(results) == _encoded(execute_plan(reference, requests + tenanted))
+        assert [r.value for r in results[:2]] == [{"implied": True}, {"implied": False}]
+        assert results[3].value == {"implied": True}
+
+    def test_the_shared_tier_is_the_sessions_cache(self, stream, reference):
+        """A session handed to the executor keeps its answers: the shared tier
+        is that session's cache, probed before any unit is dealt."""
+        session = Session()
+        execute_plan(session, stream)
+        hits = session.cache_info()["hits"]
+        with ShardExecutor(shards=2, session=session) as executor:
+            assert _encoded(executor.execute_many(stream)) == reference
+            assert executor.metrics.value("supervisor.units_dispatched") == 0
+        assert session.cache_info()["hits"] == hits + len(stream)
 
     def test_an_implication_group_is_dealt_in_at_most_shards_slices(self):
         gamma = (_pd("A = A*B"), _pd("B = B*C"))

@@ -145,22 +145,21 @@ class TestSupervisedExecution:
     def test_transient_worker_crash_is_invisible(self, warm):
         """A worker SIGKILLed mid-stream restarts; the answers do not change.
 
-        Workers boot either by replaying Γ or from a warm snapshot, and a
-        crashed one restarts the same way.  The snapshot's result entries
-        answer none of the stream, so the crash still hits a dispatched unit.
+        The executor shards either a fresh session or one restored from a
+        warm snapshot; every worker boots from the session's snapshot text,
+        and a crashed one restarts the same way.  The snapshot's result
+        entries answer none of the stream, so the crash still hits a
+        dispatched unit.
         """
         requests = _stream()
-        snapshot = None
+        session = Session(DEPENDENCIES)
         if warm:
-            session = Session(DEPENDENCIES)
             session.execute_many([QueryRequest(kind="implies", query=_pd("B = B*C"))])
-            snapshot = dump_snapshot(session)
+            session = Session.restore(dump_snapshot(session))
         plan = FaultPlan(
             seed=1, faults=(Fault(kind="crash_worker", worker=0, unit=0, incarnation=0),)
         )
-        with ShardExecutor(
-            shards=2, dependencies=DEPENDENCIES, snapshot=snapshot, fault_plan=plan.to_json()
-        ) as executor:
+        with ShardExecutor(shards=2, session=session, fault_plan=plan.to_json()) as executor:
             lines = [dump_result_line(r) for r in executor.execute_many(requests)]
             stats = supervision_stats(executor.metrics)
         assert lines == _reference(requests)
@@ -175,7 +174,7 @@ class TestSupervisedExecution:
         victim = "q2"
         plan = FaultPlan(seed=2, faults=(Fault(kind="crash_request", request_id=victim),))
         with ShardExecutor(
-            shards=2, dependencies=DEPENDENCIES, fault_plan=plan.to_json()
+            shards=2, session=Session(DEPENDENCIES), fault_plan=plan.to_json()
         ) as executor:
             lines = [dump_result_line(r) for r in executor.execute_many(requests)]
             stats = supervision_stats(executor.metrics)
@@ -197,7 +196,7 @@ class TestSupervisedExecution:
         requests = _stream(deadline_on="q1", deadline_ms=100)
         plan = FaultPlan(seed=3, faults=(Fault(kind="delay", request_id="q1", delay_ms=2000.0),))
         with ShardExecutor(
-            shards=2, dependencies=DEPENDENCIES, fault_plan=plan.to_json()
+            shards=2, session=Session(DEPENDENCIES), fault_plan=plan.to_json()
         ) as executor:
             lines = [dump_result_line(r) for r in executor.execute_many(requests)]
             stats = supervision_stats(executor.metrics)
@@ -220,7 +219,7 @@ class TestSupervisedExecution:
         requests = _stream(deadline_on="q1", deadline_ms=100)
         plan = FaultPlan(seed=4, faults=(Fault(kind="hang", request_id="q1", delay_ms=30_000.0),))
         with ShardExecutor(
-            shards=2, dependencies=DEPENDENCIES, fault_plan=plan.to_json()
+            shards=2, session=Session(DEPENDENCIES), fault_plan=plan.to_json()
         ) as executor:
             lines = [dump_result_line(r) for r in executor.execute_many(requests)]
             stats = supervision_stats(executor.metrics)
@@ -243,7 +242,7 @@ class TestSupervisedExecution:
             seed=5, faults=(Fault(kind="corrupt", request_id="q3", incarnation=0),)
         )
         with ShardExecutor(
-            shards=2, dependencies=DEPENDENCIES, fault_plan=plan.to_json()
+            shards=2, session=Session(DEPENDENCIES), fault_plan=plan.to_json()
         ) as executor:
             lines = [dump_result_line(r) for r in executor.execute_many(requests)]
             stats = supervision_stats(executor.metrics)
@@ -254,7 +253,7 @@ class TestSupervisedExecution:
     def test_graceful_close_exits_zero(self):
         """Workers see the shutdown sentinel and exit cleanly, not by SIGTERM."""
         requests = _stream()
-        executor = ShardExecutor(shards=2, dependencies=DEPENDENCIES)
+        executor = ShardExecutor(shards=2, session=Session(DEPENDENCIES))
         executor.execute_many(requests)
         processes = [worker.process for worker in executor._pool._workers]
         executor.close()
@@ -263,7 +262,7 @@ class TestSupervisedExecution:
     def test_worker_side_decode_isolation(self):
         """One undecodable line inside a unit errors alone; the unit survives."""
         good = QueryRequest(kind="implies", id="ok", query=_pd("A = A*B"))
-        pool = SupervisedPool(workers=1, encoded_dependencies=[])
+        pool = SupervisedPool(workers=1, snapshot=Session().export_snapshot())
         try:
             out = pool.run_units(
                 [

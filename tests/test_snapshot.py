@@ -1,4 +1,4 @@
-"""Durable Γ snapshots: codec integrity, restore equivalence, zero-warmup deployment.
+"""Durable session snapshots: codec integrity, restore equivalence, deployment.
 
 The contract under test, layer by layer:
 
@@ -11,11 +11,11 @@ The contract under test, layer by layer:
   streams (embedded-Γ and session-Γ alike), working ``add_dependencies``
   after restore, and a preserved generation counter that refuses stale
   snapshots via ``expected_generation``;
-* **deployment** — a snapshot ships to 2-shard executor workers (zero-warmup
-  boot, byte-identical output) and seeds the executor's shared tier with its
-  result entries, boots the asyncio server warm from
-  ``--snapshot-dir``, is written back on drain, and can be exported from a
-  *live* server with the ``{"control": "snapshot"}`` line.
+* **deployment** — a restored session is sharded by a 2-shard executor
+  (byte-identical output; its result entries are the executor's shared
+  tier), boots the asyncio server from ``--snapshot-dir``, is written back
+  on drain and after a file-mode stream, and can be exported from a *live*
+  server with the ``{"control": "snapshot"}`` line — with either backend.
 """
 
 import asyncio
@@ -438,8 +438,8 @@ def test_named_tenants_rebuild_their_index_on_first_read(monkeypatch):
 
 class TestShardedRestore:
     def test_two_shard_executor_restores_byte_identically(self, acceptance_stream, expected_lines):
-        snapshot = dump_snapshot(Session())
-        with ShardExecutor(shards=2, snapshot=snapshot) as executor:
+        restored = Session.restore(dump_snapshot(Session()))
+        with ShardExecutor(shards=2, session=restored) as executor:
             lines = [dump_result_line(r) for r in executor.execute_many(acceptance_stream)]
         assert lines == expected_lines
 
@@ -447,23 +447,102 @@ class TestShardedRestore:
         warm = Session(["A = A*B"])
         stream = _mixed_stream(40, seed=32)
         expected = [dump_result_line(r) for r in warm.execute_many(stream)]
-        with ShardExecutor(shards=2, snapshot=dump_snapshot(warm)) as executor:
+        with ShardExecutor(shards=2, session=Session.restore(dump_snapshot(warm))) as executor:
             lines = [dump_result_line(r) for r in executor.execute_many(stream)]
-            hits = executor.shared_cache_info()["hits"]
+            hits = executor.session.cache_info()["hits"]
             dispatched = supervision_stats(executor.metrics)["units_dispatched"]
         assert lines == expected
         assert hits == len(stream)
         assert dispatched == 0  # every answer came from the parent, no worker ran
 
-    def test_executor_refuses_a_mismatched_snapshot(self):
-        snapshot = dump_snapshot(Session(["A = A*B"]))
+    def test_a_sharded_config_refuses_a_mismatched_snapshot(self, tmp_path):
+        save_snapshot(Session(["A = A*B"]), tmp_path)
+        config = ServiceConfig(shards=2, snapshot_dir=str(tmp_path)).with_dependencies("B = B*C")
         with pytest.raises(ServiceError, match="snapshot Γ mismatch"):
-            ShardExecutor(shards=2, dependencies=Session(["B = B*C"]).dependencies, snapshot=snapshot)
+            config.make_executor()
 
-    def test_executor_adopts_the_snapshot_gamma(self):
-        snapshot = dump_snapshot(Session(["A = A*B", "B = B*C"]))
-        executor = ShardExecutor(shards=2, snapshot=snapshot)
-        assert len(executor._dependencies) == 2
+    def test_a_sharded_config_adopts_the_snapshot_gamma(self, tmp_path):
+        save_snapshot(Session(["A = A*B", "B = B*C"]), tmp_path)
+        executor = ServiceConfig(shards=2, snapshot_dir=str(tmp_path)).make_executor()
+        assert len(executor.session.dependencies) == 2
+
+
+class TestShardedDeployment:
+    """``--snapshot-dir`` with ``--shards 2``: the executor's session is saved
+    and restored exactly like the in-process backend's."""
+
+    def _restores_with_no_misses(self, directory, stream):
+        restored = restore_session(read_snapshot(directory))
+        restored.execute_many(stream)
+        assert restored.cache_info()["misses"] == 0
+
+    def test_a_drained_two_shard_server_saves_its_session(
+        self, tmp_path, acceptance_stream, expected_lines
+    ):
+        config = ServiceConfig(shards=2, snapshot_dir=str(tmp_path))
+        lines, stats = run(serve_stream(requests_to_jsonl(acceptance_stream), config))
+        assert lines == expected_lines
+        assert list(stats["result_cache"]["tiers"]) == ["shared"]
+        self._restores_with_no_misses(tmp_path, acceptance_stream)
+
+    def test_a_sharded_snapshot_boots_a_sharded_replay_with_no_dispatch(
+        self, tmp_path, acceptance_stream, expected_lines
+    ):
+        from repro.service.cli import serve_lines
+
+        jsonl = [line for line in requests_to_jsonl(acceptance_stream).split("\n") if line]
+        config = ServiceConfig(shards=2, snapshot_dir=str(tmp_path))
+        first, stats = serve_lines(jsonl, config=config)
+        assert first == expected_lines
+        assert stats["snapshot"] == str(snapshot_path(tmp_path))
+        with config.make_executor() as executor:
+            lines = [dump_result_line(r) for r in executor.execute_many(acceptance_stream)]
+            dispatched = supervision_stats(executor.metrics)["units_dispatched"]
+        assert lines == expected_lines
+        assert dispatched == 0
+
+    def test_control_snapshot_line_exports_a_live_sharded_server(self, tmp_path):
+        stream = _mixed_stream(10, seed=62)
+        request_lines = requests_to_jsonl(stream).strip().split("\n")
+
+        async def scenario():
+            config = ServiceConfig(shards=2, snapshot_dir=str(tmp_path))
+            async with QueryServer(config) as server:
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                payload = "".join(
+                    line + "\n" for line in request_lines + ['{"control":"snapshot"}']
+                )
+                writer.write(payload.encode("utf-8"))
+                await writer.drain()
+                writer.write_eof()
+                answers = [await reader.readline() for _ in range(len(request_lines) + 1)]
+                writer.close()
+                return [a.decode("utf-8").rstrip("\n") for a in answers]
+
+        control = json.loads(run(scenario())[-1])
+        assert control["control"] == "snapshot"
+        assert control["path"] == str(snapshot_path(tmp_path))
+        assert control["bytes"] > 0
+        self._restores_with_no_misses(tmp_path, stream)
+
+    def test_a_server_shards_the_session_it_is_given(self, acceptance_stream, expected_lines):
+        warm = Session()
+        warm.execute_many(acceptance_stream)
+
+        async def scenario():
+            async with QueryServer(ServiceConfig(shards=2), session=warm) as server:
+                assert server.session is warm
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                writer.write(requests_to_jsonl(acceptance_stream).encode("utf-8"))
+                await writer.drain()
+                writer.write_eof()
+                answers = [await reader.readline() for _ in acceptance_stream]
+                writer.close()
+                return [a.decode("utf-8").rstrip("\n") for a in answers], server.health_snapshot()
+
+        lines, health = run(scenario())
+        assert lines == expected_lines
+        assert health["supervision"]["units_dispatched"] == 0
 
 
 class TestDeployment:

@@ -60,6 +60,11 @@ from repro.workloads.random_service import random_service_requests
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
+def _jsonl(path):
+    """The records of a JSONL dump (read whole, so no handle stays open)."""
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
 def run(coro, timeout=120):
     return asyncio.run(asyncio.wait_for(coro, timeout))
 
@@ -381,7 +386,7 @@ class TestFileModeAcceptance:
         )
         assert traced == untraced == expected_lines
 
-        spans = [json.loads(line) for line in (metrics_dir / "trace.jsonl").open()]
+        spans = _jsonl(metrics_dir / "trace.jsonl")
         roots = _roots(spans)
         assert len(roots) == len(acceptance_stream)
         children = _span_children(spans)
@@ -404,7 +409,7 @@ class TestFileModeAcceptance:
         assert len(spans) == 4 * len(acceptance_stream) + len(evaluates) == 857
         assert len(spans) <= 5 * len(acceptance_stream)
 
-        cost = [json.loads(line) for line in (metrics_dir / "costlog.jsonl").open()]
+        cost = _jsonl(metrics_dir / "costlog.jsonl")
         assert cost, "executed work units must produce cost records"
         for record in cost:
             assert set(record) == {"kind", "method", "gamma", "requests", "query_size", "kernel", "wall_ms"}
@@ -416,7 +421,7 @@ class TestFileModeAcceptance:
         assert sum(record["requests"] for record in cost) >= distinct
         assert any(any(record["kernel"].values()) for record in cost)
 
-        metrics = [json.loads(line) for line in (metrics_dir / "metrics.jsonl").open()]
+        metrics = _jsonl(metrics_dir / "metrics.jsonl")
         counters = metrics[-1]["counters"]
         assert counters["trace.requests_started"] == len(acceptance_stream)
         assert counters["trace.requests_finished"] == len(acceptance_stream)
@@ -433,13 +438,13 @@ class TestFileModeAcceptance:
             config=ServiceConfig(shards=2, trace=True, metrics_dir=str(metrics_dir)),
         )
         assert traced == expected_lines[:60]
-        spans = [json.loads(line) for line in (metrics_dir / "trace.jsonl").open()]
+        spans = _jsonl(metrics_dir / "trace.jsonl")
         assert len(_roots(spans)) == len(prefix)
         # evaluate spans crossed the process boundary and still parent correctly
         evaluates = [span for span in spans if span["name"] == "evaluate"]
         assert evaluates
         assert all(span["parent"] == f"{span['trace']}.r" for span in evaluates)
-        assert [json.loads(line) for line in (metrics_dir / "costlog.jsonl").open()]
+        assert _jsonl(metrics_dir / "costlog.jsonl")
 
     def test_traced_run_under_fault_plan_still_traces_every_request(
         self, tmp_path, acceptance_stream, expected_lines
@@ -461,7 +466,7 @@ class TestFileModeAcceptance:
                 assert not result.ok and result.error["type"] == "WorkerCrashed"
             else:
                 assert traced[index] == expected_lines[index]
-        spans = [json.loads(line) for line in (metrics_dir / "trace.jsonl").open()]
+        spans = _jsonl(metrics_dir / "trace.jsonl")
         assert len(_roots(spans)) == len(prefix)
         escalations = [span for span in spans if span["name"] == "escalation"]
         assert {span["attrs"]["step"] for span in escalations} >= {"retry", "split", "quarantine"}
@@ -493,7 +498,7 @@ class TestEscalationSpans:
     def _execute(self, requests, plan):
         telemetry.configure(trace=True)
         with ShardExecutor(
-            shards=2, dependencies=self.DEPENDENCIES, fault_plan=plan.to_json()
+            shards=2, session=Session(self.DEPENDENCIES), fault_plan=plan.to_json()
         ) as executor:
             lines = [dump_result_line(r) for r in executor.execute_many(requests)]
         return lines, telemetry.tracer().drain()
@@ -574,7 +579,7 @@ class TestServerTelemetry:
         )
         assert traced == untraced == expected_lines[:80]
 
-        spans = [json.loads(line) for line in (metrics_dir / "trace.jsonl").open()]
+        spans = _jsonl(metrics_dir / "trace.jsonl")
         roots = _roots(spans)
         assert len(roots) == len(prefix)
         children = _span_children(spans)
@@ -583,8 +588,34 @@ class TestServerTelemetry:
             assert stages == ["execute", "plan", "respond"]
             assert root["attrs"]["window_size"] >= 1
             assert any(event["name"] == "window_closed" for event in root.get("events", ()))
-        cost = [json.loads(line) for line in (metrics_dir / "costlog.jsonl").open()]
+        cost = _jsonl(metrics_dir / "costlog.jsonl")
         assert sum(record["requests"] for record in cost) >= len(prefix)
+
+    def test_each_shed_root_carries_one_shed_event(self, tmp_path, acceptance_stream):
+        # The first request sleeps in its window, so the one-slot queue fills
+        # and the rest of the burst is shed.
+        prefix = acceptance_stream[:20]
+        delay = FaultPlan(seed=1, faults=(Fault(kind="delay", request_id=prefix[0].id, delay_ms=500.0),))
+        metrics_dir = tmp_path / "telemetry"
+        config = ServiceConfig(
+            max_batch=1,
+            queue_limit=1,
+            overload="shed",
+            trace=True,
+            metrics_dir=str(metrics_dir),
+            fault_plan=delay.to_json(),
+        )
+        answers, _ = run(serve_stream(requests_to_jsonl(prefix), config))
+        shed = [answer for answer in answers if '"type":"Overloaded"' in answer]
+        assert len(shed) >= 10
+        roots = [
+            root
+            for root in _roots(_jsonl(metrics_dir / "trace.jsonl"))
+            if root["attrs"].get("error_type") == "Overloaded"
+        ]
+        assert len(roots) == len(shed)
+        for root in roots:
+            assert [event["name"] for event in root["events"]].count("shed") == 1
 
     def test_metrics_control_line(self, acceptance_stream):
         prefix = acceptance_stream[:10]
@@ -639,7 +670,7 @@ class TestServerTelemetry:
             seed=1, faults=(Fault(kind="crash_worker", worker=0, unit=0, incarnation=0),)
         )
         with ShardExecutor(
-            shards=2, dependencies=("A = A*B",), fault_plan=plan.to_json()
+            shards=2, session=Session(["A = A*B"]), fault_plan=plan.to_json()
         ) as executor:
             executor.execute_many(requests)
             supervision = supervision_stats(executor.metrics)
@@ -650,7 +681,7 @@ class TestServerTelemetry:
         assert supervision["restarts_by_worker"].get("0", 0) >= 1
 
     def test_untraced_fresh_supervision_reports_null_restart_latency(self):
-        with ShardExecutor(shards=2, dependencies=()) as executor:
+        with ShardExecutor(shards=2) as executor:
             stats = supervision_stats(executor.metrics)
         assert stats["restarts"] == 0
         assert stats["restart_mean_ms"] is None
@@ -846,7 +877,7 @@ class TestOneRegistryPerServer:
         ]
         dependencies = ("A = A*B", "B = B*C")
         telemetry.configure(trace=True)
-        with ShardExecutor(shards=2, dependencies=dependencies, result_cache_size=0) as executor:
+        with ShardExecutor(shards=2, session=Session(dependencies, result_cache_size=0)) as executor:
             lines = [dump_result_line(r) for r in executor.execute_many(requests)]
         records = telemetry.cost_log().drain()
         assert sum(record["requests"] for record in records) == 2 * len(questions)

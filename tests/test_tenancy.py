@@ -335,12 +335,12 @@ class TestExecutorSharedCache:
         return [_implies("A = A*C", tenant=f"t{i % 5}", id=f"q{i}") for i in range(20)]
 
     def test_repeats_are_answered_parent_side_byte_identically(self, stream):
-        with ShardExecutor(shards=2, result_cache_size=0) as executor:
+        with ShardExecutor(shards=2, session=Session(result_cache_size=0)) as executor:
             expected = _answer_lines(executor, stream)
-        with ShardExecutor(shards=2, result_cache_size=64) as executor:
+        with ShardExecutor(shards=2, session=Session(result_cache_size=64)) as executor:
             first = _answer_lines(executor, stream)
             again = _answer_lines(executor, stream)
-            info = executor.shared_cache_info()
+            info = executor.session.cache_info()
         assert first == expected
         assert again == expected
         # Pass 1 probes all miss (the probe runs before any compute), every
@@ -352,7 +352,8 @@ class TestExecutorSharedCache:
 
     def test_a_snapshot_after_a_write_answers_only_its_live_entries(self):
         # The snapshot is taken after acme's write, while the cache still
-        # holds acme's stale entry, so the shared tier is seeded with it.
+        # holds acme's stale entry, so the restored session's cache (the
+        # shared tier) holds it too.
         reads = [
             _implies("A = A*C", tenant="acme", id="a"),
             _implies("A = A*C", tenant="globex", id="g"),
@@ -366,9 +367,9 @@ class TestExecutorSharedCache:
         uncached = Session([], result_cache_size=0)
         uncached.add_dependencies(["A = A*C"], tenant="acme")
         expected = [dump_result_line(r) for r in uncached.execute_many(reads)]
-        with ShardExecutor(shards=2, snapshot=snapshot) as executor:
+        with ShardExecutor(shards=2, session=Session.restore(snapshot)) as executor:
             assert _answer_lines(executor, reads) == expected
-            info = executor.shared_cache_info()
+            info = executor.session.cache_info()
             dispatched = supervision_stats(executor.metrics)["units_dispatched"]
         assert json.loads(expected[0])["value"] == {"implied": True}  # acme's grown Γ
         assert (info["hits"], info["misses"]) == (2, 1)
@@ -413,7 +414,7 @@ class TestZipfMultiTenantStream:
             out = []
             for start in range(0, len(stream), self.WINDOW):
                 out.extend(_answer_lines(executor, stream[start : start + self.WINDOW]))
-            return out, executor.shared_cache_info(), supervision_stats(executor.metrics)
+            return out, executor.session.cache_info(), supervision_stats(executor.metrics)
 
     def test_the_shared_tier_answers_most_of_the_stream(self, stream, expected):
         out, shared, _ = self._serve(stream)
