@@ -31,9 +31,11 @@ The pipeline works on integers: the extended universe is numbered once, by
 sorted name, and every FD is emitted as an ``(lhs_mask, rhs_mask)`` pair,
 deduplicated and grouped by left-hand side in first-appearance order — a
 :class:`~repro.relational.chase_engine.CodedFds`, the form the chase engine
-indexes.  The result is an :class:`NormalizedDependencies` value carrying
-that FPD part ``F`` and the surviving sum PDs; its FD objects and closure
-pairs are views built on first read.  Lemma 12.1 then says a weak instance
+indexes; closure rows are walked through the shared set-bit kernel
+:func:`repro.bits.bit_positions`.  The result is an
+:class:`NormalizedDependencies` value carrying that FPD part ``F`` and the
+surviving sum PDs; its FD objects and closure pairs are views built on first
+read.  Lemma 12.1 then says a weak instance
 satisfying ``F`` can be repaired into one satisfying everything, so the
 chase on ``F`` alone decides consistency.
 """
@@ -45,12 +47,13 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.bits import bit_positions
 from repro.dependencies.pd import PartitionDependency, PartitionDependencyLike, as_partition_dependency
 from repro.errors import ConsistencyError
 from repro.expressions.ast import Attr, PartitionExpression, Product, Sum
 from repro.implication.alg import ImplicationEngine
 from repro.relational.attributes import Attribute, AttributeSet
-from repro.relational.chase_engine import CodedFds, bit_positions
+from repro.relational.chase_engine import CodedFds
 from repro.relational.functional_dependencies import FunctionalDependency
 
 

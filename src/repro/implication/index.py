@@ -13,14 +13,17 @@ query throws away almost all of the work.
 * **Rows** — row ``v`` owns two Python ints: bit ``j`` of ``up[v]`` means
   ``v ≤_E j`` and bit ``j`` of ``down[v]`` means ``j ≤_E v``.  The two are
   mirrors of one arc set, so ``leq`` is a single bit test and every ALG rule
-  is a row OR or AND.
+  is a row OR or AND.  Every walk over a row's set bits goes through the
+  shared kernel :func:`repro.bits.bit_positions` (one table read for a row
+  under twelve bits wide).
 * **Delta rows** — bits newly set in a row are queued per vertex and
   propagated once.  A vertex that gains targets ``Δ`` ORs in ``up[t]`` for
   each ``t ∈ Δ`` (rule 7), feeds ``Δ`` to its product composites (rule 3) and
   ``Δ & up[q]`` to its sum composites with other operand ``q`` (rule 2).  A
   vertex that gains origins ``Δ'`` ORs in ``down[o]`` for each ``o ∈ Δ'``
   (rule 7), feeds ``Δ'`` to its sum composites (rule 5) and ``Δ' & down[q]``
-  to its product composites (rule 4).
+  to its product composites (rule 4).  Mirroring a delta onto the far
+  rows, and each rule-7 OR, walks the delta's bits through the same kernel.
 * **Incremental vertices** — :meth:`add_expressions` registers only the
   missing subexpressions; a new composite catches up with one OR and one AND
   of its operands' rows (rules 2–5 restricted to the new vertex), the rules
@@ -57,9 +60,10 @@ The fixpoint is the one the from-scratch closure computes, which
 ``tests/test_implication_index.py`` verifies against both
 :func:`~repro.implication.alg.alg_closure` and
 :func:`~repro.implication.alg.alg_closure_naive` on randomized interleavings.
-Propagation polls :func:`~repro.deadline.check_deadline` once per expression
-registered and once per delta-row pop; a budget that expires mid-propagation
-leaves the remaining deltas queued, and the next call resumes from them.
+When a deadline scope is active, propagation polls
+:func:`~repro.deadline.check_deadline` once per expression registered and
+once per delta-row pop; a budget that expires mid-propagation leaves the
+remaining deltas queued, and the next call resumes from them.
 
 Outside an overlay the index never forgets: dependencies and vertices can
 only be added, which is exactly the monotone shape of ALG (rules only ever
@@ -79,6 +83,7 @@ from __future__ import annotations
 import contextlib
 from collections.abc import Iterable, Iterator, Sequence
 
+from repro.bits import bit_positions
 from repro.deadline import active_deadlines, check_deadline
 from repro.dependencies.pd import (
     PartitionDependency,
@@ -92,28 +97,6 @@ from repro.expressions.ast import (
     Product,
     as_expression,
 )
-
-
-def _bits(row: int) -> list[int]:
-    """The set bit positions of ``row``, ascending.
-
-    A sparse row is walked by its lowest set bit; scanning the binary string
-    is faster once a row has more than a few bits set.
-    """
-    if row.bit_count() < 8:
-        out = []
-        while row:
-            low = row & -row
-            out.append(low.bit_length() - 1)
-            row ^= low
-        return out
-    digits = bin(row)[:1:-1]
-    out = []
-    position = digits.find("1")
-    while position >= 0:
-        out.append(position)
-        position = digits.find("1", position + 1)
-    return out
 
 
 class ImplicationIndex:
@@ -217,7 +200,11 @@ class ImplicationIndex:
         expressions share a vertex, so each copy lies below the other.
         Unregistered expressions are registered first, as :meth:`leq` does.
         """
-        vids = [self._register(as_expression(raw)) for raw in expressions]
+        vertex = self._vertex
+        vids = []
+        for raw in expressions:
+            vid = vertex.get(raw)
+            vids.append(self._register(as_expression(raw)) if vid is None else vid)
         self._drain()
         spread: dict[int, int] = {}
         for position, vid in enumerate(vids):
@@ -227,7 +214,7 @@ class ImplicationIndex:
         rows = []
         for i, vid in enumerate(vids):
             row = 0
-            for target in _bits(up[vid] & mask):
+            for target in bit_positions(up[vid] & mask):
                 row |= spread[target]
             rows.append(row & ~(1 << i))
         return rows
@@ -237,7 +224,7 @@ class ImplicationIndex:
 
         Pairs come in row-major order: :meth:`leq_masks`, spelled out.
         """
-        return [(i, j) for i, row in enumerate(self.leq_masks(expressions)) for j in _bits(row)]
+        return [(i, j) for i, row in enumerate(self.leq_masks(expressions)) for j in bit_positions(row)]
 
     def has_arc(self, left: ExpressionLike, right: ExpressionLike) -> bool:
         """``left ≤_E right`` for already-registered expressions (no new vertices).
@@ -351,7 +338,7 @@ class ImplicationIndex:
         return {
             (source, target)
             for sources, row in zip(members, self._up)
-            for column in _bits(row)
+            for column in bit_positions(row)
             for source in sources
             for target in members[column]
         }
@@ -421,19 +408,25 @@ class ImplicationIndex:
         vid = vertex.get(expression)
         if vid is not None:
             return vid
+        # As in :meth:`_drain`: nothing below opens a deadline scope, so
+        # with none active on entry the per-expression poll is skipped.
+        budgeted = bool(active_deadlines())
+        new_up, new_down = self._new_up, self._new_down
         stack: list[tuple[PartitionExpression, bool]] = [(expression, False)]
         while stack:
             node, expanded = stack.pop()
             if node in vertex:
                 continue
             if expanded:
-                check_deadline()  # one budget check per expression registered
+                if budgeted:
+                    check_deadline()  # one budget check per expression registered
                 if isinstance(node, Attr):
                     self._create_vertex(node)
                     continue
                 p = vertex[node.left]  # type: ignore[attr-defined]
                 q = vertex[node.right]  # type: ignore[attr-defined]
-                self._drain()
+                if new_up or new_down:
+                    self._drain()
                 known = self._product_class(p, q) if isinstance(node, Product) else self._sum_class(p, q)
                 if known < 0:
                     self._create_vertex(node)
@@ -483,7 +476,7 @@ class ImplicationIndex:
         fresh = grown
         while not grown & fixed:
             gained = 0
-            for member in _bits(fresh & self._operands):
+            for member in bit_positions(fresh & self._operands):
                 for composite, other in table.get(member, ()):
                     if grown >> other & 1:
                         gained |= rows[composite]
@@ -528,19 +521,19 @@ class ImplicationIndex:
         # Rules 3 and 2: p*q ≤ s when p ≤ s or q ≤ s; p+q ≤ s when both are.
         targets = up[left] | up[right] if product else up[left] & up[right]
         up[vid] = targets
-        for target in _bits(targets):
+        for target in bit_positions(targets):
             down[target] |= bit
         # Rules 4 and 5: o ≤ p*q when o ≤ p and o ≤ q; o ≤ p+q when either is.
         # Read after the mirror above, so a product finds its own self-arc.
         origins = down[left] & down[right] if product else down[left] | down[right]
         down[vid] = origins
-        for origin in _bits(origins):
+        for origin in bit_positions(origins):
             up[origin] |= bit
         # The rules keyed on the other end of each new arc (only operands of
         # some composite have any).
-        for origin in _bits(origins & self._operands):
+        for origin in bit_positions(origins & self._operands):
             self._targets_gained(origin, bit)
-        for target in _bits(targets & self._operands):
+        for target in bit_positions(targets & self._operands):
             self._origins_gained(target, bit)
 
     # -- rows and delta propagation ---------------------------------------------
@@ -567,12 +560,9 @@ class ImplicationIndex:
         self._new_up[vid] = self._new_up.get(vid, 0) | fresh
         bit = 1 << vid
         down, new_down = self._down, self._new_down
-        while fresh:
-            low = fresh & -fresh
-            target = low.bit_length() - 1
+        for target in bit_positions(fresh):
             down[target] |= bit
             new_down[target] = new_down.get(target, 0) | bit
-            fresh ^= low
 
     def _add_down(self, vid: int, origins: int) -> None:
         """Record ``o ≤ vid`` for every bit ``o`` of ``origins`` and queue what is new."""
@@ -583,12 +573,9 @@ class ImplicationIndex:
         self._new_down[vid] = self._new_down.get(vid, 0) | fresh
         bit = 1 << vid
         up, new_up = self._up, self._new_up
-        while fresh:
-            low = fresh & -fresh
-            origin = low.bit_length() - 1
+        for origin in bit_positions(fresh):
             up[origin] |= bit
             new_up[origin] = new_up.get(origin, 0) | bit
-            fresh ^= low
 
     def _targets_gained(self, vid: int, delta: int) -> None:
         """Rules 3 and 2 for ``vid`` gaining the targets ``delta``: its composites follow."""
@@ -633,7 +620,7 @@ class ImplicationIndex:
                 self._targets_gained(vid, delta)
                 # Rule 7: vid ≤ t ≤ u for each new target t.
                 reach = 0
-                for target in _bits(delta):
+                for target in bit_positions(delta):
                     reach |= up[target]
                 if reach & ~up[vid]:
                     self._add_up(vid, reach)
@@ -642,7 +629,7 @@ class ImplicationIndex:
                 self._origins_gained(vid, delta)
                 # Rule 7: o ≤ p ≤ vid for each new origin p.
                 reach = 0
-                for origin in _bits(delta):
+                for origin in bit_positions(delta):
                     reach |= down[origin]
                 if reach & ~down[vid]:
                     self._add_down(vid, reach)

@@ -42,6 +42,7 @@ import itertools
 from collections.abc import Hashable, Iterable, Mapping
 from typing import Callable, Optional
 
+from repro.bits import bit_positions
 from repro.errors import LatticeError
 from repro.expressions.ast import Attr, ExpressionLike, PartitionExpression, Product, Sum, as_expression
 
@@ -439,11 +440,8 @@ class FiniteLattice:
         for j in range(n):
             members = down[j]
             union = 0
-            remaining = members
-            while remaining:
-                low = remaining & -remaining
-                union |= down[low.bit_length() - 1]
-                remaining ^= low
+            for k in bit_positions(members):
+                union |= down[k]
             if union != members:
                 problems.append(f"the induced order is not transitive below {elements[j]!r}")
         if problems:
@@ -606,8 +604,6 @@ def _popcount(mask: int) -> int:
 def _rank_mask(mask: int, rank: list[int]) -> int:
     """Scatter a mask's bits through a rank permutation (id space → rank space)."""
     result = 0
-    while mask:
-        low = mask & -mask
-        result |= 1 << rank[low.bit_length() - 1]
-        mask ^= low
+    for i in bit_positions(mask):
+        result |= 1 << rank[i]
     return result

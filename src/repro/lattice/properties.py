@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 from typing import Optional
 
+from repro.bits import bit_positions
 from repro.errors import LatticeError
 from repro.lattice.core import FiniteLattice, LatticeElement, iter_cover_ids
 
@@ -100,11 +101,7 @@ def is_modular(lattice) -> bool:
     n = len(tables.elements)
     for x in range(n):
         join_x = join[x]
-        remaining = tables.up[x]
-        while remaining:
-            low = remaining & -remaining
-            z = low.bit_length() - 1
-            remaining ^= low
+        for z in bit_positions(tables.up[x]):
             meet_z_column = meet[z]
             for y in range(n):
                 if join_x[meet_z_column[y]] != meet[join_x[y]][z]:

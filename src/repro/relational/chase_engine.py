@@ -24,8 +24,9 @@ Everything is coded with integers.  The FD set is a :class:`CodedFds`: the
 attributes are numbered by sorted name and each FD is a ``(lhs_mask,
 rhs_mask)`` pair, grouped by left-hand side in first-appearance order
 (:func:`repro.consistency.normalization.normalize_dependencies` emits this
-form directly; FD lists are coded on construction).  A chase codes its
-tableau per run: every cell is a value id, constants are interned to ids
+form directly; FD lists are coded on construction), and masks are decoded
+through the shared set-bit kernel :func:`repro.bits.bit_positions`.  A chase
+codes its tableau per run: every cell is a value id, constants are interned to ids
 ``0..N-1`` (``N`` the database's cell count) and the labelled nulls get
 ``N, N+1, …`` in the order :func:`representative_instance` creates them.  The
 union-find is one flat parent list in which the smaller id wins — exactly
@@ -65,6 +66,7 @@ from collections.abc import Iterable, Sequence
 from typing import Optional, Union
 
 from repro import profiling
+from repro.bits import bit_positions
 from repro.deadline import check_deadline
 from repro.relational.attributes import Attribute, AttributeSet
 from repro.relational.chase import ChaseResult, Tableau, TableauValue, representative_instance
@@ -73,16 +75,6 @@ from repro.relational.functional_dependencies import FunctionalDependency
 from repro.relational.relations import Relation
 from repro.relational.schema import RelationScheme
 from repro.relational.tuples import Row
-
-
-def bit_positions(mask: int) -> list[int]:
-    """The set bit positions of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 class CodedFds:

@@ -24,8 +24,10 @@ input order):
   the hash-consed AST re-interns per process via the parser, never by
   pickling live objects).
 * **One worker boot path** — when the pool starts, the parent session is
-  exported once as snapshot text and every worker restores a cache-less
-  session from it, rebuilding each Γ's index, then answers its units
+  encoded once as a snapshot payload (:func:`~repro.service.snapshot.encode_snapshot`)
+  and every worker restores a cache-less session from that dict, rebuilding
+  each Γ's index; the payload is the parent's own, so no worker re-parses
+  snapshot text or re-checks its digest.  Each worker then answers its units
   through the batch planner.  Workers therefore amortize exactly like the
   in-process service; the executor adds parallelism on top.  Workers keep
   the Γs they booted with, so a Γ write to :attr:`~ShardExecutor.session`
@@ -41,7 +43,7 @@ input order):
   idle.
 * **Supervision, not hope** — the unit loop lives in
   :class:`~repro.service.supervisor.SupervisedPool`: a crashed worker is
-  restarted from the same snapshot text, its unit retried, split
+  restarted from the same snapshot payload, its unit retried, split
   and at worst quarantined to a single typed ``WorkerCrashed`` error line;
   budget-carrying units get a hard wall-clock kill surfacing as typed
   ``Timeout`` results.  The pool counts every supervision event into the
@@ -71,6 +73,7 @@ from typing import Optional
 from repro.errors import ServiceError
 from repro.service.planner import plan
 from repro.service.session import Session
+from repro.service.snapshot import encode_snapshot
 from repro.service.supervisor import SupervisedPool, WorkItem, WorkUnit
 from repro.service.telemetry import MetricsRegistry
 from repro.service.wire import (
@@ -120,7 +123,7 @@ class ShardExecutor:
         return {tenant: session.generation_for(tenant) for tenant in session.tenant_names()}
 
     def _ensure_pool(self) -> SupervisedPool:
-        """The worker pool, booted from the session's snapshot text.
+        """The worker pool, booted from the session's snapshot payload.
 
         Workers answer against the Γs they booted with, so a pool whose
         session has had a Γ write since is closed and booted again.
@@ -131,7 +134,7 @@ class ShardExecutor:
         if self._pool is None:
             self._pool = SupervisedPool(
                 workers=self.shards,
-                snapshot=self.session.export_snapshot(),
+                snapshot=encode_snapshot(self.session),
                 start_method=self._start_method,
                 fault_plan_json=self._fault_plan,
                 metrics=self.metrics,

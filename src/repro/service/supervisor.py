@@ -7,7 +7,7 @@ replaces it with an explicit supervision loop:
 
 * each worker is a plain :class:`multiprocessing.Process` holding one
   cache-less :class:`~repro.service.session.Session` restored from the
-  parent session's snapshot text (the parent session's cache is a sharded
+  parent session's snapshot payload (the parent session's cache is a sharded
   backend's only result cache), spoken to over a duplex pipe with
   wire-format strings (the executor's transport discipline);
 * the parent multiplexes worker pipes *and* process sentinels through
@@ -29,8 +29,9 @@ replaces it with an explicit supervision loop:
   request is answered with a typed ``Timeout`` error result.
 
 Every worker boots one way — :func:`~repro.service.snapshot.restore_session`
-over the snapshot text the pool was given, so a restarted worker rebuilds
-exactly the Γs a fresh one does — and
+over the snapshot payload dict the pool was given (the parent encoded it, so
+a worker neither re-parses text nor re-checks a digest), so a restarted worker
+rebuilds exactly the Γs a fresh one does — and
 every restart, crash and escalation step is counted into the pool's
 :class:`~repro.service.telemetry.MetricsRegistry` (restart latency on the
 ``supervisor.restart_ms`` series);
@@ -144,7 +145,7 @@ def _worker_main(
     conn,
     worker_index: int,
     incarnation: int,
-    snapshot_text: str,
+    snapshot: dict,
     fault_plan_json: Optional[str],
     telemetry_enabled: bool = False,
 ) -> None:
@@ -165,7 +166,7 @@ def _worker_main(
     faults.set_worker_context(worker_index, incarnation)
     if fault_plan_json is not None:
         faults.install_fault_plan(fault_plan_json)
-    session = restore_session(snapshot_text, result_cache_size=0)
+    session = restore_session(snapshot, result_cache_size=0)
     while True:
         try:
             message = conn.recv()
@@ -231,13 +232,14 @@ class SupervisedPool:
     The pool is synchronous from the caller's side — :meth:`run_units` blocks
     until every unit has a result line for every item — while internally the
     supervision loop juggles replies, crashes, restarts and wall clocks.
-    ``snapshot`` is the session snapshot text every worker restores from.
+    ``snapshot`` is the verified snapshot payload every worker restores from:
+    the dict :func:`~repro.service.snapshot.encode_snapshot` returns.
     """
 
     def __init__(
         self,
         workers: int,
-        snapshot: str,
+        snapshot: dict,
         start_method: str = "fork",
         fault_plan_json: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,

@@ -1,12 +1,18 @@
 """Tests for repro.lattice.quotient — L_E fragments and finite counterexamples (Theorem 8)."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dependencies.pd import PartitionDependency
 from repro.errors import LatticeError
 from repro.expressions.parser import parse_expression
 from repro.implication.alg import pd_implies
 from repro.lattice.quotient import finite_counterexample, quotient_fragment, theorem8_pool
+from repro.workloads.random_dependencies import random_pd, random_pd_set
+from repro.workloads.random_relations import attribute_names
 
 
 class TestQuotientFragment:
@@ -78,6 +84,22 @@ class TestFiniteCounterexample:
         assert lattice is not None
         assert lattice.satisfies_all(E)
         assert not lattice.satisfies(query)
+
+    @given(
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(deadline=None)
+    def test_theorem8_on_random_small_gamma(self, pd_count, seed):
+        """``L_H`` exists iff ``Γ ⊭ q``, and then satisfies Γ and violates ``q``."""
+        rng = random.Random(seed)
+        gamma = random_pd_set(3, pd_count, rng, max_complexity=2)
+        query = random_pd(attribute_names(3), rng, max_complexity=2)
+        lattice = finite_counterexample(gamma, query)
+        assert (lattice is None) == pd_implies(gamma, query)
+        if lattice is not None:
+            assert lattice.satisfies_all(gamma)
+            assert not lattice.satisfies(query)
 
     def test_pool_budget_enforced(self):
         with pytest.raises(LatticeError):

@@ -167,6 +167,25 @@ class TestStartMethods:
         with ShardExecutor(shards=2, start_method="fork") as executor:
             assert _encoded(executor.execute_many(requests)) == expected
 
+    @pytest.mark.skipif(not HAS_FORK, reason="platform has no fork start method")
+    def test_workers_boot_from_the_parents_payload(self, monkeypatch):
+        """Workers restore from the dict the parent encoded, never from snapshot
+        text: with the text decoder broken, forked workers still answer, and
+        none of them crashes."""
+        import repro.service.snapshot as snapshot_module
+
+        requests = random_service_requests(12, seed=8)
+        gamma = ["A = A*B", "B = B*C"]
+        expected = _encoded(execute_plan(Session(gamma), requests))
+
+        def refuse(text):
+            raise ServiceError("a worker decoded snapshot text")
+
+        monkeypatch.setattr(snapshot_module, "decode_snapshot", refuse)
+        with ShardExecutor(shards=2, session=Session(gamma), start_method="fork") as executor:
+            assert _encoded(executor.execute_many(requests)) == expected
+            assert executor.metrics.value("supervisor.crashes") == 0
+
     def test_spawn_workers(self):
         # Spawn re-imports everything per worker; keep the stream tiny.
         requests = random_service_requests(6, seed=8)

@@ -29,7 +29,7 @@ from repro.service.faults import (
 from repro.service.microbatch import MicroBatcher, batch_stats
 from repro.service.planner import execute_plan
 from repro.service.session import Session
-from repro.service.snapshot import dump_snapshot
+from repro.service.snapshot import dump_snapshot, encode_snapshot
 from repro.service.supervisor import SupervisedPool, WorkItem, WorkUnit, supervision_stats
 from repro.service.wire import (
     QueryRequest,
@@ -262,7 +262,7 @@ class TestSupervisedExecution:
     def test_worker_side_decode_isolation(self):
         """One undecodable line inside a unit errors alone; the unit survives."""
         good = QueryRequest(kind="implies", id="ok", query=_pd("A = A*B"))
-        pool = SupervisedPool(workers=1, snapshot=Session().export_snapshot())
+        pool = SupervisedPool(workers=1, snapshot=encode_snapshot(Session()))
         try:
             out = pool.run_units(
                 [
