@@ -15,11 +15,20 @@ Semantic identifications are the business of the implication engine
 The three node types are immutable and **hash-consed**: constructing a node
 returns the unique interned object for that syntax tree, so structural
 equality coincides with object identity (``Attr("A") * Attr("B") is
-parse_expression("A*B")``).  Every node carries its hash, attribute set,
-complexity, size and dual as cached values computed once at interning time,
-and memoizes two renderings in slots, each filled on first use (an eager
-render would cost O(term size) memory per node of a shared DAG):
+parse_expression("A*B")``).  The nodes therefore define no ``__eq__`` or
+``__hash__`` of their own: they inherit ``object``'s identity equality and
+hash, which run in C, so every dict and set operation of the algorithms
+downstream — the ALG digraph of §5.2, the rewrite explorer, the identity
+checker, the quotient construction — is a pointer comparison.  Identity
+hashes change with the allocation history, so no output may depend on the
+iteration order of a set of expressions.
 
+Every node caches its complexity, size and dual, computed once at interning
+time, and fills three more slots on first use (an eager render would cost
+O(term size) memory per node of a shared DAG):
+
+* ``_attributes`` — the attribute set, derived on the first ``attributes()``
+  call (most nodes are never asked, and a union re-validates every name).
 * ``_str`` — the fully parenthesized ``__str__`` form.  The quotient pipeline
   sorts pools by ``(size, str)``, so repeated rendering is a hot path.
 * ``_infix`` — the minimal-parenthesis form of
@@ -28,13 +37,8 @@ render would cost O(term size) memory per node of a shared DAG):
   It is kept apart from ``_str`` because the two differ (``(A * B) + C``
   against ``A * B + C``) and the wire bytes are fixed to ``to_infix``.
 
-``Attr`` sets both at construction (they are its name); binary nodes start
-with ``None`` in both.
-
-The cached values make the dictionary- and set-heavy algorithms downstream
-— the ALG digraph of §5.2, the rewrite explorer, the identity checker, the
-quotient construction — cheap: hashing is a slot load and equality checks
-are almost always a pointer comparison.
+``Attr`` sets all three at construction (they are its name); binary nodes
+start with ``None`` in each.
 
 Interning uses per-class :class:`weakref.WeakValueDictionary` tables, so
 expression nodes are reclaimed once nothing outside the tables references
@@ -67,7 +71,6 @@ class PartitionExpression:
     """
 
     __slots__ = (
-        "_hash",
         "_attributes",
         "_complexity",
         "_size",
@@ -92,7 +95,10 @@ class PartitionExpression:
     # -- structural queries ----------------------------------------------------
     def attributes(self) -> AttributeSet:
         """The set of attributes occurring in the expression (cached, shared)."""
-        return self._attributes
+        result = self._attributes
+        if result is None:
+            result = self._attributes = self._left.attributes() | self._right.attributes()
+        return result
 
     def subexpressions(self) -> Iterator["PartitionExpression"]:
         """All subexpressions (including the expression itself), no duplicates."""
@@ -124,9 +130,6 @@ class PartitionExpression:
         """True iff the expression uses only ``*`` (it denotes a relation scheme)."""
         return self._is_product_of_attributes
 
-    def __hash__(self) -> int:
-        return self._hash
-
     def __str__(self) -> str:  # pragma: no cover - overridden
         raise NotImplementedError
 
@@ -146,7 +149,6 @@ class Attr(PartitionExpression):
             return cached
         self = super().__new__(cls)
         self._name = name
-        self._hash = hash(("Attr", name))
         self._attributes = AttributeSet([name])
         self._complexity = 0
         self._size = 1
@@ -167,16 +169,6 @@ class Attr(PartitionExpression):
 
     def dual(self) -> "Attr":
         return self
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Attr):
-            return NotImplemented
-        return self._name == other._name
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         return (Attr, (self._name,))
@@ -205,17 +197,13 @@ class _Binary(PartitionExpression):
         self = super().__new__(cls)
         self._left = left
         self._right = right
-        self._hash = hash((cls.__name__, left, right))
-        self._attributes = left._attributes | right._attributes
+        self._attributes = None
         self._complexity = 1 + left._complexity + right._complexity
         self._size = 1 + left._size + right._size
         self._dual = None
         self._is_product_of_attributes = (
             cls is Product and left._is_product_of_attributes and right._is_product_of_attributes
         )
-        # Rendered lazily on first __str__ / to_infix: eager rendering would
-        # store O(term size) characters per node and defeat the DAG sharing
-        # for never-printed expressions.
         self._str = None
         self._infix = None
         cls._intern[key] = self
@@ -253,16 +241,6 @@ class _Binary(PartitionExpression):
             if result._dual is None:
                 result._dual = self
         return result
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._left == other._left and self._right == other._right  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         return (type(self), (self._left, self._right))

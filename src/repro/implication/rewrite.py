@@ -164,7 +164,9 @@ def find_rewrite_sequence(
         current = frontier.popleft()
         if depth[current] >= max_steps:
             continue
-        for nxt in one_step_rewrites(current, pds, pool):
+        # Expand in (size, str) order, not set order, so the sequence found
+        # does not depend on the nodes' identity hashes.
+        for nxt in sorted(one_step_rewrites(current, pds, pool), key=lambda e: (e.size(), str(e))):
             if nxt.size() > max_size or nxt in parents:
                 continue
             parents[nxt] = current

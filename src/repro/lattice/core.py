@@ -541,7 +541,7 @@ class FiniteLattice:
             raise LatticeError("a sublattice needs at least one generator")
         unknown = {e for e in generators if e not in self._index}
         if unknown:
-            raise LatticeError(f"not lattice elements: {unknown!r}")
+            raise LatticeError(f"not lattice elements: {sorted(unknown, key=repr)!r}")
         members: list[int] = list(dict.fromkeys(self._index[e] for e in generators))
         member_set = set(members)
         meet_ids = self._meet_ids

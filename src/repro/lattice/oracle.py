@@ -282,7 +282,7 @@ class OracleFiniteLattice:
             raise LatticeError("a sublattice needs at least one generator")
         unknown = current - set(self._elements)
         if unknown:
-            raise LatticeError(f"not lattice elements: {unknown!r}")
+            raise LatticeError(f"not lattice elements: {sorted(unknown, key=repr)!r}")
         changed = True
         while changed:
             changed = False

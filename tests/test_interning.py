@@ -2,12 +2,21 @@
 
 Structural equality must coincide with object identity for every way of
 building an expression — constructors, operator sugar, the parser, pickling,
-copying — and the per-node caches (hash, attributes, complexity, size, dual)
-must agree with recomputation from the structure.
+copying — because the nodes use ``object``'s identity equality and hash.
+The per-node caches (attributes, complexity, size, dual) must agree with
+recomputation from the structure.  Identity hashes vary with the hash seed
+and with the allocation history, so the service's result lines must not
+depend on them: two processes that differ in both answer one seeded stream
+byte for byte.
 """
 
 import copy
+import hashlib
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings
 
@@ -62,6 +71,9 @@ class TestIdentityInterning:
     @settings(max_examples=100, deadline=None)
     def test_equal_iff_identical(self, first, second):
         assert (first == second) == (first is second)
+        assert (hash(first) == hash(second)) == (first is second)
+        rebuilt = parse_expression(str(first))
+        assert rebuilt is first and hash(rebuilt) == hash(first)
 
     def test_interned_counts_reports_live_nodes(self):
         expr = parse_expression("A * (B + C)")
@@ -93,10 +105,12 @@ class TestRoundTrips:
 
 
 class TestCachedMetadata:
-    def test_attributes_cached_and_shared(self):
-        expr = parse_expression("A * (B + A)")
+    @given(expressions(max_depth=3))
+    @settings(max_examples=100, deadline=None)
+    def test_attributes_cached_and_shared(self, expr):
+        names = {node.name for node in expr.subexpressions() if isinstance(node, Attr)}
+        assert set(expr.attributes()) == names
         assert expr.attributes() is expr.attributes()
-        assert set(expr.attributes()) == {"A", "B"}
 
     def test_complexity_and_size_match_structure(self):
         expr = parse_expression("(A*B) + (C*D)")
@@ -117,5 +131,81 @@ class TestCachedMetadata:
         assert parse_expression("A*B*C").is_product_of_attributes()
         assert not parse_expression("A*(B+C)").is_product_of_attributes()
 
-    def test_hash_stable_across_instances(self):
-        assert hash(parse_expression("A*B")) == hash(Product(Attr("A"), Attr("B")))
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+# One seeded stream through ``serve_lines`` in three chunks, with writes to
+# the default tenant's and two named tenants' Γ between chunks (through the
+# snapshot directory, which also carries the result cache from chunk to
+# chunk).  argv[1] is the number of throwaway expressions kept alive first,
+# which moves every later node's address and so its identity hash.
+_STREAM_SCRIPT = r"""
+import hashlib, random, sys, tempfile
+from dataclasses import replace
+
+from repro.expressions.ast import Attr, Sum
+from repro.service.cli import serve_lines
+from repro.service.config import ServiceConfig
+from repro.service.snapshot import save_snapshot
+from repro.service.wire import QueryRequest, dump_request_line
+from repro.workloads.random_dependencies import random_pd
+from repro.workloads.random_expressions import random_expression
+from repro.workloads.random_service import random_service_requests
+
+throwaway = [Sum(Attr(f"X{i}"), Attr(f"Y{i}")) for i in range(int(sys.argv[1]))]
+rng = random.Random(20261020)
+universe = list("ABCDE")
+tenants = [None, "t0", "t1"]
+digest = hashlib.sha256()
+with tempfile.TemporaryDirectory() as directory:
+    config = ServiceConfig(snapshot_dir=directory)
+    for chunk in range(3):
+        explicit = random_service_requests(36, seed=rng, include_cad=True)
+        bare = random_service_requests(18, seed=rng, include_cad=True, embed_dependencies=False)
+        stream = explicit + [replace(r, tenant=tenants[i % 3]) for i, r in enumerate(bare)]
+        stream += [
+            QueryRequest(
+                kind="quotient",
+                tenant=tenant,
+                dependencies=gamma,
+                pool=tuple(random_expression(universe, rng, 2) for _ in range(4)),
+            )
+            for tenant in tenants
+            for gamma in (None, tuple(random_pd(universe, rng, 2) for _ in range(3)))
+        ]
+        rng.shuffle(stream)
+        lines = [dump_request_line(replace(r, id=f"c{chunk}.{i}")) for i, r in enumerate(stream)]
+        results, _ = serve_lines(lines, config)
+        for line in results:
+            digest.update(line.encode() + b"\n")
+        session = config.make_session()
+        for tenant in tenants:
+            session.add_dependencies([random_pd(universe, rng, 2)], tenant=tenant)
+        save_snapshot(session, directory)
+print(digest.hexdigest())
+"""
+
+
+def test_result_lines_do_not_depend_on_hash_seed_or_allocation_history():
+    runs = [("0", "0"), ("12345", "5000")]
+    processes = [
+        subprocess.Popen(
+            [sys.executable, "-c", _STREAM_SCRIPT, throwaway],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={
+                "PYTHONPATH": str(REPO_ROOT / "src"),
+                "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
+                "PYTHONHASHSEED": hash_seed,
+            },
+        )
+        for hash_seed, throwaway in runs
+    ]
+    digests = []
+    for process in processes:
+        out, err = process.communicate(timeout=300)
+        assert process.returncode == 0, err
+        digests.append(out.strip())
+    assert len(digests[0]) == len(hashlib.sha256().hexdigest())
+    assert digests[0] == digests[1]

@@ -98,6 +98,9 @@ class TestOrderAndStructure:
         sub = boolean.sublattice([frozenset({"A"}), frozenset({"B"})])
         assert len(sub) == 4
         assert frozenset() in sub and frozenset({"A", "B"}) in sub
+        # Unknown generators are named in sorted order, not set order.
+        with pytest.raises(LatticeError, match=r"not lattice elements: \['w', 'x', 'y', 'z'\]"):
+            boolean.sublattice([frozenset({"A"}), "z", "x", "y", "w"])
 
 
 class TestConstantsAndEvaluation:
