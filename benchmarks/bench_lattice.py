@@ -71,9 +71,9 @@ def test_construction_scaling(benchmark, family, variant):
         result = benchmark(FiniteLattice.from_partial_order, elements, leq)
     else:
         result = benchmark(OracleFiniteLattice.from_partial_order, elements, leq)
-    reference = FiniteLattice.from_partial_order(elements, leq)
+    reference = OracleFiniteLattice.from_partial_order(elements, leq)
     assert result.elements == reference.elements
-    assert result.covers() == reference.covers()
+    assert set(result.covers()) == set(reference.covers())
 
 
 def _quotient_workload(attributes: str, complexity: int, seed: int):

@@ -94,10 +94,6 @@ class PartitionDependency:
         """Total AST size of both sides."""
         return self._left.size() + self._right.size()
 
-    def is_identity_candidate(self) -> bool:
-        """True iff both sides are syntactically equal (trivially a lattice identity)."""
-        return self._left == self._right
-
     def is_functional(self) -> bool:
         """True iff this PD has the shape of an FPD ``X = X·Y`` for attribute sets X, Y."""
         from repro.dependencies.fpd import FunctionalPartitionDependency

@@ -22,13 +22,19 @@ the randomized equivalence suite).  This module is the production kernel:
   greatest lower bound of ``x, y`` is the **highest set bit** of
   ``down[x] & down[y]`` (dually the LUB is the highest-position bit of
   ``up[x] & up[y]`` under the reversed extension) — one big-int ``&`` plus
-  ``bit_length`` instead of a quadratic scan per pair;
-* :meth:`axiom_violations` replaces the O(n³) associativity sweep with the
-  order-theoretic characterization — idempotence, commutativity and
-  absorption on the tables, then transitivity and the GLB/LUB property as
-  O(n²) bitset-row comparisons (``down[x·y] == down[x] & down[y]``).  The two
-  characterizations agree: a magma pair is a lattice iff its induced ``≤`` is
-  a partial order realized by the tables as GLB and LUB.
+  ``bit_length`` instead of a quadratic scan per pair.  That construction
+  checks the order once: reflexivity, antisymmetry and a mask equality per
+  GLB/LUB, which force transitivity, so no lattice-law pass follows, and the
+  lattice keeps the rows it was built from.  The Theorem 8 countermodel
+  ``L_H`` hands its index's ``leq_masks`` rows straight to it; every other
+  constructor derives the rows from the meet table with :func:`order_rows`;
+* :meth:`axiom_violations` (run by the callback constructor) replaces the
+  O(n³) associativity sweep with the order-theoretic characterization —
+  idempotence, commutativity and absorption on the tables, then
+  transitivity and the GLB/LUB property as O(n²) bitset-row comparisons
+  (``down[x·y] == down[x] & down[y]``).  The two characterizations agree: a
+  magma pair is a lattice iff its induced ``≤`` is a partial order realized
+  by the tables as GLB and LUB.
 
 A *lattice with constants over U* additionally names some elements with
 attribute names (the ``g`` of §2.2); expression evaluation memoizes id
@@ -100,7 +106,13 @@ class FiniteLattice:
                 join_row.append(j)
             meet_ids.append(meet_row)
             join_ids.append(join_row)
-        self._init_from_tables(interned, index, meet_ids, join_ids, constants, validate)
+        self._init_from_tables(
+            interned, index, meet_ids, join_ids, *order_rows(meet_ids), constants
+        )
+        if validate:
+            problems = self.axiom_violations()
+            if problems:
+                raise LatticeError(f"lattice axioms violated: {problems[:3]} ...")
 
     def _init_from_tables(
         self,
@@ -108,14 +120,16 @@ class FiniteLattice:
         index: dict[LatticeElement, int],
         meet_ids: list[list[int]],
         join_ids: list[list[int]],
+        up: list[int],
+        down: list[int],
         constants: Optional[Mapping[str, LatticeElement]],
-        validate: bool,
     ) -> None:
         self._elements = elements
         self._index = index
         self._meet_ids = meet_ids
         self._join_ids = join_ids
-        self._build_masks()
+        self._up = up
+        self._down = down
         self._constants = dict(constants or {})
         self._constant_ids: dict[str, int] = {}
         for name, element in self._constants.items():
@@ -124,10 +138,6 @@ class FiniteLattice:
                 raise LatticeError(f"constant {name!r} names unknown element {element!r}")
             self._constant_ids[name] = cid
         self._eval_cache: dict[PartitionExpression, int] = {}
-        if validate:
-            problems = self.axiom_violations()
-            if problems:
-                raise LatticeError(f"lattice axioms violated: {problems[:3]} ...")
 
     @classmethod
     def _trusted(
@@ -135,32 +145,15 @@ class FiniteLattice:
         elements: list[LatticeElement],
         meet_ids: list[list[int]],
         join_ids: list[list[int]],
+        up: list[int],
+        down: list[int],
         constants: Optional[Mapping[str, LatticeElement]] = None,
-        validate: bool = False,
     ) -> "FiniteLattice":
-        """Internal constructor from precomputed id tables (no operation callbacks)."""
+        """Internal constructor from precomputed id tables and order rows (no checks)."""
         self = object.__new__(cls)
         index = {element: i for i, element in enumerate(elements)}
-        self._init_from_tables(elements, index, meet_ids, join_ids, constants, validate)
+        self._init_from_tables(elements, index, meet_ids, join_ids, up, down, constants)
         return self
-
-    def _build_masks(self) -> None:
-        """Derive the up/down bitset rows from the meet table: ``i ≤ j`` iff ``i·j = i``."""
-        n = len(self._elements)
-        up = [0] * n
-        down = [0] * n
-        for i in range(n):
-            row = self._meet_ids[i]
-            mask = 0
-            bit = 1
-            for j in range(n):
-                if row[j] == i:
-                    mask |= bit
-                    down[j] |= 1 << i
-                bit <<= 1
-            up[i] = mask
-        self._up = up
-        self._down = down
 
     # -- constructors ---------------------------------------------------------------
     @classmethod
@@ -198,19 +191,36 @@ class FiniteLattice:
         The order is probed once (n² ``leq`` calls) into bitset rows; ids are
         then ranked along a linear extension so every GLB/LUB is the
         highest-position set bit of one mask intersection.  Raises
-        :class:`LatticeError` when some pair has no greatest lower bound or
-        least upper bound (i.e. the order is not a lattice order).
+        :class:`LatticeError` when the relation is not reflexive or not
+        antisymmetric, or some pair has no greatest lower bound or least
+        upper bound (i.e. the order is not a lattice order).
+
+        These checks are the whole validation; no lattice-law pass follows.
+        They also force transitivity: for ``x ≤ y`` the GLB check on
+        ``(x, y)`` finds a ``g`` with ``down[g] == down[x] & down[y]``; that
+        set holds ``x`` (reflexivity and ``x ≤ y``) and ``g`` (reflexivity),
+        so ``x ≤ g ≤ x`` and ``g == x`` by antisymmetry, hence
+        ``down[x] ⊆ down[y]``.  Tables that realize the GLB and LUB of a
+        partial order satisfy every law :meth:`axiom_violations` checks.
         """
         items = list(dict.fromkeys(elements))
+        up = [sum(1 << j for j, y in enumerate(items) if leq(x, y)) for x in items]
+        return cls._from_order_rows(items, up, constants)
+
+    @classmethod
+    def _from_order_rows(
+        cls,
+        items: list[LatticeElement],
+        up: list[int],
+        constants: Optional[Mapping[str, LatticeElement]] = None,
+    ) -> "FiniteLattice":
+        """:meth:`from_partial_order` on distinct ``items`` and their ``up`` rows, kept as the order."""
         n = len(items)
-        up = [0] * n
         down = [0] * n
-        for i, x in enumerate(items):
+        for i, row in enumerate(up):
             bit = 1 << i
-            for j, y in enumerate(items):
-                if leq(x, y):
-                    up[i] |= 1 << j
-                    down[j] |= bit
+            for j in bit_positions(row):
+                down[j] |= bit
         for i in range(n):
             if not (up[i] >> i) & 1:
                 raise LatticeError(f"the order is not reflexive at {items[i]!r}")
@@ -224,7 +234,7 @@ class FiniteLattice:
         # Rank ids along a linear extension (|down-set| is monotone in <),
         # then re-express each mask in rank space so the GLB of a pair is the
         # highest set bit of the intersected down-rows (dually for the LUB).
-        order = sorted(range(n), key=lambda i: (_popcount(down[i]), i))
+        order = sorted(range(n), key=lambda i: (down[i].bit_count(), i))
         rank = [0] * n
         for position, i in enumerate(order):
             rank[i] = position
@@ -241,11 +251,9 @@ class FiniteLattice:
             meet_row: list[int] = []
             join_row: list[int] = []
             for j in range(n):
+                # An empty intersection picks position -1, whose (reflexive,
+                # hence non-empty) row then fails the equality check.
                 lower = down_i & rank_down[j]
-                if not lower:
-                    raise LatticeError(
-                        f"elements {items[i]!r}, {items[j]!r} have no unique greatest lower bound"
-                    )
                 glb = order[lower.bit_length() - 1]
                 if rank_down[glb] != lower:
                     raise LatticeError(
@@ -253,10 +261,6 @@ class FiniteLattice:
                     )
                 meet_row.append(glb)
                 upper = up_i & rank_up[j]
-                if not upper:
-                    raise LatticeError(
-                        f"elements {items[i]!r}, {items[j]!r} have no unique least upper bound"
-                    )
                 lub = co_order[upper.bit_length() - 1]
                 if rank_up[lub] != upper:
                     raise LatticeError(
@@ -265,7 +269,7 @@ class FiniteLattice:
                 join_row.append(lub)
             meet_ids.append(meet_row)
             join_ids.append(join_row)
-        return cls._trusted(items, meet_ids, join_ids, constants, validate=True)
+        return cls._trusted(items, meet_ids, join_ids, up, down, constants)
 
     @classmethod
     def chain(cls, length: int) -> "FiniteLattice":
@@ -316,10 +320,6 @@ class FiniteLattice:
         except KeyError as exc:
             raise LatticeError(f"{element!r} is not a lattice element") from exc
 
-    def element_of(self, element_id: int) -> LatticeElement:
-        """The element with a given id."""
-        return self._elements[element_id]
-
     @property
     def meet_ids(self) -> list[list[int]]:
         """The meet table as id rows (``meet_ids[i][j]`` = id of ``i · j``; do not mutate)."""
@@ -339,10 +339,6 @@ class FiniteLattice:
     def down_masks(self) -> list[int]:
         """Bitset rows of the order: bit ``i`` of ``down_masks[j]`` is set iff ``i ≤ j``."""
         return self._down
-
-    def leq_ids(self, i: int, j: int) -> bool:
-        """``i ≤ j`` on element ids (one shift-and-mask)."""
-        return (self._up[i] >> j) & 1 == 1
 
     # -- operations --------------------------------------------------------------------
     def meet(self, x: LatticeElement, y: LatticeElement) -> LatticeElement:
@@ -464,11 +460,7 @@ class FiniteLattice:
     def with_constants(self, constants: Mapping[str, LatticeElement]) -> "FiniteLattice":
         """The same lattice with a different constant assignment (tables are shared)."""
         return FiniteLattice._trusted(
-            self._elements,
-            self._meet_ids,
-            self._join_ids,
-            constants,
-            validate=False,
+            self._elements, self._meet_ids, self._join_ids, self._up, self._down, constants
         )
 
     def constant(self, name: str) -> LatticeElement:
@@ -571,10 +563,28 @@ class FiniteLattice:
             for name, element in self._constants.items()
             if self._index[element] in member_set
         }
-        return FiniteLattice._trusted(chosen, sub_meet, sub_join, constants, validate=False)
+        return FiniteLattice._trusted(
+            chosen, sub_meet, sub_join, *order_rows(sub_meet), constants
+        )
 
     def __repr__(self) -> str:
         return f"FiniteLattice({len(self._elements)} elements, constants={sorted(self._constants)})"
+
+
+def order_rows(meet_ids: list[list[int]]) -> tuple[list[int], list[int]]:
+    """The ``(up, down)`` bitset rows of the order a meet table induces: ``i ≤ j`` iff ``i·j = i``."""
+    n = len(meet_ids)
+    up = [0] * n
+    down = [0] * n
+    for i, row in enumerate(meet_ids):
+        bit = 1 << i
+        mask = 0
+        for j in range(n):
+            if row[j] == i:
+                mask |= 1 << j
+                down[j] |= bit
+        up[i] = mask
+    return up, down
 
 
 def iter_cover_ids(up: list[int], down: list[int]):
@@ -594,11 +604,6 @@ def iter_cover_ids(up: list[int], down: list[int]):
             if up_i & down[j] & not_i & ~(1 << j):
                 continue
             yield (i, j)
-
-
-def _popcount(mask: int) -> int:
-    """Number of set bits of a bitset row."""
-    return mask.bit_count()
 
 
 def _rank_mask(mask: int, rank: list[int]) -> int:

@@ -26,7 +26,7 @@ from typing import Optional
 
 from repro.bits import bit_positions
 from repro.errors import LatticeError
-from repro.lattice.core import FiniteLattice, LatticeElement, iter_cover_ids
+from repro.lattice.core import FiniteLattice, LatticeElement, iter_cover_ids, order_rows
 
 
 class _Tables:
@@ -52,16 +52,7 @@ def _tables(lattice) -> _Tables:
     index = {element: i for i, element in enumerate(elements)}
     meet = [[index[lattice.meet(x, y)] for y in elements] for x in elements]
     join = [[index[lattice.join(x, y)] for y in elements] for x in elements]
-    n = len(elements)
-    up = [0] * n
-    down = [0] * n
-    for i in range(n):
-        row = meet[i]
-        for j in range(n):
-            if row[j] == i:
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-    return _Tables(elements, meet, join, up, down)
+    return _Tables(elements, meet, join, *order_rows(meet))
 
 
 def is_distributive(lattice) -> bool:

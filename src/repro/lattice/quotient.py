@@ -254,11 +254,5 @@ def finite_counterexample(
         constants[attribute] = canonical(attr(attribute))
 
     # The elements are distinct classes, so one row read orders them all.
-    masks = index.leq_masks(elements)
-    position_of = {expression: i for i, expression in enumerate(elements)}
-
-    def leq(x: PartitionExpression, y: PartitionExpression) -> bool:
-        i, j = position_of[x], position_of[y]
-        return i == j or bool(masks[i] >> j & 1)
-
-    return FiniteLattice.from_partial_order(elements, leq, constants=constants)
+    up = [row | 1 << i for i, row in enumerate(index.leq_masks(elements))]
+    return FiniteLattice._from_order_rows(elements, up, constants)

@@ -12,12 +12,11 @@ recovers the batch shape the kernels already serve:
   never re-closed, no overlay's vertex set (and quadratic arc relation)
   grows with the group, and every query's subexpressions leave the index
   again, so Γ writes keep resuming over an index of Γ's own size;
-* ``consistent``/``weak_instance`` requests over one Γ share the session's
-  normalization artifacts and preprocessed chase engine (built by the
-  group's first request) — the
-  :func:`repro.consistency.pd_consistency.pd_consistency_many` /
-  :func:`repro.relational.chase_engine.chase_many` route, with only the
-  per-database chase left as marginal work;
+* ``consistent`` requests over one Γ and method are answered one at a time
+  by :meth:`Session.execute` (``_execute_each``); a ``weak_instance`` group
+  reads the Γ context's shared normalization and preprocessed chase engine
+  (built by the group's first request), so only the per-database chase is
+  marginal work;
 * ``fd_implies`` requests over one FD set Σ are decided by a single
   :func:`repro.implication.fd_implication.fd_implies_all_via_pds` call (one
   engine over the FPD translation of Σ for all targets).

@@ -119,6 +119,33 @@ class TestKernelMatchesOracle:
             with pytest.raises(LatticeError):
                 cls.from_partial_order(["a", "b"], lambda x, y: True)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_from_partial_order_agrees_on_every_reflexive_relation(self, n):
+        # The kernel's only check is the one inside construction; the oracle
+        # re-runs its O(n³) axiom sweep.  They must accept the same relations.
+        items = list(range(n))
+        pairs = [(x, y) for x in items for y in items if x != y]
+        built = 0
+        for mask in range(1 << len(pairs)):
+            related = {pair for bit, pair in enumerate(pairs) if mask >> bit & 1}
+
+            def leq(x, y, related=related):
+                return x == y or (x, y) in related
+
+            results = []
+            for cls in (FiniteLattice, OracleFiniteLattice):
+                try:
+                    results.append(cls.from_partial_order(items, leq))
+                except LatticeError:
+                    results.append(None)
+            kernel, oracle = results
+            assert (kernel is None) == (oracle is None), sorted(related)
+            if kernel is not None:
+                built += 1
+                assert are_isomorphic(kernel, oracle)
+                assert kernel.axiom_violations() == []
+        assert built > 0
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_corrupted_tables_detected_identically(self, seed):
         rng = random.Random(seed + 2000)

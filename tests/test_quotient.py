@@ -98,6 +98,7 @@ class TestFiniteCounterexample:
         lattice = finite_counterexample(gamma, query)
         assert (lattice is None) == pd_implies(gamma, query)
         if lattice is not None:
+            assert lattice.axiom_violations() == []
             assert lattice.satisfies_all(gamma)
             assert not lattice.satisfies(query)
 
