@@ -216,6 +216,8 @@ class FiniteLattice:
     ) -> "FiniteLattice":
         """:meth:`from_partial_order` on distinct ``items`` and their ``up`` rows, kept as the order."""
         n = len(items)
+        if not n:
+            raise LatticeError("a lattice must be non-empty")
         down = [0] * n
         for i, row in enumerate(up):
             bit = 1 << i

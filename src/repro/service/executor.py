@@ -165,24 +165,15 @@ class ShardExecutor:
         """Batch-aligned work units over the shared tier's misses.
 
         The whole stream is planned, then each batch keeps only its misses.
-        Implication/equivalence, consistency and FD-implication groups split
-        into at most ``shards`` slices (one warm Γ context — overlays on its
-        index, one normalization, one translated engine — per slice); the
-        per-request kinds (CAD, quotient, counterexample) and every
-        deadline-carrying batch split all the way down — a budgeted request
-        must be its own unit so a hard kill takes nobody else with it.
+        An :attr:`~repro.service.planner.Batch.amortized` batch splits into
+        at most ``shards`` slices (one warm context per slice); every other
+        batch splits all the way down — a budgeted request must be its own
+        unit so a hard kill takes nobody else with it.
         """
         units: list[list[int]] = []
         for batch in plan(requests):
             indices = [i for i in batch.indices if i in misses]
-            if batch.deadline:
-                step = 1
-            elif batch.kind in ("implies", "equivalent", "consistent", "fd_implies") and (
-                batch.method != "cad"
-            ):
-                step = max(1, -(-len(indices) // self.shards))
-            else:
-                step = 1
+            step = max(1, -(-len(indices) // self.shards)) if batch.amortized else 1
             for start in range(0, len(indices), step):
                 units.append(indices[start : start + step])
         return units

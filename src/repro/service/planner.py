@@ -3,23 +3,33 @@
 A raw stream interleaves kinds and dependency sets arbitrarily; answering it
 one request at a time pays the per-Γ setup (ALG closure, Theorem 12
 normalization, chase-engine preprocessing) over and over.  The planner
-recovers the batch shape the kernels already serve:
+groups requests by kind, method, theory and deadline flag, then runs each
+group in one of two lanes:
 
-* ``implies`` / ``equivalent`` requests over one Γ are answered by one
-  :func:`repro.implication.word_problems.lattice_word_problems` call on the
-  Γ context's warm ALG engine, one
-  :meth:`~repro.implication.index.ImplicationIndex.overlay` per query: Γ is
-  never re-closed, no overlay's vertex set (and quadratic arc relation)
-  grows with the group, and every query's subexpressions leave the index
-  again, so Γ writes keep resuming over an index of Γ's own size;
-* ``consistent`` requests over one Γ and method are answered one at a time
-  by :meth:`Session.execute` (``_execute_each``); a ``weak_instance`` group
-  reads the Γ context's shared normalization and preprocessed chase engine
-  (built by the group's first request), so only the per-database chase is
-  marginal work;
-* ``fd_implies`` requests over one FD set Σ are decided by a single
-  :func:`repro.implication.fd_implication.fd_implies_all_via_pds` call (one
-  engine over the FPD translation of Σ for all targets).
+* **The grouped lane** (:func:`_execute_grouped`) takes a deadline-free
+  group of a :data:`GROUPED_KINDS` kind: many queries against one theory,
+  answered by one kernel call.  ``implies`` / ``equivalent`` groups over one
+  Γ are one :func:`repro.implication.word_problems.lattice_word_problems`
+  call on the Γ context's warm ALG engine, one
+  :meth:`~repro.implication.index.ImplicationIndex.overlay` per query, so Γ
+  is never re-closed and every query's subexpressions leave the index again
+  (Theorem 9).  ``fd_implies`` groups over one FD set Σ are one
+  :func:`repro.implication.fd_implication.fd_implies_all_via_pds` call, one
+  engine over the FPD translation of Σ for all targets (§5.3).  A kernel
+  that raises falls back to the per-request loop.
+* **The per-request lane** (:func:`_execute_each`) answers every other group
+  one :meth:`Session.execute` at a time, inside one telemetry work unit per
+  group.  A ``weak_instance`` group still shares its Γ context's
+  normalization and preprocessed chase engine (built by its first request),
+  so only the per-database chase is marginal work.  A *deadline* group runs
+  one work unit per request, each under its own
+  :func:`~repro.deadline.deadline_scope`: a shared kernel call cannot charge
+  one caller's budget.
+
+:attr:`Batch.amortized` names the groups that share per-theory work (the
+grouped kinds and ``weak_instance``, never a deadline group); the shard
+executor deals those in a few slices and every other group request by
+request.
 
 Grouping is *stable*: batches are emitted in first-appearance order and every
 request keeps its stream position, so :func:`execute_plan` returns results in
@@ -61,15 +71,16 @@ from repro.service.wire import (
 #: carries-a-deadline flag).
 BatchKey = tuple[str, str, Optional[tuple[str, ...]], bool]
 
+#: The kinds whose deadline-free groups are decided by one kernel call.
+GROUPED_KINDS = ("implies", "equivalent", "fd_implies")
+
 
 @dataclass(frozen=True)
 class Batch:
-    """One planned dispatch group: same kind, method and dependency set.
+    """One planned dispatch group: same kind, method, dependency set and deadline flag.
 
-    ``deadline`` marks a group of budget-carrying requests.  Those are kept
-    out of the grouped kernel calls (a shared engine cannot charge one
-    caller's budget) and dispatched one request at a time, each under its own
-    :func:`~repro.deadline.deadline_scope`.
+    ``deadline`` marks a group of budget-carrying requests, which run one
+    request at a time, each under its own scope.
     """
 
     kind: str
@@ -80,6 +91,15 @@ class Batch:
 
     def __len__(self) -> int:
         return len(self.indices)
+
+    @property
+    def amortized(self) -> bool:
+        """Whether the batch shares per-theory work: a grouped kind's kernel call,
+        a ``weak_instance`` Γ's normalization and chase engine.  A deadline
+        batch shares nothing."""
+        return not self.deadline and (
+            self.kind in GROUPED_KINDS or self.kind == "consistent" and self.method == "weak_instance"
+        )
 
 
 def _dependency_key(request: QueryRequest) -> Optional[tuple[str, ...]]:
@@ -165,42 +185,28 @@ def execute_plan(session: Session, requests: Sequence[QueryRequest]) -> list[Que
                 continue
             first_by_key[key] = index
             pending.append(index)
-        if pending:
-            if batch.deadline:
-                # A deadline lane: one dispatch per request so each runs under
-                # its own scope and a blown budget costs nobody else anything.
-                for index in pending:
-                    with telemetry.work_unit(
-                        batch.kind,
-                        method=batch.method,
-                        gamma=_gamma_size(session, requests[index]),
-                        requests=1,
-                        query_size=telemetry.request_query_size(requests[index]),
-                    ):
-                        result = session.execute(requests[index], use_cache=False)
-                    session.cache_store(requests[index], result, key=keys[index])
-                    results[index] = result
-            elif batch.kind == "fd_implies":
-                _execute_fd_batch(session, requests, results, pending, keys)
-            elif batch.kind in ("implies", "equivalent"):
-                _execute_implication_batch(session, requests, results, pending, keys)
-            else:
+        if pending and not batch.deadline and batch.kind in GROUPED_KINDS:
+            _execute_grouped(session, batch.kind, requests, results, pending, keys)
+        elif pending:
+            # A deadline batch runs one unit per request, so each runs under
+            # its own scope and a blown budget costs nobody else anything.
+            for unit in [[index] for index in pending] if batch.deadline else [pending]:
                 with telemetry.work_unit(
                     batch.kind,
                     method=batch.method,
-                    gamma=_gamma_size(session, requests[pending[0]]),
-                    requests=len(pending),
-                    query_size=_batch_query_size(requests, pending),
+                    gamma=_gamma_size(session, requests[unit[0]]),
+                    requests=len(unit),
+                    query_size=_batch_query_size(requests, unit),
                 ):
-                    _execute_each(session, requests, results, pending, keys)
+                    _execute_each(session, requests, results, unit, keys)
         for index, first in duplicates:
             prior = results[first]
             if prior is not None and prior.ok:
                 results[index] = replace(prior, id=requests[index].id, cached=True)
             else:
                 # Error results are never cached; match the sequential path
-                # and recompute (the probe counts this request's own miss).
-                results[index] = session.execute(requests[index], cache_key=keys[index])
+                # and recompute (the probe above already counted the miss).
+                _execute_each(session, requests, results, [index], keys)
     missing = [i for i, result in enumerate(results) if result is None]
     if missing:  # loud, not misaligned: a dropped slot would shift the CLI stream
         raise ServiceError(f"planner produced no result for requests {missing[:5]}")
@@ -220,51 +226,54 @@ def _batch_query_size(requests: Sequence[QueryRequest], indices: Sequence[int]) 
     return sum(telemetry.request_query_size(requests[index]) for index in indices)
 
 
-def _execute_implication_batch(
+def _execute_grouped(
     session: Session,
+    kind: str,
     requests: Sequence[QueryRequest],
     results: list[Optional[QueryResult]],
     pending: list[int],
     keys: dict[int, str],
 ) -> None:
-    """Decide a same-Γ implication/equivalence group on the warm index, in overlays.
+    """Decide a same-theory group of a :data:`GROUPED_KINDS` kind in one kernel call.
 
-    The Γ context (and its engine) is created as for every other kind; the
-    kernel answers each query in an overlay that rolls the index back, so
-    the group's subexpressions never become part of the tenant's state.
+    ``fd_implies`` targets go to one engine over the FPD translation of Σ;
+    implication and equivalence queries to the Γ context's warm index, each
+    in an overlay that rolls the index back.  A kernel that raises leaves
+    its one cost record and falls back to :func:`_execute_each`.
     """
-    representative = requests[pending[0]]
-    queries = []
-    for index in pending:
-        request = requests[index]
-        if request.kind == "implies":
-            queries.append(request.query)
-        else:
-            queries.append(PartitionDependency(request.left, request.right))
-    # The grouped kernel bypasses Session._evaluate, so the injection hook
-    # fires here — a poison request kills its worker whichever lane it rides
-    # in (the group has no deadline scopes; this is a no-op without an
-    # installed fault plan).
+    # The kernel bypasses Session._evaluate, so the injection hook fires
+    # here: a poison request kills its worker whichever lane it rides in
+    # (a no-op without an installed fault plan).
     for index in pending:
         _faults().on_request(requests[index].id)
-    context = session.context_for(representative)
+    first = requests[pending[0]]
+    context = None if kind == "fd_implies" else session.context_for(first)
     try:
         with telemetry.work_unit(
-            representative.kind,
-            gamma=len(context.dependencies),
+            kind,
+            gamma=_gamma_size(session, first),
             requests=len(pending),
-            query_size=sum(q.left.size() + q.right.size() for q in queries),
+            query_size=_batch_query_size(requests, pending),
         ):
-            verdicts = lattice_word_problems(context.dependencies, queries, engine=context.engine)
+            if context is None:
+                verdicts = fd_implies_all_via_pds(first.fds, [requests[i].target for i in pending])
+            else:
+                queries = [
+                    requests[i].query
+                    if kind == "implies"
+                    else PartitionDependency(requests[i].left, requests[i].right)
+                    for i in pending
+                ]
+                verdicts = lattice_word_problems(context.dependencies, queries, engine=context.engine)
     except DeadlineExceeded:
         raise  # an enclosing budget (window budget) owns this, not a line
     except Exception:
         _execute_each(session, requests, results, pending, keys)
         return
+    field = "equivalent" if kind == "equivalent" else "implied"
     for index, verdict in zip(pending, verdicts):
         request = requests[index]
-        field = "implied" if request.kind == "implies" else "equivalent"
-        result = QueryResult(kind=request.kind, ok=True, id=request.id, value={field: verdict})
+        result = QueryResult(kind=kind, ok=True, id=request.id, value={field: verdict})
         session.cache_store(request, result, key=keys[index])
         results[index] = result
 
@@ -279,44 +288,13 @@ def _execute_each(
     """Evaluate each pending request and store it (errors are reported per line).
 
     The planner's probe already counted each request's miss, so this never
-    probes the cache a second time.  It is the per-request loop of the
-    ungrouped kinds and the fallback of a failed grouped kernel.
+    probes the cache a second time.  It is the per-request loop of every
+    batch outside the grouped lane, the grouped lane's fallback, and the
+    recompute of a duplicate whose first occurrence failed.
     """
     for index in pending:
         result = session.execute(requests[index], use_cache=False)
         session.cache_store(requests[index], result, key=keys[index])
-        results[index] = result
-
-
-def _execute_fd_batch(
-    session: Session,
-    requests: Sequence[QueryRequest],
-    results: list[Optional[QueryResult]],
-    pending: list[int],
-    keys: dict[int, str],
-) -> None:
-    """Decide a same-Σ ``fd_implies`` group with one engine over the FPD translation."""
-    fds = requests[pending[0]].fds
-    targets = [requests[index].target for index in pending]
-    for index in pending:  # injection hook; see _execute_implication_batch
-        _faults().on_request(requests[index].id)
-    try:
-        with telemetry.work_unit(
-            "fd_implies",
-            gamma=len(fds),
-            requests=len(pending),
-            query_size=len(targets),
-        ):
-            verdicts = fd_implies_all_via_pds(fds, targets)
-    except DeadlineExceeded:
-        raise  # an enclosing budget (window budget) owns this, not a line
-    except Exception:
-        _execute_each(session, requests, results, pending, keys)
-        return
-    for index, verdict in zip(pending, verdicts):
-        request = requests[index]
-        result = QueryResult(kind="fd_implies", ok=True, id=request.id, value={"implied": verdict})
-        session.cache_store(request, result, key=keys[index])
         results[index] = result
 
 

@@ -349,22 +349,19 @@ class Session:
 
     # -- the query surface -----------------------------------------------------
 
-    def execute(
-        self, request: QueryRequest, use_cache: bool = True, cache_key: Optional[str] = None
-    ) -> QueryResult:
+    def execute(self, request: QueryRequest, use_cache: bool = True) -> QueryResult:
         """Answer one request (uniformly, whatever its kind).
 
         Failures of the decision procedures are captured as ``ok=False``
         results — a service must answer every line of its stream — but a
         *malformed request* (unknown kind, missing fields) raises
         :class:`~repro.errors.ServiceError` so programming errors stay loud.
-        Error results are never cached.  ``cache_key`` lets the planner pass
-        the canonical key it already computed for its own cache probe.
+        Error results are never cached.
         """
         validate_request(request)
         key = None
         if use_cache and self._results.enabled:
-            key = cache_key if cache_key is not None else request_cache_key(request)
+            key = request_cache_key(request)
             cached = self.cache_lookup(request, key=key)
             if cached is not None:
                 return cached

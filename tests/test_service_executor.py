@@ -7,6 +7,10 @@ import pytest
 
 from repro.dependencies.pd import PartitionDependency
 from repro.errors import ServiceError
+from repro.expressions.parser import parse_expression
+from repro.relational.database import Database
+from repro.relational.functional_dependencies import FunctionalDependency
+from repro.relational.relations import Relation
 from repro.service.executor import ShardExecutor
 from repro.service.planner import execute_plan
 from repro.service.session import Session
@@ -32,6 +36,27 @@ def stream():
 @pytest.fixture(scope="module")
 def reference(stream):
     return _encoded(execute_plan(Session(), stream))
+
+
+def _request_of_kind(kind: str, method: str, i: int, deadline_ms=None) -> QueryRequest:
+    """The ``i``-th of seven distinct same-group requests of one kind and method."""
+    names = "CDEFGHI"
+    fields: dict = {"dependencies": (_pd("A = A*B"), _pd("B = B*C"))}
+    if kind in ("implies", "counterexample"):
+        fields["query"] = _pd(f"A = A*{names[i]}")
+    elif kind == "equivalent":
+        fields.update(left=parse_expression("A"), right=parse_expression(f"A*{names[i]}"))
+    elif kind == "fd_implies":
+        fields = {
+            "fds": (FunctionalDependency.parse("A -> B"),),
+            "target": FunctionalDependency.parse(f"A -> {names[i]}"),
+        }
+    elif kind == "consistent":
+        rows = [f"a{i}.b"]
+        fields.update(method=method, database=Database([Relation.from_strings("r", "AB", rows)]))
+    else:
+        fields["pool"] = (parse_expression("A"), parse_expression(names[i]))
+    return QueryRequest(kind=kind, id=f"q{i}", deadline_ms=deadline_ms, **fields)
 
 
 class TestShardedExecution:
@@ -142,15 +167,31 @@ class TestShardedExecution:
             assert executor.metrics.value("supervisor.units_dispatched") == 0
         assert session.cache_info()["hits"] == hits + len(stream)
 
-    def test_an_implication_group_is_dealt_in_at_most_shards_slices(self):
-        gamma = (_pd("A = A*B"), _pd("B = B*C"))
+    @pytest.mark.parametrize(
+        "kind, method, sliced",
+        [
+            ("implies", "", True),
+            ("equivalent", "", True),
+            ("fd_implies", "", True),
+            ("consistent", "weak_instance", True),
+            ("consistent", "cad", False),
+            ("quotient", "", False),
+            ("counterexample", "", False),
+        ],
+    )
+    @pytest.mark.parametrize("deadline_ms", [None, 60_000])
+    def test_the_split_table(self, kind, method, sliced, deadline_ms):
+        """Amortizing batches are dealt in at most ``shards`` slices; per-request
+        kinds and every deadline-carrying batch in singletons.  The pool is lazy,
+        so ``_work_units`` runs without booting one."""
         requests = [
-            QueryRequest(kind="implies", id=f"q{i}", dependencies=gamma, query=_pd(f"A = A*{name}"))
-            for i, name in enumerate(["C", "D", "E", "F", "G", "H", "I"])
+            _request_of_kind(kind, method, i, deadline_ms=deadline_ms) for i in range(7)
         ]
-        with ShardExecutor(shards=3) as executor:
-            units = executor._work_units(requests, set(range(len(requests))))
-        assert units == [[0, 1, 2], [3, 4, 5], [6]]
+        units = ShardExecutor(shards=3)._work_units(requests, set(range(len(requests))))
+        if sliced and deadline_ms is None:
+            assert units == [[0, 1, 2], [3, 4, 5], [6]]
+        else:
+            assert units == [[i] for i in range(7)]
 
     def test_pool_survives_multiple_execute_calls(self, stream, reference):
         with ShardExecutor(shards=2) as executor:

@@ -16,6 +16,7 @@ from repro.implication.index import ImplicationIndex
 from repro.relational.database import Database
 from repro.relational.functional_dependencies import FunctionalDependency
 from repro.relational.relations import Relation
+from repro.service import telemetry
 from repro.service.planner import (
     execute_plan,
     naive_dispatch,
@@ -35,6 +36,14 @@ def _pd(text: str) -> PartitionDependency:
 
 def _encoded(results):
     return [dump_result_line(r) for r in results]
+
+
+@pytest.fixture
+def traced():
+    telemetry.reset()
+    telemetry.configure(trace=True)
+    yield
+    telemetry.reset()
 
 
 class TestPlanShape:
@@ -194,6 +203,20 @@ class TestCacheInterplay:
         assert info["misses"] == 2  # one probe per uncached request, not two
         assert info["hits"] == 0
 
+    def test_a_failed_duplicate_is_recomputed_without_a_second_probe(self):
+        # C = A+B is no FPD, so CAD answers each copy with an error result,
+        # which is never cached: the copy is recomputed, its miss counted once.
+        db = Database([Relation.from_strings("r", "AB", ["a.b"])])
+        request = QueryRequest(kind="consistent", method="cad", database=db)
+        requests = [request.with_id("a"), request.with_id("b")]
+        planned_session, sequential_session = Session(["C = A+B"]), Session(["C = A+B"])
+        planned = execute_plan(planned_session, requests)
+        sequential = sequential_session.execute_many(requests, batch=False)
+        assert not planned[0].ok and not planned[1].ok
+        assert _encoded(planned) == _encoded(sequential)
+        assert planned_session.cache_info()["misses"] == 2
+        assert sequential_session.cache_info()["misses"] == 2
+
     def test_duplicate_requests_within_one_stream_hit_cache(self):
         request = QueryRequest(kind="implies", query=_pd("A = A*B"))
         session = Session(["A = A*B"])
@@ -255,7 +278,7 @@ class TestKernelFailureFallback:
             ),
         ],
     )
-    def test_fallback_counts_each_miss_once_and_answers_like_execute(self, kernel, requests):
+    def test_fallback_counts_each_miss_once_and_answers_like_execute(self, kernel, requests, traced):
         def broken(*args, **kwargs):
             raise RuntimeError("kernel failure")
 
@@ -263,8 +286,54 @@ class TestKernelFailureFallback:
         with mock.patch(f"repro.service.planner.{kernel}", broken):
             planned = execute_plan(session, requests)
         assert session.cache_info()["misses"] == len(requests)
+        # The failed kernel call is the group's one work unit; the fallback adds none.
+        records = telemetry.cost_log().drain()
+        assert [(r["kind"], r["requests"]) for r in records] == [(requests[0].kind, len(requests))]
         one_by_one = Session(["A = A*B", "B = B*C"])
         assert _encoded(planned) == _encoded([one_by_one.execute(r) for r in requests])
+
+
+class TestWorkUnitShape:
+    """One cost record per grouped batch, per other batch, and per deadline-carrying request."""
+
+    GAMMA = ("A = A*B", "B = B*C")
+
+    def _stream(self) -> list[QueryRequest]:
+        fds = (FunctionalDependency.parse("A -> B"), FunctionalDependency.parse("B -> C"))
+        fd, expr = FunctionalDependency.parse, parse_expression
+        dbs = [Database([Relation.from_strings("r", "AB", rows)]) for rows in (["a.b", "a2.b"], ["x.y"])]
+        return [
+            QueryRequest(kind="implies", id="i0", query=_pd("A = A*C")),
+            QueryRequest(kind="equivalent", id="e0", left=expr("A*B"), right=expr("A")),
+            QueryRequest(kind="fd_implies", id="f0", fds=fds, target=fd("A -> C")),
+            QueryRequest(kind="consistent", id="w0", database=dbs[0]),
+            QueryRequest(kind="implies", id="d0", query=_pd("A = A*B*C"), deadline_ms=60_000),
+            QueryRequest(kind="implies", id="i1", query=_pd("C = C*A")),
+            QueryRequest(kind="equivalent", id="e1", left=expr("B"), right=expr("B*C")),
+            QueryRequest(kind="fd_implies", id="f1", fds=fds, target=fd("C -> A")),
+            QueryRequest(kind="consistent", id="w1", database=dbs[1]),
+            QueryRequest(kind="implies", id="d1", query=_pd("B = B*A"), deadline_ms=60_000),
+        ]
+
+    def test_records_follow_the_plan(self, traced):
+        requests = self._stream()
+        planned = execute_plan(Session(self.GAMMA), requests)
+        records = telemetry.cost_log().drain()
+        assert [(r["kind"], r["method"], r["gamma"], r["requests"]) for r in records] == [
+            ("implies", "", 2, 2),
+            ("equivalent", "", 2, 2),
+            ("fd_implies", "", 2, 2),
+            ("consistent", "weak_instance", 2, 2),
+            ("implies", "", 2, 1),
+            ("implies", "", 2, 1),
+        ]
+        # Every lane sizes a unit by the same per-request measure.
+        by_id = {request.id: request for request in requests}
+        units = [("i0", "i1"), ("e0", "e1"), ("f0", "f1"), ("w0", "w1"), ("d0",), ("d1",)]
+        assert [r["query_size"] for r in records] == [
+            sum(telemetry.request_query_size(by_id[name]) for name in unit) for unit in units
+        ]
+        assert _encoded(planned) == _encoded(naive_dispatch(requests, self.GAMMA))
 
 
 class TestWarmIndexOverlay:
